@@ -51,7 +51,6 @@ class ChannelRealization:
     h: Array
     sigma_c2: float | Array = 0.0
     sigma_e2: float | Array = 0.0
-    pathloss_factor: float | Array = 1.0
 
     @property
     def magnitude(self) -> Array:
@@ -92,8 +91,7 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
     full = (*shape, n_blocks)
     std = np.sqrt(np.broadcast_to(np.asarray(factor)[..., None], full) / 2.0)
     h = std * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
-    return ChannelRealization(h=h, sigma_c2=sigma_c2, sigma_e2=sigma_e2,
-                              pathloss_factor=factor)
+    return ChannelRealization(h=h, sigma_c2=sigma_c2, sigma_e2=sigma_e2)
 
 
 def _complex_noise(rng: np.random.Generator, shape: tuple, variance) -> Array:

@@ -10,6 +10,7 @@ different format version is rejected outright.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -63,19 +64,54 @@ def load_checkpoint(path) -> tuple[dict[str, Array], str, int]:
         raise CheckpointError(f"{path}: truncated inside the header")
     try:
         header = json.loads(raw[_FIXED.size:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+    manifest = _check_header(header, path)
     params: dict[str, Array] = {}
     offset = header_end
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape in manifest:
+        count = math.prod(shape)
         nbytes = count * 8
         if len(raw) < offset + nbytes:
-            raise CheckpointError(f"{path}: truncated inside array {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated inside array {name!r}")
+        try:
+            params[name] = np.frombuffer(
+                raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        except (ValueError, OverflowError) as exc:  # e.g. a zero dim beside a huge one
+            raise CheckpointError(f"{path}: array {name!r} has shape {list(shape)}: {exc}") \
+                from None
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return params, header["config_text"], int(header["round"])
+    return params, header["config_text"], header["round"]
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """The array manifest as (name, shape) pairs, once every header field is well formed."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("config_text", "round", "arrays"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
+    if not isinstance(header["config_text"], str):
+        raise CheckpointError(f"{path}: header 'config_text' is not a string")
+    if not _is_count(header["round"]):
+        raise CheckpointError(f"{path}: header 'round' is not a nonnegative integer")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: header 'arrays' is not a list")
+    manifest = []
+    for idx, entry in enumerate(header["arrays"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"{path}: array entry {idx} has no string 'name'")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise CheckpointError(
+                f"{path}: array {entry['name']!r} has no list of nonnegative dims as 'shape'")
+        manifest.append((entry["name"], tuple(shape)))
+    if len({name for name, _ in manifest}) != len(manifest):
+        raise CheckpointError(f"{path}: array names repeat")
+    return manifest

@@ -417,11 +417,3 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
     if cache.squeezed:
         messages = [m[0] for m in messages]
     return grads, messages
-
-
-def baseline_update(model: BaselineModel, grads: list[dict[str, Array]], eta: float,
-                    batch_size: int) -> None:
-    if len(grads) != len(model.stacks):
-        raise ValueError("gradient count does not match the model's stacks")
-    for stack, g in zip(model.stacks, grads):
-        nn.apply_update(stack, g, eta, batch_size)

@@ -25,6 +25,7 @@ Array = np.ndarray
 CSV_COLUMNS = ("round", "phase_time_ms", "train_loss", "val_accuracy",
                "snr_up_db_mean", "snr_dn_db_mean", "mean_active_ens",
                "param_norm_cloud", "param_norm_edges")
+NTEST_SWEEP = tuple(range(1, 13))  # populations an ntest sweep visits by default
 
 _DOM_DATA = 0  # dataset seed domain under the master seed
 
@@ -108,6 +109,19 @@ def _ntest_grid(cfg: dict[str, Any]) -> tuple[int, ...]:
     return (cfg["n_train"],)
 
 
+def _check_populations(cfg: dict[str, Any], populations) -> None:
+    """Reject evaluation populations the trained nodes cannot serve, before
+    any round runs: without encoder sharing only the n_train trained
+    encoders exist."""
+    if cfg["encoder_sharing"]:
+        return
+    too_large = sorted({int(n) for n in populations if n > cfg["n_train"]})
+    if too_large:
+        raise config_mod.ConfigError(
+            f"evaluation populations {too_large} exceed n_train = {cfg['n_train']}; "
+            "dedicated encoders serve at most n_train nodes (set encoder_sharing = true)")
+
+
 def _eval_grid(state: protocol.TrainingState, cfg: dict[str, Any]) -> list[dict[str, Any]]:
     grid = []
     for n_test in _ntest_grid(cfg):
@@ -125,6 +139,7 @@ def _write_json(path, payload) -> None:
 
 
 def run_training(cfg: dict[str, Any], out_dir) -> ExperimentResult:
+    _check_populations(cfg, _ntest_grid(cfg))
     os.makedirs(out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     tc = config_mod.to_training_config(cfg, dataset.obs_dim, dataset.n_classes)
@@ -185,6 +200,8 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
     axis = cfg["sweep"]
     if axis == "none":
         raise config_mod.ConfigError("sweep mode needs the sweep key")
+    if axis == "ntest":  # the eval grid is checked by run_training, before round 1
+        _check_populations(cfg, cfg["sweep_values"] or NTEST_SWEEP)
     os.makedirs(out_dir, exist_ok=True)
     rows: list[dict[str, Any]] = []
     if axis in ("snr", "ntest"):
@@ -198,7 +215,7 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
                 rows.append({"sweep": "snr", "value": float(snr),
                              "accuracy": acc, "loss": loss, "rounds_to_target": None})
         else:
-            values = cfg["sweep_values"] or tuple(range(1, 13))
+            values = cfg["sweep_values"] or NTEST_SWEEP
             for n_test in values:
                 acc, loss = protocol.evaluate(state, "test", n_test=int(n_test),
                                               snr_db=cfg["eval_snr_db"])

@@ -155,7 +155,8 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
     for idx, layer in enumerate(stack.layers):
         inputs.append(h)
         if isinstance(layer, Dense):
-            h = h @ stack.params[f"dense{idx}.w"].T + stack.params[f"dense{idx}.b"]
+            h = h @ stack.params[f"dense{idx}.w"].T
+            h += stack.params[f"dense{idx}.b"]
         elif isinstance(layer, Relu):
             h = np.maximum(h, 0.0)
         else:
@@ -183,19 +184,42 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> Gradien
     elif g.shape != cache.output.shape:
         raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape}")
     grads: dict[str, Array] = {}
+    ones = np.ones(g.shape[0])
+    last = len(stack.layers) - 1
     for idx in reversed(range(len(stack.layers))):
         layer = stack.layers[idx]
         h_in = cache.inputs[idx]
         if isinstance(layer, Dense):
             grads[f"dense{idx}.w"] = g.T @ h_in
-            grads[f"dense{idx}.b"] = g.sum(axis=0)
+            grads[f"dense{idx}.b"] = ones @ g
             g = g @ stack.params[f"dense{idx}.w"]
         elif isinstance(layer, Relu):
-            g = np.where(h_in > 0.0, g, 0.0)
+            # below the last layer g is a temporary of this call, so the
+            # mask can be applied in place; the last layer's g is upstream
+            if idx == last:
+                g = g * (h_in > 0.0)
+            else:
+                g *= h_in > 0.0
         else:
             g = projection_backward(h_in, layer.power, layer.mode, g)
     input_grad = g[0] if cache.squeezed else g
     return GradientSet(grads, input_grad)
+
+
+def _budget_scale(sq: Array, power: float) -> tuple[Array, Array]:
+    """Rescale factor sqrt(P / max(sq, P)) and its denominator max(sq, P).
+
+    The factor is exactly 1 on and inside the budget and sqrt(P / sq)
+    beyond it, so no entry branches. A zero budget makes max(sq, P) zero
+    where sq == 0; those entries lie on the boundary and pass through, so
+    their factor and their denominator are set to 1.
+    """
+    denom = np.maximum(sq, power)
+    if power == 0.0:
+        boundary = denom == 0.0
+        denom[boundary] = 1.0
+        return boundary.astype(float), denom
+    return np.sqrt(power / denom), denom
 
 
 def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
@@ -211,14 +235,10 @@ def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
     if mode == PER_RB:
         half = v.shape[-1] // 2
         vr, vi = v[..., :half], v[..., half:]
-        p = vr * vr + vi * vi
-        clipped = p > power
-        scale = np.where(clipped, np.sqrt(power / np.where(clipped, p, 1.0)), 1.0)
+        scale, _ = _budget_scale(vr * vr + vi * vi, power)
         return np.concatenate([vr * scale, vi * scale], axis=-1)
     if mode == SUM:
-        total = np.sum(v * v, axis=-1, keepdims=True)
-        clipped = total > power
-        scale = np.where(clipped, np.sqrt(power / np.where(clipped, total, 1.0)), 1.0)
+        scale, _ = _budget_scale(np.sum(v * v, axis=-1, keepdims=True), power)
         return v * scale
     raise ValueError(f"unknown projection mode {mode!r}")
 
@@ -239,19 +259,15 @@ def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> A
         vr, vi = v[..., :half], v[..., half:]
         gr, gi = g[..., :half], g[..., half:]
         p = vr * vr + vi * vi
-        clipped = p > power
-        safe_p = np.where(clipped, p, 1.0)
-        coef = np.where(clipped, np.sqrt(power / safe_p), 1.0)
-        dot = np.where(clipped, (gr * vr + gi * vi) / safe_p, 0.0)
+        coef, denom = _budget_scale(p, power)
+        dot = (gr * vr + gi * vi) / denom * (p > power)
         out_r = coef * (gr - vr * dot)
         out_i = coef * (gi - vi * dot)
         return np.concatenate([out_r, out_i], axis=-1)
     if mode == SUM:
         total = np.sum(v * v, axis=-1, keepdims=True)
-        clipped = total > power
-        safe_t = np.where(clipped, total, 1.0)
-        coef = np.where(clipped, np.sqrt(power / safe_t), 1.0)
-        dot = np.where(clipped, np.sum(g * v, axis=-1, keepdims=True) / safe_t, 0.0)
+        coef, denom = _budget_scale(total, power)
+        dot = np.sum(g * v, axis=-1, keepdims=True) / denom * (total > power)
         return coef * (g - v * dot)
     raise ValueError(f"unknown projection mode {mode!r}")
 
@@ -354,11 +370,15 @@ class AdamOptimizer:
         new_params = {}
         for name, p in stack.params.items():
             g = summed_grads[name] / divisor
-            m = self.m.get(name, np.zeros_like(p))
-            v = self.v.get(name, np.zeros_like(p))
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.m[name], self.v[name] = m, v
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            # the moments are updated in place, in the same operation order
+            # as beta * m + (1 - beta) * g
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
             new_params[name] = p - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)

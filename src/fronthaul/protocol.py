@@ -209,7 +209,9 @@ def sample_active_sets(rng: np.random.Generator, n_train: int, batch_size: int,
         raise ValueError("need at least one node")
     mask = rng.random((batch_size, n_train)) >= drop_probability
     redraws = 0
-    for b in range(batch_size):
+    # only rows with no active node draw again, so visiting just those
+    # consumes the stream exactly as a scan over every row would
+    for b in np.flatnonzero(~mask.any(axis=1)):
         while not mask[b].any():
             mask[b] = rng.random(n_train) >= drop_probability
             redraws += 1

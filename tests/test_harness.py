@@ -1,11 +1,13 @@
 """Config files, checkpoints, the experiment driver, and the command line."""
 
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fronthaul import checkpoint, config as config_mod, data, experiment, protocol
 
@@ -58,6 +60,22 @@ class TestConfigParsing:
         cfg = config_mod.parse_config_text("message_dim = 7\n")
         with pytest.raises(config_mod.ConfigError):
             config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=10)
+_DIMS = st.lists(st.integers(-2, 4) | st.integers(2 ** 31, 2 ** 70), max_size=3)
+# headers close to a real one, so the fuzzing reaches the manifest checks
+_HEADERS = st.fixed_dictionaries({}, optional={
+    "config_text": st.text(max_size=6) | _JSON,
+    "round": st.integers(-2, 5) | _JSON,
+    "arrays": st.lists(st.fixed_dictionaries({}, optional={
+        "name": st.sampled_from(["a", "b"]) | _JSON,
+        "shape": _DIMS | _JSON}), max_size=3) | _JSON,
+})
 
 
 class TestCheckpoint:
@@ -124,6 +142,51 @@ class TestCheckpoint:
         params = protocol.state_parameters(state_a)
         with pytest.raises(ValueError, match="shape|names"):
             protocol.load_state_parameters(state_b, params)
+
+    def _with_header(self, tmp_path, header, payload=b""):
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "edited.bin"
+        path.write_bytes(struct.pack("<4sIQ", checkpoint.MAGIC, checkpoint.VERSION,
+                                     len(blob)) + blob + payload)
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("arrays"),
+        lambda h: h.pop("config_text"),
+        lambda h: h.pop("round"),
+        lambda h: h["arrays"][0].pop("shape"),
+        lambda h: h["arrays"][1].pop("name"),
+        lambda h: h.update(arrays={"a": [2]}),
+        lambda h: h.update(arrays="none"),
+        lambda h: h["arrays"].__setitem__(0, ["a", [2]]),
+        lambda h: h["arrays"][0].update(shape=[2, -1]),
+        lambda h: h["arrays"][0].update(shape="2"),
+        lambda h: h.update(round="3"),
+        lambda h: h.update(config_text=None),
+    ], ids=["no-arrays", "no-config-text", "no-round", "entry-without-shape",
+            "entry-without-name", "arrays-a-dict", "arrays-a-string", "entry-a-list",
+            "negative-dim", "shape-a-string", "round-a-string", "config-text-null"])
+    def test_malformed_header_raises_typed_error(self, tmp_path, edit):
+        header = {"config_text": "rounds = 3\n", "round": 3,
+                  "arrays": [{"name": "a", "shape": [2]}, {"name": "b", "shape": []}]}
+        edit(header)
+        path = self._with_header(tmp_path, header, payload=b"\0" * 24)
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load_checkpoint(path)
+
+    @given(header=st.one_of(_JSON, _HEADERS),
+           payload_words=st.integers(0, 12))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_header_raises_only_typed_error(self, tmp_path, header, payload_words):
+        """Any JSON at all in the header either loads or raises CheckpointError."""
+        path = self._with_header(tmp_path, header, payload=b"\x3f" * (8 * payload_words))
+        try:
+            params, text, round_index = checkpoint.load_checkpoint(path)
+        except checkpoint.CheckpointError:
+            return
+        assert isinstance(text, str) and isinstance(round_index, int)
+        assert all(p.dtype == np.float64 for p in params.values())
 
 
 def small_config_text(**overrides):
@@ -240,6 +303,23 @@ class TestExperimentDriver:
             rounds=2, batch_size=4))
         result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
         assert result.final_round == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"eval_ntest_grid": "2,5"},
+        {"eval_ntest_grid": "4", "sweep": "snr", "sweep_values": "0,10"},
+        {"eval_ntest_grid": "4", "sweep": "batch", "sweep_values": "4,8"},
+        {"sweep": "ntest", "sweep_values": "1,6"},
+    ], ids=["train", "snr-sweep", "batch-sweep", "ntest-sweep"])
+    def test_oversized_population_rejected_before_training(self, tmp_path, overrides):
+        """Dedicated encoders cannot serve more than n_train = 3 nodes; the
+        run stops with ConfigError before round 1 and writes nothing."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_config_text(**overrides))
+        out = tmp_path / "out"
+        with pytest.raises(config_mod.ConfigError, match="exceed n_train"):
+            experiment.run_experiment(cfg_path, out_dir=out)
+        assert not list(out.rglob("checkpoint.bin"))
+        assert not list(out.rglob("metrics.csv"))
 
 
 class TestNumericSuites:

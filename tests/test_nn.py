@@ -227,6 +227,12 @@ class TestProjection:
         assert np.array_equal(nn.projection_forward(v, 1.0, nn.PER_RB), v)
         g = np.array([0.3, 0.7])
         assert np.array_equal(nn.projection_backward(v, 1.0, nn.PER_RB, g), g)
+        # a zero budget: zero vectors sit on its boundary, anything else is clipped
+        for mode in (nn.PER_RB, nn.SUM):
+            zero = np.zeros(2)
+            assert np.array_equal(nn.projection_forward(zero, 0.0, mode), zero)
+            assert np.array_equal(nn.projection_backward(zero, 0.0, mode, g), g)
+            assert np.all(nn.projection_forward(v, 0.0, mode) == 0.0)
 
 
 class TestSoftmaxCrossEntropy:
@@ -367,3 +373,219 @@ class TestAdam:
         nn.AdamOptimizer(eta=0.05).step(b, g, divisor=1.0)
         for k in a.params:
             assert np.allclose(a.params[k], b.params[k], atol=1e-15)
+
+
+# --- the kernels' earlier formulas, kept as references -------------------
+
+
+def ref_forward(stack, x):
+    h = x
+    for idx, layer in enumerate(stack.layers):
+        if isinstance(layer, nn.Dense):
+            h = h @ stack.params[f"dense{idx}.w"].T + stack.params[f"dense{idx}.b"]
+        elif isinstance(layer, nn.Relu):
+            h = np.maximum(h, 0.0)
+        else:
+            h = ref_projection_forward(h, layer.power, layer.mode)
+    return h
+
+
+def ref_backward(stack, x, upstream):
+    inputs = []
+    h = x
+    for idx, layer in enumerate(stack.layers):
+        inputs.append(h)
+        if isinstance(layer, nn.Dense):
+            h = h @ stack.params[f"dense{idx}.w"].T + stack.params[f"dense{idx}.b"]
+        elif isinstance(layer, nn.Relu):
+            h = np.maximum(h, 0.0)
+        else:
+            h = ref_projection_forward(h, layer.power, layer.mode)
+    g = upstream
+    grads = {}
+    for idx in reversed(range(len(stack.layers))):
+        layer, h_in = stack.layers[idx], inputs[idx]
+        if isinstance(layer, nn.Dense):
+            grads[f"dense{idx}.w"] = g.T @ h_in
+            grads[f"dense{idx}.b"] = g.sum(axis=0)
+            g = g @ stack.params[f"dense{idx}.w"]
+        elif isinstance(layer, nn.Relu):
+            g = np.where(h_in > 0.0, g, 0.0)
+        else:
+            g = ref_projection_backward(h_in, layer.power, layer.mode, g)
+    return grads, g
+
+
+def ref_projection_forward(v, power, mode):
+    if mode == nn.PER_RB:
+        half = v.shape[-1] // 2
+        vr, vi = v[..., :half], v[..., half:]
+        p = vr * vr + vi * vi
+        clipped = p > power
+        scale = np.where(clipped, np.sqrt(power / np.where(clipped, p, 1.0)), 1.0)
+        return np.concatenate([vr * scale, vi * scale], axis=-1)
+    total = np.sum(v * v, axis=-1, keepdims=True)
+    clipped = total > power
+    scale = np.where(clipped, np.sqrt(power / np.where(clipped, total, 1.0)), 1.0)
+    return v * scale
+
+
+def ref_projection_backward(v, power, mode, g):
+    if mode == nn.PER_RB:
+        half = v.shape[-1] // 2
+        vr, vi = v[..., :half], v[..., half:]
+        gr, gi = g[..., :half], g[..., half:]
+        p = vr * vr + vi * vi
+        clipped = p > power
+        safe_p = np.where(clipped, p, 1.0)
+        coef = np.where(clipped, np.sqrt(power / safe_p), 1.0)
+        dot = np.where(clipped, (gr * vr + gi * vi) / safe_p, 0.0)
+        return np.concatenate([coef * (gr - vr * dot), coef * (gi - vi * dot)], axis=-1)
+    total = np.sum(v * v, axis=-1, keepdims=True)
+    clipped = total > power
+    safe_t = np.where(clipped, total, 1.0)
+    coef = np.where(clipped, np.sqrt(power / safe_t), 1.0)
+    dot = np.where(clipped, np.sum(g * v, axis=-1, keepdims=True) / safe_t, 0.0)
+    return coef * (g - v * dot)
+
+
+def ref_adam(params, grad_steps, divisor, eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        new = {}
+        for name, p in params.items():
+            g = grads[name] / divisor
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            m_hat = m[name] / (1.0 - beta1 ** t)
+            v_hat = v[name] / (1.0 - beta2 ** t)
+            new[name] = p - eta * m_hat / (np.sqrt(v_hat) + eps)
+        params = new
+    return params, m, v
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that -0.0 and +0.0 count as the same zero.
+
+    The ReLU backward multiplies by its mask, so a negative gradient at a
+    dead unit becomes -0.0 where np.where gave +0.0; adding +0.0 maps both
+    to +0.0 and leaves every other value alone.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def snapshot(arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def unchanged(before, after):
+    return all(x.tobytes() == np.asarray(y).tobytes() for x, y in zip(before, after))
+
+
+KERNEL_STACKS = {
+    "relu-inside": [nn.Dense(6, 9), nn.Relu(), nn.Dense(9, 4)],
+    "ends-in-relu": [nn.Dense(6, 9), nn.Relu(), nn.Dense(9, 5), nn.Relu()],
+    "per-rb-projection": [nn.Dense(6, 9), nn.Relu(), nn.Dense(9, 8), nn.Projection(0.7)],
+    "sum-projection": [nn.Dense(6, 9), nn.Relu(), nn.Dense(9, 8),
+                       nn.Projection(2.0, nn.SUM)],
+}
+
+
+def kernel_stack(name, seed):
+    """A stack from KERNEL_STACKS with nonzero biases (they start at zero)."""
+    stack = nn.LayerStack(KERNEL_STACKS[name], seed=seed)
+    rng = np.random.default_rng(seed)
+    stack.set_params({k: v + rng.normal(size=v.shape) if k.endswith(".b") else v
+                      for k, v in stack.params.items()})
+    return stack
+
+
+class TestKernelsMatchReferences:
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    def test_forward_and_backward_match_reference(self, name):
+        """Forward output, input gradient and weight gradients are bit-identical
+        to the np.where formulas; bias gradients match g.sum(axis=0) to 1e-12."""
+        rng = np.random.default_rng(31)
+        stack = kernel_stack(name, seed=5)
+        for rows in (1, 7, 256):
+            x = rng.normal(size=(rows, 6)) * 2.0
+            out, cache = nn.forward(stack, x)
+            assert out.tobytes() == ref_forward(stack, x).tobytes()
+            upstream = rng.normal(size=out.shape)
+            got = nn.backward(stack, cache, upstream)
+            grads, input_grad = ref_backward(stack, x, upstream)
+            assert same_bits(got.input_grad, input_grad)
+            for pname, ref in grads.items():
+                if pname.endswith(".b"):
+                    assert np.allclose(got.param_grads[pname], ref, rtol=1e-12, atol=0.0), pname
+                else:
+                    assert same_bits(got.param_grads[pname], ref), pname
+
+    @pytest.mark.parametrize("mode", [nn.PER_RB, nn.SUM])
+    @pytest.mark.parametrize("power", [0.0, 0.25, 1.0, 4.0])
+    def test_projection_matches_reference(self, mode, power):
+        """Both directions, bit for bit, over clipped, inside and boundary points."""
+        rng = np.random.default_rng(int(power * 8) + (mode == nn.SUM))
+        v = rng.normal(size=(300, 8)) * rng.uniform(0.0, 3.0, size=(300, 1))
+        v[:20] = 0.0  # zero power: the boundary of a zero budget
+        # rows exactly on the boundary, p == P, in per-RB and in sum mode
+        r = np.sqrt(power)
+        v[20:24] = [[r, 0, 0, 0, 0, 0, 0, 0], [0, r, 0, 0, 0, 0, r, 0],
+                    [0, 0, 0, 0, 0, 0, 0, -r], [-r, 0, 0, 0, 0, 0, 0, 0]]
+        v[24] = [r / 2, r / 2, r / 2, r / 2, 0, 0, 0, 0]  # sum mode's boundary
+        g = rng.normal(size=v.shape)
+        assert nn.projection_forward(v, power, mode).tobytes() == \
+            ref_projection_forward(v, power, mode).tobytes()
+        assert nn.projection_backward(v, power, mode, g).tobytes() == \
+            ref_projection_backward(v, power, mode, g).tobytes()
+
+    def test_adam_steps_match_reference(self):
+        rng = np.random.default_rng(41)
+        stack = nn.LayerStack([nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 3)], seed=2)
+        start = {k: v.copy() for k, v in stack.params.items()}
+        steps = [{k: rng.normal(size=v.shape) * 10 ** rng.uniform(-3, 1)
+                  for k, v in start.items()} for _ in range(6)]
+        opt = nn.AdamOptimizer(eta=0.01)
+        for grads in steps:
+            opt.step(stack, grads, divisor=3.0)
+        params, m, v = ref_adam(start, steps, divisor=3.0)
+        for name in start:
+            assert stack.params[name].tobytes() == params[name].tobytes(), name
+            assert opt.m[name].tobytes() == m[name].tobytes(), name
+            assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+class TestKernelsLeaveInputsAlone:
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    @pytest.mark.parametrize("rows", [None, 16])
+    def test_no_call_writes_into_its_inputs(self, name, rows):
+        """forward leaves x alone; backward leaves upstream, the cached layer
+        inputs and the parameters alone (a stack ending in Relu hands the
+        caller's upstream straight to the ReLU backward)."""
+        rng = np.random.default_rng(43)
+        stack = kernel_stack(name, seed=6)
+        x = rng.normal(size=6 if rows is None else (rows, 6))
+        x_before = snapshot([x])
+        out, cache = nn.forward(stack, x)
+        assert unchanged(x_before, [x])
+        upstream = rng.normal(size=out.shape)
+        guarded = [upstream, *cache.inputs, *stack.params.values()]
+        before = snapshot(guarded)
+        names_before = list(stack.params)
+        nn.backward(stack, cache, upstream)
+        assert unchanged(before, guarded)
+        assert list(stack.params) == names_before
+
+    def test_adam_leaves_gradients_alone(self):
+        stack = nn.LayerStack([nn.Dense(3, 2)], seed=0)
+        grads = {k: np.full(v.shape, 0.5) for k, v in stack.params.items()}
+        before = snapshot(grads.values())
+        old_params = dict(stack.params)
+        params_before = snapshot(old_params.values())
+        opt = nn.AdamOptimizer(eta=0.1)
+        opt.step(stack, grads, divisor=2.0)
+        opt.step(stack, grads, divisor=2.0)
+        assert unchanged(before, grads.values())
+        assert unchanged(params_before, old_params.values())

@@ -80,6 +80,33 @@ class TestActiveSets:
         assert mask.any(axis=1).all()
         assert redraws > 0  # with p=0.45 and N=2, empties do occur and are redrawn
 
+    def test_redraw_matches_full_row_scan(self):
+        """Visiting only the empty rows gives the mask, the redraw count and
+        the stream position of a scan over every row."""
+
+        def scan_every_row(rng, n_train, batch_size, p):
+            mask = rng.random((batch_size, n_train)) >= p
+            redraws = 0
+            for b in range(batch_size):
+                while not mask[b].any():
+                    mask[b] = rng.random(n_train) >= p
+                    redraws += 1
+            return mask, redraws
+
+        total_redraws = 0
+        for seed in range(300):
+            n = 1 + seed % 5
+            b = (1, 8, 32, 257)[seed % 4]
+            p = (0.0, 0.3, 0.6, 0.9)[seed // 4 % 4]
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask, redraws = protocol.sample_active_sets(rng_new, n, b, p)
+            ref_mask, ref_redraws = scan_every_row(rng_ref, n, b, p)
+            assert np.array_equal(mask, ref_mask), seed
+            assert redraws == ref_redraws, seed
+            assert rng_new.random() == rng_ref.random(), seed
+            total_redraws += redraws
+        assert total_redraws > 100  # the redraw path really ran
+
 
 class TestRunInference:
     def test_transparent_channel_matches_direct_inference(self):
