@@ -30,21 +30,29 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+_BRANCH_LAYERS = [nn.Dense, nn.Relu, nn.Dense]
+
+
 @dataclass
 class CloudModel:
     """M branch pairs (inner: S -> R, outer: R -> X). Construction takes no
-    node count; the same instance serves any population."""
+    node count; the same instance serves any population.
+
+    Every branch stack is Dense, Relu, Dense, and all inner stacks share
+    one shape, as do all outer stacks: the fused forward and backward
+    passes stack the branches' parameters along a leading axis.
+    """
 
     branches: list[tuple[nn.LayerStack, nn.LayerStack]]
 
     def __post_init__(self):
         if not self.branches:
             raise ValueError("need at least one branch")
-        s = self.branches[0][0].in_dim
-        r = self.branches[0][0].out_dim
-        x = self.branches[0][1].out_dim
+        z0, u0 = self.branches[0]
         for z, u in self.branches:
-            if z.in_dim != s or z.out_dim != r or u.in_dim != r or u.out_dim != x:
+            if any([type(layer) for layer in s.layers] != _BRANCH_LAYERS for s in (z, u)):
+                raise ValueError("branch stacks must be Dense, Relu, Dense")
+            if z.layers != z0.layers or u.layers != u0.layers or z.out_dim != u.in_dim:
                 raise ValueError("branch dimensions are inconsistent")
 
     @property
@@ -67,6 +75,9 @@ class CloudModel:
     def param_count(self) -> int:
         return sum(z.param_count + u.param_count for z, u in self.branches)
 
+    def versions(self) -> tuple[int, ...]:
+        return tuple(s.version for pair in self.branches for s in pair)
+
 
 def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
                       n_classes: int, hidden: int, seed: int) -> CloudModel:
@@ -85,13 +96,53 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
 
 
 @dataclass
+class _BranchWeights:
+    """Branch parameters stacked for the fused passes.
+
+    ``z_in`` is every inner first layer on top of each other, (M*H, S);
+    the rest are (M, out, in) or (M, out) with the branch axis first.
+    """
+
+    z_in: Array
+    z_in_b: Array
+    z_out: Array
+    z_out_b: Array
+    u_in: Array
+    u_in_b: Array
+    u_out: Array
+    u_out_b: Array
+
+
+def _branch_weights(model: CloudModel) -> _BranchWeights:
+    z_stacks = [z for z, _ in model.branches]
+    u_stacks = [u for _, u in model.branches]
+
+    def stacked(stacks, name):
+        return np.stack([s.params[name] for s in stacks])
+
+    return _BranchWeights(
+        np.concatenate([z.params["dense0.w"] for z in z_stacks]),
+        np.concatenate([z.params["dense0.b"] for z in z_stacks]),
+        stacked(z_stacks, "dense2.w"), stacked(z_stacks, "dense2.b"),
+        stacked(u_stacks, "dense0.w"), stacked(u_stacks, "dense0.b"),
+        stacked(u_stacks, "dense2.w"), stacked(u_stacks, "dense2.b"))
+
+
+@dataclass
 class CloudCache:
     model: CloudModel
-    z_caches: list[list[nn.ForwardCache]]  # [branch][node]
-    u_caches: list[nn.ForwardCache]
+    versions: tuple[int, ...]  # every branch stack's version at the forward pass
+    weights: _BranchWeights
+    received: list[Array]  # per node, (B, S)
     active: Array  # (B, N) float mask
+    # per node, (B, M*H) pre-activations of every inner first layer, held
+    # at zero for inactive pairs
+    inner_pre: list[Array]
+    pooled: Array  # (M, B, H) masked node sum of the rectified inner activations
+    latent: Array  # (M, B, R) pooled latent per branch
+    outer_pre: Array  # (M, B, H_u) outer pre-activations
+    outer_act: Array  # (M, B, H_u) rectified outer activations
     squeezed: bool
-    n_nodes: int
 
 
 def _prepare_received(model_in_dim: int, received: Sequence[Array]
@@ -125,36 +176,52 @@ def cloud_infer(model: CloudModel, received: Sequence[Array],
                 active: Array | None = None) -> tuple[Array, CloudCache]:
     """Pooled multi-branch inference.
 
-    Per branch m: latents z_m(y_i) are summed over nodes (node index
-    order), passed through the outer stack, and the branch outputs are
-    summed (branch index order) into the logits. ``active`` masks
-    (sample, node) pairs that never reached the cloud; their latents are
-    excluded from the pool.
+    Per branch m: latents z_m(y_i) are summed over nodes, passed through
+    the outer stack, and the branch outputs are summed into the logits.
+    ``active`` masks (sample, node) pairs that never reached the cloud;
+    their latents are excluded from the pool.
+
+    The branches run fused. All inner stacks read the same signal, so
+    one product per node computes every branch's first layer. The inner
+    output layer is affine and commutes with the masked node sum,
+    sum_i a_i (W h_i + b) = W (sum_i a_i h_i) + (sum_i a_i) b, so it runs
+    once per branch on the pooled rows. The outer stacks run batched
+    over the branch axis.
     """
     rows, squeezed = _prepare_received(model.input_dim, received)
-    n_nodes = len(rows)
     batch = rows[0].shape[0]
     if active is None:
-        mask = np.ones((batch, n_nodes))
+        mask = np.ones((batch, len(rows)))
     else:
         mask = np.asarray(active, dtype=float)
-        if mask.shape != (batch, n_nodes):
+        if mask.shape != (batch, len(rows)):
             raise ValueError("active mask shape must be (batch, nodes)")
-    z_caches: list[list[nn.ForwardCache]] = []
-    u_caches: list[nn.ForwardCache] = []
-    logits = np.zeros((batch, model.output_dim))
-    for z_stack, u_stack in model.branches:
-        pooled = np.zeros((batch, model.latent_dim))
-        caches_m = []
-        for i in range(n_nodes):
-            latent, cache = nn.forward(z_stack, rows[i])
-            caches_m.append(cache)
-            pooled = pooled + mask[:, i:i + 1] * latent
-        branch_out, u_cache = nn.forward(u_stack, pooled)
-        z_caches.append(caches_m)
-        u_caches.append(u_cache)
-        logits = logits + branch_out
-    cache = CloudCache(model, z_caches, u_caches, mask, squeezed, n_nodes)
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ValueError("active mask entries must be 0 or 1")
+    w = _branch_weights(model)
+    inner_pre = []
+    pooled = np.zeros((batch, w.z_in.shape[0]))
+    scratch = np.empty_like(pooled)
+    for i, y in enumerate(rows):
+        pre = y @ w.z_in.T
+        pre += w.z_in_b
+        # zeroing an inactive pair's pre-activations zeroes its rectified
+        # activation here and its rectifier slope in the backward pass
+        pre[mask[:, i] == 0.0] = 0.0
+        inner_pre.append(pre)
+        pooled += np.maximum(pre, 0.0, out=scratch)
+    # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
+    pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
+    latent = np.matmul(pooled, w.z_out.transpose(0, 2, 1))
+    latent += mask.sum(axis=1)[:, None] * w.z_out_b[:, None, :]
+    outer_pre = np.matmul(latent, w.u_in.transpose(0, 2, 1))
+    outer_pre += w.u_in_b[:, None, :]
+    outer_act = np.maximum(outer_pre, 0.0)
+    out = np.matmul(outer_act, w.u_out.transpose(0, 2, 1))
+    out += w.u_out_b[:, None, :]
+    logits = out.sum(axis=0)
+    cache = CloudCache(model, model.versions(), w, rows, mask, inner_pre, pooled,
+                       latent, outer_pre, outer_act, squeezed)
     return (logits[0] if squeezed else logits), cache
 
 
@@ -176,39 +243,50 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     """
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
+    if cache.versions != model.versions():
+        raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(grad_logits, dtype=float)
     if cache.squeezed:
         g = g[None, :]
     batch = cache.active.shape[0]
     if g.shape != (batch, model.output_dim):
         raise ValueError("gradient shape does not match the cached forward")
-    z_grads = []
-    u_grads = []
-    messages = [np.zeros((batch, model.input_dim)) for _ in range(cache.n_nodes)]
-    for m, (z_stack, u_stack) in enumerate(model.branches):
-        u_set = nn.backward(u_stack, cache.u_caches[m], g)
-        u_grads.append(u_set.param_grads)
-        pooled_grad = u_set.input_grad
-        acc = nn.zero_grads_like(z_stack)
-        for i in range(cache.n_nodes):
-            upstream = pooled_grad * cache.active[:, i:i + 1]
-            z_set = nn.backward(z_stack, cache.z_caches[m][i], upstream)
-            nn.accumulate(acc, z_set.param_grads)
-            messages[i] = messages[i] + z_set.input_grad
-        z_grads.append(acc)
+    w = cache.weights
+    ones = np.ones(batch)
+    # outer stacks: every branch output receives the whole logit gradient
+    u_out_w = np.matmul(g.T, cache.outer_act)
+    u_out_b = ones @ g
+    g_hidden = np.matmul(g, w.u_out)
+    g_hidden *= cache.outer_pre > 0.0
+    u_in_w = np.matmul(g_hidden.transpose(0, 2, 1), cache.latent)
+    u_in_b = np.matmul(ones, g_hidden)
+    g_latent = np.matmul(g_hidden, w.u_in)
+    # inner output layer on the pooled rows; its bias entered once per active node
+    z_out_w = np.matmul(g_latent.transpose(0, 2, 1), cache.pooled)
+    z_out_b = np.matmul(cache.active.sum(axis=1), g_latent)
+    g_pooled = np.matmul(g_latent, w.z_out).transpose(1, 0, 2).reshape(batch, -1)
+    # inner first layers, per node; a node's message sums over branches
+    z_in_w = np.zeros_like(w.z_in)
+    z_in_b = np.zeros_like(w.z_in_b)
+    messages = []
+    g_act = np.empty_like(g_pooled)
+    for i, y in enumerate(cache.received):
+        np.greater(cache.inner_pre[i], 0.0, out=g_act)  # the rectifier's slope
+        g_act *= g_pooled
+        z_in_w += g_act.T @ y
+        z_in_b += ones @ g_act
+        messages.append(g_act @ w.z_in)
+    hidden = z_in_w.shape[0] // model.n_branches
+    z_grads = [{"dense0.w": z_in_w[m * hidden:(m + 1) * hidden],
+                "dense0.b": z_in_b[m * hidden:(m + 1) * hidden],
+                "dense2.w": z_out_w[m], "dense2.b": z_out_b[m]}
+               for m in range(model.n_branches)]
+    u_grads = [{"dense0.w": u_in_w[m], "dense0.b": u_in_b[m],
+                "dense2.w": u_out_w[m], "dense2.b": u_out_b.copy()}
+               for m in range(model.n_branches)]
     if cache.squeezed:
         messages = [msg[0] for msg in messages]
     return CloudGradients(z_grads, u_grads), messages
-
-
-def cloud_update(model: CloudModel, grads: CloudGradients, eta: float,
-                 batch_size: int) -> None:
-    """Per-branch averaged gradient step."""
-    if len(grads.z_grads) != model.n_branches or len(grads.u_grads) != model.n_branches:
-        raise ValueError("gradient branch count does not match the model")
-    for m, (z_stack, u_stack) in enumerate(model.branches):
-        nn.apply_update(z_stack, grads.z_grads[m], eta, batch_size)
-        nn.apply_update(u_stack, grads.u_grads[m], eta, batch_size)
 
 
 def fedavg(candidates: Sequence[Mapping[str, Array]]) -> dict[str, Array]:

@@ -110,15 +110,29 @@ def _ntest_grid(cfg: dict[str, Any]) -> tuple[int, ...]:
 
 
 def _check_populations(cfg: dict[str, Any], populations) -> None:
-    """Reject evaluation populations the trained nodes cannot serve, before
-    any round runs: without encoder sharing only the n_train trained
-    encoders exist."""
-    if cfg["encoder_sharing"]:
+    """Reject evaluation populations the trained model cannot serve, before
+    any round runs. The concatenation network takes exactly n_train
+    signals and the multi-head network has one head per trained node,
+    whether or not encoders are shared; without encoder sharing only the
+    n_train trained encoders exist."""
+    n_train = cfg["n_train"]
+    requested = sorted({int(n) for n in populations})
+    if cfg["architecture"] == cloud.CATNET:
+        other = [n for n in requested if n != n_train]
+        if other:
+            raise config_mod.ConfigError(
+                f"evaluation populations {other} differ from n_train = {n_train}; "
+                "catnet concatenates exactly n_train signals")
+    too_large = [n for n in requested if n > n_train]
+    if not too_large:
         return
-    too_large = sorted({int(n) for n in populations if n > cfg["n_train"]})
-    if too_large:
+    if cfg["architecture"] == cloud.MHNET:
         raise config_mod.ConfigError(
-            f"evaluation populations {too_large} exceed n_train = {cfg['n_train']}; "
+            f"evaluation populations {too_large} exceed n_train = {n_train}; "
+            "mhnet has one head per trained node")
+    if not cfg["encoder_sharing"]:
+        raise config_mod.ConfigError(
+            f"evaluation populations {too_large} exceed n_train = {n_train}; "
             "dedicated encoders serve at most n_train nodes (set encoder_sharing = true)")
 
 
@@ -345,26 +359,40 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
 
 def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
                        step: float) -> float:
+    """One cloud instance on a masked batch of three samples.
+
+    Sample 0 never reaches the cloud from node 0 and the last sample
+    reaches it from every node, so inactive pairs, a row's active count
+    on the inner output bias and, with one node, a row with no active
+    node are all differentiated. The loss is the batch sum.
+    """
     model = cloud.build_cloud_model(n_branches, message_dim=4, latent_dim=3,
                                     n_classes=3, hidden=4,
                                     seed=int(rng.integers(0, 2 ** 31)))
+    # nonzero biases: the count-weighted inner output bias moves the logits,
+    # and a row with no active node sits off the outer rectifier kinks
+    for stack in (s for pair in model.branches for s in pair):
+        stack.set_params({name: rng.normal(scale=0.5, size=p.shape) if name.endswith(".b")
+                          else p for name, p in stack.params.items()})
+    batch = 3
+    active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
+    active[0, 0] = 0.0
+    active[-1] = 1.0
     for _ in range(100):
-        received = [rng.normal(size=4) for _ in range(n_nodes)]
-        logits, cache = cloud.cloud_infer(model, received)
-        margin = min(min(_kink_margin(z, cache.z_caches[m][i])
-                         for m, (z, _) in enumerate(model.branches)
-                         for i in range(n_nodes)),
-                     min(_kink_margin(u, cache.u_caches[m])
-                         for m, (_, u) in enumerate(model.branches)))
-        if margin > 1e-3:
+        received = [rng.normal(size=(batch, 4)) for _ in range(n_nodes)]
+        logits, cache = cloud.cloud_infer(model, received, active)
+        # inactive pairs' pre-activations are held at zero and never move
+        kinks = [np.abs(pre[active[:, i] == 1.0]) for i, pre in enumerate(cache.inner_pre)]
+        kinks.append(np.abs(cache.outer_pre))
+        if min(float(np.min(k, initial=np.inf)) for k in kinks) > 1e-3:
             break
-    label = int(rng.integers(0, 3))
-    _, gx = nn.softmax_cross_entropy(logits, label)
+    labels = rng.integers(0, 3, size=batch)
+    _, gx = nn.softmax_cross_entropy(logits, labels)
     grads, messages = cloud.cloud_backward(model, cache, gx)
 
     def value() -> float:
-        lg, _ = cloud.cloud_infer(model, received)
-        return nn.softmax_cross_entropy(lg, label)[0]
+        lg, _ = cloud.cloud_infer(model, received, active)
+        return float(np.sum(nn.softmax_cross_entropy(lg, labels)[0]))
 
     worst = 0.0
     for m, (z_stack, u_stack) in enumerate(model.branches):
@@ -382,15 +410,17 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
                     fd = (up_val - dn_val) / (2 * step)
                     worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
     for i in range(n_nodes):
-        for j in range(4):
-            old = received[i][j]
-            received[i][j] = old + step
+        flat = received[i].reshape(-1)
+        gflat = messages[i].reshape(-1)
+        for idx in range(flat.size):
+            old = flat[idx]
+            flat[idx] = old + step
             up_val = value()
-            received[i][j] = old - step
+            flat[idx] = old - step
             dn_val = value()
-            received[i][j] = old
+            flat[idx] = old
             fd = (up_val - dn_val) / (2 * step)
-            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(messages[i][j])))
+            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
     return worst
 
 

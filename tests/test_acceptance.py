@@ -115,8 +115,9 @@ def run_inference_on_test_crops(state, seed, n_test, samples=64):
 class TestCriterion1GradientOracle:
     def test_finite_difference_oracle(self):
         """Every layer type, both projection modes, the full pooled cloud
-        (1 and 3 branches, 1 and 3 nodes) and the per-node downlink messages
-        agree with central finite differences to 1e-5 relative."""
+        (1 and 3 branches, 1 and 3 nodes, on masked batches with inactive
+        pairs) and the per-node downlink messages agree with central finite
+        differences to 1e-5 relative."""
         result = experiment.run_gradcheck(seed=0, stack_instances=140,
                                           cloud_repeats=16)
         ok = (result["ok"] and result["instances"] >= 200

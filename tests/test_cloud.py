@@ -1,11 +1,12 @@
-"""Multi-branch cloud model, parameter averaging, and the baseline architectures."""
+"""Multi-branch cloud model, its update, parameter averaging, and the baseline
+architectures."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from fronthaul import cloud, nn
+from fronthaul import cloud, nn, protocol
 
 
 def small_model(m=2, s=6, r=4, x=3, hidden=5, seed=7):
@@ -68,6 +69,8 @@ class TestCloudInfer:
             cloud.cloud_infer(model, [])
         with pytest.raises(ValueError, match="length"):
             cloud.cloud_infer(model, [np.zeros(5)])
+        with pytest.raises(ValueError, match="0 or 1"):
+            cloud.cloud_infer(model, [np.zeros((2, 6))], np.full((2, 1), 0.5))
 
     def test_construction_independent_of_node_count(self):
         """One instance serves any population without parameter change."""
@@ -179,7 +182,150 @@ class TestCloudBackward:
         assert np.any(messages[1][1] != 0.0)
 
 
+def random_biases(model, rng):
+    """Nonzero biases, so the count-weighted inner output bias moves the logits."""
+    for stack in (s for pair in model.branches for s in pair):
+        stack.set_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
+                          for name, p in stack.params.items()})
+
+
+def per_branch_node_reference(model, received, active, grad_logits):
+    """The unfused composition: per-(branch, node) nn.forward/nn.backward calls.
+
+    Returns logits, per-branch inner and outer gradient dicts, and the
+    per-node messages, all summed in branch and node index order.
+    """
+    logits = 0.0
+    z_grads, u_grads = [], []
+    messages = [np.zeros_like(y) for y in received]
+    for z_stack, u_stack in model.branches:
+        pooled = 0.0
+        caches = []
+        for i, y in enumerate(received):
+            latent, cache = nn.forward(z_stack, y)
+            caches.append(cache)
+            pooled = pooled + active[:, i:i + 1] * latent
+        out, u_cache = nn.forward(u_stack, pooled)
+        logits = logits + out
+        u_set = nn.backward(u_stack, u_cache, grad_logits)
+        u_grads.append(u_set.param_grads)
+        acc = nn.zero_grads_like(z_stack)
+        for i in range(len(received)):
+            z_set = nn.backward(z_stack, caches[i], u_set.input_grad * active[:, i:i + 1])
+            nn.accumulate(acc, z_set.param_grads)
+            messages[i] = messages[i] + z_set.input_grad
+        z_grads.append(acc)
+    return logits, z_grads, u_grads, messages
+
+
+def assert_matches(got, want):
+    """rtol 1e-12 with an absolute floor of 1e-12 times the array's largest
+    entry: the fused passes sum in another order, so an entry that cancels
+    carries rounding on the scale of the terms it sums."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want), initial=0.0))
+
+
+def assert_fused_matches_reference(model, received, active, grad_logits):
+    logits, cache = cloud.cloud_infer(model, received, active)
+    grads, messages = cloud.cloud_backward(model, cache, grad_logits)
+    assert logits.shape == np.shape(grad_logits)
+    assert [m.shape for m in messages] == [np.shape(y) for y in received]
+    rows = [np.atleast_2d(y) for y in received]
+    mask = np.ones((rows[0].shape[0], len(rows))) if active is None else active
+    want_logits, want_z, want_u, want_messages = per_branch_node_reference(
+        model, rows, mask, np.atleast_2d(grad_logits))
+    assert_matches(logits, want_logits.reshape(logits.shape))
+    for m in range(model.n_branches):
+        for name in want_z[m]:
+            assert_matches(grads.z_grads[m][name], want_z[m][name])
+            assert_matches(grads.u_grads[m][name], want_u[m][name])
+    for got, want in zip(messages, want_messages):
+        assert_matches(got, want.reshape(got.shape))
+
+
+class TestFusedCloud:
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("n_branches", [1, 4, 12])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 16])
+    def test_matches_per_branch_node_reference(self, n_nodes, n_branches, batch):
+        rng = np.random.default_rng(100 * n_nodes + 10 * n_branches + batch)
+        model = small_model(m=n_branches, seed=int(rng.integers(1000)))
+        random_biases(model, rng)
+        received = [rng.normal(size=(batch, 6)) for _ in range(n_nodes)]
+        active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
+        if batch > 1:
+            active[0] = 0.0  # a row with no active node
+        active[-1, 0] = 1.0
+        assert_fused_matches_reference(model, received, active,
+                                       rng.normal(size=(batch, 3)))
+
+    def test_single_vector_matches_reference(self):
+        rng = np.random.default_rng(101)
+        model = small_model(m=4)
+        random_biases(model, rng)
+        assert_fused_matches_reference(model, [rng.normal(size=6) for _ in range(3)],
+                                       None, rng.normal(size=3))
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_stale_cache_rejected(self, which):
+        """A parameter swap on any one branch stack invalidates the cache."""
+        model = small_model(m=3)
+        rng = np.random.default_rng(102)
+        received = [rng.normal(size=(4, 6)) for _ in range(2)]
+        _, cache = cloud.cloud_infer(model, received)
+        stack = [s for pair in model.branches for s in pair][which]
+        stack.set_params(stack.params)
+        with pytest.raises(ValueError, match="stale"):
+            cloud.cloud_backward(model, cache, np.zeros((4, 3)))
+
+    def test_returned_arrays_share_no_memory(self):
+        model = small_model(m=3)
+        rng = np.random.default_rng(103)
+        received = [rng.normal(size=(5, 6)) for _ in range(4)]
+        _, cache = cloud.cloud_infer(model, received, rng.random((5, 4)) < 0.5)
+        grads, messages = cloud.cloud_backward(model, cache, rng.normal(size=(5, 3)))
+        arrays = ([g for gs in grads.z_grads + grads.u_grads for g in gs.values()]
+                  + messages)
+        assert len(arrays) == 3 * 8 + 4
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("inner, outer", [
+        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 5), nn.Relu(), nn.Dense(5, 4)],
+         [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
+        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 4)], [nn.Dense(4, 3)]),
+        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 4), nn.Relu()],
+         [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
+        ([nn.Dense(6, 4), nn.Projection(1.0)], [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
+    ], ids=["deep-inner", "linear-outer", "inner-ends-in-relu", "projection"])
+    def test_rejects_branch_stacks_not_dense_relu_dense(self, inner, outer):
+        with pytest.raises(ValueError, match="Dense, Relu, Dense"):
+            cloud.CloudModel([(nn.LayerStack(inner, 0), nn.LayerStack(outer, 1))])
+
+    def test_rejects_branches_of_different_widths(self):
+        def pair(hidden):
+            return (nn.LayerStack([nn.Dense(6, hidden), nn.Relu(), nn.Dense(hidden, 4)], 0),
+                    nn.LayerStack([nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)], 1))
+        with pytest.raises(ValueError, match="inconsistent"):
+            cloud.CloudModel([pair(5), pair(7)])
+
+
+def sgd_optimizers(model, eta):
+    return [nn.SgdOptimizer(eta) for pair in model.branches for _ in pair]
+
+
+def random_gradients(model, rng):
+    return cloud.CloudGradients(
+        z_grads=[{k: rng.normal(size=v.shape) for k, v in z.params.items()}
+                 for z, _ in model.branches],
+        u_grads=[{k: rng.normal(size=v.shape) for k, v in u.params.items()}
+                 for _, u in model.branches])
+
+
 class TestCloudUpdate:
+    """The round protocol commits cloud gradients through protocol._model_apply."""
+
     def test_zero_gradients_change_nothing(self):
         model = small_model()
         before = [{k: v.copy() for k, v in s.params.items()}
@@ -189,55 +335,48 @@ class TestCloudUpdate:
                      for z, _ in model.branches],
             u_grads=[{k: np.zeros_like(v) for k, v in u.params.items()}
                      for _, u in model.branches])
-        cloud.cloud_update(model, zeros, eta=0.5, batch_size=4)
+        protocol._model_apply(model, sgd_optimizers(model, 0.5), zeros, 4)
         after = [s.params for pair in model.branches for s in pair]
         for b, a in zip(before, after):
             for k in b:
                 assert np.array_equal(b[k], a[k])
 
     def test_matches_per_branch_sgd_step(self):
+        """Gradients from the fused backward land on their own branch stack."""
         rng = np.random.default_rng(9)
-        model = small_model(m=2)
-        ref = small_model(m=2)
-        grads = cloud.CloudGradients(
-            z_grads=[{k: rng.normal(size=v.shape) for k, v in z.params.items()}
-                     for z, _ in model.branches],
-            u_grads=[{k: rng.normal(size=v.shape) for k, v in u.params.items()}
-                     for _, u in model.branches])
-        cloud.cloud_update(model, grads, eta=0.3, batch_size=6)
+        model = small_model(m=3)
+        ref = small_model(m=3)
+        received = [rng.normal(size=(6, 6)) for _ in range(2)]
+        _, cache = cloud.cloud_infer(model, received, rng.random((6, 2)) < 0.7)
+        grads, _ = cloud.cloud_backward(model, cache, rng.normal(size=(6, 3)))
+        protocol._model_apply(model, sgd_optimizers(model, 0.3), grads, 6)
         for m, (z, u) in enumerate(ref.branches):
             want_z = nn.sgd_step(z.params, grads.z_grads[m], 0.3 / 6)
             want_u = nn.sgd_step(u.params, grads.u_grads[m], 0.3 / 6)
             for k in want_z:
-                assert np.allclose(model.branches[m][0].params[k], want_z[k], atol=1e-15)
+                assert np.array_equal(model.branches[m][0].params[k], want_z[k])
             for k in want_u:
-                assert np.allclose(model.branches[m][1].params[k], want_u[k], atol=1e-15)
+                assert np.array_equal(model.branches[m][1].params[k], want_u[k])
 
     def test_two_half_batches_average_to_full_batch(self):
         rng = np.random.default_rng(10)
         model_a = small_model(seed=21)
         model_b = small_model(seed=21)
-        g1 = cloud.CloudGradients(
-            z_grads=[{k: rng.normal(size=v.shape) for k, v in z.params.items()}
-                     for z, _ in model_a.branches],
-            u_grads=[{k: rng.normal(size=v.shape) for k, v in u.params.items()}
-                     for _, u in model_a.branches])
-        g2 = cloud.CloudGradients(
-            z_grads=[{k: rng.normal(size=v.shape) for k, v in z.params.items()}
-                     for z, _ in model_a.branches],
-            u_grads=[{k: rng.normal(size=v.shape) for k, v in u.params.items()}
-                     for _, u in model_a.branches])
+        g1 = random_gradients(model_a, rng)
+        g2 = random_gradients(model_a, rng)
         merged = cloud.CloudGradients(
             z_grads=[{k: g1.z_grads[m][k] + g2.z_grads[m][k] for k in g1.z_grads[m]}
                      for m in range(2)],
             u_grads=[{k: g1.u_grads[m][k] + g2.u_grads[m][k] for k in g1.u_grads[m]}
                      for m in range(2)])
-        cloud.cloud_update(model_a, merged, eta=0.1, batch_size=8)
-        cloud.cloud_update(model_b, g1, eta=0.1 / 2, batch_size=4)
-        cloud.cloud_update(model_b, g2, eta=0.1 / 2, batch_size=4)
+        protocol._model_apply(model_a, sgd_optimizers(model_a, 0.1), merged, 8)
+        half = sgd_optimizers(model_b, 0.1 / 2)
+        protocol._model_apply(model_b, half, g1, 4)
+        protocol._model_apply(model_b, half, g2, 4)
         for (za, ua), (zb, ub) in zip(model_a.branches, model_b.branches):
             for k in za.params:
                 assert np.allclose(za.params[k], zb.params[k], atol=1e-12)
+                assert np.allclose(ua.params[k], ub.params[k], atol=1e-12)
 
 
 class TestFedavg:

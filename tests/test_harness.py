@@ -304,19 +304,26 @@ class TestExperimentDriver:
         result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
         assert result.final_round == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"eval_ntest_grid": "2,5"},
-        {"eval_ntest_grid": "4", "sweep": "snr", "sweep_values": "0,10"},
-        {"eval_ntest_grid": "4", "sweep": "batch", "sweep_values": "4,8"},
-        {"sweep": "ntest", "sweep_values": "1,6"},
-    ], ids=["train", "snr-sweep", "batch-sweep", "ntest-sweep"])
-    def test_oversized_population_rejected_before_training(self, tmp_path, overrides):
-        """Dedicated encoders cannot serve more than n_train = 3 nodes; the
-        run stops with ConfigError before round 1 and writes nothing."""
+    @pytest.mark.parametrize("overrides, match", [
+        ({"eval_ntest_grid": "2,5"}, "dedicated encoders"),
+        ({"eval_ntest_grid": "4", "sweep": "snr", "sweep_values": "0,10"},
+         "dedicated encoders"),
+        ({"eval_ntest_grid": "4", "sweep": "batch", "sweep_values": "4,8"},
+         "dedicated encoders"),
+        ({"sweep": "ntest", "sweep_values": "1,6"}, "dedicated encoders"),
+        ({"architecture": "catnet", "eval_ntest_grid": "2,3"}, r"\[2\] differ .* catnet"),
+        ({"architecture": "mhnet", "encoder_sharing": "true", "eval_ntest_grid": "3,5"},
+         r"\[5\] exceed .* mhnet"),
+    ], ids=["train", "snr-sweep", "batch-sweep", "ntest-sweep", "catnet", "mhnet-shared"])
+    def test_oversized_population_rejected_before_training(self, tmp_path, overrides, match):
+        """Populations the trained model cannot serve stop the run with
+        ConfigError before round 1, and nothing is written: dedicated
+        encoders and mhnet's heads serve at most n_train = 3 nodes, catnet
+        exactly n_train."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(**overrides))
         out = tmp_path / "out"
-        with pytest.raises(config_mod.ConfigError, match="exceed n_train"):
+        with pytest.raises(config_mod.ConfigError, match=match):
             experiment.run_experiment(cfg_path, out_dir=out)
         assert not list(out.rglob("checkpoint.bin"))
         assert not list(out.rglob("metrics.csv"))
