@@ -73,7 +73,11 @@ def main(argv=None) -> int:
                 print(f"{row['sweep']}={row['value']}: accuracy={row['accuracy']:.4f}")
             return EXIT_OK
         if args.command == "gradcheck":
-            report = experiment.run_gradcheck(seed=args.seed or 0)
+            try:
+                report = experiment.run_gradcheck(seed=args.seed or 0)
+            except experiment.NoSmoothInstanceError as exc:
+                print(f"gradcheck: {exc}", file=sys.stderr)
+                return EXIT_CHECK_FAILED
             print(f"gradcheck: {report['instances']} instances, "
                   f"max relative error {report['max_rel_err']:.3e} "
                   f"(tolerance {report['tolerance']:.0e}), {report['elapsed_s']:.1f}s")

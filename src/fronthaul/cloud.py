@@ -16,7 +16,7 @@ network with one learnable head per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -287,23 +287,6 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     if cache.squeezed:
         messages = [msg[0] for msg in messages]
     return CloudGradients(z_grads, u_grads), messages
-
-
-def fedavg(candidates: Sequence[Mapping[str, Array]]) -> dict[str, Array]:
-    """Elementwise mean of parameter dicts, accumulated in list order."""
-    if len(candidates) == 0:
-        raise ValueError("nothing to average")
-    names = set(candidates[0])
-    out = {name: np.array(candidates[0][name], dtype=float) for name in candidates[0]}
-    for cand in candidates[1:]:
-        if set(cand) != names:
-            raise ValueError("candidate parameter names differ")
-        for name in out:
-            if cand[name].shape != out[name].shape:
-                raise ValueError(f"shape mismatch for {name}")
-            out[name] = out[name] + cand[name]
-    n = float(len(candidates))
-    return {name: value / n for name, value in out.items()}
 
 
 # --- baseline cloud architectures -------------------------------------------

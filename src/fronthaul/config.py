@@ -116,7 +116,6 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "rounds": (_int, 400),
     "batch_size": (_int, 64),
     "eta": (_float, 0.05),
-    "eta_tilde": (_opt_float, None),
     "optimizer": (_choice("sgd", "adam"), "sgd"),
     # fronthaul
     "snr_up_db": (_float_pair, (0.0, 30.0)),
@@ -212,7 +211,6 @@ def to_training_config(cfg: dict[str, Any], obs_dim: int,
         rounds=cfg["rounds"],
         batch_size=cfg["batch_size"],
         eta=cfg["eta"],
-        eta_tilde=cfg["eta_tilde"],
         optimizer=cfg["optimizer"],
         snr_up_db=cfg["snr_up_db"],
         snr_dn_db=cfg["snr_dn_db"],

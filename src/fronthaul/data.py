@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge import LocalObservation
-
 Array = np.ndarray
 
 # fractional bump sites, pushed to the grid edges so a random crop can
@@ -96,26 +94,6 @@ def generate_synthetic(seed: int, n_classes: int = 4, grid: int = 16,
     test = make_split(samples[2])
     return SyntheticDataset(train[0], train[1], val[0], val[1], test[0], test[1],
                             n_classes=n_classes, grid=grid, window=window, seed=seed)
-
-
-def crop_observations(dataset: SyntheticDataset, sample_index: int, n: int,
-                      rng: np.random.Generator, split: str = "train"
-                      ) -> list[LocalObservation]:
-    """N independent uniform-offset crops of one global state, flattened."""
-    if n < 1:
-        raise ValueError("need at least one crop")
-    states, _ = dataset.split(split)
-    state = states[sample_index]
-    limit = dataset.grid - dataset.window + 1
-    offsets = rng.integers(0, limit, size=(n, 2))
-    out = []
-    for i in range(n):
-        r, c = offsets[i]
-        patch = state[r:r + dataset.window, c:c + dataset.window]
-        out.append(LocalObservation(values=patch.reshape(-1),
-                                    sample_index=sample_index,
-                                    source_global_index=sample_index))
-    return out
 
 
 def crop_batch(states: Array, offsets: Array, window: int) -> Array:

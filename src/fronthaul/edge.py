@@ -1,10 +1,11 @@
-"""Edge node behavior: observation encoding and the local update rules.
+"""Edge node behavior: observation encoding and the per-node gradient.
 
 Each node owns one encoder stack whose final layer is the power
 projection, so every message it emits already satisfies the node's
-transmit constraint. The update rules only ever see this node's caches
-and the gradient rows delivered for it; nothing here takes another
-node's observations or parameters.
+transmit constraint. The gradient only ever sees this node's cache and
+the gradient rows delivered for it; nothing here takes another node's
+observations or parameters. The round protocol turns that gradient
+into the node's step.
 """
 from __future__ import annotations
 
@@ -15,15 +16,6 @@ import numpy as np
 from . import nn
 
 Array = np.ndarray
-
-
-@dataclass
-class LocalObservation:
-    """One cropped view of a global state."""
-
-    values: Array
-    sample_index: int = 0
-    source_global_index: int = 0
 
 
 @dataclass
@@ -88,12 +80,11 @@ def encode(node: EdgeNode, observation, cqi: Array | None = None
            ) -> tuple[Array, nn.ForwardCache]:
     """Message s = projection(encoder(a [, cqi])) plus the forward cache.
 
-    ``observation`` may be a LocalObservation, a vector, or a batch of
-    rows; ``cqi`` must be present exactly when the node runs with channel
-    quality input and match its leading shape.
+    ``observation`` may be a vector or a batch of rows; ``cqi`` must be
+    present exactly when the node runs with channel quality input and
+    match its leading shape.
     """
-    values = observation.values if isinstance(observation, LocalObservation) else observation
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(observation, dtype=float)
     if node.cqie:
         if cqi is None:
             raise ValueError("node expects a channel quality side input")
@@ -108,66 +99,3 @@ def encode(node: EdgeNode, observation, cqi: Array | None = None
 def batch_gradient(node: EdgeNode, cache: nn.ForwardCache, upstream: Array) -> dict[str, Array]:
     """Sum over the batch of (ds/dpsi) u_b for upstream rows u_b."""
     return nn.backward(node.encoder, cache, upstream).param_grads
-
-
-def local_update_exact(node: EdgeNode, cache: nn.ForwardCache, d: Array,
-                       eta: float, batch_size: int | None = None) -> dict[str, Array]:
-    """Candidate parameters after one averaged step against exact gradient rows.
-
-    psi <- psi - (eta/B) sum_b (ds_b/dpsi) d_b. Returns the new parameter
-    dict; the caller commits it (updates are staged within a round).
-    """
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    if d.shape[0] == 0:
-        raise ValueError("empty batch")
-    divisor = batch_size if batch_size is not None else d.shape[0]
-    grads = batch_gradient(node, cache, d if not cache.squeezed else d[0])
-    return nn.sgd_step(node.encoder.params, grads, eta / divisor)
-
-
-def local_update_wireless(node: EdgeNode, cache: nn.ForwardCache, y_e: Array,
-                          eta: float, batch_size: int | None = None) -> dict[str, Array]:
-    """Same step with the decoded downlink rows standing in for the exact gradient.
-
-    With a noiseless downlink the received rows equal the exact gradient
-    rows, so this reduces to ``local_update_exact`` bit for bit.
-    """
-    return local_update_exact(node, cache, y_e, eta, batch_size)
-
-
-def local_update_async(node: EdgeNode, cache: nn.ForwardCache, y_e: Array,
-                       active_rows: Array, eta: float) -> dict[str, Array]:
-    """Average only over this node's active samples.
-
-    ``active_rows`` is a boolean mask over the batch. An empty active set
-    is a defined no-op: the current parameters come back unchanged.
-    """
-    active_rows = np.asarray(active_rows, dtype=bool)
-    count = int(active_rows.sum())
-    if count == 0:
-        return dict(node.encoder.params)
-    masked = np.asarray(y_e, dtype=float) * active_rows[:, None]
-    grads = batch_gradient(node, cache, masked)
-    return nn.sgd_step(node.encoder.params, grads, eta / count)
-
-
-def local_update_shared(node: EdgeNode, shared_params: dict[str, Array],
-                        cache: nn.ForwardCache, d: Array, eta: float,
-                        batch_size: int | None = None) -> dict[str, Array]:
-    """Update starting from the shared parameter set instead of the node's own.
-
-    The cache must come from a forward pass under ``shared_params`` (in
-    sharing mode the node holds a copy of them, so this is the round's
-    own cache).
-    """
-    if set(shared_params) != set(node.encoder.params):
-        raise ValueError("shared parameters do not match the encoder layout")
-    for name, value in shared_params.items():
-        if value.shape != node.encoder.params[name].shape:
-            raise ValueError(f"shape mismatch for shared parameter {name}")
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    if d.shape[0] == 0:
-        raise ValueError("empty batch")
-    divisor = batch_size if batch_size is not None else d.shape[0]
-    grads = batch_gradient(node, cache, d if not cache.squeezed else d[0])
-    return nn.sgd_step(shared_params, grads, eta / divisor)

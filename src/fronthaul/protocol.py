@@ -65,7 +65,6 @@ class TrainingConfig:
     rounds: int = 400
     batch_size: int = 64
     eta: float = 0.05
-    eta_tilde: float | None = None  # shared-encoder reference rate, default eta/n_train
     optimizer: str = "sgd"
     # fronthaul
     snr_up_db: tuple = (0.0, 30.0)
@@ -84,9 +83,6 @@ class TrainingConfig:
     pathloss: bool = False
     pathloss_d: tuple = (1.0, 10.0)
     pathloss_alpha: float = 2.7
-    # one training-time distance draw per node for the whole run;
-    # evaluation always redraws geometry per sample
-    pathloss_static: bool = False
     # evaluation
     val_cadence: int = 10
     eval_snr_db: float | None = None  # None means noiseless evaluation channels
@@ -258,13 +254,8 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
     sigma_e2 = np.zeros(b) if cfg.noiseless_downlink else channel.snr_to_noise_var(snr_dn)
 
     if cfg.pathloss:
-        if cfg.pathloss_static:
-            d_nodes = stream(seed, _DOM_PATHLOSS, 0).uniform(
-                cfg.pathloss_d[0], cfg.pathloss_d[1], size=n)
-            d = np.broadcast_to(d_nodes, (b, n))
-        else:
-            d = stream(seed, _DOM_PATHLOSS, k).uniform(
-                cfg.pathloss_d[0], cfg.pathloss_d[1], size=(b, n))
+        d = stream(seed, _DOM_PATHLOSS, k).uniform(
+            cfg.pathloss_d[0], cfg.pathloss_d[1], size=(b, n))
         pathloss = (d, cfg.pathloss_alpha)
     else:
         pathloss = None
@@ -498,69 +489,37 @@ def _downlink_phase(state: TrainingState, env: RoundEnv,
 def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
                          caches: list[nn.ForwardCache],
                          gradient_rows: list[Array]) -> None:
+    """One local step per node on its delivered gradient rows.
+
+    A node sums the gradient over the rows of its active samples and
+    divides by their count; a node with no active sample does not step.
+    A shared encoder takes one step on the mean over nodes of those
+    averaged gradients, which for SGD equals averaging the nodes' stepped
+    parameters.
+    """
     cfg = state.config
     b = len(env.batch_indices)
-    if cfg.encoder_sharing and cfg.optimizer == "sgd":
-        candidates = []
-        for i, node in enumerate(state.nodes):
-            if cfg.async_coordination:
-                candidates.append(edge.local_update_async(
-                    node, caches[i], gradient_rows[i], env.active[:, i], cfg.eta))
-            else:
-                candidates.append(edge.local_update_shared(
-                    node, dict(node.encoder.params), caches[i], gradient_rows[i],
-                    cfg.eta, b))
-        shared = cloud.fedavg(candidates)
-        for node in state.nodes:
-            node.encoder.set_params(shared)
-        return
-    if cfg.encoder_sharing:
-        # adaptive optimizer on one shared state: average the per-node
-        # averaged gradients instead of averaging stepped candidates
-        total = nn.zero_grads_like(state.nodes[0].encoder)
-        for i, node in enumerate(state.nodes):
-            if cfg.async_coordination:
-                count = int(env.active[:, i].sum())
-                if count == 0:
-                    continue
-                masked = gradient_rows[i] * env.active[:, i][:, None]
-                grads = edge.batch_gradient(node, caches[i], masked)
-                divisor = count
-            else:
-                grads = edge.batch_gradient(node, caches[i], gradient_rows[i])
-                divisor = b
-            for name in total:
-                total[name] = total[name] + grads[name] / divisor
-        state.edge_optimizers[0].step(state.nodes[0].encoder, total, cfg.n_train)
-        shared = dict(state.nodes[0].encoder.params)
-        for node in state.nodes[1:]:
-            node.encoder.set_params(shared)
-        return
-    staged: list[dict | None] = []
+    counts = env.active.sum(axis=0)
+    steps = []
     for i, node in enumerate(state.nodes):
-        if cfg.optimizer != "sgd":
-            if cfg.async_coordination:
-                count = int(env.active[:, i].sum())
-                if count == 0:
-                    staged.append(None)
-                    continue
-                masked = gradient_rows[i] * env.active[:, i][:, None]
-                grads = edge.batch_gradient(node, caches[i], masked)
-                state.edge_optimizers[i].step(node.encoder, grads, count)
-            else:
-                grads = edge.batch_gradient(node, caches[i], gradient_rows[i])
-                state.edge_optimizers[i].step(node.encoder, grads, b)
-            staged.append(None)
+        count = int(counts[i])
+        if count == 0:
             continue
-        if cfg.async_coordination:
-            staged.append(edge.local_update_async(
-                node, caches[i], gradient_rows[i], env.active[:, i], cfg.eta))
-        else:
-            staged.append(edge.local_update_wireless(
-                node, caches[i], gradient_rows[i], cfg.eta, b))
-    for node, params in zip(state.nodes, staged):
-        if params is not None:
-            node.encoder.set_params(params)
+        # a fully active node's rows need no mask
+        rows = gradient_rows[i] if count == b else gradient_rows[i] * env.active[:, i][:, None]
+        steps.append((i, edge.batch_gradient(node, caches[i], rows), count))
+    if not cfg.encoder_sharing:
+        for i, grads, count in steps:
+            state.edge_optimizers[i].step(state.nodes[i].encoder, grads, count)
+        return
+    shared = state.nodes[0].encoder
+    total = nn.zero_grads_like(shared)
+    for _, grads, count in steps:
+        for name in total:
+            total[name] = total[name] + grads[name] / count
+    state.edge_optimizers[0].step(shared, total, cfg.n_train)
+    for node in state.nodes[1:]:
+        node.encoder.set_params(shared.params)
 
 
 def run_inference(nodes: list[edge.EdgeNode], model, channels, observations,
@@ -739,7 +698,6 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
         for stack, g in zip(state.cloud_model.stacks, cloud_grads):
             nn.apply_update(stack, g, cfg.eta, b)
     if cfg.encoder_sharing:
-        eta_tilde = cfg.eta_tilde if cfg.eta_tilde is not None else cfg.eta / cfg.n_train
         total = nn.zero_grads_like(state.nodes[0].encoder)
         for i in range(cfg.n_train):
             if cfg.async_coordination:
@@ -750,7 +708,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
                     total[name] = total[name] + encoder_grads[i][name] * (b / count)
             else:
                 nn.accumulate(total, encoder_grads[i])
-        shared = nn.sgd_step(state.nodes[0].encoder.params, total, eta_tilde / b)
+        shared = nn.sgd_step(state.nodes[0].encoder.params, total, cfg.eta / cfg.n_train / b)
         for node in state.nodes:
             node.encoder.set_params(shared)
     else:

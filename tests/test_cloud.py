@@ -379,25 +379,6 @@ class TestCloudUpdate:
                 assert np.allclose(ua.params[k], ub.params[k], atol=1e-12)
 
 
-class TestFedavg:
-    def test_identical_inputs_fixed_point(self):
-        params = {"w": np.arange(4.0)}
-        out = cloud.fedavg([params, dict(params), dict(params)])
-        assert np.allclose(out["w"], params["w"], atol=1e-15)
-
-    def test_two_point_mean(self):
-        out = cloud.fedavg([{"w": np.array(2.0)}, {"w": np.array(4.0)}])
-        assert out["w"] == 3.0
-
-    def test_shape_and_name_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cloud.fedavg([{"w": np.zeros(2)}, {"w": np.zeros(3)}])
-        with pytest.raises(ValueError):
-            cloud.fedavg([{"w": np.zeros(2)}, {"v": np.zeros(2)}])
-        with pytest.raises(ValueError):
-            cloud.fedavg([])
-
-
 class TestBaselines:
     def test_sum_aggregation_is_plain_sum(self):
         model = cloud.build_baseline(cloud.SUM_AGG, 3, 3, 4, seed=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fronthaul import data
+from fronthaul import data, protocol
 
 
 class TestGenerator:
@@ -46,55 +46,61 @@ class TestGenerator:
             ds.split("holdout")
 
 
+def round_crops(ds, n_train, batch_size, round_index, master_seed=0):
+    """The (N, B, window**2) crops one training round draws from ``ds``."""
+    cfg = protocol.TrainingConfig(n_train=n_train, batch_size=batch_size,
+                                  obs_dim=ds.obs_dim, master_seed=master_seed)
+    batch = np.arange(batch_size)
+    return protocol.draw_round_env(cfg, ds, batch, round_index).observations
+
+
 class TestCrops:
     def test_offsets_cover_expected_range(self):
-        """A 12-of-16 crop draws offsets from {0..4} on both axes, and all
-        five values actually occur."""
+        """A 12-of-16 crop in a training round draws offsets from {0..4} on
+        both axes, and all five values actually occur."""
         ds = data.generate_synthetic(9, grid=16, window=12, samples=(4, 1, 1))
-        rng = np.random.default_rng(0)
-        state = ds.train_states[0]
         seen = set()
-        for _ in range(100):
-            for obs in data.crop_observations(ds, 0, 2, rng):
-                assert obs.values.shape == (144,)
-                patch = obs.values.reshape(12, 12)
-                matches = [(r, c) for r in range(5) for c in range(5)
-                           if np.array_equal(state[r:r + 12, c:c + 12], patch)]
-                assert len(matches) == 1
-                seen.add(matches[0])
+        for k in range(1, 51):
+            crops = round_crops(ds, 2, 4, k)
+            for i in range(2):
+                for b in range(4):
+                    state = ds.train_states[b]
+                    assert crops[i, b].shape == (144,)
+                    patch = crops[i, b].reshape(12, 12)
+                    matches = [(r, c) for r in range(5) for c in range(5)
+                               if np.array_equal(state[r:r + 12, c:c + 12], patch)]
+                    assert len(matches) == 1
+                    seen.add(matches[0])
         assert {r for r, _ in seen} == set(range(5))
         assert {c for _, c in seen} == set(range(5))
 
     def test_crop_values_match_grid_slices(self):
+        """Each round crop is the grid slice at the offset the round's crop
+        stream draws for its (sample, node) pair."""
         ds = data.generate_synthetic(10, grid=16, window=9, samples=(4, 1, 1))
-        rng = np.random.default_rng(1)
-        obs = data.crop_observations(ds, 2, 5, rng)
-        state = ds.train_states[2]
-        found = 0
-        for o in obs:
-            patch = o.values.reshape(9, 9)
-            for r in range(8):
-                for c in range(8):
-                    if np.array_equal(state[r:r + 9, c:c + 9], patch):
-                        found += 1
-                        break
-                else:
-                    continue
-                break
-        assert found == 5
+        crops = round_crops(ds, 5, 4, 3, master_seed=21)
+        offsets = protocol.stream(21, protocol._DOM_CROP, 3).integers(0, 8, size=(4, 5, 2))
+        for i in range(5):
+            for b in range(4):
+                r, c = offsets[b, i]
+                want = ds.train_states[b, r:r + 9, c:c + 9].reshape(-1)
+                assert np.array_equal(crops[i, b], want)
 
     def test_window_equal_to_grid_is_full_state(self):
         ds = data.generate_synthetic(11, grid=8, window=8, samples=(4, 1, 1))
-        obs = data.crop_observations(ds, 1, 3, np.random.default_rng(2))
-        for o in obs:
-            assert np.array_equal(o.values, ds.train_states[1].reshape(-1))
+        crops = round_crops(ds, 3, 4, 1)
+        gathered = data.crop_batch(ds.train_states, np.zeros((4, 3, 2), int), 8)
+        for i in range(3):
+            for b in range(4):
+                assert np.array_equal(crops[i, b], ds.train_states[b].reshape(-1))
+                assert np.array_equal(gathered[i, b], ds.train_states[b].reshape(-1))
 
     def test_same_rng_position_identical_crops(self):
         ds = data.generate_synthetic(12, samples=(4, 1, 1))
-        a = data.crop_observations(ds, 0, 4, np.random.default_rng(3))
-        b = data.crop_observations(ds, 0, 4, np.random.default_rng(3))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values)
+        a = round_crops(ds, 4, 4, 2)
+        b = round_crops(ds, 4, 4, 2)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, round_crops(ds, 4, 4, 3))
 
     def test_crop_batch_matches_manual_slices(self):
         rng = np.random.default_rng(4)

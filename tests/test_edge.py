@@ -1,15 +1,41 @@
-"""Edge node encoding and the local parameter-update rules."""
+"""Edge node encoding, the per-node gradient, and the step the round takes from it."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fronthaul import edge, nn
+from fronthaul import edge, nn, protocol
 
 
 def make_node(obs_dim=6, message_dim=4, hidden=(8,), mode=nn.PER_RB, p_e=1.0,
               seed=3, cqie=False):
     enc = edge.build_encoder(obs_dim, message_dim, hidden, p_e, mode, seed, cqie=cqie)
     return edge.EdgeNode(0, enc, mode, p_e, cqie)
+
+
+def stepped(nodes, observations, rows, active=None, optimizer="sgd", sharing=False,
+            eta=0.1):
+    """Each node's parameters after the round's edge step, on copies of ``nodes``.
+
+    Node i encodes ``observations[i]`` and receives ``rows[i]``; ``active``
+    is the (batch, nodes) mask, all true by default.
+    """
+    copies = []
+    for i, node in enumerate(nodes):
+        enc = nn.LayerStack(node.encoder.layers, node.encoder.seed)
+        enc.set_params(node.encoder.params)
+        copies.append(edge.EdgeNode(i, enc, node.power_mode, node.p_e, node.cqie))
+    caches = [edge.encode(node, obs)[1] for node, obs in zip(copies, observations)]
+    batch = len(rows[0])
+    state = SimpleNamespace(
+        config=protocol.TrainingConfig(n_train=len(nodes), encoder_sharing=sharing),
+        nodes=copies, edge_optimizers=[nn.make_optimizer(optimizer, eta) for _ in nodes])
+    env = SimpleNamespace(batch_indices=np.arange(batch),
+                          active=np.ones((batch, len(nodes)), bool) if active is None
+                          else np.asarray(active, bool))
+    protocol._edge_backprop_phase(state, env, caches, rows)
+    return [node.encoder.params for node in copies]
 
 
 class TestEncode:
@@ -42,13 +68,6 @@ class TestEncode:
         s2, _ = edge.encode(node, a)
         assert np.array_equal(s1, s2)
 
-    def test_accepts_local_observation(self):
-        node = make_node()
-        obs = edge.LocalObservation(values=np.zeros(6), sample_index=3,
-                                    source_global_index=17)
-        s, _ = edge.encode(node, obs)
-        assert s.shape == (4,)
-
     def test_cqi_mode_mismatch_rejected(self):
         plain = make_node()
         with pytest.raises(ValueError, match="side input"):
@@ -73,8 +92,8 @@ class TestEncode:
 class TestLocalUpdateExact:
     def test_zero_gradient_rows_leave_params(self):
         node = make_node()
-        _, cache = edge.encode(node, np.random.default_rng(3).normal(size=(5, 6)))
-        new = edge.local_update_exact(node, cache, np.zeros((5, 4)), eta=0.7)
+        a = np.random.default_rng(3).normal(size=(5, 6))
+        [new] = stepped([node], [a], [np.zeros((5, 4))], eta=0.7)
         for k, v in node.encoder.params.items():
             assert np.array_equal(new[k], v)
 
@@ -83,8 +102,7 @@ class TestLocalUpdateExact:
         rng = np.random.default_rng(4)
         a = rng.normal(size=6)
         d = rng.normal(size=4)
-        _, cache = edge.encode(node, a)
-        new = edge.local_update_exact(node, cache, d[None, :], eta=0.1, batch_size=1)
+        [new] = stepped([node], [a[None, :]], [d[None, :]], eta=0.1)
         _, cache2 = nn.forward(node.encoder, a)
         grads = nn.backward(node.encoder, cache2, d)
         want = nn.sgd_step(node.encoder.params, grads.param_grads, 0.1)
@@ -96,8 +114,7 @@ class TestLocalUpdateExact:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 6))
         d = rng.normal(size=(2, 4))
-        _, cache = edge.encode(node, a)
-        new = edge.local_update_exact(node, cache, d, eta=0.2)
+        [new] = stepped([node], [a], [d], eta=0.2)
         total = {k: np.zeros_like(v) for k, v in node.encoder.params.items()}
         for b in range(2):
             _, c1 = nn.forward(node.encoder, a[b])
@@ -109,25 +126,40 @@ class TestLocalUpdateExact:
             assert np.allclose(new[k], want, atol=1e-14)
 
     def test_empty_batch_rejected(self):
+        """The gradient takes exactly one row per cached sample, so an empty
+        set of rows is rejected rather than read as a zero gradient."""
         node = make_node()
         _, cache = edge.encode(node, np.zeros((1, 6)))
-        with pytest.raises(ValueError, match="empty"):
-            edge.local_update_exact(node, cache, np.zeros((0, 4)), eta=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            edge.batch_gradient(node, cache, np.zeros((0, 4)))
 
 
 class TestLocalUpdateWireless:
     def test_noiseless_downlink_equals_exact(self):
-        """With zero downlink noise the decoded rows are the exact rows, so
-        the two rules agree bit for bit."""
-        node = make_node()
+        """With zero downlink noise the decoded rows are the exact rows
+        H m, so the step from them is the exact step up to rounding."""
         rng = np.random.default_rng(6)
-        a = rng.normal(size=(3, 6))
-        _, cache = edge.encode(node, a)
-        d = rng.normal(size=(3, 4))
-        exact = edge.local_update_exact(node, cache, d, eta=0.3)
-        wireless = edge.local_update_wireless(node, cache, d, eta=0.3)
-        for k in exact:
-            assert np.array_equal(exact[k], wireless[k])
+        batch, nodes = 3, 2
+        env = SimpleNamespace(
+            h=(rng.normal(size=(batch, nodes, 2)) + 1j * rng.normal(size=(batch, nodes, 2))),
+            snr_dn_db=np.full(batch, 10.0), dn_noise=np.zeros((batch, nodes, 2), complex))
+        messages = [rng.normal(size=(batch, 4)) for _ in range(nodes)]
+        rows = {}
+        for mode in ("exact", "wireless"):
+            cfg = protocol.TrainingConfig(n_train=nodes, message_dim=4, downlink=mode,
+                                          noiseless_downlink=True)
+            rows[mode] = protocol._downlink_phase(SimpleNamespace(config=cfg), env, messages)
+        for i in range(nodes):
+            mag = np.abs(env.h[:, i, :])
+            assert np.array_equal(rows["exact"][i], np.concatenate([mag, mag], 1) * messages[i])
+            np.testing.assert_allclose(rows["wireless"][i], rows["exact"][i], rtol=1e-12)
+        node = make_node()
+        a = [rng.normal(size=(batch, 6))] * nodes
+        exact = stepped([node] * nodes, a, rows["exact"], eta=0.3)
+        wireless = stepped([node] * nodes, a, rows["wireless"], eta=0.3)
+        for got, want in zip(wireless, exact):
+            for k in want:
+                np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-15)
 
     def test_update_term_unbiased_over_noise(self):
         """The mean wireless update over many downlink noise draws matches the
@@ -135,15 +167,14 @@ class TestLocalUpdateWireless:
         node = make_node(obs_dim=4, message_dim=4, hidden=(6,))
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 4))
-        _, cache = edge.encode(node, a)
         d = rng.normal(size=(4, 4))
-        base = edge.local_update_exact(node, cache, d, eta=1.0)
+        [base] = stepped([node], [a], [d], eta=1.0)
         draws = 3000
         sigma_e = 0.3
         terms = {k: np.zeros((draws,) + v.shape) for k, v in base.items()}
         for t in range(draws):
             y = d + sigma_e * rng.standard_normal(d.shape)
-            cand = edge.local_update_wireless(node, cache, y, eta=1.0)
+            [cand] = stepped([node], [a], [y], eta=1.0)
             for k in terms:
                 terms[k][t] = cand[k]
         for k in base:
@@ -154,32 +185,37 @@ class TestLocalUpdateWireless:
 
 class TestLocalUpdateAsync:
     def test_full_active_set_equals_wireless(self):
+        """A node active on every sample steps on all of its rows, divided
+        by the batch size."""
         node = make_node()
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4, 6))
-        _, cache = edge.encode(node, a)
         y = rng.normal(size=(4, 4))
-        full = edge.local_update_async(node, cache, y, np.ones(4, bool), eta=0.1)
-        want = edge.local_update_wireless(node, cache, y, eta=0.1)
+        [full] = stepped([node], [a], [y], active=np.ones((4, 1)), eta=0.1)
+        _, cache = edge.encode(node, a)
+        want = nn.sgd_step(node.encoder.params, edge.batch_gradient(node, cache, y), 0.1 / 4)
         for k in full:
-            assert np.allclose(full[k], want[k], atol=1e-15)
+            assert np.array_equal(full[k], want[k])
 
     def test_empty_active_set_is_noop(self):
+        """A node with no active sample keeps its parameters even though its
+        delivered rows are nonzero; the other node still steps."""
         node = make_node()
-        _, cache = edge.encode(node, np.zeros((3, 6)))
-        out = edge.local_update_async(node, cache, np.ones((3, 4)),
-                                      np.zeros(3, bool), eta=0.5)
+        a = np.random.default_rng(9).normal(size=(3, 6))
+        active = np.array([[False, True]] * 3)
+        out, other = stepped([node, node], [a, a], [np.ones((3, 4))] * 2, active=active,
+                             eta=0.5)
         for k, v in node.encoder.params.items():
             assert np.array_equal(out[k], v)
+        assert not np.array_equal(other["dense0.w"], node.encoder.params["dense0.w"])
 
     def test_single_active_sample_divides_by_one(self):
         node = make_node()
         rng = np.random.default_rng(9)
         a = rng.normal(size=(3, 6))
-        _, cache = edge.encode(node, a)
         y = rng.normal(size=(3, 4))
         mask = np.array([False, True, False])
-        got = edge.local_update_async(node, cache, y, mask, eta=0.2)
+        [got] = stepped([node], [a], [y], active=mask[:, None], eta=0.2)
         _, c1 = nn.forward(node.encoder, a[1])
         g1 = nn.backward(node.encoder, c1, y[1]).param_grads
         want = nn.sgd_step(node.encoder.params, g1, 0.2)  # divisor 1, not 3
@@ -190,41 +226,40 @@ class TestLocalUpdateAsync:
 class TestLocalUpdateShared:
     def test_zero_gradients_return_shared_point(self):
         node = make_node()
-        shared = {k: v + 1.0 for k, v in node.encoder.params.items()}
-        _, cache = edge.encode(node, np.zeros((2, 6)))
-        out = edge.local_update_shared(node, shared, cache, np.zeros((2, 4)), eta=0.4)
-        for k in shared:
-            assert np.array_equal(out[k], shared[k])
+        node.encoder.set_params({k: v + 1.0 for k, v in node.encoder.params.items()})
+        shared = node.encoder.params
+        a = np.zeros((2, 6))
+        for out in stepped([node, node], [a, a], [np.zeros((2, 4))] * 2, sharing=True,
+                           eta=0.4):
+            for k in shared:
+                assert np.array_equal(out[k], shared[k])
 
     def test_identical_nodes_produce_identical_candidates(self):
+        """Two nodes with the same rows move the shared encoder exactly as
+        one dedicated node would: the mean of equal gradients is that
+        gradient (Adam, where the mean is exact)."""
         rng = np.random.default_rng(10)
         a = rng.normal(size=(3, 6))
         d = rng.normal(size=(3, 4))
-        candidates = []
-        for _ in range(2):
-            node = make_node(seed=11)
-            _, cache = edge.encode(node, a)
-            candidates.append(edge.local_update_shared(
-                node, dict(node.encoder.params), cache, d, eta=0.1))
-        for k in candidates[0]:
-            assert np.array_equal(candidates[0][k], candidates[1][k])
+        node = make_node(seed=11)
+        [alone] = stepped([node], [a], [d], optimizer="adam")
+        for out in stepped([node, node], [a, a], [d, d], optimizer="adam", sharing=True):
+            for k in alone:
+                assert np.array_equal(out[k], alone[k])
 
     def test_shape_mismatch_rejected(self):
-        node = make_node()
-        _, cache = edge.encode(node, np.zeros((1, 6)))
-        bad = {k: np.zeros((1, 1)) for k in node.encoder.params}
-        with pytest.raises(ValueError, match="shape|layout"):
-            edge.local_update_shared(node, bad, cache, np.zeros((1, 4)), eta=0.1)
+        """Nodes whose encoder layouts differ cannot share one encoder."""
+        a = np.zeros((1, 6))
+        with pytest.raises(ValueError, match="shape"):
+            stepped([make_node(), make_node(hidden=(5,))], [a, a],
+                    [np.ones((1, 4))] * 2, sharing=True)
 
 
 class TestDecentralizationSurface:
     def test_update_signature_takes_no_cross_node_input(self):
-        """The update rules accept only this node's cache and its own gradient
-        rows; there is no parameter through which another node's observation
-        or parameters could flow."""
+        """The per-node gradient accepts only this node, its cache and its own
+        gradient rows; there is no parameter through which another node's
+        observation or parameters could flow."""
         import inspect
-        for fn in (edge.local_update_exact, edge.local_update_wireless,
-                   edge.local_update_async):
-            names = set(inspect.signature(fn).parameters)
-            assert "node" in names and not any("other" in n or "all" in n
-                                               for n in names)
+        names = list(inspect.signature(edge.batch_gradient).parameters)
+        assert names == ["node", "cache", "upstream"]

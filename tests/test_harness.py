@@ -127,6 +127,15 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError, match="trailing"):
             checkpoint.load_checkpoint(path)
 
+    def test_config_echo_with_removed_key_rejected(self, tmp_path):
+        """A checkpoint whose config echo names a key the schema no longer
+        has (older files echo ``eta_tilde = none``) fails to restore."""
+        text = config_mod.render_config(config_mod.default_config()) + "eta_tilde = none\n"
+        path = tmp_path / "old.bin"
+        checkpoint.save_checkpoint(path, self._params(), text, round_index=1)
+        with pytest.raises(config_mod.ConfigError, match="unknown key 'eta_tilde'"):
+            experiment.restore_state(path)
+
     def test_loading_into_mismatched_state_rejected(self):
         ds = data.generate_synthetic(1, n_classes=3, grid=8, window=6,
                                      samples=(32, 8, 8))
@@ -340,6 +349,29 @@ class TestNumericSuites:
         assert report["ok"], report
         assert report["dedicated_max_dev"] < 1e-10
         assert report["fedavg_max_dev"] < 1e-10
+
+    def test_no_smooth_instance_is_an_error_not_a_check(self, monkeypatch, capsys):
+        """When no draw clears the kink margin the oracle raises after its
+        hundred draws and compares no derivative of a kinked instance."""
+        from fronthaul import cli
+        monkeypatch.setattr(experiment, "_SMOOTH_MARGIN", np.inf)
+        compared = []
+        monkeypatch.setattr(experiment, "_rel_err", lambda a, b: compared.append(1) or 0.0)
+        forwards = []
+        real_forward = experiment.nn.forward
+        monkeypatch.setattr(experiment.nn, "forward",
+                            lambda *args: forwards.append(1) or real_forward(*args))
+        rng = np.random.default_rng(0)
+        with pytest.raises(experiment.NoSmoothInstanceError, match="100 draws"):
+            experiment._fd_stack_instance(rng, 1e-5)
+        assert len(forwards) == 100
+        with pytest.raises(experiment.NoSmoothInstanceError):
+            experiment._fd_cloud_instance(rng, 3, 1, 1e-5)
+        with pytest.raises(experiment.NoSmoothInstanceError):
+            experiment.run_gradcheck(seed=0, stack_instances=0, cloud_repeats=1)
+        assert compared == []
+        assert cli.main(["gradcheck"]) == 2
+        assert "100 draws" in capsys.readouterr().err
 
 
 class TestPartialResults:

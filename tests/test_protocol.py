@@ -248,6 +248,106 @@ class TestTrainingRound:
             assert np.array_equal(before[name], after[name])
 
 
+def reference_edge_step(state, env, caches, rows):
+    """The per-mode edge formulas the single rule replaced, kept as its reference.
+
+    Shared SGD averaged the nodes' stepped parameters (FedAvg, with a node
+    that has no active sample contributing its unchanged parameters);
+    shared Adam stepped once on the mean of the nodes' averaged
+    gradients; dedicated encoders stepped on their own.
+    """
+    cfg = state.config
+    b = len(env.batch_indices)
+    nodes = state.nodes
+
+    def averaged(i):
+        if not cfg.async_coordination:
+            return edge.batch_gradient(nodes[i], caches[i], rows[i]), b
+        count = int(env.active[:, i].sum())
+        if count == 0:
+            return None, 0
+        masked = rows[i] * env.active[:, i][:, None]
+        return edge.batch_gradient(nodes[i], caches[i], masked), count
+
+    steps = [averaged(i) for i in range(len(nodes))]
+    if cfg.encoder_sharing and cfg.optimizer == "sgd":
+        candidates = [dict(node.encoder.params) if grads is None
+                      else nn.sgd_step(node.encoder.params, grads, cfg.eta / count)
+                      for node, (grads, count) in zip(nodes, steps)]
+        shared = {}
+        for name in candidates[0]:
+            total = np.array(candidates[0][name])
+            for cand in candidates[1:]:
+                total = total + cand[name]
+            shared[name] = total / float(len(candidates))
+        for node in nodes:
+            node.encoder.set_params(shared)
+    elif cfg.encoder_sharing:
+        total = nn.zero_grads_like(nodes[0].encoder)
+        for grads, count in steps:
+            if grads is not None:
+                for name in total:
+                    total[name] = total[name] + grads[name] / count
+        state.edge_optimizers[0].step(nodes[0].encoder, total, cfg.n_train)
+        for node in nodes[1:]:
+            node.encoder.set_params(dict(nodes[0].encoder.params))
+    else:
+        for i, (node, (grads, count)) in enumerate(zip(nodes, steps)):
+            if grads is None:
+                continue
+            if cfg.optimizer == "sgd":
+                node.encoder.set_params(nn.sgd_step(node.encoder.params, grads,
+                                                    cfg.eta / count))
+            else:
+                state.edge_optimizers[i].step(node.encoder, grads, count)
+
+
+class TestEdgeUpdateRule:
+    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+    @pytest.mark.parametrize("sharing", [False, True], ids=["dedicated", "shared"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_one_rule_matches_per_mode_formulas(self, optimizer, sharing, asynchronous):
+        """One edge-backprop call against the old per-mode formulas.
+
+        The async mask leaves node 2 without an active sample and node 0
+        active on every sample; the delivered rows of inactive samples are
+        nonzero, as a noisy downlink leaves them. Every mode is bit-equal
+        except shared SGD, where one step on the mean gradient and the
+        mean of the stepped parameters differ by rounding.
+        """
+        cfg = toy_config(optimizer=optimizer, encoder_sharing=sharing,
+                         async_coordination=asynchronous)
+        ds = toy_dataset()
+        rule = protocol.init_state(cfg, ds)
+        reference = protocol.init_state(cfg, ds)
+        env = protocol.draw_round_env(cfg, ds, rule.schedule[0], 1)
+        rng = np.random.default_rng(23)
+        if asynchronous:
+            env.active[:] = rng.random(env.active.shape) < 0.5
+            env.active[:, 0] = True
+            env.active[:, 2] = False
+            env.active[:2, 1] = [True, False]
+        rows = [rng.normal(size=(cfg.batch_size, cfg.message_dim))
+                for _ in range(cfg.n_train)]
+        initial = [dict(node.encoder.params) for node in rule.nodes]
+        for state, step in ((rule, protocol._edge_backprop_phase),
+                            (reference, reference_edge_step)):
+            caches = [edge.encode(node, env.observations[i])[1]
+                      for i, node in enumerate(state.nodes)]
+            step(state, env, caches, rows)
+        for i, (got, want) in enumerate(zip(rule.nodes, reference.nodes)):
+            for name in want.encoder.params:
+                g, w = got.encoder.params[name], want.encoder.params[name]
+                if sharing and optimizer == "sgd":
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+                else:
+                    assert np.array_equal(g, w), (i, name)
+        # only a dedicated node without an active sample keeps its parameters
+        moved = [not np.array_equal(node.encoder.params["dense0.w"], start["dense0.w"])
+                 for node, start in zip(rule.nodes, initial)]
+        assert moved == [True, True, not (asynchronous and not sharing)]
+
+
 class TestCentralizedAgreement:
     def test_dedicated_encoders_track_reference(self):
         ds = toy_dataset()
