@@ -2,10 +2,12 @@
 
 The cloud holds M branch pairs: an inner stack mapping a received signal
 to a latent vector and an outer stack mapping the pooled latent to
-logits. Received signals are sum-pooled across nodes inside every
-branch, so the model's parameter count and its computation graph never
-depend on how many nodes are connected. The backward pass produces both
-the cloud's own parameter gradients and, per node, the gradient of each
+logits. The branches' parameters are held stacked along a branch axis,
+one parameter set that one optimizer steps. Received signals are
+sum-pooled across nodes inside every branch, so the model's parameter
+count and its computation graph never depend on how many nodes are
+connected. The backward pass produces both the cloud's own parameter
+gradients, stacked the same way, and, per node, the gradient of each
 sample's loss with respect to that node's received signal, which is the
 payload of the downlink leg.
 
@@ -16,7 +18,7 @@ network with one learnable head per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,109 +32,116 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-_BRANCH_LAYERS = [nn.Dense, nn.Relu, nn.Dense]
+# The cloud's parameter keys, each paired with the checkpoint name of
+# branch m's slice: H rows of ``z_in``/``z_in_b``, index m of the rest.
+_VIEWS = (("z_in", "z{}.dense0.w"), ("z_in_b", "z{}.dense0.b"),
+          ("z_out", "z{}.dense2.w"), ("z_out_b", "z{}.dense2.b"),
+          ("u_in", "u{}.dense0.w"), ("u_in_b", "u{}.dense0.b"),
+          ("u_out", "u{}.dense2.w"), ("u_out_b", "u{}.dense2.b"))
 
 
-@dataclass
 class CloudModel:
-    """M branch pairs (inner: S -> R, outer: R -> X). Construction takes no
-    node count; the same instance serves any population.
+    """M branch pairs (inner: S -> H -> R, outer: R -> H_u -> X), each a
+    Dense, Relu, Dense stack, held as one stacked parameter set.
 
-    Every branch stack is Dense, Relu, Dense, and all inner stacks share
-    one shape, as do all outer stacks: the fused forward and backward
-    passes stack the branches' parameters along a leading axis.
+    ``params`` holds eight arrays with the branch axis first: ``z_in`` is
+    every inner first layer on top of each other, (M*H, S), ``z_in_b``
+    its (M*H,) bias, and the rest are (M, out, in) or (M, out). One
+    optimizer steps them all; ``version`` increments on every
+    ``set_params`` so stale caches can be rejected. Construction takes no
+    node count; the same instance serves any population.
     """
 
-    branches: list[tuple[nn.LayerStack, nn.LayerStack]]
-
-    def __post_init__(self):
-        if not self.branches:
+    def __init__(self, params: Mapping[str, Array]):
+        if set(params) != {key for key, _ in _VIEWS}:
+            raise ValueError("cloud parameters need exactly the keys "
+                             + ", ".join(key for key, _ in _VIEWS))
+        shapes = {key: np.shape(p) for key, p in params.items()}
+        if len(shapes["z_out"]) != 3 or shapes["z_out"][0] < 1:
             raise ValueError("need at least one branch")
-        z0, u0 = self.branches[0]
-        for z, u in self.branches:
-            if any([type(layer) for layer in s.layers] != _BRANCH_LAYERS for s in (z, u)):
-                raise ValueError("branch stacks must be Dense, Relu, Dense")
-            if z.layers != z0.layers or u.layers != u0.layers or z.out_dim != u.in_dim:
-                raise ValueError("branch dimensions are inconsistent")
+        m, r, h = shapes["z_out"]
+        s, h_u, x = shapes["z_in"][-1], shapes["u_in"][1:2], shapes["u_out"][1:2]
+        want = {"z_in": (m * h, s), "z_in_b": (m * h,), "z_out": (m, r, h),
+                "z_out_b": (m, r), "u_in": (m, *h_u, r), "u_in_b": (m, *h_u),
+                "u_out": (m, *x, *h_u), "u_out_b": (m, *x)}
+        if shapes != want:
+            raise ValueError("branch dimensions are inconsistent")
+        self.params = {key: np.asarray(params[key], dtype=float) for key, _ in _VIEWS}
+        self.version = 0
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.params["z_out"].shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.branches[0][0].in_dim
-
-    @property
-    def latent_dim(self) -> int:
-        return self.branches[0][0].out_dim
+        return self.params["z_in"].shape[1]
 
     @property
     def output_dim(self) -> int:
-        return self.branches[0][1].out_dim
+        return self.params["u_out"].shape[1]
 
-    @property
-    def param_count(self) -> int:
-        return sum(z.param_count + u.param_count for z, u in self.branches)
+    def set_params(self, params: Mapping[str, Array]) -> None:
+        """Swap in a new stacked parameter set (shapes must match) and bump the version."""
+        if {k: np.shape(p) for k, p in params.items()} != \
+                {k: p.shape for k, p in self.params.items()}:
+            raise ValueError("parameter names or shapes do not match this model")
+        self.params = {key: np.asarray(params[key], dtype=float) for key in self.params}
+        self.version += 1
 
-    def versions(self) -> tuple[int, ...]:
-        return tuple(s.version for pair in self.branches for s in pair)
+    def named_params(self) -> dict[str, Array]:
+        """Per-branch checkpoint names (``z{m}.dense0.w`` and so on) over views
+        of the stacked arrays, branch by branch, inner stack first."""
+        count = self.n_branches
+        by_branch = {key: p.reshape(count, -1, *p.shape[1:]) if key.startswith("z_in") else p
+                     for key, p in self.params.items()}
+        return {name.format(m): by_branch[key][m] for m in range(count) for key, name in _VIEWS}
+
+    def set_named_params(self, named: Mapping[str, Array]) -> None:
+        """Install per-branch arrays named as ``named_params`` names them."""
+        self.set_params(_stacked(named, self.n_branches))
+
+    def infer(self, received: Sequence[Array], active: Array | None = None
+              ) -> tuple[Array, CloudCache]:
+        return cloud_infer(self, received, active)
+
+    def backward(self, cache: CloudCache, grad_logits: Array
+                 ) -> tuple[dict[str, Array], list[Array]]:
+        return cloud_backward(self, cache, grad_logits)
+
+
+def _stacked(named: Mapping[str, Array], n_branches: int) -> dict[str, Array]:
+    """The stacked parameter set from per-branch arrays named as in ``_VIEWS``."""
+    return {key: (np.concatenate if key.startswith("z_in") else np.stack)(
+                [named[name.format(m)] for m in range(n_branches)])
+            for key, name in _VIEWS}
 
 
 def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
                       n_classes: int, hidden: int, seed: int) -> CloudModel:
-    """Branch stacks are small two-layer perceptrons around one hidden width."""
-    seeds = _child_seeds(seed, 2 * n_branches)
-    branches = []
-    for m in range(n_branches):
-        z = nn.LayerStack(
-            [nn.Dense(message_dim, hidden), nn.Relu(), nn.Dense(hidden, latent_dim)],
-            seeds[2 * m])
-        u = nn.LayerStack(
-            [nn.Dense(latent_dim, hidden), nn.Relu(), nn.Dense(hidden, n_classes)],
-            seeds[2 * m + 1])
-        branches.append((z, u))
-    return CloudModel(branches)
+    """Branch stacks are small two-layer perceptrons around one hidden width.
 
-
-@dataclass
-class _BranchWeights:
-    """Branch parameters stacked for the fused passes.
-
-    ``z_in`` is every inner first layer on top of each other, (M*H, S);
-    the rest are (M, out, in) or (M, out) with the branch axis first.
+    Each branch stack draws its initial parameters from its own child
+    seed, exactly as a separate ``nn.LayerStack``; the draws are stacked.
     """
-
-    z_in: Array
-    z_in_b: Array
-    z_out: Array
-    z_out_b: Array
-    u_in: Array
-    u_in_b: Array
-    u_out: Array
-    u_out_b: Array
-
-
-def _branch_weights(model: CloudModel) -> _BranchWeights:
-    z_stacks = [z for z, _ in model.branches]
-    u_stacks = [u for _, u in model.branches]
-
-    def stacked(stacks, name):
-        return np.stack([s.params[name] for s in stacks])
-
-    return _BranchWeights(
-        np.concatenate([z.params["dense0.w"] for z in z_stacks]),
-        np.concatenate([z.params["dense0.b"] for z in z_stacks]),
-        stacked(z_stacks, "dense2.w"), stacked(z_stacks, "dense2.b"),
-        stacked(u_stacks, "dense0.w"), stacked(u_stacks, "dense0.b"),
-        stacked(u_stacks, "dense2.w"), stacked(u_stacks, "dense2.b"))
+    if n_branches < 1:
+        raise ValueError("need at least one branch")
+    seeds = _child_seeds(seed, 2 * n_branches)
+    named = {}
+    for m in range(n_branches):
+        for prefix, out_dim, in_dim, stack_seed in (
+                ("z", latent_dim, message_dim, seeds[2 * m]),
+                ("u", n_classes, latent_dim, seeds[2 * m + 1])):
+            stack = nn.LayerStack([nn.Dense(in_dim, hidden), nn.Relu(),
+                                   nn.Dense(hidden, out_dim)], stack_seed)
+            named.update({f"{prefix}{m}.{name}": p for name, p in stack.params.items()})
+    return CloudModel(_stacked(named, n_branches))
 
 
 @dataclass
 class CloudCache:
     model: CloudModel
-    versions: tuple[int, ...]  # every branch stack's version at the forward pass
-    weights: _BranchWeights
+    version: int  # the model's version at the forward pass
     received: list[Array]  # per node, (B, S)
     active: Array  # (B, N) float mask
     # per node, (B, M*H) pre-activations of every inner first layer, held
@@ -198,13 +207,13 @@ def cloud_infer(model: CloudModel, received: Sequence[Array],
             raise ValueError("active mask shape must be (batch, nodes)")
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("active mask entries must be 0 or 1")
-    w = _branch_weights(model)
+    w = model.params
     inner_pre = []
-    pooled = np.zeros((batch, w.z_in.shape[0]))
+    pooled = np.zeros((batch, w["z_in"].shape[0]))
     scratch = np.empty_like(pooled)
     for i, y in enumerate(rows):
-        pre = y @ w.z_in.T
-        pre += w.z_in_b
+        pre = y @ w["z_in"].T
+        pre += w["z_in_b"]
         # zeroing an inactive pair's pre-activations zeroes its rectified
         # activation here and its rectifier slope in the backward pass
         pre[mask[:, i] == 0.0] = 0.0
@@ -212,30 +221,25 @@ def cloud_infer(model: CloudModel, received: Sequence[Array],
         pooled += np.maximum(pre, 0.0, out=scratch)
     # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
     pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
-    latent = np.matmul(pooled, w.z_out.transpose(0, 2, 1))
-    latent += mask.sum(axis=1)[:, None] * w.z_out_b[:, None, :]
-    outer_pre = np.matmul(latent, w.u_in.transpose(0, 2, 1))
-    outer_pre += w.u_in_b[:, None, :]
+    latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
+    latent += mask.sum(axis=1)[:, None] * w["z_out_b"][:, None, :]
+    outer_pre = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
+    outer_pre += w["u_in_b"][:, None, :]
     outer_act = np.maximum(outer_pre, 0.0)
-    out = np.matmul(outer_act, w.u_out.transpose(0, 2, 1))
-    out += w.u_out_b[:, None, :]
+    out = np.matmul(outer_act, w["u_out"].transpose(0, 2, 1))
+    out += w["u_out_b"][:, None, :]
     logits = out.sum(axis=0)
-    cache = CloudCache(model, model.versions(), w, rows, mask, inner_pre, pooled,
+    cache = CloudCache(model, model.version, rows, mask, inner_pre, pooled,
                        latent, outer_pre, outer_act, squeezed)
     return (logits[0] if squeezed else logits), cache
 
 
-@dataclass
-class CloudGradients:
-    z_grads: list[dict[str, Array]]
-    u_grads: list[dict[str, Array]]
-
-
 def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
-                   ) -> tuple[CloudGradients, list[Array]]:
+                   ) -> tuple[dict[str, Array], list[Array]]:
     """Parameter gradients plus per-node downlink gradient messages.
 
-    Gradients are summed over the batch (the update owns the divisor);
+    The gradients come as one dict keyed and shaped like ``model.params``,
+    summed over the batch (the update owns the divisor);
     inner-stack gradients only accumulate contributions from each
     sample's active nodes. The returned message for node i holds, per
     sample, the gradient of that sample's loss with respect to the
@@ -243,7 +247,7 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     """
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
-    if cache.versions != model.versions():
+    if cache.version != model.version:
         raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(grad_logits, dtype=float)
     if cache.squeezed:
@@ -251,23 +255,24 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     batch = cache.active.shape[0]
     if g.shape != (batch, model.output_dim):
         raise ValueError("gradient shape does not match the cached forward")
-    w = cache.weights
+    w = model.params
     ones = np.ones(batch)
     # outer stacks: every branch output receives the whole logit gradient
     u_out_w = np.matmul(g.T, cache.outer_act)
-    u_out_b = ones @ g
-    g_hidden = np.matmul(g, w.u_out)
+    # every branch's output bias gets the same gradient, one row per branch
+    u_out_b = np.repeat((ones @ g)[None, :], model.n_branches, axis=0)
+    g_hidden = np.matmul(g, w["u_out"])
     g_hidden *= cache.outer_pre > 0.0
     u_in_w = np.matmul(g_hidden.transpose(0, 2, 1), cache.latent)
     u_in_b = np.matmul(ones, g_hidden)
-    g_latent = np.matmul(g_hidden, w.u_in)
+    g_latent = np.matmul(g_hidden, w["u_in"])
     # inner output layer on the pooled rows; its bias entered once per active node
     z_out_w = np.matmul(g_latent.transpose(0, 2, 1), cache.pooled)
     z_out_b = np.matmul(cache.active.sum(axis=1), g_latent)
-    g_pooled = np.matmul(g_latent, w.z_out).transpose(1, 0, 2).reshape(batch, -1)
+    g_pooled = np.matmul(g_latent, w["z_out"]).transpose(1, 0, 2).reshape(batch, -1)
     # inner first layers, per node; a node's message sums over branches
-    z_in_w = np.zeros_like(w.z_in)
-    z_in_b = np.zeros_like(w.z_in_b)
+    z_in_w = np.zeros_like(w["z_in"])
+    z_in_b = np.zeros_like(w["z_in_b"])
     messages = []
     g_act = np.empty_like(g_pooled)
     for i, y in enumerate(cache.received):
@@ -275,18 +280,12 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
         g_act *= g_pooled
         z_in_w += g_act.T @ y
         z_in_b += ones @ g_act
-        messages.append(g_act @ w.z_in)
-    hidden = z_in_w.shape[0] // model.n_branches
-    z_grads = [{"dense0.w": z_in_w[m * hidden:(m + 1) * hidden],
-                "dense0.b": z_in_b[m * hidden:(m + 1) * hidden],
-                "dense2.w": z_out_w[m], "dense2.b": z_out_b[m]}
-               for m in range(model.n_branches)]
-    u_grads = [{"dense0.w": u_in_w[m], "dense0.b": u_in_b[m],
-                "dense2.w": u_out_w[m], "dense2.b": u_out_b.copy()}
-               for m in range(model.n_branches)]
+        messages.append(g_act @ w["z_in"])
+    grads = {"z_in": z_in_w, "z_in_b": z_in_b, "z_out": z_out_w, "z_out_b": z_out_b,
+             "u_in": u_in_w, "u_in_b": u_in_b, "u_out": u_out_w, "u_out_b": u_out_b}
     if cache.squeezed:
         messages = [msg[0] for msg in messages]
-    return CloudGradients(z_grads, u_grads), messages
+    return grads, messages
 
 
 # --- baseline cloud architectures -------------------------------------------
@@ -341,6 +340,32 @@ class BaselineModel:
     @property
     def output_dim(self) -> int:
         return self.n_classes
+
+    @property
+    def params(self) -> dict[str, Array]:
+        """Every stack's parameters under ``stack{idx}.{name}``."""
+        return {f"stack{idx}.{name}": p for idx, stack in enumerate(self.stacks)
+                for name, p in stack.params.items()}
+
+    def set_params(self, params: Mapping[str, Array]) -> None:
+        if set(params) != set(self.params):
+            raise ValueError("parameter names do not match this model")
+        for idx, stack in enumerate(self.stacks):
+            stack.set_params({name: params[f"stack{idx}.{name}"] for name in stack.params})
+
+    def named_params(self) -> dict[str, Array]:
+        """The checkpoint names, which are the flat names."""
+        return self.params
+
+    set_named_params = set_params
+
+    def infer(self, received: Sequence[Array], active: Array | None = None
+              ) -> tuple[Array, BaselineCache]:
+        return baseline_infer(self, received, active)
+
+    def backward(self, cache: BaselineCache, grad_logits: Array
+                 ) -> tuple[dict[str, Array], list[Array]]:
+        return baseline_backward(self, cache, grad_logits)
 
 
 def _mlp3(in_dim: int, hidden: int, out_dim: int, seed: int) -> nn.LayerStack:
@@ -449,8 +474,10 @@ def baseline_infer(model: BaselineModel, received: Sequence[Array],
 
 
 def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: Array
-                      ) -> tuple[list[dict[str, Array]], list[Array]]:
-    """Stack gradients (summed over batch) and per-node downlink messages."""
+                      ) -> tuple[dict[str, Array], list[Array]]:
+    """Parameter gradients keyed like ``model.params`` (summed over the
+    batch) and per-node downlink messages. A head no node used gets a
+    zero gradient."""
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
     g = np.asarray(grad_logits, dtype=float)
@@ -459,22 +486,23 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
     batch = cache.active.shape[0]
     if g.shape != (batch, model.n_classes):
         raise ValueError("gradient shape does not match the cached forward")
+    stack_grads = [nn.zero_grads_like(stack) for stack in model.stacks]
     if model.kind == SUM_AGG:
         messages = [g * cache.active[:, i:i + 1] for i in range(cache.n_nodes)]
-        grads: list[dict[str, Array]] = []
     elif model.kind == CATNET:
         grad_set = nn.backward(model.stacks[0], cache.caches[0], g)
         messages = [grad_set.input_grad[:, i * model.message_dim:(i + 1) * model.message_dim]
                     for i in range(cache.n_nodes)]
-        grads = [grad_set.param_grads]
+        stack_grads[0] = grad_set.param_grads
     else:
-        grads = []
         messages = []
         for i in range(cache.n_nodes):
             grad_set = nn.backward(model.stacks[i], cache.caches[i],
                                    g * cache.active[:, i:i + 1])
-            grads.append(grad_set.param_grads)
+            stack_grads[i] = grad_set.param_grads
             messages.append(grad_set.input_grad)
     if cache.squeezed:
         messages = [m[0] for m in messages]
+    grads = {f"stack{idx}.{name}": p for idx, sg in enumerate(stack_grads)
+             for name, p in sg.items()}
     return grads, messages

@@ -10,6 +10,7 @@ cooperative inference, and it is checked by the linear probes below.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -166,6 +167,10 @@ def probe_gap(dataset: SyntheticDataset, probe_seed: int = 0) -> tuple[float, fl
 _HEADER = struct.Struct("<4q")  # n_samples, height, width, n_classes
 
 
+class DataError(ValueError):
+    """Raised for malformed external split files and splits that disagree."""
+
+
 def save_external(path, states: Array, labels: Array, n_classes: int) -> None:
     """Write one split: int64 header, float64 states, int32 labels."""
     states = np.asarray(states, dtype="<f8")
@@ -178,23 +183,33 @@ def save_external(path, states: Array, labels: Array, n_classes: int) -> None:
 
 
 def load_external(path) -> tuple[Array, Array, int]:
-    with open(path, "rb") as fh:
+    """Read one split written by ``save_external``; raises ``DataError`` if
+    it is unreadable or malformed."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read split {path}: {exc}") from None
+    with fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise DataError(f"{path}: truncated header")
         n, h, w, n_classes = _HEADER.unpack(head)
         if n < 1 or h < 1 or w < 1 or n_classes < 2:
-            raise ValueError(f"{path}: implausible header {(n, h, w, n_classes)}")
+            raise DataError(f"{path}: implausible header {(n, h, w, n_classes)}")
+        # the length the header implies is checked before any large read
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + n * (h * w * 8 + 4)  # Python ints: no overflow
+        if size < expected:
+            raise DataError(f"{path}: truncated: header {(n, h, w, n_classes)} "
+                            f"implies {expected} bytes, the file has {size}")
+        if size > expected:
+            raise DataError(f"{path}: {size - expected} trailing bytes")
         body = fh.read(n * h * w * 8)
-        if len(body) != n * h * w * 8:
-            raise ValueError(f"{path}: truncated feature block")
         tail = fh.read(n * 4)
-        if len(tail) != n * 4:
-            raise ValueError(f"{path}: truncated label block")
     states = np.frombuffer(body, dtype="<f8").reshape(n, h, w).copy()
     labels = np.frombuffer(tail, dtype="<i4").astype(int)
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"{path}: labels out of range")
+        raise DataError(f"{path}: labels out of range")
     return states, labels, n_classes
 
 
@@ -205,12 +220,12 @@ def load_external_dataset(train_path, val_path, test_path, window: int,
     va_s, va_l, k2 = load_external(val_path)
     te_s, te_l, k3 = load_external(test_path)
     if not (k1 == k2 == k3):
-        raise ValueError("splits disagree on the class count")
+        raise DataError("splits disagree on the class count")
     if not (tr_s.shape[1:] == va_s.shape[1:] == te_s.shape[1:]):
-        raise ValueError("splits disagree on the grid shape")
+        raise DataError("splits disagree on the grid shape")
     if tr_s.shape[1] != tr_s.shape[2]:
-        raise ValueError("grids must be square")
+        raise DataError("grids must be square")
     if window > tr_s.shape[1]:
-        raise ValueError("crop window exceeds the grid")
+        raise DataError("crop window exceeds the grid")
     return SyntheticDataset(tr_s, tr_l, va_s, va_l, te_s, te_l,
                             n_classes=k1, grid=tr_s.shape[1], window=window, seed=seed)

@@ -394,17 +394,16 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
     model = cloud.build_cloud_model(n_branches, message_dim=4, latent_dim=3,
                                     n_classes=3, hidden=4,
                                     seed=int(rng.integers(0, 2 ** 31)))
-    stacks = [s for pair in model.branches for s in pair]
     batch = 3
 
     def draw():
         # nonzero biases: the count-weighted inner output bias moves the
         # logits; a row with no active node has outer pre-activations set by
-        # the biases alone, so they are redrawn with the mask and the inputs
-        for stack in stacks:
-            stack.set_params({name: rng.normal(scale=0.5, size=p.shape)
-                              if name.endswith(".b") else p
-                              for name, p in stack.params.items()})
+        # the biases alone, so they are redrawn with the mask and the inputs,
+        # branch by branch in the per-branch stacks' order
+        model.set_named_params({name: rng.normal(scale=0.5, size=p.shape)
+                                if name.endswith(".b") else p
+                                for name, p in model.named_params().items()})
         active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
         active[0, 0] = 0.0
         active[-1] = 1.0
@@ -426,20 +425,18 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
         return float(np.sum(nn.softmax_cross_entropy(lg, labels)[0]))
 
     worst = 0.0
-    for m, (z_stack, u_stack) in enumerate(model.branches):
-        for stack, gset in ((z_stack, grads.z_grads[m]), (u_stack, grads.u_grads[m])):
-            for name, p in stack.params.items():
-                flat = p.reshape(-1)
-                gflat = gset[name].reshape(-1)
-                for idx in range(flat.size):
-                    old = flat[idx]
-                    flat[idx] = old + step
-                    up_val = value()
-                    flat[idx] = old - step
-                    dn_val = value()
-                    flat[idx] = old
-                    fd = (up_val - dn_val) / (2 * step)
-                    worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
+    for key, p in model.params.items():
+        flat = p.reshape(-1)
+        gflat = grads[key].reshape(-1)
+        for idx in range(flat.size):
+            old = flat[idx]
+            flat[idx] = old + step
+            up_val = value()
+            flat[idx] = old - step
+            dn_val = value()
+            flat[idx] = old
+            fd = (up_val - dn_val) / (2 * step)
+            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
     for i in range(n_nodes):
         flat = received[i].reshape(-1)
         gflat = messages[i].reshape(-1)

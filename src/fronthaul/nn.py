@@ -323,8 +323,11 @@ def apply_update(stack: LayerStack, summed_grads: Mapping[str, Array], eta: floa
                  divisor: float = 1.0) -> None:
     """Commit p <- p - (eta/divisor) * g to the stack.
 
-    Both the round protocol and the centralized reference path go through
-    this helper so their floating-point arithmetic is identical.
+    Here and in the optimizers, ``stack`` is anything that holds a
+    ``params`` dict and a ``set_params`` method: a layer stack, or a
+    whole cloud model. Both the round protocol and the centralized
+    reference path go through this helper so their floating-point
+    arithmetic is identical.
     """
     stack.set_params(sgd_step(stack.params, summed_grads, eta / divisor))
 

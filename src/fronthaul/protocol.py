@@ -140,8 +140,10 @@ class RoundRecord:
     snr_up_db_mean: float
     snr_dn_db_mean: float
     mean_active: float
-    param_norm_cloud: float
-    param_norm_edges: float
+    # parameter norms, computed only on the rounds metrics.csv prints
+    # (round_index a multiple of max(1, val_cadence)) and None otherwise
+    param_norm_cloud: float | None
+    param_norm_edges: float | None
     uplink_values: int
     downlink_values: int
     redraw_count: int
@@ -168,8 +170,8 @@ class TrainingState:
     nodes: list[edge.EdgeNode]
     cloud_model: cloud.CloudModel | cloud.BaselineModel
     schedule: list[Array]
-    edge_optimizers: list
-    cloud_optimizers: list
+    edge_optimizers: list  # one per node, or one for a shared encoder
+    cloud_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     counter: FronthaulCounter = field(default_factory=FronthaulCounter)
     round_index: int = 0
 
@@ -330,12 +332,6 @@ def build_nodes(config: TrainingConfig) -> list[edge.EdgeNode]:
     return nodes
 
 
-def _model_stacks(model) -> list[nn.LayerStack]:
-    if isinstance(model, cloud.CloudModel):
-        return [s for pair in model.branches for s in pair]
-    return list(model.stacks)
-
-
 def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> TrainingState:
     config.validate()
     if dataset.n_classes != config.n_classes:
@@ -346,35 +342,12 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
     cloud_model = build_cloud(config)
     schedule = schedule_minibatches(config.master_seed, len(dataset.train_labels),
                                     config.batch_size, config.rounds)
-    edge_opts = [nn.make_optimizer(config.optimizer, config.eta) for _ in nodes]
-    cloud_opts = [nn.make_optimizer(config.optimizer, config.eta)
-                  for _ in _model_stacks(cloud_model)]
+    n_edge_opts = 1 if config.encoder_sharing else len(nodes)
+    edge_opts = [nn.make_optimizer(config.optimizer, config.eta) for _ in range(n_edge_opts)]
     return TrainingState(config=config, dataset=dataset, nodes=nodes,
                          cloud_model=cloud_model, schedule=schedule,
-                         edge_optimizers=edge_opts, cloud_optimizers=cloud_opts)
-
-
-def _model_infer(model, received, active):
-    if isinstance(model, cloud.CloudModel):
-        return cloud.cloud_infer(model, received, active)
-    return cloud.baseline_infer(model, received, active)
-
-
-def _model_backward(model, cache, grad_logits):
-    if isinstance(model, cloud.CloudModel):
-        return cloud.cloud_backward(model, cache, grad_logits)
-    return cloud.baseline_backward(model, cache, grad_logits)
-
-
-def _model_apply(model, optimizers, grads, batch_size):
-    stacks = _model_stacks(model)
-    if isinstance(model, cloud.CloudModel):
-        flat = [g for m in range(model.n_branches)
-                for g in (grads.z_grads[m], grads.u_grads[m])]
-    else:
-        flat = grads
-    for stack, opt, g in zip(stacks, optimizers, flat):
-        opt.step(stack, g, batch_size)
+                         edge_optimizers=edge_opts,
+                         cloud_optimizer=nn.make_optimizer(config.optimizer, config.eta))
 
 
 def _extend_magnitude(h_rows: Array) -> Array:
@@ -429,10 +402,10 @@ def run_training_round(state: TrainingState, round_index: int,
     state.counter.uplink_values += uplink_count
 
     hook("cloud-backprop")
-    logits, cloud_cache = _model_infer(state.cloud_model, received, env.active)
+    logits, cloud_cache = state.cloud_model.infer(received, env.active)
     losses, grad_logits = nn.softmax_cross_entropy(logits, env.labels)
-    cloud_grads, dn_messages = _model_backward(state.cloud_model, cloud_cache, grad_logits)
-    _model_apply(state.cloud_model, state.cloud_optimizers, cloud_grads, b)
+    cloud_grads, dn_messages = state.cloud_model.backward(cloud_cache, grad_logits)
+    state.cloud_optimizer.step(state.cloud_model, cloud_grads, b)
 
     hook("downlink")
     # rows for inactive pairs come out of the backward pass as exact zeros
@@ -445,6 +418,7 @@ def run_training_round(state: TrainingState, round_index: int,
     _edge_backprop_phase(state, env, caches, gradient_rows)
 
     state.round_index = round_index
+    on_cadence = round_index % max(1, cfg.val_cadence) == 0
     return RoundRecord(
         round_index=round_index,
         batch_indices=env.batch_indices,
@@ -453,8 +427,11 @@ def run_training_round(state: TrainingState, round_index: int,
         snr_up_db_mean=float(np.mean(env.snr_up_db)),
         snr_dn_db_mean=float(np.mean(env.snr_dn_db)),
         mean_active=float(env.active.sum(axis=1).mean()),
-        param_norm_cloud=_norm([s.params for s in _model_stacks(state.cloud_model)]),
-        param_norm_edges=_norm([node.encoder.params for node in state.nodes]),
+        # the per-branch views keep the summation order, and so the rounding,
+        # of the norm over per-branch stacks
+        param_norm_cloud=_norm([state.cloud_model.named_params()]) if on_cadence else None,
+        param_norm_edges=(_norm([node.encoder.params for node in state.nodes])
+                          if on_cadence else None),
         uplink_values=uplink_count,
         downlink_values=downlink_count,
         redraw_count=env.redraws,
@@ -532,7 +509,7 @@ def run_inference(nodes: list[edge.EdgeNode], model, channels, observations,
         s, _ = edge.encode(node, obs, cqi)
         y = channel.uplink_transmit(channel.pack(s), ch, rng)
         received.append(y)
-    logits, _ = _model_infer(model, received, None)
+    logits, _ = model.infer(received)
     return logits
 
 
@@ -601,7 +578,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
             ch = channel.ChannelRealization(h=ch_all.h[:, i, :])
             received.append(channel.uplink_transmit(channel.pack(s), ch,
                                                     noise=noise[:, i, :]))
-        logits, _ = _model_infer(state.cloud_model, received, None)
+        logits, _ = state.cloud_model.infer(received)
         losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
         loss_total += float(np.sum(losses))
         correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:stop]))
@@ -679,9 +656,9 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
         gain = _extend_magnitude(env.h[:, i, :])
         received.append(gain * s + channel.unpack(env.up_noise[:, i, :]))
 
-    logits, cloud_cache = _model_infer(state.cloud_model, received, env.active)
+    logits, cloud_cache = state.cloud_model.infer(received, env.active)
     _, grad_logits = nn.softmax_cross_entropy(logits, env.labels)
-    cloud_grads, messages = _model_backward(state.cloud_model, cloud_cache, grad_logits)
+    cloud_grads, messages = state.cloud_model.backward(cloud_cache, grad_logits)
 
     # per-node encoder gradients through the fixed channel map: d = H m
     encoder_grads = []
@@ -690,13 +667,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
         encoder_grads.append(edge.batch_gradient(node, caches[i], d_rows))
 
     # single joint commit
-    if isinstance(state.cloud_model, cloud.CloudModel):
-        for m, (z_stack, u_stack) in enumerate(state.cloud_model.branches):
-            nn.apply_update(z_stack, cloud_grads.z_grads[m], cfg.eta, b)
-            nn.apply_update(u_stack, cloud_grads.u_grads[m], cfg.eta, b)
-    else:
-        for stack, g in zip(state.cloud_model.stacks, cloud_grads):
-            nn.apply_update(stack, g, cfg.eta, b)
+    nn.apply_update(state.cloud_model, cloud_grads, cfg.eta, b)
     if cfg.encoder_sharing:
         total = nn.zero_grads_like(state.nodes[0].encoder)
         for i in range(cfg.n_train):
@@ -730,18 +701,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
 
 def state_parameters(state) -> dict[str, Array]:
     """Flat named view over every trainable array in the state."""
-    out: dict[str, Array] = {}
-    model = state.cloud_model
-    if isinstance(model, cloud.CloudModel):
-        for m, (z_stack, u_stack) in enumerate(model.branches):
-            for name, p in z_stack.params.items():
-                out[f"cloud.z{m}.{name}"] = p
-            for name, p in u_stack.params.items():
-                out[f"cloud.u{m}.{name}"] = p
-    else:
-        for idx, stack in enumerate(model.stacks):
-            for name, p in stack.params.items():
-                out[f"cloud.stack{idx}.{name}"] = p
+    out = {f"cloud.{name}": p for name, p in state.cloud_model.named_params().items()}
     if state.config.encoder_sharing:
         for name, p in state.nodes[0].encoder.params.items():
             out[f"encoder_shared.{name}"] = p
@@ -765,14 +725,8 @@ def load_state_parameters(state, params: dict[str, Array]) -> None:
     def install(prefix, stack):
         stack.set_params({name: params[f"{prefix}.{name}"] for name in stack.params})
 
-    model = state.cloud_model
-    if isinstance(model, cloud.CloudModel):
-        for m, (z_stack, u_stack) in enumerate(model.branches):
-            install(f"cloud.z{m}", z_stack)
-            install(f"cloud.u{m}", u_stack)
-    else:
-        for idx, stack in enumerate(model.stacks):
-            install(f"cloud.stack{idx}", stack)
+    state.cloud_model.set_named_params({name[len("cloud."):]: p for name, p in params.items()
+                                        if name.startswith("cloud.")})
     if state.config.encoder_sharing:
         for node in state.nodes:
             install("encoder_shared", node.encoder)

@@ -1,5 +1,5 @@
-"""Multi-branch cloud model, its update, parameter averaging, and the baseline
-architectures."""
+"""Multi-branch cloud model, its stacked parameters and their update, and the
+baseline architectures."""
 
 import itertools
 
@@ -13,11 +13,35 @@ def small_model(m=2, s=6, r=4, x=3, hidden=5, seed=7):
     return cloud.build_cloud_model(m, s, r, x, hidden, seed)
 
 
+def branch_stacks(model):
+    """Per-branch (inner, outer) layer stacks holding copies of the model's
+    branch slices, for references that run the unfused nn passes."""
+    named = model.named_params()
+    pairs = []
+    for m in range(model.n_branches):
+        pair = []
+        for prefix in ("z", "u"):
+            w0, w2 = named[f"{prefix}{m}.dense0.w"], named[f"{prefix}{m}.dense2.w"]
+            stack = nn.LayerStack([nn.Dense(w0.shape[1], w0.shape[0]), nn.Relu(),
+                                   nn.Dense(w2.shape[1], w2.shape[0])], 0)
+            stack.set_params({name: named[f"{prefix}{m}.{name}"].copy()
+                              for name in stack.params})
+            pair.append(stack)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def by_branch(stacked):
+    """Per-branch views, under checkpoint names, of a dict shaped like a
+    cloud model's ``params`` (its gradients, say)."""
+    return cloud.CloudModel(stacked).named_params()
+
+
 def straight_line_eval(model, received):
     """Independent re-evaluation of the pooled multi-branch composition."""
     logits = np.zeros(model.output_dim)
-    for z_stack, u_stack in model.branches:
-        pooled = np.zeros(model.latent_dim)
+    for z_stack, u_stack in branch_stacks(model):
+        pooled = np.zeros(z_stack.out_dim)
         for y in received:
             h = y
             for idx, layer in enumerate(z_stack.layers):
@@ -50,7 +74,7 @@ class TestCloudInfer:
         model = small_model(m=1)
         y = np.random.default_rng(1).normal(size=6)
         out, _ = cloud.cloud_infer(model, [y])
-        z_stack, u_stack = model.branches[0]
+        z_stack, u_stack = branch_stacks(model)[0]
         latent, _ = nn.forward(z_stack, y)
         want, _ = nn.forward(u_stack, latent)
         assert np.allclose(out, want, atol=1e-15)
@@ -75,17 +99,15 @@ class TestCloudInfer:
     def test_construction_independent_of_node_count(self):
         """One instance serves any population without parameter change."""
         model = small_model()
-        before = {f"{m}.{n}": p.copy() for m, (z, u) in enumerate(model.branches)
-                  for stacks in (z, u) for n, p in stacks.params.items()}
+        before = {k: p.copy() for k, p in model.params.items()}
         rng = np.random.default_rng(3)
         for n_nodes in range(1, 13):
             out, _ = cloud.cloud_infer(model, [rng.normal(size=6)
                                                for _ in range(n_nodes)])
             assert out.shape == (3,)
-        after = {f"{m}.{n}": p for m, (z, u) in enumerate(model.branches)
-                 for stacks in (z, u) for n, p in stacks.params.items()}
+        assert model.version == 0
         for k in before:
-            assert np.array_equal(before[k], after[k])
+            assert np.array_equal(before[k], model.params[k])
 
 
 class TestCloudBackward:
@@ -95,8 +117,7 @@ class TestCloudBackward:
         received = [rng.normal(size=6) for _ in range(3)]
         _, cache = cloud.cloud_infer(model, received)
         grads, messages = cloud.cloud_backward(model, cache, np.zeros(3))
-        assert all(np.all(g == 0) for gs in grads.z_grads + grads.u_grads
-                   for g in gs.values())
+        assert all(np.all(g == 0) for g in grads.values())
         assert all(np.all(m == 0) for m in messages)
 
     def test_parameter_gradients_match_finite_differences(self):
@@ -113,21 +134,20 @@ class TestCloudBackward:
             return nn.softmax_cross_entropy(lg, label)[0]
 
         step = 1e-5
-        for m, (z_stack, u_stack) in enumerate(model.branches):
-            for stack, gset in ((z_stack, grads.z_grads[m]), (u_stack, grads.u_grads[m])):
-                for name, p in stack.params.items():
-                    flat = p.reshape(-1)
-                    gflat = gset[name].reshape(-1)
-                    for idx in range(flat.size):
-                        old = flat[idx]
-                        flat[idx] = old + step
-                        hi = loss()
-                        flat[idx] = old - step
-                        lo = loss()
-                        flat[idx] = old
-                        fd = (hi - lo) / (2 * step)
-                        denom = max(1.0, abs(fd), abs(gflat[idx]))
-                        assert abs(fd - gflat[idx]) / denom < 1e-5
+        assert set(grads) == set(model.params)
+        for key, p in model.params.items():
+            flat = p.reshape(-1)
+            gflat = grads[key].reshape(-1)
+            for idx in range(flat.size):
+                old = flat[idx]
+                flat[idx] = old + step
+                hi = loss()
+                flat[idx] = old - step
+                lo = loss()
+                flat[idx] = old
+                fd = (hi - lo) / (2 * step)
+                denom = max(1.0, abs(fd), abs(gflat[idx]))
+                assert abs(fd - gflat[idx]) / denom < 1e-5
 
     def test_messages_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -162,9 +182,8 @@ class TestCloudBackward:
         gn, mn = cloud.cloud_backward(model, cache_n, gx)
         for a, b in zip(mm, mn):
             assert np.array_equal(a, b)
-        for m in range(model.n_branches):
-            for name in gm.z_grads[m]:
-                assert np.array_equal(gm.z_grads[m][name], gn.z_grads[m][name])
+        for key in gm:
+            assert np.array_equal(gm[key], gn[key])
 
     def test_inactive_pairs_contribute_nothing(self):
         """Marking a node inactive for a sample removes exactly that latent
@@ -184,9 +203,8 @@ class TestCloudBackward:
 
 def random_biases(model, rng):
     """Nonzero biases, so the count-weighted inner output bias moves the logits."""
-    for stack in (s for pair in model.branches for s in pair):
-        stack.set_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
-                          for name, p in stack.params.items()})
+    model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
+                            for name, p in model.named_params().items()})
 
 
 def per_branch_node_reference(model, received, active, grad_logits):
@@ -198,7 +216,7 @@ def per_branch_node_reference(model, received, active, grad_logits):
     logits = 0.0
     z_grads, u_grads = [], []
     messages = [np.zeros_like(y) for y in received]
-    for z_stack, u_stack in model.branches:
+    for z_stack, u_stack in branch_stacks(model):
         pooled = 0.0
         caches = []
         for i, y in enumerate(received):
@@ -236,10 +254,11 @@ def assert_fused_matches_reference(model, received, active, grad_logits):
     want_logits, want_z, want_u, want_messages = per_branch_node_reference(
         model, rows, mask, np.atleast_2d(grad_logits))
     assert_matches(logits, want_logits.reshape(logits.shape))
+    got = by_branch(grads)
     for m in range(model.n_branches):
         for name in want_z[m]:
-            assert_matches(grads.z_grads[m][name], want_z[m][name])
-            assert_matches(grads.u_grads[m][name], want_u[m][name])
+            assert_matches(got[f"z{m}.{name}"], want_z[m][name])
+            assert_matches(got[f"u{m}.{name}"], want_u[m][name])
     for got, want in zip(messages, want_messages):
         assert_matches(got, want.reshape(got.shape))
 
@@ -269,13 +288,14 @@ class TestFusedCloud:
 
     @pytest.mark.parametrize("which", range(6))
     def test_stale_cache_rejected(self, which):
-        """A parameter swap on any one branch stack invalidates the cache."""
+        """A parameter swap on any one branch stack's slices invalidates the cache."""
         model = small_model(m=3)
         rng = np.random.default_rng(102)
         received = [rng.normal(size=(4, 6)) for _ in range(2)]
         _, cache = cloud.cloud_infer(model, received)
-        stack = [s for pair in model.branches for s in pair][which]
-        stack.set_params(stack.params)
+        prefix = f"{'zu'[which % 2]}{which // 2}."
+        model.set_named_params({name: p + 1.0 if name.startswith(prefix) else p
+                                for name, p in model.named_params().items()})
         with pytest.raises(ValueError, match="stale"):
             cloud.cloud_backward(model, cache, np.zeros((4, 3)))
 
@@ -285,78 +305,80 @@ class TestFusedCloud:
         received = [rng.normal(size=(5, 6)) for _ in range(4)]
         _, cache = cloud.cloud_infer(model, received, rng.random((5, 4)) < 0.5)
         grads, messages = cloud.cloud_backward(model, cache, rng.normal(size=(5, 3)))
-        arrays = ([g for gs in grads.z_grads + grads.u_grads for g in gs.values()]
-                  + messages)
-        assert len(arrays) == 3 * 8 + 4
+        arrays = list(grads.values()) + messages
+        assert len(arrays) == 8 + 4
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("inner, outer", [
-        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 5), nn.Relu(), nn.Dense(5, 4)],
-         [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
-        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 4)], [nn.Dense(4, 3)]),
-        ([nn.Dense(6, 5), nn.Relu(), nn.Dense(5, 4), nn.Relu()],
-         [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
-        ([nn.Dense(6, 4), nn.Projection(1.0)], [nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)]),
-    ], ids=["deep-inner", "linear-outer", "inner-ends-in-relu", "projection"])
-    def test_rejects_branch_stacks_not_dense_relu_dense(self, inner, outer):
-        with pytest.raises(ValueError, match="Dense, Relu, Dense"):
-            cloud.CloudModel([(nn.LayerStack(inner, 0), nn.LayerStack(outer, 1))])
-
     def test_rejects_branches_of_different_widths(self):
-        def pair(hidden):
-            return (nn.LayerStack([nn.Dense(6, hidden), nn.Relu(), nn.Dense(hidden, 4)], 0),
-                    nn.LayerStack([nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)], 1))
+        """Branches of hidden widths 5 and 7 do not stack: the inner first
+        layers give 12 rows, where two width-5 branches need 10."""
+        params = dict(small_model(m=2, hidden=5).params)
+        params["z_in"] = np.zeros((5 + 7, 6))
+        params["z_in_b"] = np.zeros(5 + 7)
         with pytest.raises(ValueError, match="inconsistent"):
-            cloud.CloudModel([pair(5), pair(7)])
+            cloud.CloudModel(params)
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("u_in_b"),
+        lambda p: p.update(z_mid=np.zeros((2, 5, 5))),
+        lambda p: p.update(z_out=np.zeros((4, 5))),
+        lambda p: p.update(u_out_b=np.zeros((3, 3))),
+        lambda p: p.update(z_out=np.zeros((0, 4, 5))),
+    ], ids=["missing-key", "extra-key", "no-branch-axis", "branch-count", "no-branch"])
+    def test_rejects_malformed_parameter_sets(self, edit):
+        params = dict(small_model(m=2).params)
+        edit(params)
+        with pytest.raises(ValueError):
+            cloud.CloudModel(params)
 
-def sgd_optimizers(model, eta):
-    return [nn.SgdOptimizer(eta) for pair in model.branches for _ in pair]
+    def test_named_views_are_branch_slices(self):
+        """Checkpoint names index into the stacked arrays: row blocks of the
+        inner first layer, branch m of the rest. Installing them back gives
+        the same stacks bit for bit."""
+        model = small_model(m=3, hidden=5)
+        named = model.named_params()
+        assert list(named)[:8] == ["z0.dense0.w", "z0.dense0.b", "z0.dense2.w", "z0.dense2.b",
+                                   "u0.dense0.w", "u0.dense0.b", "u0.dense2.w", "u0.dense2.b"]
+        assert len(named) == 3 * 8
+        assert np.shares_memory(named["z1.dense0.w"], model.params["z_in"])
+        assert np.array_equal(named["z1.dense0.w"], model.params["z_in"][5:10])
+        assert np.array_equal(named["u2.dense2.b"], model.params["u_out_b"][2])
+        other = small_model(m=3, hidden=5, seed=8)
+        other.set_named_params(named)
+        for key, p in model.params.items():
+            assert np.array_equal(other.params[key], p)
+            assert not np.shares_memory(other.params[key], p)
 
 
 def random_gradients(model, rng):
-    return cloud.CloudGradients(
-        z_grads=[{k: rng.normal(size=v.shape) for k, v in z.params.items()}
-                 for z, _ in model.branches],
-        u_grads=[{k: rng.normal(size=v.shape) for k, v in u.params.items()}
-                 for _, u in model.branches])
+    return {k: rng.normal(size=v.shape) for k, v in model.params.items()}
 
 
 class TestCloudUpdate:
-    """The round protocol commits cloud gradients through protocol._model_apply."""
+    """The round protocol steps the whole cloud with one optimizer."""
 
     def test_zero_gradients_change_nothing(self):
         model = small_model()
-        before = [{k: v.copy() for k, v in s.params.items()}
-                  for pair in model.branches for s in pair]
-        zeros = cloud.CloudGradients(
-            z_grads=[{k: np.zeros_like(v) for k, v in z.params.items()}
-                     for z, _ in model.branches],
-            u_grads=[{k: np.zeros_like(v) for k, v in u.params.items()}
-                     for _, u in model.branches])
-        protocol._model_apply(model, sgd_optimizers(model, 0.5), zeros, 4)
-        after = [s.params for pair in model.branches for s in pair]
-        for b, a in zip(before, after):
-            for k in b:
-                assert np.array_equal(b[k], a[k])
+        before = {k: v.copy() for k, v in model.params.items()}
+        zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
+        nn.SgdOptimizer(0.5).step(model, zeros, 4)
+        for k in before:
+            assert np.array_equal(before[k], model.params[k])
 
     def test_matches_per_branch_sgd_step(self):
-        """Gradients from the fused backward land on their own branch stack."""
+        """Gradients from the fused backward land on their own branch's slices."""
         rng = np.random.default_rng(9)
         model = small_model(m=3)
         ref = small_model(m=3)
         received = [rng.normal(size=(6, 6)) for _ in range(2)]
         _, cache = cloud.cloud_infer(model, received, rng.random((6, 2)) < 0.7)
         grads, _ = cloud.cloud_backward(model, cache, rng.normal(size=(6, 3)))
-        protocol._model_apply(model, sgd_optimizers(model, 0.3), grads, 6)
-        for m, (z, u) in enumerate(ref.branches):
-            want_z = nn.sgd_step(z.params, grads.z_grads[m], 0.3 / 6)
-            want_u = nn.sgd_step(u.params, grads.u_grads[m], 0.3 / 6)
-            for k in want_z:
-                assert np.array_equal(model.branches[m][0].params[k], want_z[k])
-            for k in want_u:
-                assert np.array_equal(model.branches[m][1].params[k], want_u[k])
+        nn.SgdOptimizer(0.3).step(model, grads, 6)
+        got = model.named_params()
+        per_branch = by_branch(grads)
+        for name, p in ref.named_params().items():
+            assert np.array_equal(got[name], p - (0.3 / 6) * per_branch[name])
 
     def test_two_half_batches_average_to_full_batch(self):
         rng = np.random.default_rng(10)
@@ -364,19 +386,46 @@ class TestCloudUpdate:
         model_b = small_model(seed=21)
         g1 = random_gradients(model_a, rng)
         g2 = random_gradients(model_a, rng)
-        merged = cloud.CloudGradients(
-            z_grads=[{k: g1.z_grads[m][k] + g2.z_grads[m][k] for k in g1.z_grads[m]}
-                     for m in range(2)],
-            u_grads=[{k: g1.u_grads[m][k] + g2.u_grads[m][k] for k in g1.u_grads[m]}
-                     for m in range(2)])
-        protocol._model_apply(model_a, sgd_optimizers(model_a, 0.1), merged, 8)
-        half = sgd_optimizers(model_b, 0.1 / 2)
-        protocol._model_apply(model_b, half, g1, 4)
-        protocol._model_apply(model_b, half, g2, 4)
-        for (za, ua), (zb, ub) in zip(model_a.branches, model_b.branches):
-            for k in za.params:
-                assert np.allclose(za.params[k], zb.params[k], atol=1e-12)
-                assert np.allclose(ua.params[k], ub.params[k], atol=1e-12)
+        merged = {k: g1[k] + g2[k] for k in g1}
+        nn.SgdOptimizer(0.1).step(model_a, merged, 8)
+        half = nn.SgdOptimizer(0.1 / 2)
+        half.step(model_b, g1, 4)
+        half.step(model_b, g2, 4)
+        for k in model_a.params:
+            assert np.allclose(model_a.params[k], model_b.params[k], atol=1e-12)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_stacked_step_equals_per_slice_steps(self, optimizer):
+        """One optimizer over the stacked set lands bit for bit where 2*M
+        optimizers, one per branch stack, land on the slices: both
+        optimizers are elementwise."""
+        rng = np.random.default_rng(11)
+        model = small_model(m=4)
+        stacks = [s for pair in branch_stacks(model) for s in pair]
+        names = [f"{zu}{m}" for m in range(4) for zu in "zu"]
+        stacked_opt = nn.make_optimizer(optimizer, 0.05)
+        slice_opts = [nn.make_optimizer(optimizer, 0.05) for _ in stacks]
+        for _ in range(3):
+            grads = random_gradients(model, rng)
+            stacked_opt.step(model, grads, 7)
+            per_branch = by_branch(grads)
+            for prefix, stack, opt in zip(names, stacks, slice_opts):
+                opt.step(stack, {n: per_branch[f"{prefix}.{n}"] for n in stack.params}, 7)
+        got = model.named_params()
+        for prefix, stack in zip(names, stacks):
+            for name, p in stack.params.items():
+                assert np.array_equal(got[f"{prefix}.{name}"], p)
+
+    def test_step_makes_cache_stale(self):
+        model = small_model(m=2)
+        rng = np.random.default_rng(12)
+        received = [rng.normal(size=(4, 6)) for _ in range(2)]
+        _, cache = cloud.cloud_infer(model, received)
+        grads, _ = cloud.cloud_backward(model, cache, rng.normal(size=(4, 3)))
+        nn.AdamOptimizer(0.01).step(model, grads, 4)
+        assert model.version == 1
+        with pytest.raises(ValueError, match="stale"):
+            cloud.cloud_backward(model, cache, rng.normal(size=(4, 3)))
 
 
 class TestBaselines:
@@ -443,19 +492,19 @@ class TestBaselines:
                 return nn.softmax_cross_entropy(lg, 1)[0]
 
             step = 1e-5
-            for stack, gset in zip(model.stacks, grads):
-                for name, p in stack.params.items():
-                    flat = p.reshape(-1)
-                    gflat = gset[name].reshape(-1)
-                    for idx in range(0, flat.size, 3):  # sampled entries
-                        old = flat[idx]
-                        flat[idx] = old + step
-                        hi = loss()
-                        flat[idx] = old - step
-                        lo = loss()
-                        flat[idx] = old
-                        fd = (hi - lo) / (2 * step)
-                        assert abs(fd - gflat[idx]) / max(1, abs(fd)) < 1e-5
+            assert set(grads) == set(model.params)
+            for key, p in model.params.items():
+                flat = p.reshape(-1)
+                gflat = grads[key].reshape(-1)
+                for idx in range(0, flat.size, 3):  # sampled entries
+                    old = flat[idx]
+                    flat[idx] = old + step
+                    hi = loss()
+                    flat[idx] = old - step
+                    lo = loss()
+                    flat[idx] = old
+                    fd = (hi - lo) / (2 * step)
+                    assert abs(fd - gflat[idx]) / max(1, abs(fd)) < 1e-5
             for i in range(2):
                 for j in range(4):
                     old = received[i][j]
@@ -474,6 +523,29 @@ class TestBaselines:
         logits, cache = cloud.baseline_infer(model, received)
         _, gx = nn.softmax_cross_entropy(logits, 2)
         grads, messages = cloud.baseline_backward(model, cache, gx)
-        assert grads == []
+        assert grads == {} and model.params == {}
         for m in messages:
             assert np.allclose(m, gx, atol=1e-15)
+
+    def test_flat_params_over_the_stacks(self):
+        """A baseline's parameters are its stacks' under ``stack{idx}.``;
+        ``set_params`` installs them stack by stack, and a head no node used
+        gets a zero gradient."""
+        model = cloud.build_baseline(cloud.MHNET, 4, 3, 3, seed=6, hidden=5)
+        assert list(model.params) == [f"stack{i}.dense{j}.{wb}" for i in range(3)
+                                      for j in (0, 2, 4) for wb in "wb"]
+        assert model.named_params() == model.params
+        moved = {k: p + 1.0 for k, p in model.params.items()}
+        model.set_params(moved)
+        for i, stack in enumerate(model.stacks):
+            assert stack.version == 1
+            for name, p in stack.params.items():
+                assert np.array_equal(p, moved[f"stack{i}.{name}"])
+        with pytest.raises(ValueError, match="names"):
+            model.set_params({"stack0.dense0.w": np.zeros((5, 4))})
+        rng = np.random.default_rng(18)
+        logits, cache = model.infer([rng.normal(size=(2, 4)) for _ in range(2)])
+        grads, _ = model.backward(cache, rng.normal(size=logits.shape))
+        assert set(grads) == set(model.params)
+        assert all(np.all(grads[k] == 0.0) for k in grads if k.startswith("stack2."))
+        assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("stack1."))

@@ -1,9 +1,26 @@
 """Synthetic dataset generation, cropping, and the external loader."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fronthaul import data, protocol
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# headers with sizes small enough to match a short body now and then
+_SPLITS = st.builds(
+    lambda dims, body: struct.pack("<4q", *dims) + body,
+    st.tuples(st.one_of(st.integers(-1, 3), _INT64), st.one_of(st.integers(-1, 3), _INT64),
+              st.one_of(st.integers(-1, 3), _INT64), st.one_of(st.integers(-1, 5), _INT64)),
+    st.binary(max_size=160))
+# small headers followed by exactly as many bytes as they imply
+_EXACT_SPLITS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                          st.integers(-1, 2 ** 31)).flatmap(
+    lambda d: st.binary(min_size=d[0] * (d[1] * d[2] * 8 + 4),
+                        max_size=d[0] * (d[1] * d[2] * 8 + 4)).map(
+        lambda body: struct.pack("<4q", *d) + body))
 
 
 class TestGenerator:
@@ -134,14 +151,50 @@ class TestExternalFormat:
         raw = path.read_bytes()
         for cut in (8, len(raw) - 5):
             (tmp_path / "cut.bin").write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match="truncated"):
+            with pytest.raises(data.DataError, match="truncated"):
                 data.load_external(tmp_path / "cut.bin")
 
     def test_label_range_validated(self, tmp_path):
         path = tmp_path / "split.bin"
         data.save_external(path, np.zeros((2, 4, 4)), np.array([0, 5]), 3)
-        with pytest.raises(ValueError, match="labels"):
+        with pytest.raises(data.DataError, match="labels"):
             data.load_external(path)
+
+    @pytest.mark.parametrize("dims", [(2 ** 40, 8, 8, 4), (2 ** 61, 2 ** 30, 2 ** 30, 4)],
+                             ids=["huge-count", "overflowing-size"])
+    def test_header_larger_than_file_fails_on_length(self, tmp_path, dims):
+        """A header whose sizes exceed the file fails on the file length,
+        before anything of that size is read or allocated."""
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<4q", *dims) + b"\0" * 64)
+        with pytest.raises(data.DataError, match="truncated"):
+            data.load_external(path)
+
+    def test_missing_file_raises_typed_error(self, tmp_path):
+        with pytest.raises(data.DataError, match="cannot read"):
+            data.load_external(tmp_path / "absent.bin")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "split.bin"
+        data.save_external(path, np.zeros((2, 4, 4)), np.array([0, 1]), 2)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(data.DataError, match="trailing"):
+            data.load_external(path)
+
+    @given(raw=st.one_of(st.binary(max_size=200), _SPLITS, _EXACT_SPLITS))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_raises_only_typed_error(self, tmp_path, raw):
+        """Any byte string either loads as a split or raises DataError."""
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(raw)
+        try:
+            states, labels, n_classes = data.load_external(path)
+        except data.DataError:
+            return
+        assert states.dtype == np.float64 and states.ndim == 3
+        assert labels.shape == (states.shape[0],)
+        assert 0 <= labels.min() and labels.max() < n_classes
 
     def test_dataset_assembly(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -151,6 +204,11 @@ class TestExternalFormat:
         ds = data.load_external_dataset(tmp_path / "train.bin", tmp_path / "val.bin",
                                         tmp_path / "test.bin", window=6)
         assert ds.n_classes == 2 and ds.grid == 8 and ds.obs_dim == 36
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(data.DataError, match="window"):
             data.load_external_dataset(tmp_path / "train.bin", tmp_path / "val.bin",
                                        tmp_path / "test.bin", window=9)
+        data.save_external(tmp_path / "val.bin", rng.normal(size=(4, 8, 8)),
+                           rng.integers(0, 3, size=4), 3)
+        with pytest.raises(data.DataError, match="class count"):
+            data.load_external_dataset(tmp_path / "train.bin", tmp_path / "val.bin",
+                                       tmp_path / "test.bin", window=6)

@@ -1,10 +1,12 @@
 """Round orchestration: schedules, active sets, phases, and the reference path."""
 
 
+import math
+
 import numpy as np
 import pytest
 
-from fronthaul import channel, cloud, data, edge, nn, protocol
+from fronthaul import channel, checkpoint, cloud, data, edge, nn, protocol
 
 
 def toy_dataset(seed=7, classes=3, grid=8, window=6, samples=(64, 24, 24)):
@@ -177,8 +179,7 @@ class TestTrainingRound:
         edge_versions = {}
 
         def hook(phase, k):
-            cloud_versions[phase] = [s.version for s in
-                                     protocol._model_stacks(state.cloud_model)]
+            cloud_versions[phase] = state.cloud_model.version
             edge_versions[phase] = [n.encoder.version for n in state.nodes]
 
         protocol.run_training_round(state, 1, phase_hook=hook)
@@ -441,6 +442,141 @@ class TestTrain:
         _, records = protocol.train(cfg, toy_dataset())
         evaluated = [r.round_index for r in records if r.val_accuracy is not None]
         assert evaluated == [3, 6]
+
+
+class TestOptimizers:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("sharing", [False, True], ids=["dedicated", "shared"])
+    def test_one_edge_optimizer_per_encoder(self, sharing, optimizer):
+        """A shared encoder gets one edge optimizer, dedicated encoders one
+        each; 12 rounds land where a state with one optimizer per node
+        lands, bit for bit."""
+        cfg = toy_config(encoder_sharing=sharing, optimizer=optimizer, rounds=12,
+                         async_coordination=True, noiseless_downlink=False)
+        ds = toy_dataset()
+        state = protocol.init_state(cfg, ds)
+        assert len(state.edge_optimizers) == (1 if sharing else cfg.n_train)
+        per_node = protocol.init_state(cfg, ds)
+        per_node.edge_optimizers = [nn.make_optimizer(optimizer, cfg.eta)
+                                    for _ in range(cfg.n_train)]
+        for k in range(1, 13):
+            protocol.run_training_round(state, k)
+            protocol.run_training_round(per_node, k)
+        pa = protocol.state_parameters(state)
+        pb = protocol.state_parameters(per_node)
+        for name in pa:
+            assert np.array_equal(pa[name], pb[name])
+
+    @pytest.mark.parametrize("architecture", ["proposed", "mhnet"])
+    def test_one_cloud_step_per_round(self, architecture, monkeypatch):
+        calls = []
+        original = nn.AdamOptimizer.step
+
+        def counted(self, stack, grads, divisor):
+            calls.append(stack)
+            original(self, stack, grads, divisor)
+
+        monkeypatch.setattr(nn.AdamOptimizer, "step", counted)
+        cfg = toy_config(architecture=architecture, optimizer="adam", rounds=2)
+        state = protocol.init_state(cfg, toy_dataset())
+        protocol.run_training_round(state, 1)
+        protocol.run_training_round(state, 2)
+        cloud_steps = [c for c in calls if c is state.cloud_model]
+        assert len(cloud_steps) == 2
+        assert len(calls) == 2 * (1 + cfg.n_train)
+        assert state.cloud_optimizer.t == 2
+
+
+def full_norm(arrays):
+    return math.sqrt(sum(float(np.sum(p * p)) for p in arrays))
+
+
+class TestParamNorms:
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    @pytest.mark.parametrize("architecture", ["proposed", "mhnet"])
+    def test_norms_only_on_cadence_rounds(self, architecture, cadence):
+        """Norms are computed on the rounds metrics.csv prints and equal the
+        norm over every parameter, per-branch slice by slice; off cadence
+        they are None."""
+        cfg = toy_config(architecture=architecture, val_cadence=cadence,
+                         encoder_sharing=True, rounds=6)
+        state = protocol.init_state(cfg, toy_dataset())
+        for k in range(1, 7):
+            record = protocol.run_training_round(state, k)
+            if k % max(1, cadence) != 0:
+                assert record.param_norm_cloud is None and record.param_norm_edges is None
+                continue
+            params = protocol.state_parameters(state)
+            assert record.param_norm_cloud == full_norm(
+                p for name, p in params.items() if name.startswith("cloud."))
+            # a shared encoder counts once per node
+            assert record.param_norm_edges == full_norm(
+                p for node in state.nodes for p in node.encoder.params.values())
+
+
+def expected_parameter_shapes(cfg, architecture):
+    """The checkpoint layout, written out: per-branch stacks for the proposed
+    cloud, ``stack{i}`` three-layer perceptrons for the baselines."""
+    s, h, r, x = cfg.message_dim, cfg.cloud_hidden, cfg.latent_dim, cfg.n_classes
+    shapes = {}
+    if architecture == "proposed":
+        for m in range(cfg.n_branches):
+            for prefix, dims in (("z", (s, h, r)), ("u", (r, h, x))):
+                shapes.update({f"cloud.{prefix}{m}.dense0.w": (dims[1], dims[0]),
+                               f"cloud.{prefix}{m}.dense0.b": (dims[1],),
+                               f"cloud.{prefix}{m}.dense2.w": (dims[2], dims[1]),
+                               f"cloud.{prefix}{m}.dense2.b": (dims[2],)})
+    elif architecture != "sum_agg":
+        width = cfg.baseline_hidden
+        heads = [(cfg.n_train * s,)] if architecture == "catnet" else [(s,)] * cfg.n_train
+        for i, (in_dim,) in enumerate(heads):
+            for j, (a, b) in enumerate(((in_dim, width), (width, width), (width, x))):
+                shapes[f"cloud.stack{i}.dense{2 * j}.w"] = (b, a)
+                shapes[f"cloud.stack{i}.dense{2 * j}.b"] = (b,)
+    hidden = cfg.encoder_hidden[0]
+    for i in range(cfg.n_train):
+        shapes.update({f"encoder{i}.dense0.w": (hidden, cfg.obs_dim),
+                       f"encoder{i}.dense0.b": (hidden,),
+                       f"encoder{i}.dense2.w": (s, hidden),
+                       f"encoder{i}.dense2.b": (s,)})
+    return shapes
+
+
+ARCHITECTURES = [("proposed", {}), ("catnet", {}), ("mhnet", {}),
+                 ("sum_agg", dict(message_dim=4, n_classes=4))]
+
+
+class TestStateParameters:
+    @pytest.mark.parametrize("architecture, overrides", ARCHITECTURES,
+                             ids=[a for a, _ in ARCHITECTURES])
+    def test_names_and_shapes(self, architecture, overrides):
+        cfg = toy_config(architecture=architecture, baseline_hidden=7, **overrides)
+        state = protocol.init_state(cfg, toy_dataset(classes=cfg.n_classes))
+        params = protocol.state_parameters(state)
+        assert {k: p.shape for k, p in params.items()} == \
+            expected_parameter_shapes(cfg, architecture)
+
+    @pytest.mark.parametrize("architecture, overrides", ARCHITECTURES,
+                             ids=[a for a, _ in ARCHITECTURES])
+    def test_save_load_restore_round_trip(self, architecture, overrides, tmp_path):
+        """Trained parameters survive a checkpoint bit for bit, stacked arrays
+        included, and the restored model computes the same logits."""
+        cfg = toy_config(architecture=architecture, rounds=3, optimizer="adam", **overrides)
+        ds = toy_dataset(classes=cfg.n_classes)
+        state, _ = protocol.train(cfg, ds)
+        path = tmp_path / "state.bin"
+        checkpoint.save_checkpoint(path, protocol.state_parameters(state), "", 3)
+        loaded, _, _ = checkpoint.load_checkpoint(path)
+        restored = protocol.init_state(cfg, ds)
+        protocol.load_state_parameters(restored, loaded)
+        want = protocol.state_parameters(state)
+        got = protocol.state_parameters(restored)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name])
+        for key, p in state.cloud_model.params.items():
+            assert np.array_equal(restored.cloud_model.params[key], p)
+        assert protocol.evaluate(restored, "val") == protocol.evaluate(state, "val")
 
 
 class TestEvaluate:
