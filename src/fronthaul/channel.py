@@ -94,9 +94,10 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
     return ChannelRealization(h=h, sigma_c2=sigma_c2, sigma_e2=sigma_e2)
 
 
-def _complex_noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
-    var = np.asarray(variance, dtype=float)
-    std = np.sqrt(np.broadcast_to(var, shape) / 2.0)
+def complex_noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
+    """CN(0, variance) draws of ``shape``: every real part, then every imaginary part."""
+    std = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    np.broadcast_to(std, shape)  # raises unless the variance broadcasts against the draw
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -116,30 +117,29 @@ def uplink_transmit(s_tilde: Array, ch: ChannelRealization,
     if noise is None:
         if rng is None:
             raise ValueError("need an rng or an explicit noise draw")
-        noise = _complex_noise(rng, s_tilde.shape, ch.sigma_c2)
+        noise = complex_noise(rng, s_tilde.shape, ch.sigma_c2)
     y = np.abs(ch.h) * s_tilde + noise
     return unpack(y)
 
 
-def compute_alpha(messages: list[Array], p_c: float, mode: str, index: int = 0):
-    """Downlink power scaling factor.
+def compute_alpha(messages: Array, p_c: float, mode: str) -> Array:
+    """Downlink power scaling factor for node-first messages (N, B, blocks).
 
-    Per-RB mode scales message ``index`` by sqrt(p_c / max_j |m[j]|^2);
-    sum mode shares one factor sqrt(p_c / sum_l ||m_l||^2) across all
-    messages. All-zero messages carry no information, so the denominator
-    is floored at 1e-12 instead of rejecting them.
+    Per-RB mode scales each node's message by sqrt(p_c / max_j |m[j]|^2),
+    one factor per (node, sample); sum mode shares one factor
+    sqrt(p_c / sum_l ||m_l||^2) across the nodes, one per sample. The node
+    sum runs over the leading axis, which adds node by node in order. All-zero
+    messages carry no information, so the denominator is floored at 1e-12
+    instead of rejecting them.
     """
     if p_c <= 0:
         raise ValueError("transmit power budget must be positive")
+    m = np.asarray(messages, dtype=complex)
     if mode == "per-rb":
-        m = np.asarray(messages[index], dtype=complex)
         peak = np.max(np.abs(m) ** 2, axis=-1)
         return np.sqrt(p_c / np.maximum(peak, ALPHA_FLOOR))
     if mode == "sum":
-        total = 0.0
-        for m in messages:
-            m = np.asarray(m, dtype=complex)
-            total = total + np.sum(np.abs(m) ** 2, axis=-1)
+        total = np.sum(np.sum(np.abs(m) ** 2, axis=-1), axis=0)
         return np.sqrt(p_c / np.maximum(total, ALPHA_FLOOR))
     raise ValueError(f"unknown power mode {mode!r}")
 
@@ -158,7 +158,7 @@ def downlink_transmit(m_tilde: Array, ch: ChannelRealization, alpha,
     if noise is None:
         if rng is None:
             raise ValueError("need an rng or an explicit noise draw")
-        noise = _complex_noise(rng, m_tilde.shape, ch.sigma_e2)
+        noise = complex_noise(rng, m_tilde.shape, ch.sigma_e2)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim:
         alpha = alpha[..., None]

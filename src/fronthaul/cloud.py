@@ -18,7 +18,7 @@ network with one learnable head per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -101,12 +101,11 @@ class CloudModel:
         """Install per-branch arrays named as ``named_params`` names them."""
         self.set_params(_stacked(named, self.n_branches))
 
-    def infer(self, received: Sequence[Array], active: Array | None = None
-              ) -> tuple[Array, CloudCache]:
+    def infer(self, received: Array, active: Array | None = None) -> tuple[Array, CloudCache]:
         return cloud_infer(self, received, active)
 
     def backward(self, cache: CloudCache, grad_logits: Array
-                 ) -> tuple[dict[str, Array], list[Array]]:
+                 ) -> tuple[dict[str, Array], Array]:
         return cloud_backward(self, cache, grad_logits)
 
 
@@ -142,7 +141,7 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
 class CloudCache:
     model: CloudModel
     version: int  # the model's version at the forward pass
-    received: list[Array]  # per node, (B, S)
+    received: Array  # (N, B, S)
     active: Array  # (B, N) float mask
     # per node, (B, M*H) pre-activations of every inner first layer, held
     # at zero for inactive pairs
@@ -151,39 +150,25 @@ class CloudCache:
     latent: Array  # (M, B, R) pooled latent per branch
     outer_pre: Array  # (M, B, H_u) outer pre-activations
     outer_act: Array  # (M, B, H_u) rectified outer activations
-    squeezed: bool
 
 
-def _prepare_received(model_in_dim: int, received: Sequence[Array]
-                      ) -> tuple[list[Array], bool]:
+def _prepare_received(model_in_dim: int, received: Array) -> Array:
+    """Node-first received rows (N, B, S) as one float array; a sequence of
+    per-node (B, S) arrays is stacked."""
     if len(received) == 0:
         raise ValueError("no received signals")
-    rows = []
-    squeezed = None
-    for i, y in enumerate(received):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[None, :]
-            sq = True
-        elif y.ndim == 2:
-            sq = False
-        else:
-            raise ValueError(f"received signal {i} must be a vector or batch")
-        if y.shape[-1] != model_in_dim:
-            raise ValueError(f"received signal {i} has length {y.shape[-1]}, "
-                             f"expected {model_in_dim}")
-        if squeezed is None:
-            squeezed = sq
-            batch = y.shape[0]
-        elif sq != squeezed or y.shape[0] != batch:
-            raise ValueError("received signals disagree on batch shape")
-        rows.append(y)
-    return rows, squeezed
+    rows = np.asarray(received, dtype=float)
+    if rows.ndim != 3:
+        raise ValueError("received signals must be (nodes, batch, length)")
+    if rows.shape[-1] != model_in_dim:
+        raise ValueError(f"received signals have length {rows.shape[-1]}, "
+                         f"expected {model_in_dim}")
+    return rows
 
 
-def cloud_infer(model: CloudModel, received: Sequence[Array],
-                active: Array | None = None) -> tuple[Array, CloudCache]:
-    """Pooled multi-branch inference.
+def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
+                ) -> tuple[Array, CloudCache]:
+    """Pooled multi-branch inference on node-first received rows (N, B, S).
 
     Per branch m: latents z_m(y_i) are summed over nodes, passed through
     the outer stack, and the branch outputs are summed into the logits.
@@ -197,8 +182,8 @@ def cloud_infer(model: CloudModel, received: Sequence[Array],
     once per branch on the pooled rows. The outer stacks run batched
     over the branch axis.
     """
-    rows, squeezed = _prepare_received(model.input_dim, received)
-    batch = rows[0].shape[0]
+    rows = _prepare_received(model.input_dim, received)
+    batch = rows.shape[1]
     if active is None:
         mask = np.ones((batch, len(rows)))
     else:
@@ -230,18 +215,18 @@ def cloud_infer(model: CloudModel, received: Sequence[Array],
     out += w["u_out_b"][:, None, :]
     logits = out.sum(axis=0)
     cache = CloudCache(model, model.version, rows, mask, inner_pre, pooled,
-                       latent, outer_pre, outer_act, squeezed)
-    return (logits[0] if squeezed else logits), cache
+                       latent, outer_pre, outer_act)
+    return logits, cache
 
 
 def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
-                   ) -> tuple[dict[str, Array], list[Array]]:
-    """Parameter gradients plus per-node downlink gradient messages.
+                   ) -> tuple[dict[str, Array], Array]:
+    """Parameter gradients plus the node-first downlink gradient messages.
 
     The gradients come as one dict keyed and shaped like ``model.params``,
     summed over the batch (the update owns the divisor);
     inner-stack gradients only accumulate contributions from each
-    sample's active nodes. The returned message for node i holds, per
+    sample's active nodes. The messages (N, B, S) hold, per node and
     sample, the gradient of that sample's loss with respect to the
     node's received signal; rows for inactive pairs are zero.
     """
@@ -250,8 +235,6 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     if cache.version != model.version:
         raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(grad_logits, dtype=float)
-    if cache.squeezed:
-        g = g[None, :]
     batch = cache.active.shape[0]
     if g.shape != (batch, model.output_dim):
         raise ValueError("gradient shape does not match the cached forward")
@@ -273,18 +256,16 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     # inner first layers, per node; a node's message sums over branches
     z_in_w = np.zeros_like(w["z_in"])
     z_in_b = np.zeros_like(w["z_in_b"])
-    messages = []
+    messages = np.empty(cache.received.shape)
     g_act = np.empty_like(g_pooled)
     for i, y in enumerate(cache.received):
         np.greater(cache.inner_pre[i], 0.0, out=g_act)  # the rectifier's slope
         g_act *= g_pooled
         z_in_w += g_act.T @ y
         z_in_b += ones @ g_act
-        messages.append(g_act @ w["z_in"])
+        np.matmul(g_act, w["z_in"], out=messages[i])
     grads = {"z_in": z_in_w, "z_in_b": z_in_b, "z_out": z_out_w, "z_out_b": z_out_b,
              "u_in": u_in_w, "u_in_b": u_in_b, "u_out": u_out_w, "u_out_b": u_out_b}
-    if cache.squeezed:
-        messages = [msg[0] for msg in messages]
     return grads, messages
 
 
@@ -359,12 +340,12 @@ class BaselineModel:
 
     set_named_params = set_params
 
-    def infer(self, received: Sequence[Array], active: Array | None = None
+    def infer(self, received: Array, active: Array | None = None
               ) -> tuple[Array, BaselineCache]:
         return baseline_infer(self, received, active)
 
     def backward(self, cache: BaselineCache, grad_logits: Array
-                 ) -> tuple[dict[str, Array], list[Array]]:
+                 ) -> tuple[dict[str, Array], Array]:
         return baseline_backward(self, cache, grad_logits)
 
 
@@ -430,15 +411,14 @@ class BaselineCache:
     model: BaselineModel
     caches: list[nn.ForwardCache]
     active: Array
-    squeezed: bool
     n_nodes: int
 
 
-def baseline_infer(model: BaselineModel, received: Sequence[Array],
+def baseline_infer(model: BaselineModel, received: Array,
                    active: Array | None = None) -> tuple[Array, BaselineCache]:
-    rows, squeezed = _prepare_received(model.message_dim, received)
-    n_nodes = len(rows)
-    batch = rows[0].shape[0]
+    """Logits from node-first received rows (N, B, S)."""
+    rows = _prepare_received(model.message_dim, received)
+    n_nodes, batch = rows.shape[:2]
     if active is None:
         mask = np.ones((batch, n_nodes))
     else:
@@ -449,8 +429,7 @@ def baseline_infer(model: BaselineModel, received: Sequence[Array],
         logits = np.zeros((batch, model.n_classes))
         for i in range(n_nodes):
             logits = logits + mask[:, i:i + 1] * rows[i]
-        cache = BaselineCache(model, [], mask, squeezed, n_nodes)
-        return (logits[0] if squeezed else logits), cache
+        return logits, BaselineCache(model, [], mask, n_nodes)
     if model.kind == CATNET:
         if n_nodes != model.n_fixed:
             raise ValueError(f"catnet was built for {model.n_fixed} nodes, got {n_nodes}")
@@ -458,8 +437,7 @@ def baseline_infer(model: BaselineModel, received: Sequence[Array],
             raise ValueError("catnet cannot run with inactive nodes")
         stacked = np.concatenate(rows, axis=-1)
         logits, fc = nn.forward(model.stacks[0], stacked)
-        cache = BaselineCache(model, [fc], mask, squeezed, n_nodes)
-        return (logits[0] if squeezed else logits), cache
+        return logits, BaselineCache(model, [fc], mask, n_nodes)
     # mhnet: one head per node index
     if n_nodes > len(model.stacks):
         raise ValueError(f"mhnet has {len(model.stacks)} heads, got {n_nodes} nodes")
@@ -469,20 +447,17 @@ def baseline_infer(model: BaselineModel, received: Sequence[Array],
         out, fc = nn.forward(model.stacks[i], rows[i])
         caches.append(fc)
         logits = logits + mask[:, i:i + 1] * out
-    cache = BaselineCache(model, caches, mask, squeezed, n_nodes)
-    return (logits[0] if squeezed else logits), cache
+    return logits, BaselineCache(model, caches, mask, n_nodes)
 
 
 def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: Array
-                      ) -> tuple[dict[str, Array], list[Array]]:
+                      ) -> tuple[dict[str, Array], Array]:
     """Parameter gradients keyed like ``model.params`` (summed over the
-    batch) and per-node downlink messages. A head no node used gets a
-    zero gradient."""
+    batch) and the node-first downlink messages (N, B, S). A head no node
+    used gets a zero gradient."""
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
     g = np.asarray(grad_logits, dtype=float)
-    if cache.squeezed:
-        g = g[None, :]
     batch = cache.active.shape[0]
     if g.shape != (batch, model.n_classes):
         raise ValueError("gradient shape does not match the cached forward")
@@ -501,8 +476,6 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
                                    g * cache.active[:, i:i + 1])
             stack_grads[i] = grad_set.param_grads
             messages.append(grad_set.input_grad)
-    if cache.squeezed:
-        messages = [m[0] for m in messages]
     grads = {f"stack{idx}.{name}": p for idx, sg in enumerate(stack_grads)
              for name, p in sg.items()}
-    return grads, messages
+    return grads, np.stack(messages)

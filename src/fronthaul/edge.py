@@ -80,9 +80,8 @@ def encode(node: EdgeNode, observation, cqi: Array | None = None
            ) -> tuple[Array, nn.ForwardCache]:
     """Message s = projection(encoder(a [, cqi])) plus the forward cache.
 
-    ``observation`` may be a vector or a batch of rows; ``cqi`` must be
-    present exactly when the node runs with channel quality input and
-    match its leading shape.
+    ``observation`` is a batch of rows; ``cqi`` must be present exactly
+    when the node runs with channel quality input, one row per sample.
     """
     values = np.asarray(observation, dtype=float)
     if node.cqie:

@@ -111,12 +111,17 @@ def _ntest_grid(cfg: dict[str, Any]) -> tuple[int, ...]:
 
 def _check_populations(cfg: dict[str, Any], populations) -> None:
     """Reject evaluation populations the trained model cannot serve, before
-    any round runs. The concatenation network takes exactly n_train
-    signals and the multi-head network has one head per trained node,
-    whether or not encoders are shared; without encoder sharing only the
-    n_train trained encoders exist."""
+    any round runs. Every population needs at least one node. The
+    concatenation network takes exactly n_train signals and the
+    multi-head network has one head per trained node, whether or not
+    encoders are shared; without encoder sharing only the n_train trained
+    encoders exist."""
     n_train = cfg["n_train"]
     requested = sorted({int(n) for n in populations})
+    empty = [n for n in requested if n < 1]
+    if empty:
+        raise config_mod.ConfigError(
+            f"evaluation populations {empty} are below 1; every population needs a node")
     if cfg["architecture"] == cloud.CATNET:
         other = [n for n in requested if n != n_train]
         if other:
@@ -345,17 +350,17 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
     stack = nn.LayerStack(layers, seed=int(rng.integers(0, 2 ** 31)))
 
     def draw():
-        x = rng.normal(size=in_dim) * 2.0
+        x = rng.normal(size=(1, in_dim)) * 2.0
         _, cache = nn.forward(stack, x)
         return (x, cache), _kink_margin(stack, cache)
 
     x, cache = _draw_smooth(draw)
-    upstream = rng.normal(size=out_dim)
+    upstream = rng.normal(size=(1, out_dim))
     grads = nn.backward(stack, cache, upstream)
 
     def value() -> float:
         out, _ = nn.forward(stack, x)
-        return float(out @ upstream)
+        return float(out[0] @ upstream[0])
 
     worst = 0.0
     for name, p in stack.params.items():
@@ -371,14 +376,14 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
             fd = (up_val - dn_val) / (2 * step)
             worst = max(worst, _rel_err(np.asarray(fd), np.asarray(g.reshape(-1)[idx])))
     for j in range(in_dim):
-        old = x[j]
-        x[j] = old + step
+        old = x[0, j]
+        x[0, j] = old + step
         up_val = value()
-        x[j] = old - step
+        x[0, j] = old - step
         dn_val = value()
-        x[j] = old
+        x[0, j] = old
         fd = (up_val - dn_val) / (2 * step)
-        worst = max(worst, _rel_err(np.asarray(fd), np.asarray(grads.input_grad[j])))
+        worst = max(worst, _rel_err(np.asarray(fd), np.asarray(grads.input_grad[0, j])))
     return worst
 
 

@@ -3,9 +3,9 @@
 Everything runs in float64 numpy. A stack is a flat list of layer
 descriptors; its parameters live in a named dict so they can be swapped,
 averaged across nodes, and checkpointed without touching layer code.
-Forward passes accept a single vector or a batch of row vectors; backward
-passes return parameter gradients summed over the batch plus the gradient
-with respect to the input.
+Forward passes take a batch of row vectors; backward passes return
+parameter gradients summed over the batch plus the gradient with respect
+to the input.
 """
 from __future__ import annotations
 
@@ -120,7 +120,6 @@ class ForwardCache:
     version: int
     inputs: list[Array]
     output: Array
-    squeezed: bool
 
 
 @dataclass
@@ -131,26 +130,13 @@ class GradientSet:
     input_grad: Array
 
 
-def _as_rows(x: Array, dim: int, what: str) -> tuple[Array, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-        squeezed = True
-    elif x.ndim == 2:
-        squeezed = False
-    else:
-        raise ValueError(f"{what} must be a vector or a batch of rows")
-    if x.shape[1] != dim:
-        raise ValueError(f"{what} has dim {x.shape[1]}, expected {dim}")
-    return x, squeezed
-
-
 def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
-    """Run the stack on ``x`` and keep what backward needs.
-
-    ``x`` may be a single vector of ``stack.in_dim`` or a batch of rows.
-    """
-    h, squeezed = _as_rows(x, stack.in_dim, "layer 0 input")
+    """Run the stack on a batch of rows ``x`` and keep what backward needs."""
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 2:
+        raise ValueError("layer 0 input must be a batch of rows")
+    if h.shape[1] != stack.in_dim:
+        raise ValueError(f"layer 0 input has dim {h.shape[1]}, expected {stack.in_dim}")
     inputs: list[Array] = []
     for idx, layer in enumerate(stack.layers):
         inputs.append(h)
@@ -161,8 +147,7 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
             h = np.maximum(h, 0.0)
         else:
             h = projection_forward(h, layer.power, layer.mode)
-    cache = ForwardCache(stack, stack.version, inputs, h, squeezed)
-    return (h[0] if squeezed else h), cache
+    return h, ForwardCache(stack, stack.version, inputs, h)
 
 
 def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> GradientSet:
@@ -177,11 +162,7 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> Gradien
     if cache.version != stack.version:
         raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(upstream, dtype=float)
-    if cache.squeezed:
-        if g.shape != cache.output.shape[1:]:
-            raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape[1:]}")
-        g = g[None, :]
-    elif g.shape != cache.output.shape:
+    if g.shape != cache.output.shape:
         raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape}")
     grads: dict[str, Array] = {}
     ones = np.ones(g.shape[0])
@@ -202,8 +183,7 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> Gradien
                 g *= h_in > 0.0
         else:
             g = projection_backward(h_in, layer.power, layer.mode, g)
-    input_grad = g[0] if cache.squeezed else g
-    return GradientSet(grads, input_grad)
+    return GradientSet(grads, g)
 
 
 def _budget_scale(sq: Array, power: float) -> tuple[Array, Array]:

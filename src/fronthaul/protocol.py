@@ -17,7 +17,7 @@ is the main correctness check on the whole protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ _DOM_EVAL = 10
 PHASES = ("edge-forward", "uplink", "cloud-backprop", "downlink", "edge-backprop")
 
 _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
+_EVAL_CHUNK = 512  # evaluation samples per encode-and-uplink pass
 
 
 def stream(master_seed: int, domain: int, *key: int) -> np.random.Generator:
@@ -56,7 +57,7 @@ class TrainingConfig:
     n_branches: int = 5
     latent_dim: int = 32
     cloud_hidden: int = 32
-    encoder_hidden: tuple = (64,)
+    encoder_hidden: tuple = (48,)
     n_classes: int = 4
     obs_dim: int = 144
     architecture: str = "proposed"  # proposed | catnet | mhnet | sum_agg
@@ -98,6 +99,17 @@ class TrainingConfig:
             raise ValueError("batch_size must be positive")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        for name in ("n_branches", "latent_dim", "cloud_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if any(width < 1 for width in self.encoder_hidden):
+            raise ValueError("encoder_hidden widths must be at least 1")
+        if self.baseline_hidden is not None and self.baseline_hidden < 1:
+            raise ValueError("baseline_hidden must be at least 1")
+        if self.eta < 0:
+            raise ValueError("eta must be nonnegative")
+        if self.val_cadence < 0:
+            raise ValueError("val_cadence must be nonnegative")
         for name, pair in (("snr_up_db", self.snr_up_db), ("snr_dn_db", self.snr_dn_db)):
             lo, hi = pair
             if hi < lo:
@@ -156,14 +168,6 @@ class RoundRecord:
 
 
 @dataclass
-class FronthaulCounter:
-    """Tallies every real value carried over the edge-cloud boundary."""
-
-    uplink_values: int = 0
-    downlink_values: int = 0
-
-
-@dataclass
 class TrainingState:
     config: TrainingConfig
     dataset: data.SyntheticDataset
@@ -172,7 +176,6 @@ class TrainingState:
     schedule: list[Array]
     edge_optimizers: list  # one per node, or one for a shared encoder
     cloud_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
-    counter: FronthaulCounter = field(default_factory=FronthaulCounter)
     round_index: int = 0
 
 
@@ -222,14 +225,16 @@ class RoundEnv:
 
     Tensors cover all (sample, node) pairs whether or not a pair is
     active, so toggling coordination modes never shifts another stream.
+    The link tensors are drawn sample-first, (B, N, blocks), and held
+    node-first as transposed views.
     """
 
     batch_indices: Array
     labels: Array
     observations: Array  # (N, B, A)
-    h: Array  # (B, N, blocks) complex fading
-    up_noise: Array  # (B, N, blocks) complex, already scaled
-    dn_noise: Array  # (B, N, blocks) complex, already scaled
+    h: Array  # (N, B, blocks) complex fading
+    up_noise: Array  # (N, B, blocks) complex, already scaled
+    dn_noise: Array  # (N, B, blocks) complex, already scaled
     snr_up_db: Array  # (B,)
     snr_dn_db: Array  # (B,)
     active: Array  # (B, N) bool
@@ -264,12 +269,10 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
     ch = channel.sample_channel(stream(seed, _DOM_CHANNEL, k), blocks,
                                 pathloss=pathloss, shape=(b, n))
 
-    up_rng = stream(seed, _DOM_UP_NOISE, k)
-    up_noise = np.sqrt(sigma_c2[:, None, None] / 2.0) * (
-        up_rng.standard_normal((b, n, blocks)) + 1j * up_rng.standard_normal((b, n, blocks)))
-    dn_rng = stream(seed, _DOM_DN_NOISE, k)
-    dn_noise = np.sqrt(sigma_e2[:, None, None] / 2.0) * (
-        dn_rng.standard_normal((b, n, blocks)) + 1j * dn_rng.standard_normal((b, n, blocks)))
+    up_noise = channel.complex_noise(stream(seed, _DOM_UP_NOISE, k), (b, n, blocks),
+                                     sigma_c2[:, None, None])
+    dn_noise = channel.complex_noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
+                                     sigma_e2[:, None, None])
 
     if cfg.async_coordination:
         active, redraws = sample_active_sets(
@@ -284,8 +287,9 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
 
     return RoundEnv(batch_indices=np.asarray(batch_indices),
                     labels=dataset.train_labels[batch_indices],
-                    observations=observations, h=ch.h,
-                    up_noise=up_noise, dn_noise=dn_noise,
+                    observations=observations, h=ch.h.transpose(1, 0, 2),
+                    up_noise=up_noise.transpose(1, 0, 2),
+                    dn_noise=dn_noise.transpose(1, 0, 2),
                     snr_up_db=snr_up, snr_dn_db=snr_dn,
                     active=active, redraws=redraws)
 
@@ -364,6 +368,31 @@ def _norm(params_list) -> float:
     return math.sqrt(total)
 
 
+def _encode_and_uplink(nodes: list[edge.EdgeNode], observations: Array, h: Array,
+                       noise: Array, pathloss: bool, caches: list | None = None,
+                       before_uplink=None) -> Array:
+    """Encode every node's rows, then carry all messages over the uplink at once.
+
+    ``observations`` is (N, B, A); ``h`` and the scaled ``noise`` are
+    node-first, (N, B, blocks). A channel-aware node reads its own |h| as
+    side input. The nodes' forward caches are appended to ``caches`` when
+    it is given; evaluation and inference pass none, so they never hold N
+    caches at once. ``before_uplink`` runs between the two steps. Returns
+    the received rows (N, B, S).
+    """
+    messages = []
+    for node, obs, h_node in zip(nodes, observations, h, strict=True):
+        cqi = edge.cqi_side_input(np.abs(h_node), pathloss) if node.cqie else None
+        s, cache = edge.encode(node, obs, cqi)
+        messages.append(s)
+        if caches is not None:
+            caches.append(cache)
+    if before_uplink is not None:
+        before_uplink()
+    return channel.uplink_transmit(channel.pack(np.stack(messages)),
+                                   channel.ChannelRealization(h=h), noise=noise)
+
+
 def run_training_round(state: TrainingState, round_index: int,
                        phase_hook=None) -> RoundRecord:
     """Execute one five-phase round and commit the staged updates."""
@@ -373,33 +402,16 @@ def run_training_round(state: TrainingState, round_index: int,
     batch = state.schedule[round_index - 1]
     env = draw_round_env(cfg, state.dataset, batch, round_index)
     b = len(batch)
-    n = cfg.n_train
 
     def hook(phase):
         if phase_hook is not None:
             phase_hook(phase, round_index)
 
     hook("edge-forward")
-    caches = []
-    messages_up = []
-    for i, node in enumerate(state.nodes):
-        cqi = None
-        if node.cqie:
-            cqi = edge.cqi_side_input(np.abs(env.h[:, i, :]), cfg.pathloss)
-        s, cache = edge.encode(node, env.observations[i], cqi)
-        messages_up.append(s)
-        caches.append(cache)
-
-    hook("uplink")
-    sigma_c2 = channel.snr_to_noise_var(env.snr_up_db)[:, None]
-    received = []
-    for i in range(n):
-        ch = channel.ChannelRealization(h=env.h[:, i, :], sigma_c2=sigma_c2)
-        y = channel.uplink_transmit(channel.pack(messages_up[i]), ch,
-                                    noise=env.up_noise[:, i, :])
-        received.append(y)
-    uplink_count = n * b * cfg.message_dim
-    state.counter.uplink_values += uplink_count
+    caches: list[nn.ForwardCache] = []
+    received = _encode_and_uplink(state.nodes, env.observations, env.h, env.up_noise,
+                                  cfg.pathloss, caches, before_uplink=lambda: hook("uplink"))
+    uplink_count = received.size
 
     hook("cloud-backprop")
     logits, cloud_cache = state.cloud_model.infer(received, env.active)
@@ -409,10 +421,9 @@ def run_training_round(state: TrainingState, round_index: int,
 
     hook("downlink")
     # rows for inactive pairs come out of the backward pass as exact zeros
-    # and are never transmitted; the counter only sees active pairs
-    gradient_rows = _downlink_phase(state, env, dn_messages)
+    # and are never transmitted, so only active pairs count
+    gradient_rows = _downlink_phase(cfg, env, dn_messages)
     downlink_count = int(env.active.sum()) * cfg.message_dim
-    state.counter.downlink_values += downlink_count
 
     hook("edge-backprop")
     _edge_backprop_phase(state, env, caches, gradient_rows)
@@ -438,34 +449,21 @@ def run_training_round(state: TrainingState, round_index: int,
     )
 
 
-def _downlink_phase(state: TrainingState, env: RoundEnv,
-                    dn_messages: list[Array]) -> list[Array]:
-    """Deliver per-node gradient rows; returns (B, S) arrays per node."""
-    cfg = state.config
-    rows = []
-    if cfg.downlink == "exact":
+def _downlink_phase(config: TrainingConfig, env: RoundEnv, dn_messages: Array) -> Array:
+    """Deliver the node-first gradient messages (N, B, S); returns the decoded rows."""
+    if config.downlink == "exact":
         # reliable links with channel knowledge at the cloud: d = H m
-        for i in range(cfg.n_train):
-            rows.append(_extend_magnitude(env.h[:, i, :]) * dn_messages[i])
-        return rows
-    packed = [channel.pack(m) for m in dn_messages]
-    if cfg.power_mode == nn.SUM:
-        alpha_shared = channel.compute_alpha(packed, cfg.p_c, "sum")
-    sigma_e2 = np.zeros(len(env.snr_dn_db)) if cfg.noiseless_downlink \
-        else channel.snr_to_noise_var(env.snr_dn_db)
-    for i in range(cfg.n_train):
-        alpha = alpha_shared if cfg.power_mode == nn.SUM \
-            else channel.compute_alpha(packed, cfg.p_c, "per-rb", i)
-        ch = channel.ChannelRealization(h=env.h[:, i, :], sigma_e2=sigma_e2[:, None])
-        y_tilde = channel.downlink_transmit(packed[i], ch, alpha,
-                                            noise=env.dn_noise[:, i, :])
-        rows.append(channel.downlink_decode(y_tilde, np.angle(env.h[:, i, :]), alpha))
-    return rows
+        return _extend_magnitude(env.h) * dn_messages
+    packed = channel.pack(dn_messages)
+    alpha = channel.compute_alpha(packed, config.p_c, config.power_mode)
+    y_tilde = channel.downlink_transmit(packed, channel.ChannelRealization(h=env.h), alpha,
+                                        noise=env.dn_noise)
+    return channel.downlink_decode(y_tilde, np.angle(env.h), alpha)
 
 
 def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
                          caches: list[nn.ForwardCache],
-                         gradient_rows: list[Array]) -> None:
+                         gradient_rows: Array) -> None:
     """One local step per node on its delivered gradient rows.
 
     A node sums the gradient over the rows of its active samples and
@@ -499,37 +497,32 @@ def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
         node.encoder.set_params(shared.params)
 
 
-def run_inference(nodes: list[edge.EdgeNode], model, channels, observations,
-                  rng: np.random.Generator | None = None,
+def run_inference(nodes: list[edge.EdgeNode], model, ch: channel.ChannelRealization,
+                  observations: Array, rng: np.random.Generator,
                   pathloss: bool = False) -> Array:
-    """One cooperative inference pass: encode, transmit uplink, pool at the cloud."""
-    received = []
-    for node, ch, obs in zip(nodes, channels, observations):
-        cqi = edge.cqi_side_input(ch.magnitude, pathloss) if node.cqie else None
-        s, _ = edge.encode(node, obs, cqi)
-        y = channel.uplink_transmit(channel.pack(s), ch, rng)
-        received.append(y)
-    logits, _ = model.infer(received)
+    """One cooperative inference pass: encode, transmit uplink, pool at the cloud.
+
+    ``ch.h`` is node-first, (N, B, blocks), and ``observations`` is
+    (N, B, A). The uplink noise of variance ``ch.sigma_c2`` (a scalar, or
+    one value per sample as (B, 1)) is drawn from ``rng`` node by node.
+    """
+    noise = np.stack([channel.complex_noise(rng, h.shape, ch.sigma_c2) for h in ch.h])
+    logits, _ = model.infer(_encode_and_uplink(nodes, observations, ch.h, noise, pathloss))
     return logits
-
-
-def _clone_encoder(node: edge.EdgeNode) -> nn.LayerStack:
-    clone = nn.LayerStack(node.encoder.layers, node.encoder.seed)
-    clone.set_params(node.encoder.params)
-    return clone
 
 
 def evaluation_nodes(state: TrainingState, n_test: int) -> list[edge.EdgeNode]:
     """Node population for evaluation.
 
-    With encoder sharing a single trained encoder is replicated to any
+    With encoder sharing the trained shared encoder itself serves any
     requested population; without it the first n_test trained nodes
     serve, which caps n_test at the training population.
     """
     cfg = state.config
     if cfg.encoder_sharing:
-        return [edge.EdgeNode(i, _clone_encoder(state.nodes[0]), cfg.power_mode,
-                              cfg.p_e, cfg.cqie) for i in range(n_test)]
+        shared = state.nodes[0].encoder
+        return [edge.EdgeNode(i, shared, cfg.power_mode, cfg.p_e, cfg.cqie)
+                for i in range(n_test)]
     if n_test > cfg.n_train:
         raise ValueError(f"{n_test} nodes requested but only {cfg.n_train} trained "
                          "encoders exist (enable encoder sharing to scale up)")
@@ -537,7 +530,7 @@ def evaluation_nodes(state: TrainingState, n_test: int) -> list[edge.EdgeNode]:
 
 
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
-             snr_db: float | None = None, chunk: int = 512) -> tuple[float, float]:
+             snr_db: float | None = None) -> tuple[float, float]:
     """Accuracy and mean loss on a split under fixed evaluation channels.
 
     ``snr_db`` of None evaluates over noiseless links (fading still
@@ -555,29 +548,21 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
 
     correct = 0
     loss_total = 0.0
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
+    for start in range(0, n_samples, _EVAL_CHUNK):
+        stop = min(start + _EVAL_CHUNK, n_samples)
         nb = stop - start
         if cfg.pathloss:
             d = rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test))
             pathloss = (d, cfg.pathloss_alpha)
         else:
             pathloss = None
-        ch_all = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
-        noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal((nb, n_test, blocks))
-                                         + 1j * rng.standard_normal((nb, n_test, blocks)))
+        ch = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
+        noise = channel.complex_noise(rng, (nb, n_test, blocks), sigma2)
         offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
                                size=(nb, n_test, 2))
         observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        received = []
-        for i, node in enumerate(nodes):
-            cqi = None
-            if node.cqie:
-                cqi = edge.cqi_side_input(np.abs(ch_all.h[:, i, :]), cfg.pathloss)
-            s, _ = edge.encode(node, observations[i], cqi)
-            ch = channel.ChannelRealization(h=ch_all.h[:, i, :])
-            received.append(channel.uplink_transmit(channel.pack(s), ch,
-                                                    noise=noise[:, i, :]))
+        received = _encode_and_uplink(nodes, observations, ch.h.transpose(1, 0, 2),
+                                      noise.transpose(1, 0, 2), cfg.pathloss)
         logits, _ = state.cloud_model.infer(received)
         losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
         loss_total += float(np.sum(losses))
@@ -650,11 +635,11 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     for i, node in enumerate(state.nodes):
         cqi = None
         if node.cqie:
-            cqi = edge.cqi_side_input(np.abs(env.h[:, i, :]), cfg.pathloss)
+            cqi = edge.cqi_side_input(np.abs(env.h[i]), cfg.pathloss)
         s, cache = edge.encode(node, env.observations[i], cqi)
         caches.append(cache)
-        gain = _extend_magnitude(env.h[:, i, :])
-        received.append(gain * s + channel.unpack(env.up_noise[:, i, :]))
+        gain = _extend_magnitude(env.h[i])
+        received.append(gain * s + channel.unpack(env.up_noise[i]))
 
     logits, cloud_cache = state.cloud_model.infer(received, env.active)
     _, grad_logits = nn.softmax_cross_entropy(logits, env.labels)
@@ -663,7 +648,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     # per-node encoder gradients through the fixed channel map: d = H m
     encoder_grads = []
     for i, node in enumerate(state.nodes):
-        d_rows = _extend_magnitude(env.h[:, i, :]) * messages[i]
+        d_rows = _extend_magnitude(env.h[i]) * messages[i]
         encoder_grads.append(edge.batch_gradient(node, caches[i], d_rows))
 
     # single joint commit

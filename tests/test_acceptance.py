@@ -63,9 +63,12 @@ class SideInputSpy:
 
     Wraps ``edge.encode`` and ``channel.uplink_transmit`` as the protocol
     calls them. Every message encoded with a side input is queued; the next
-    uplink call must carry exactly that message, and the queued side input
-    must equal ``edge.cqi_side_input(|h|, pathloss)`` of the realization it
-    travels over. ``path`` names the caller being checked.
+    uplink call carries the whole encode pass, node-first. Each of its node
+    rows counts as one check, which matches when the call carries exactly
+    as many nodes as were queued, row i is exactly the i-th queued message,
+    and that message's side input equals ``edge.cqi_side_input(|h_i|,
+    pathloss)`` of the realization row i travels over, sample for sample.
+    ``path`` names the caller being checked.
     """
 
     def __init__(self, monkeypatch, pathloss):
@@ -84,11 +87,13 @@ class SideInputSpy:
 
         def spy_uplink(s_tilde, ch, *args, **kwargs):
             if self.pending:
-                cqi, packed = self.pending.pop(0)
-                want = edge.cqi_side_input(np.abs(ch.h), self.pathloss)
-                same = np.array_equal(packed, s_tilde) and np.array_equal(cqi, want)
-                self.checked[self.path] += 1
-                self.matched[self.path] += same
+                queued, self.pending = self.pending, []
+                self.checked[self.path] += len(s_tilde)
+                if len(queued) == len(s_tilde):
+                    for (cqi, packed), row, h in zip(queued, s_tilde, ch.h):
+                        want = edge.cqi_side_input(np.abs(h), self.pathloss)
+                        self.matched[self.path] += (np.array_equal(packed, row)
+                                                    and np.array_equal(cqi, want))
             return uplink(s_tilde, ch, *args, **kwargs)
 
         monkeypatch.setattr(edge, "encode", spy_encode)
@@ -104,11 +109,10 @@ def run_inference_on_test_crops(state, seed, n_test, samples=64):
                                shape=(samples, n_test)).h
     offsets = rng.integers(0, ds.grid - ds.window + 1, size=(samples, n_test, 2))
     observations = data.crop_batch(ds.split("test")[0][:samples], offsets, ds.window)
-    sigma_c2 = float(channel.snr_to_noise_var(20.0))
-    channels = [channel.ChannelRealization(h=h[:, i, :], sigma_c2=sigma_c2)
-                for i in range(n_test)]
+    ch = channel.ChannelRealization(h=h.transpose(1, 0, 2),
+                                    sigma_c2=float(channel.snr_to_noise_var(20.0)))
     return protocol.run_inference(protocol.evaluation_nodes(state, n_test),
-                                  state.cloud_model, channels, observations,
+                                  state.cloud_model, ch, observations,
                                   rng=rng, pathloss=cfg.pathloss)
 
 
@@ -164,7 +168,7 @@ class TestCriterion4WirelessUnbiasedness:
         ch = channel.sample_channel(rng, blocks, sigma_e2=0.1, shape=(batch,))
         messages = rng.normal(size=(batch, s_dim)) * 0.5
         packed = channel.pack(messages)
-        alpha = channel.compute_alpha([packed], 1.0, "per-rb")
+        alpha = channel.compute_alpha(packed, 1.0, "per-rb")
         gain = np.concatenate([np.abs(ch.h), np.abs(ch.h)], axis=-1)
         noiseless = edge.batch_gradient(node, cache, gain * messages)
 
@@ -257,7 +261,7 @@ class TestCriterion6PowerFeasibility:
                     worst = max(worst, float(np.sum(s * s, axis=1).max()) - 1.0)
         messages = rng.normal(size=(50_000, 8))
         packed = channel.pack(messages)
-        alpha = channel.compute_alpha([packed], 1.0, "per-rb")
+        alpha = channel.compute_alpha(packed, 1.0, "per-rb")
         scaled_peak = np.max(np.abs(alpha[:, None] * packed) ** 2, axis=1)
         worst = max(worst, float(scaled_peak.max()) - 1.0)
         group = [channel.pack(rng.normal(size=(50_000, 8))) for _ in range(3)]
@@ -294,7 +298,7 @@ class TestCriterion7Scalability:
 
         rng = np.random.default_rng(9)
         model = cloud.build_cloud_model(3, 8, 6, 4, 10, seed=4)
-        received = [rng.normal(size=8) for _ in range(5)]
+        received = [rng.normal(size=(1, 8)) for _ in range(5)]
         base, _ = cloud.cloud_infer(model, received)
         perm_dev = 0.0
         for _ in range(10):
@@ -304,7 +308,7 @@ class TestCriterion7Scalability:
 
         catnet = cloud.build_baseline(cloud.CATNET, 8, 4, 3, seed=5, hidden=6)
         try:
-            cloud.baseline_infer(catnet, [rng.normal(size=8) for _ in range(4)])
+            cloud.baseline_infer(catnet, [rng.normal(size=(1, 8)) for _ in range(4)])
             rejects = False
         except ValueError:
             rejects = True
@@ -434,7 +438,7 @@ class TestCriterion8Trends:
         bar = -2.0 * se
         ok = delivered and mean_gap >= bar
         report("8e channel-quality-input", ok,
-               f"side input on its own uplink channel in {checks} calls; "
+               f"side input on its own uplink channel in {checks} node checks; "
                f"accuracy with side input "
                f"{np.mean(with_cqi):.3f} vs without {np.mean(without):.3f}: "
                f"paired gap {mean_gap:+.1f} +- {se:.1f} points, bar {bar:+.1f}")

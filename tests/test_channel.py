@@ -145,6 +145,24 @@ class TestAlpha:
         with pytest.raises(ValueError):
             channel.compute_alpha([np.ones(2, complex)], 0.0, "per-rb")
 
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 7, 16])
+    def test_node_first_equals_per_node_loop(self, nodes):
+        """On node-first messages (N, B, blocks) per-RB mode gives each node's
+        own factor and sum mode adds the nodes' energies in node order, bit
+        for bit as a loop over the nodes does."""
+        rng = np.random.default_rng(nodes)
+        m = channel.pack(rng.normal(size=(nodes, 32, 16)) * rng.uniform(0.1, 10, (nodes, 32, 1)))
+        per_rb = channel.compute_alpha(m, 1.0, "per-rb")
+        assert per_rb.shape == (nodes, 32)
+        for i in range(nodes):
+            peak = np.max(np.abs(m[i]) ** 2, axis=-1)
+            assert np.array_equal(per_rb[i], np.sqrt(1.0 / np.maximum(peak, 1e-12)))
+        total = 0.0
+        for i in range(nodes):
+            total = total + np.sum(np.abs(m[i]) ** 2, axis=-1)
+        want = np.sqrt(1.0 / np.maximum(total, 1e-12))
+        assert np.array_equal(channel.compute_alpha(m, 1.0, "sum"), want)
+
 
 class TestDownlink:
     def test_conjugate_product(self):
@@ -216,9 +234,10 @@ class TestDownlink:
             msgs = [channel.pack(rng.normal(size=8) * rng.uniform(0.1, 10))
                     for _ in range(3)]
             if mode == "per-rb":
+                alpha = channel.compute_alpha(msgs, 1.0, "per-rb")
+                assert alpha.shape == (3,)
                 for i in range(3):
-                    alpha = channel.compute_alpha(msgs, 1.0, "per-rb", i)
-                    assert np.max(np.abs(alpha * msgs[i]) ** 2) <= 1.0 + 1e-12
+                    assert np.max(np.abs(alpha[i] * msgs[i]) ** 2) <= 1.0 + 1e-12
             else:
                 alpha = channel.compute_alpha(msgs, 1.0, "sum")
                 total = sum(np.sum(np.abs(alpha * m) ** 2) for m in msgs)

@@ -38,12 +38,13 @@ def by_branch(stacked):
 
 
 def straight_line_eval(model, received):
-    """Independent re-evaluation of the pooled multi-branch composition."""
+    """Independent re-evaluation of the pooled multi-branch composition for
+    one sample, each node's signal given as a (1, S) row."""
     logits = np.zeros(model.output_dim)
     for z_stack, u_stack in branch_stacks(model):
         pooled = np.zeros(z_stack.out_dim)
         for y in received:
-            h = y
+            h = y[0]
             for idx, layer in enumerate(z_stack.layers):
                 if isinstance(layer, nn.Dense):
                     h = z_stack.params[f"dense{idx}.w"] @ h + z_stack.params[f"dense{idx}.b"]
@@ -64,7 +65,7 @@ class TestCloudInfer:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         model = small_model()
-        received = [rng.normal(size=6) for _ in range(4)]
+        received = [rng.normal(size=(1, 6)) for _ in range(4)]
         base, _ = cloud.cloud_infer(model, received)
         for perm in itertools.permutations(range(4)):
             out, _ = cloud.cloud_infer(model, [received[i] for i in perm])
@@ -72,7 +73,7 @@ class TestCloudInfer:
 
     def test_single_branch_single_node_composition(self):
         model = small_model(m=1)
-        y = np.random.default_rng(1).normal(size=6)
+        y = np.random.default_rng(1).normal(size=(1, 6))
         out, _ = cloud.cloud_infer(model, [y])
         z_stack, u_stack = branch_stacks(model)[0]
         latent, _ = nn.forward(z_stack, y)
@@ -83,16 +84,18 @@ class TestCloudInfer:
     def test_matches_straight_line_evaluation(self, n_nodes):
         rng = np.random.default_rng(2)
         model = small_model(m=3, seed=int(rng.integers(1000)))
-        received = [rng.normal(size=6) for _ in range(n_nodes)]
+        received = [rng.normal(size=(1, 6)) for _ in range(n_nodes)]
         out, _ = cloud.cloud_infer(model, received)
-        assert np.max(np.abs(out - straight_line_eval(model, received))) < 1e-12
+        assert np.max(np.abs(out[0] - straight_line_eval(model, received))) < 1e-12
 
     def test_empty_and_mismatched_inputs_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="no received"):
             cloud.cloud_infer(model, [])
         with pytest.raises(ValueError, match="length"):
-            cloud.cloud_infer(model, [np.zeros(5)])
+            cloud.cloud_infer(model, [np.zeros((1, 5))])
+        with pytest.raises(ValueError, match="nodes, batch, length"):
+            cloud.cloud_infer(model, [np.zeros(6)])
         with pytest.raises(ValueError, match="0 or 1"):
             cloud.cloud_infer(model, [np.zeros((2, 6))], np.full((2, 1), 0.5))
 
@@ -102,9 +105,9 @@ class TestCloudInfer:
         before = {k: p.copy() for k, p in model.params.items()}
         rng = np.random.default_rng(3)
         for n_nodes in range(1, 13):
-            out, _ = cloud.cloud_infer(model, [rng.normal(size=6)
+            out, _ = cloud.cloud_infer(model, [rng.normal(size=(1, 6))
                                                for _ in range(n_nodes)])
-            assert out.shape == (3,)
+            assert out.shape == (1, 3)
         assert model.version == 0
         for k in before:
             assert np.array_equal(before[k], model.params[k])
@@ -114,24 +117,24 @@ class TestCloudBackward:
     def test_zero_upstream_all_zero(self):
         model = small_model()
         rng = np.random.default_rng(4)
-        received = [rng.normal(size=6) for _ in range(3)]
+        received = [rng.normal(size=(1, 6)) for _ in range(3)]
         _, cache = cloud.cloud_infer(model, received)
-        grads, messages = cloud.cloud_backward(model, cache, np.zeros(3))
+        grads, messages = cloud.cloud_backward(model, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.values())
         assert all(np.all(m == 0) for m in messages)
 
     def test_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         model = small_model(m=2)
-        received = [rng.normal(size=6) for _ in range(2)]
+        received = [rng.normal(size=(1, 6)) for _ in range(2)]
         label = 1
         logits, cache = cloud.cloud_infer(model, received)
-        _, gx = nn.softmax_cross_entropy(logits, label)
-        grads, _ = cloud.cloud_backward(model, cache, gx)
+        _, gx = nn.softmax_cross_entropy(logits[0], label)
+        grads, _ = cloud.cloud_backward(model, cache, gx[None, :])
 
         def loss():
             lg, _ = cloud.cloud_infer(model, received)
-            return nn.softmax_cross_entropy(lg, label)[0]
+            return nn.softmax_cross_entropy(lg[0], label)[0]
 
         step = 1e-5
         assert set(grads) == set(model.params)
@@ -152,22 +155,26 @@ class TestCloudBackward:
     def test_messages_match_finite_differences(self):
         rng = np.random.default_rng(6)
         model = small_model(m=2)
-        received = [rng.normal(size=6) for _ in range(3)]
+        received = [rng.normal(size=(1, 6)) for _ in range(3)]
         logits, cache = cloud.cloud_infer(model, received)
-        _, gx = nn.softmax_cross_entropy(logits, 0)
-        _, messages = cloud.cloud_backward(model, cache, gx)
+        _, gx = nn.softmax_cross_entropy(logits[0], 0)
+        _, messages = cloud.cloud_backward(model, cache, gx[None, :])
         step = 1e-5
+
+        def loss():
+            return nn.softmax_cross_entropy(cloud.cloud_infer(model, received)[0][0], 0)[0]
+
         for i in range(3):
             for j in range(6):
-                old = received[i][j]
-                received[i][j] = old + step
-                hi = nn.softmax_cross_entropy(cloud.cloud_infer(model, received)[0], 0)[0]
-                received[i][j] = old - step
-                lo = nn.softmax_cross_entropy(cloud.cloud_infer(model, received)[0], 0)[0]
-                received[i][j] = old
+                old = received[i][0, j]
+                received[i][0, j] = old + step
+                hi = loss()
+                received[i][0, j] = old - step
+                lo = loss()
+                received[i][0, j] = old
                 fd = (hi - lo) / (2 * step)
-                denom = max(1.0, abs(fd), abs(messages[i][j]))
-                assert abs(fd - messages[i][j]) / denom < 1e-5
+                denom = max(1.0, abs(fd), abs(messages[i][0, j]))
+                assert abs(fd - messages[i][0, j]) / denom < 1e-5
 
     def test_all_active_mask_equals_no_mask_exactly(self):
         """With everyone active the masked accumulation is the synchronous one."""
@@ -248,19 +255,18 @@ def assert_fused_matches_reference(model, received, active, grad_logits):
     logits, cache = cloud.cloud_infer(model, received, active)
     grads, messages = cloud.cloud_backward(model, cache, grad_logits)
     assert logits.shape == np.shape(grad_logits)
-    assert [m.shape for m in messages] == [np.shape(y) for y in received]
-    rows = [np.atleast_2d(y) for y in received]
-    mask = np.ones((rows[0].shape[0], len(rows))) if active is None else active
+    assert messages.shape == np.shape(received)
+    mask = np.ones((received[0].shape[0], len(received))) if active is None else active
     want_logits, want_z, want_u, want_messages = per_branch_node_reference(
-        model, rows, mask, np.atleast_2d(grad_logits))
-    assert_matches(logits, want_logits.reshape(logits.shape))
+        model, received, mask, grad_logits)
+    assert_matches(logits, want_logits)
     got = by_branch(grads)
     for m in range(model.n_branches):
         for name in want_z[m]:
             assert_matches(got[f"z{m}.{name}"], want_z[m][name])
             assert_matches(got[f"u{m}.{name}"], want_u[m][name])
     for got, want in zip(messages, want_messages):
-        assert_matches(got, want.reshape(got.shape))
+        assert_matches(got, want)
 
 
 class TestFusedCloud:
@@ -283,8 +289,8 @@ class TestFusedCloud:
         rng = np.random.default_rng(101)
         model = small_model(m=4)
         random_biases(model, rng)
-        assert_fused_matches_reference(model, [rng.normal(size=6) for _ in range(3)],
-                                       None, rng.normal(size=3))
+        assert_fused_matches_reference(model, [rng.normal(size=(1, 6)) for _ in range(3)],
+                                       None, rng.normal(size=(1, 3)))
 
     @pytest.mark.parametrize("which", range(6))
     def test_stale_cache_rejected(self, which):
@@ -305,7 +311,7 @@ class TestFusedCloud:
         received = [rng.normal(size=(5, 6)) for _ in range(4)]
         _, cache = cloud.cloud_infer(model, received, rng.random((5, 4)) < 0.5)
         grads, messages = cloud.cloud_backward(model, cache, rng.normal(size=(5, 3)))
-        arrays = list(grads.values()) + messages
+        arrays = list(grads.values()) + list(messages)
         assert len(arrays) == 8 + 4
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
@@ -432,7 +438,7 @@ class TestBaselines:
     def test_sum_aggregation_is_plain_sum(self):
         model = cloud.build_baseline(cloud.SUM_AGG, 3, 3, 4, seed=0)
         rng = np.random.default_rng(11)
-        received = [rng.normal(size=3) for _ in range(4)]
+        received = [rng.normal(size=(1, 3)) for _ in range(4)]
         out, _ = cloud.baseline_infer(model, received)
         assert np.allclose(out, sum(received), atol=1e-15)
 
@@ -442,7 +448,7 @@ class TestBaselines:
 
     def test_single_head_single_node_is_plain_stack(self):
         model = cloud.build_baseline(cloud.MHNET, 6, 3, 1, seed=1, hidden=5)
-        y = np.random.default_rng(12).normal(size=6)
+        y = np.random.default_rng(12).normal(size=(1, 6))
         out, _ = cloud.baseline_infer(model, [y])
         want, _ = nn.forward(model.stacks[0], y)
         assert np.allclose(out, want, atol=1e-15)
@@ -450,24 +456,24 @@ class TestBaselines:
     def test_catnet_matches_forward_on_concatenation(self):
         model = cloud.build_baseline(cloud.CATNET, 4, 3, 3, seed=2, hidden=6)
         rng = np.random.default_rng(13)
-        received = [rng.normal(size=4) for _ in range(3)]
+        received = [rng.normal(size=(1, 4)) for _ in range(3)]
         out, _ = cloud.baseline_infer(model, received)
-        want, _ = nn.forward(model.stacks[0], np.concatenate(received))
+        want, _ = nn.forward(model.stacks[0], np.concatenate(received, axis=1))
         assert np.allclose(out, want, atol=1e-15)
 
     def test_catnet_rejects_mismatched_population(self):
         model = cloud.build_baseline(cloud.CATNET, 4, 3, 3, seed=2, hidden=6)
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="built for 3"):
-            cloud.baseline_infer(model, [rng.normal(size=4) for _ in range(2)])
+            cloud.baseline_infer(model, [rng.normal(size=(1, 4)) for _ in range(2)])
         with pytest.raises(ValueError, match="built for 3"):
-            cloud.baseline_infer(model, [rng.normal(size=4) for _ in range(4)])
+            cloud.baseline_infer(model, [rng.normal(size=(1, 4)) for _ in range(4)])
 
     def test_mhnet_not_permutation_invariant(self):
         """Heads are node-indexed, so swapping inputs changes the output."""
         model = cloud.build_baseline(cloud.MHNET, 6, 3, 2, seed=3, hidden=5)
         rng = np.random.default_rng(15)
-        received = [rng.normal(size=6) for _ in range(2)]
+        received = [rng.normal(size=(1, 6)) for _ in range(2)]
         a, _ = cloud.baseline_infer(model, received)
         b, _ = cloud.baseline_infer(model, received[::-1])
         assert np.max(np.abs(a - b)) > 1e-6
@@ -482,14 +488,14 @@ class TestBaselines:
         rng = np.random.default_rng(16)
         for kind in (cloud.CATNET, cloud.MHNET):
             model = cloud.build_baseline(kind, 4, 3, 2, seed=5, hidden=4)
-            received = [rng.normal(size=4) for _ in range(2)]
+            received = [rng.normal(size=(1, 4)) for _ in range(2)]
             logits, cache = cloud.baseline_infer(model, received)
-            _, gx = nn.softmax_cross_entropy(logits, 1)
-            grads, messages = cloud.baseline_backward(model, cache, gx)
+            _, gx = nn.softmax_cross_entropy(logits[0], 1)
+            grads, messages = cloud.baseline_backward(model, cache, gx[None, :])
 
             def loss():
                 lg, _ = cloud.baseline_infer(model, received)
-                return nn.softmax_cross_entropy(lg, 1)[0]
+                return nn.softmax_cross_entropy(lg[0], 1)[0]
 
             step = 1e-5
             assert set(grads) == set(model.params)
@@ -507,21 +513,21 @@ class TestBaselines:
                     assert abs(fd - gflat[idx]) / max(1, abs(fd)) < 1e-5
             for i in range(2):
                 for j in range(4):
-                    old = received[i][j]
-                    received[i][j] = old + step
+                    old = received[i][0, j]
+                    received[i][0, j] = old + step
                     hi = loss()
-                    received[i][j] = old - step
+                    received[i][0, j] = old - step
                     lo = loss()
-                    received[i][j] = old
+                    received[i][0, j] = old
                     fd = (hi - lo) / (2 * step)
-                    assert abs(fd - messages[i][j]) / max(1, abs(fd)) < 1e-5
+                    assert abs(fd - messages[i][0, j]) / max(1, abs(fd)) < 1e-5
 
     def test_sum_agg_messages_are_loss_gradient(self):
         model = cloud.build_baseline(cloud.SUM_AGG, 3, 3, 2, seed=0)
         rng = np.random.default_rng(17)
-        received = [rng.normal(size=3) for _ in range(2)]
+        received = [rng.normal(size=(1, 3)) for _ in range(2)]
         logits, cache = cloud.baseline_infer(model, received)
-        _, gx = nn.softmax_cross_entropy(logits, 2)
+        _, gx = nn.softmax_cross_entropy(logits, [2])
         grads, messages = cloud.baseline_backward(model, cache, gx)
         assert grads == {} and model.params == {}
         for m in messages:

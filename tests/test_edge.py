@@ -44,10 +44,10 @@ class TestEncode:
         zeroed = {k: np.zeros_like(v) for k, v in node.encoder.params.items()}
         node.encoder.set_params(zeroed)
         rng = np.random.default_rng(0)
-        s1, _ = edge.encode(node, rng.normal(size=6))
-        s2, _ = edge.encode(node, rng.normal(size=6))
+        s1, _ = edge.encode(node, rng.normal(size=(1, 6)))
+        s2, _ = edge.encode(node, rng.normal(size=(1, 6)))
         assert np.array_equal(s1, s2)
-        assert np.array_equal(s1, np.zeros(4))  # projection of the zero bias
+        assert np.array_equal(s1, np.zeros((1, 4)))  # projection of the zero bias
 
     @pytest.mark.parametrize("mode", [nn.PER_RB, nn.SUM])
     def test_power_constraint_always_holds(self, mode):
@@ -63,7 +63,7 @@ class TestEncode:
 
     def test_deterministic(self):
         node = make_node()
-        a = np.random.default_rng(2).normal(size=6)
+        a = np.random.default_rng(2).normal(size=(1, 6))
         s1, _ = edge.encode(node, a)
         s2, _ = edge.encode(node, a)
         assert np.array_equal(s1, s2)
@@ -71,12 +71,12 @@ class TestEncode:
     def test_cqi_mode_mismatch_rejected(self):
         plain = make_node()
         with pytest.raises(ValueError, match="side input"):
-            edge.encode(plain, np.zeros(6), cqi=np.zeros(2))
+            edge.encode(plain, np.zeros((1, 6)), cqi=np.zeros((1, 2)))
         aware = make_node(cqie=True)
         with pytest.raises(ValueError, match="side input"):
-            edge.encode(aware, np.zeros(6))
-        s, _ = edge.encode(aware, np.zeros(6), cqi=np.ones(2))
-        assert s.shape == (4,)
+            edge.encode(aware, np.zeros((1, 6)))
+        s, _ = edge.encode(aware, np.zeros((1, 6)), cqi=np.ones((1, 2)))
+        assert s.shape == (1, 4)
 
     def test_cqi_side_input_transform(self):
         mag = np.array([1.0, 0.01])
@@ -103,8 +103,8 @@ class TestLocalUpdateExact:
         a = rng.normal(size=6)
         d = rng.normal(size=4)
         [new] = stepped([node], [a[None, :]], [d[None, :]], eta=0.1)
-        _, cache2 = nn.forward(node.encoder, a)
-        grads = nn.backward(node.encoder, cache2, d)
+        _, cache2 = nn.forward(node.encoder, a[None, :])
+        grads = nn.backward(node.encoder, cache2, d[None, :])
         want = nn.sgd_step(node.encoder.params, grads.param_grads, 0.1)
         for k in want:
             assert np.allclose(new[k], want[k], atol=1e-15)
@@ -117,8 +117,8 @@ class TestLocalUpdateExact:
         [new] = stepped([node], [a], [d], eta=0.2)
         total = {k: np.zeros_like(v) for k, v in node.encoder.params.items()}
         for b in range(2):
-            _, c1 = nn.forward(node.encoder, a[b])
-            g1 = nn.backward(node.encoder, c1, d[b]).param_grads
+            _, c1 = nn.forward(node.encoder, a[b:b + 1])
+            g1 = nn.backward(node.encoder, c1, d[b:b + 1]).param_grads
             for k in total:
                 total[k] += g1[k]
         for k in total:
@@ -141,16 +141,16 @@ class TestLocalUpdateWireless:
         rng = np.random.default_rng(6)
         batch, nodes = 3, 2
         env = SimpleNamespace(
-            h=(rng.normal(size=(batch, nodes, 2)) + 1j * rng.normal(size=(batch, nodes, 2))),
-            snr_dn_db=np.full(batch, 10.0), dn_noise=np.zeros((batch, nodes, 2), complex))
-        messages = [rng.normal(size=(batch, 4)) for _ in range(nodes)]
+            h=(rng.normal(size=(nodes, batch, 2)) + 1j * rng.normal(size=(nodes, batch, 2))),
+            dn_noise=np.zeros((nodes, batch, 2), complex))
+        messages = rng.normal(size=(nodes, batch, 4))
         rows = {}
         for mode in ("exact", "wireless"):
             cfg = protocol.TrainingConfig(n_train=nodes, message_dim=4, downlink=mode,
                                           noiseless_downlink=True)
-            rows[mode] = protocol._downlink_phase(SimpleNamespace(config=cfg), env, messages)
+            rows[mode] = protocol._downlink_phase(cfg, env, messages)
         for i in range(nodes):
-            mag = np.abs(env.h[:, i, :])
+            mag = np.abs(env.h[i])
             assert np.array_equal(rows["exact"][i], np.concatenate([mag, mag], 1) * messages[i])
             np.testing.assert_allclose(rows["wireless"][i], rows["exact"][i], rtol=1e-12)
         node = make_node()
@@ -216,8 +216,8 @@ class TestLocalUpdateAsync:
         y = rng.normal(size=(3, 4))
         mask = np.array([False, True, False])
         [got] = stepped([node], [a], [y], active=mask[:, None], eta=0.2)
-        _, c1 = nn.forward(node.encoder, a[1])
-        g1 = nn.backward(node.encoder, c1, y[1]).param_grads
+        _, c1 = nn.forward(node.encoder, a[1:2])
+        g1 = nn.backward(node.encoder, c1, y[1:2]).param_grads
         want = nn.sgd_step(node.encoder.params, g1, 0.2)  # divisor 1, not 3
         for k in want:
             assert np.allclose(got[k], want[k], atol=1e-14)

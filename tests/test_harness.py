@@ -61,6 +61,27 @@ class TestConfigParsing:
         with pytest.raises(config_mod.ConfigError):
             config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
 
+    @pytest.mark.parametrize("line, match", [
+        ("branches = 0", "n_branches"),
+        ("latent_dim = 0", "latent_dim"),
+        ("cloud_hidden = 0", "cloud_hidden"),
+        ("encoder_hidden = 48,0", "encoder_hidden"),
+        ("baseline_hidden = 0", "baseline_hidden"),
+        ("eta = -0.01", "eta"),
+        ("val_cadence = -1", "val_cadence"),
+    ], ids=["branches", "latent_dim", "cloud_hidden", "encoder_hidden", "baseline_hidden",
+            "eta", "val_cadence"])
+    def test_bad_widths_rates_and_cadences_rejected(self, line, match):
+        """Widths below 1, a negative learning rate or cadence stop before any
+        round runs; zero widths used to train to chance accuracy."""
+        cfg = config_mod.parse_config_text(line + "\n")
+        with pytest.raises(config_mod.ConfigError, match=match):
+            config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
+
+    def test_schema_defaults_match_training_config_defaults(self):
+        tc = config_mod.to_training_config(config_mod.default_config(), 81, 4)
+        assert tc == protocol.TrainingConfig(obs_dim=81, n_classes=4)
+
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -408,6 +429,21 @@ class TestCli:
         proc = self._run("train", "--config", str(cfg))
         assert proc.returncode == 1
         assert "unknown key" in proc.stderr
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("train", {"eval_ntest_grid": "0,2"}),
+        ("train", {"eval_ntest_grid": "-1"}),
+        ("sweep", {"sweep": "ntest", "sweep_values": "0,2"}),
+    ], ids=["grid-zero", "grid-negative", "ntest-sweep-zero"])
+    def test_population_below_one_exits_one_before_training(self, tmp_path, command,
+                                                            overrides):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config_text(**overrides))
+        out = tmp_path / "out"
+        proc = self._run(command, "--config", str(cfg), "--out-dir", str(out))
+        assert proc.returncode == 1
+        assert "below 1" in proc.stderr
+        assert not out.exists()
 
     def test_train_and_eval_commands(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

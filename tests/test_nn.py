@@ -14,13 +14,15 @@ def rel_err(a, b):
 
 
 def fd_check(stack, x, upstream, step=1e-5, tol=1e-5):
-    """Central finite differences of out @ upstream against backward."""
+    """Central finite differences of out @ upstream against backward, for
+    one sample given as vectors and run as a (1, dim) row."""
+    x, upstream = x.reshape(1, -1), upstream.reshape(1, -1)
     _, cache = nn.forward(stack, x)
     grads = nn.backward(stack, cache, upstream)
 
     def value():
         out, _ = nn.forward(stack, x)
-        return float(out @ upstream)
+        return float(out[0] @ upstream[0])
 
     for name, p in stack.params.items():
         flat = p.reshape(-1)
@@ -35,14 +37,14 @@ def fd_check(stack, x, upstream, step=1e-5, tol=1e-5):
             fd = (hi - lo) / (2 * step)
             assert rel_err(fd, gflat[idx]) < tol, f"{name}[{idx}]"
     for j in range(x.size):
-        old = x[j]
-        x[j] = old + step
+        old = x[0, j]
+        x[0, j] = old + step
         hi = value()
-        x[j] = old - step
+        x[0, j] = old - step
         lo = value()
-        x[j] = old
+        x[0, j] = old
         fd = (hi - lo) / (2 * step)
-        assert rel_err(fd, grads.input_grad[j]) < tol, f"input[{j}]"
+        assert rel_err(fd, grads.input_grad[0, j]) < tol, f"input[{j}]"
 
 
 class TestLayerStack:
@@ -50,31 +52,33 @@ class TestLayerStack:
         """A dense layer with identity weights and zero bias passes input through."""
         stack = nn.LayerStack([nn.Dense(2, 2)], seed=0)
         stack.set_params({"dense0.w": np.eye(2), "dense0.b": np.zeros(2)})
-        out, _ = nn.forward(stack, np.array([1.0, 2.0]))
-        assert np.array_equal(out, [1.0, 2.0])
+        out, _ = nn.forward(stack, np.array([[1.0, 2.0]]))
+        assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_relu_definition(self):
         stack = nn.LayerStack([nn.Dense(3, 3), nn.Relu()], seed=0)
         stack.set_params({"dense0.w": np.eye(3), "dense0.b": np.zeros(3)})
-        out, _ = nn.forward(stack, np.array([-1.0, 2.0, 0.0]))
-        assert np.array_equal(out, [0.0, 2.0, 0.0])
+        out, _ = nn.forward(stack, np.array([[-1.0, 2.0, 0.0]]))
+        assert np.array_equal(out, [[0.0, 2.0, 0.0]])
 
     def test_two_layer_matches_hand_composition(self):
         """Straight-line re-evaluation of the same weights agrees to 1e-12."""
         stack = nn.LayerStack([nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)], seed=7)
         x = np.random.default_rng(1).normal(size=4)
-        out, _ = nn.forward(stack, x)
+        out, _ = nn.forward(stack, x[None, :])
         w0, b0 = stack.params["dense0.w"], stack.params["dense0.b"]
         w2, b2 = stack.params["dense2.w"], stack.params["dense2.b"]
         by_hand = w2 @ np.maximum(w0 @ x + b0, 0.0) + b2
-        assert np.max(np.abs(out - by_hand)) < 1e-12
+        assert np.max(np.abs(out[0] - by_hand)) < 1e-12
 
     def test_dimension_mismatch_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):
             nn.LayerStack([nn.Dense(3, 4), nn.Dense(5, 2)], seed=0)
         stack = nn.LayerStack([nn.Dense(3, 4)], seed=0)
         with pytest.raises(ValueError, match="layer 0"):
-            nn.forward(stack, np.zeros(5))
+            nn.forward(stack, np.zeros((1, 5)))
+        with pytest.raises(ValueError, match="batch of rows"):
+            nn.forward(stack, np.zeros(3))
 
     def test_same_seed_bit_identical(self):
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4), nn.Projection(1.0)]
@@ -103,16 +107,16 @@ class TestBackward:
                           "dense0.b": np.zeros(3)})
         x = np.arange(4.0)
         g = np.array([1.0, -2.0, 0.5])
-        _, cache = nn.forward(stack, x)
-        got = nn.backward(stack, cache, g)
-        assert np.allclose(got.input_grad, stack.params["dense0.w"].T @ g, atol=1e-15)
+        _, cache = nn.forward(stack, x[None, :])
+        got = nn.backward(stack, cache, g[None, :])
+        assert np.allclose(got.input_grad[0], stack.params["dense0.w"].T @ g, atol=1e-15)
         assert np.allclose(got.param_grads["dense0.w"], np.outer(g, x), atol=1e-15)
 
     def test_zero_upstream_zero_gradients(self):
         stack = nn.LayerStack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
                                nn.Projection(0.5)], seed=5)
-        _, cache = nn.forward(stack, np.random.default_rng(0).normal(size=4))
-        got = nn.backward(stack, cache, np.zeros(4))
+        _, cache = nn.forward(stack, np.random.default_rng(0).normal(size=(1, 4)))
+        got = nn.backward(stack, cache, np.zeros((1, 4)))
         assert np.all(got.input_grad == 0.0)
         assert all(np.all(g == 0.0) for g in got.param_grads.values())
 
@@ -124,18 +128,18 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         stack = nn.LayerStack([nn.Dense(3, 4)], seed=1)
-        _, cache = nn.forward(stack, np.zeros(3))
+        _, cache = nn.forward(stack, np.zeros((1, 3)))
         nn.apply_update(stack, {k: np.ones_like(v) for k, v in stack.params.items()},
                         eta=0.1)
         with pytest.raises(ValueError, match="stale"):
-            nn.backward(stack, cache, np.zeros(4))
+            nn.backward(stack, cache, np.zeros((1, 4)))
 
     def test_foreign_cache_rejected(self):
         a = nn.LayerStack([nn.Dense(3, 4)], seed=1)
         b = nn.LayerStack([nn.Dense(3, 4)], seed=1)
-        _, cache = nn.forward(a, np.zeros(3))
+        _, cache = nn.forward(a, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="different stack"):
-            nn.backward(b, cache, np.zeros(4))
+            nn.backward(b, cache, np.zeros((1, 4)))
 
     def test_batched_param_grads_sum_over_rows(self):
         stack = nn.LayerStack([nn.Dense(3, 2)], seed=2)
@@ -145,8 +149,8 @@ class TestBackward:
         batched = nn.backward(stack, cache, up)
         total = {k: np.zeros_like(v) for k, v in stack.params.items()}
         for b in range(4):
-            _, c1 = nn.forward(stack, xs[b])
-            g1 = nn.backward(stack, c1, up[b])
+            _, c1 = nn.forward(stack, xs[b:b + 1])
+            g1 = nn.backward(stack, c1, up[b:b + 1])
             for k in total:
                 total[k] += g1.param_grads[k]
         for k in total:
@@ -324,12 +328,12 @@ class TestGradientProperty:
 
     def test_forward_deterministic_given_seed_and_input(self):
         layers = [nn.Dense(5, 6), nn.Relu(), nn.Dense(6, 4), nn.Projection(1.0)]
-        x = np.random.default_rng(1).normal(size=5)
+        x = np.random.default_rng(1).normal(size=(1, 5))
         outs = []
         for _ in range(2):
             stack = nn.LayerStack(layers, seed=77)
             out, cache = nn.forward(stack, x)
-            grads = nn.backward(stack, cache, np.ones(4))
+            grads = nn.backward(stack, cache, np.ones((1, 4)))
             outs.append((out, grads.input_grad))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
@@ -338,7 +342,7 @@ class TestGradientProperty:
         """Re-running each layer on its cached input reproduces the output."""
         stack = nn.LayerStack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
                                nn.Projection(0.7)], seed=9)
-        x = np.random.default_rng(2).normal(size=4)
+        x = np.random.default_rng(2).normal(size=(1, 4))
         out, cache = nn.forward(stack, x)
         h = cache.inputs[0]
         for idx, layer in enumerate(stack.layers):
@@ -349,7 +353,7 @@ class TestGradientProperty:
                 h = np.maximum(h, 0.0)
             else:
                 h = nn.projection_forward(h, layer.power, layer.mode)
-        assert np.array_equal(h[0], out)
+        assert np.array_equal(h, out)
 
 
 class TestAdam:
@@ -559,14 +563,14 @@ class TestKernelsMatchReferences:
 
 class TestKernelsLeaveInputsAlone:
     @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
-    @pytest.mark.parametrize("rows", [None, 16])
+    @pytest.mark.parametrize("rows", [1, 16])
     def test_no_call_writes_into_its_inputs(self, name, rows):
         """forward leaves x alone; backward leaves upstream, the cached layer
         inputs and the parameters alone (a stack ending in Relu hands the
         caller's upstream straight to the ReLU backward)."""
         rng = np.random.default_rng(43)
         stack = kernel_stack(name, seed=6)
-        x = rng.normal(size=6 if rows is None else (rows, 6))
+        x = rng.normal(size=(rows, 6))
         x_before = snapshot([x])
         out, cache = nn.forward(stack, x)
         assert unchanged(x_before, [x])
