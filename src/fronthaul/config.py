@@ -1,16 +1,20 @@
 """Flat typed key-value experiment configuration.
 
 One ``key = value`` pair per line, ``#`` comments. Every key is declared
-in the schema below with its parser and default; unknown or duplicate
-keys are errors so config files cannot silently drift from the code.
-The canonical rendering round-trips through the parser, which is how
-checkpoints echo their configuration.
+in the schema below with its parser and default; a key that configures
+the protocol takes its default from ``protocol.TrainingConfig``. Unknown
+or duplicate keys and non-finite numbers are errors, so config files
+cannot silently drift from the code, and ``check_config`` holds every
+rule that ties keys together. The canonical rendering round-trips
+through the parser, which is how checkpoints echo their configuration.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Any, Callable
 
-from . import protocol
+from . import cloud, protocol
 
 
 class ConfigError(ValueError):
@@ -26,9 +30,12 @@ def _int(text: str) -> int:
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _bool(text: str) -> bool:
@@ -37,10 +44,6 @@ def _bool(text: str) -> bool:
     if text == "false":
         return False
     raise ConfigError(f"expected true or false, got {text!r}")
-
-
-def _str(text: str) -> str:
-    return text
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -90,61 +93,66 @@ def _render(value: Any) -> str:
     return str(value)
 
 
+_TC = protocol.TrainingConfig()  # the protocol keys' defaults
+# TrainingConfig field -> config key, where the two names differ
+_KEY = {"n_branches": "branches", "async_coordination": "async"}
+
 # key -> (parser, default); order defines the canonical rendering
 SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     # dataset
     "dataset": (_choice("synthetic", "external"), "synthetic"),
-    "classes": (_int, 4),
+    "classes": (_int, _TC.n_classes),
     "grid": (_int, 16),
     "window": (_int, 9),
     "train_samples": (_int, 2048),
     "val_samples": (_int, 512),
     "test_samples": (_int, 512),
-    "external_train": (_str, ""),
-    "external_val": (_str, ""),
-    "external_test": (_str, ""),
+    "external_train": (str, ""),
+    "external_val": (str, ""),
+    "external_test": (str, ""),
     # architecture
-    "architecture": (_choice("proposed", "catnet", "mhnet", "sum_agg"), "proposed"),
-    "message_dim": (_int, 16),
-    "branches": (_int, 5),
-    "latent_dim": (_int, 32),
-    "cloud_hidden": (_int, 32),
-    "encoder_hidden": (_int_tuple, (48,)),
-    "baseline_hidden": (_opt_int, None),
+    "architecture": (_choice("proposed", "catnet", "mhnet", "sum_agg"), _TC.architecture),
+    "message_dim": (_int, _TC.message_dim),
+    "branches": (_int, _TC.n_branches),
+    "latent_dim": (_int, _TC.latent_dim),
+    "cloud_hidden": (_int, _TC.cloud_hidden),
+    "encoder_hidden": (_int_tuple, _TC.encoder_hidden),
+    "baseline_hidden": (_opt_int, _TC.baseline_hidden),
     # optimization
-    "n_train": (_int, 3),
-    "rounds": (_int, 400),
-    "batch_size": (_int, 64),
-    "eta": (_float, 0.05),
-    "optimizer": (_choice("sgd", "adam"), "sgd"),
+    "n_train": (_int, _TC.n_train),
+    "rounds": (_int, _TC.rounds),
+    "batch_size": (_int, _TC.batch_size),
+    "eta": (_float, _TC.eta),
+    "optimizer": (_choice("sgd", "adam"), _TC.optimizer),
     # fronthaul
-    "snr_up_db": (_float_pair, (0.0, 30.0)),
-    "snr_dn_db": (_float_pair, (0.0, 30.0)),
-    "noiseless_downlink": (_bool, False),
-    "downlink": (_choice("wireless", "exact"), "wireless"),
-    "power_mode": (_choice("per-rb", "sum"), "per-rb"),
-    "p_e": (_float, 1.0),
-    "p_c": (_float, 1.0),
-    "freeze_snr_per_round": (_bool, False),
+    "snr_up_db": (_float_pair, _TC.snr_up_db),
+    "snr_dn_db": (_float_pair, _TC.snr_dn_db),
+    "noiseless_downlink": (_bool, _TC.noiseless_downlink),
+    "downlink": (_choice("wireless", "exact"), _TC.downlink),
+    "power_mode": (_choice("per-rb", "sum"), _TC.power_mode),
+    "p_e": (_float, _TC.p_e),
+    "p_c": (_float, _TC.p_c),
+    "freeze_snr_per_round": (_bool, _TC.freeze_snr_per_round),
     # coordination
-    "async": (_bool, False),
-    "drop_probability": (_opt_float, None),
-    "encoder_sharing": (_bool, False),
-    "cqie": (_bool, False),
-    "pathloss": (_bool, False),
-    "pathloss_d": (_float_pair, (1.0, 10.0)),
-    "pathloss_alpha": (_float, 2.7),
+    "async": (_bool, _TC.async_coordination),
+    "drop_probability": (_opt_float, _TC.drop_probability),
+    "encoder_sharing": (_bool, _TC.encoder_sharing),
+    "cqie": (_bool, _TC.cqie),
+    "pathloss": (_bool, _TC.pathloss),
+    "pathloss_d": (_float_pair, _TC.pathloss_d),
+    "pathloss_alpha": (_float, _TC.pathloss_alpha),
     # evaluation and harness
-    "val_cadence": (_int, 10),
-    "eval_snr_db": (_opt_float, None),
+    "val_cadence": (_int, _TC.val_cadence),
+    "eval_snr_db": (_opt_float, _TC.eval_snr_db),
     "eval_snr_grid": (_float_tuple, (0.0, 10.0, 20.0)),
     "eval_ntest_grid": (_int_tuple, ()),
     "sweep": (_choice("none", "snr", "ntest", "batch", "branches"), "none"),
     "sweep_values": (_float_tuple, ()),
     "target_accuracy": (_opt_float, None),
-    "checkpoint": (_str, ""),
-    "master_seed": (_int, 1234),
+    "checkpoint": (str, ""),
+    "master_seed": (_int, _TC.master_seed),
 }
+NTEST_SWEEP = tuple(range(1, 13))  # populations an ntest sweep visits by default
 
 
 def parse_config_text(text: str) -> dict[str, Any]:
@@ -196,43 +204,55 @@ def render_config(cfg: dict[str, Any]) -> str:
 
 def to_training_config(cfg: dict[str, Any], obs_dim: int,
                        n_classes: int) -> protocol.TrainingConfig:
-    """Map harness keys onto the protocol configuration."""
-    tc = protocol.TrainingConfig(
-        n_train=cfg["n_train"],
-        message_dim=cfg["message_dim"],
-        n_branches=cfg["branches"],
-        latent_dim=cfg["latent_dim"],
-        cloud_hidden=cfg["cloud_hidden"],
-        encoder_hidden=tuple(cfg["encoder_hidden"]),
-        n_classes=n_classes,
-        obs_dim=obs_dim,
-        architecture=cfg["architecture"],
-        baseline_hidden=cfg["baseline_hidden"],
-        rounds=cfg["rounds"],
-        batch_size=cfg["batch_size"],
-        eta=cfg["eta"],
-        optimizer=cfg["optimizer"],
-        snr_up_db=cfg["snr_up_db"],
-        snr_dn_db=cfg["snr_dn_db"],
-        noiseless_downlink=cfg["noiseless_downlink"],
-        downlink=cfg["downlink"],
-        power_mode=cfg["power_mode"],
-        p_e=cfg["p_e"],
-        p_c=cfg["p_c"],
-        freeze_snr_per_round=cfg["freeze_snr_per_round"],
-        async_coordination=cfg["async"],
-        drop_probability=cfg["drop_probability"],
-        encoder_sharing=cfg["encoder_sharing"],
-        cqie=cfg["cqie"],
-        pathloss=cfg["pathloss"],
-        pathloss_d=cfg["pathloss_d"],
-        pathloss_alpha=cfg["pathloss_alpha"],
-        val_cadence=cfg["val_cadence"],
-        eval_snr_db=cfg["eval_snr_db"],
-        master_seed=cfg["master_seed"],
-    )
+    """The protocol configuration: each field reads the key of its name
+    (``_KEY`` maps the two that differ); the dataset gives the two fields
+    no key names."""
+    keys = {f.name: _KEY.get(f.name, f.name) for f in dataclasses.fields(protocol.TrainingConfig)}
+    values = {name: cfg[key] for name, key in keys.items() if key in SCHEMA}
+    tc = protocol.TrainingConfig(obs_dim=obs_dim, n_classes=n_classes, **values)
     try:
         tc.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return tc
+
+
+def check_config(cfg: dict[str, Any]) -> None:
+    """Every rule that ties keys of a parsed config together; raises
+    ``ConfigError``. Every command calls it before it writes a file.
+
+    Evaluation populations (``eval_ntest_grid`` and an ntest sweep's
+    values) need a node each; catnet concatenates exactly n_train
+    signals, mhnet has one head per trained node, shared encoders or not,
+    and without encoder sharing only the n_train trained encoders exist.
+    The default population, n_train, passes every rule.
+    """
+    if cfg["dataset"] == "external":
+        missing = [k for k in ("external_train", "external_val", "external_test") if not cfg[k]]
+        if missing:
+            raise ConfigError(f"external dataset needs {', '.join(missing)}")
+    axis = cfg["sweep"]
+    if axis in ("batch", "branches") and not cfg["sweep_values"]:
+        raise ConfigError(f"sweep {axis!r} needs sweep_values")
+    fractional = [v for v in cfg["sweep_values"] if not float(v).is_integer()]
+    if axis in ("ntest", "batch", "branches") and fractional:
+        raise ConfigError(f"sweep_values {fractional} are not whole numbers; "
+                          f"sweep {axis!r} needs integers")
+    sources = {"eval_ntest_grid": cfg["eval_ntest_grid"]}
+    if axis == "ntest":
+        sources["sweep_values"] = cfg["sweep_values"] or NTEST_SWEEP
+    n_train, arch = cfg["n_train"], cfg["architecture"]
+    for key, populations in sources.items():
+        requested = sorted({int(n) for n in populations})
+        too_large = [n for n in requested if n > n_train]
+        for bad, reason in (
+                ([n for n in requested if n < 1], "are below 1; every population needs a node"),
+                ([n for n in requested if n != n_train] if arch == cloud.CATNET else [],
+                 f"differ from n_train = {n_train}; catnet concatenates exactly n_train signals"),
+                (too_large if arch == cloud.MHNET else [],
+                 f"exceed n_train = {n_train}; mhnet has one head per trained node"),
+                ([] if cfg["encoder_sharing"] else too_large,
+                 f"exceed n_train = {n_train}; dedicated encoders serve at most n_train nodes "
+                 "(set encoder_sharing = true)")):
+            if bad:
+                raise ConfigError(f"{key}: evaluation populations {bad} {reason}")

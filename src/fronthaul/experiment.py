@@ -25,9 +25,9 @@ Array = np.ndarray
 CSV_COLUMNS = ("round", "phase_time_ms", "train_loss", "val_accuracy",
                "snr_up_db_mean", "snr_dn_db_mean", "mean_active_ens",
                "param_norm_cloud", "param_norm_edges")
-NTEST_SWEEP = tuple(range(1, 13))  # populations an ntest sweep visits by default
 
 _DOM_DATA = 0  # dataset seed domain under the master seed
+_EVAL_KEYS = ("checkpoint", "eval_snr_grid", "eval_ntest_grid")  # what eval reads from its config
 
 
 @dataclass
@@ -45,9 +45,6 @@ def dataset_seed(master_seed: int) -> int:
 
 def build_dataset(cfg: dict[str, Any]) -> data.SyntheticDataset:
     if cfg["dataset"] == "external":
-        for key in ("external_train", "external_val", "external_test"):
-            if not cfg[key]:
-                raise config_mod.ConfigError(f"external dataset needs {key}")
         return data.load_external_dataset(cfg["external_train"], cfg["external_val"],
                                           cfg["external_test"], cfg["window"])
     return data.generate_synthetic(dataset_seed(cfg["master_seed"]),
@@ -103,47 +100,9 @@ class _MetricsWriter:
         self.fh.close()
 
 
-def _ntest_grid(cfg: dict[str, Any]) -> tuple[int, ...]:
-    if cfg["eval_ntest_grid"]:
-        return tuple(cfg["eval_ntest_grid"])
-    return (cfg["n_train"],)
-
-
-def _check_populations(cfg: dict[str, Any], populations) -> None:
-    """Reject evaluation populations the trained model cannot serve, before
-    any round runs. Every population needs at least one node. The
-    concatenation network takes exactly n_train signals and the
-    multi-head network has one head per trained node, whether or not
-    encoders are shared; without encoder sharing only the n_train trained
-    encoders exist."""
-    n_train = cfg["n_train"]
-    requested = sorted({int(n) for n in populations})
-    empty = [n for n in requested if n < 1]
-    if empty:
-        raise config_mod.ConfigError(
-            f"evaluation populations {empty} are below 1; every population needs a node")
-    if cfg["architecture"] == cloud.CATNET:
-        other = [n for n in requested if n != n_train]
-        if other:
-            raise config_mod.ConfigError(
-                f"evaluation populations {other} differ from n_train = {n_train}; "
-                "catnet concatenates exactly n_train signals")
-    too_large = [n for n in requested if n > n_train]
-    if not too_large:
-        return
-    if cfg["architecture"] == cloud.MHNET:
-        raise config_mod.ConfigError(
-            f"evaluation populations {too_large} exceed n_train = {n_train}; "
-            "mhnet has one head per trained node")
-    if not cfg["encoder_sharing"]:
-        raise config_mod.ConfigError(
-            f"evaluation populations {too_large} exceed n_train = {n_train}; "
-            "dedicated encoders serve at most n_train nodes (set encoder_sharing = true)")
-
-
 def _eval_grid(state: protocol.TrainingState, cfg: dict[str, Any]) -> list[dict[str, Any]]:
     grid = []
-    for n_test in _ntest_grid(cfg):
+    for n_test in cfg["eval_ntest_grid"] or (cfg["n_train"],):
         for snr in cfg["eval_snr_grid"]:
             acc, loss = protocol.evaluate(state, "test", n_test=n_test, snr_db=snr)
             grid.append({"architecture": cfg["architecture"], "n_test": n_test,
@@ -157,11 +116,21 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def run_training(cfg: dict[str, Any], out_dir) -> ExperimentResult:
-    _check_populations(cfg, _ntest_grid(cfg))
-    os.makedirs(out_dir, exist_ok=True)
-    dataset = build_dataset(cfg)
+def _training_config(cfg: dict[str, Any],
+                     dataset: data.SyntheticDataset) -> protocol.TrainingConfig:
+    """The run's protocol configuration, checked against its dataset."""
     tc = config_mod.to_training_config(cfg, dataset.obs_dim, dataset.n_classes)
+    if tc.batch_size > len(dataset.train_labels):
+        raise config_mod.ConfigError(f"batch_size = {tc.batch_size} exceeds the "
+                                     f"{len(dataset.train_labels)} training samples")
+    return tc
+
+
+def run_training(cfg: dict[str, Any], out_dir) -> ExperimentResult:
+    config_mod.check_config(cfg)
+    dataset = build_dataset(cfg)
+    tc = _training_config(cfg, dataset)
+    os.makedirs(out_dir, exist_ok=True)
     writer = _MetricsWriter(os.path.join(out_dir, "metrics.csv"), cfg["val_cadence"])
     try:
         state, records = protocol.train(tc, dataset, round_callback=writer.add)
@@ -194,10 +163,15 @@ def restore_state(checkpoint_path) -> tuple[protocol.TrainingState, dict[str, An
 
 
 def run_eval(cfg: dict[str, Any], out_dir) -> ExperimentResult:
+    """Evaluate a checkpoint on the config's grid. The model, its data and
+    the default population come from the checkpoint's own config echo;
+    the eval config contributes only the keys in ``_EVAL_KEYS``."""
     if not cfg["checkpoint"]:
         raise config_mod.ConfigError("eval needs a checkpoint path in the config")
+    state, trained = restore_state(cfg["checkpoint"])
+    cfg = dict(trained, **{key: cfg[key] for key in _EVAL_KEYS})
+    config_mod.check_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    state, _ = restore_state(cfg["checkpoint"])
     grid = _eval_grid(state, cfg)
     _write_json(os.path.join(out_dir, "result.json"),
                 {"config": config_mod.render_config(cfg), "grid": grid,
@@ -219,9 +193,7 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
     axis = cfg["sweep"]
     if axis == "none":
         raise config_mod.ConfigError("sweep mode needs the sweep key")
-    if axis == "ntest":  # the eval grid is checked by run_training, before round 1
-        _check_populations(cfg, cfg["sweep_values"] or NTEST_SWEEP)
-    os.makedirs(out_dir, exist_ok=True)
+    config_mod.check_config(cfg)
     rows: list[dict[str, Any]] = []
     if axis in ("snr", "ntest"):
         base = run_training(cfg, out_dir)
@@ -234,31 +206,28 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
                 rows.append({"sweep": "snr", "value": float(snr),
                              "accuracy": acc, "loss": loss, "rounds_to_target": None})
         else:
-            values = cfg["sweep_values"] or NTEST_SWEEP
+            values = cfg["sweep_values"] or config_mod.NTEST_SWEEP
             for n_test in values:
                 acc, loss = protocol.evaluate(state, "test", n_test=int(n_test),
                                               snr_db=cfg["eval_snr_db"])
                 rows.append({"sweep": "ntest", "value": int(n_test),
                              "accuracy": acc, "loss": loss, "rounds_to_target": None})
         final_round = base.final_round
-    elif axis in ("batch", "branches"):
-        if not cfg["sweep_values"]:
-            raise config_mod.ConfigError(f"sweep {axis!r} needs sweep_values")
+    else:
         key = "batch_size" if axis == "batch" else "branches"
-        for value in cfg["sweep_values"]:
-            sub = dict(cfg)
-            sub[key] = int(value)
-            sub["sweep"] = "none"
-            sub_dir = os.path.join(out_dir, f"{axis}_{int(value)}")
-            res = run_training(sub, sub_dir)
+        subs = [(int(v), dict(cfg, sweep="none", **{key: int(v)}))
+                for v in cfg["sweep_values"]]
+        dataset = build_dataset(cfg)
+        for _, sub in subs:  # every sub-run is checked before the first one trains
+            _training_config(sub, dataset)
+        for value, sub in subs:
+            res = run_training(sub, os.path.join(out_dir, f"{axis}_{value}"))
             last = res.grid[0] if res.grid else {"accuracy": None, "loss": None}
-            rows.append({"sweep": axis, "value": int(value),
+            rows.append({"sweep": axis, "value": value,
                          "accuracy": last["accuracy"], "loss": last["loss"],
                          "rounds_to_target": _rounds_to_target(res.rows,
                                                                cfg["target_accuracy"])})
         final_round = cfg["rounds"]
-    else:
-        raise config_mod.ConfigError(f"unknown sweep axis {axis!r}")
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("sweep,value,accuracy,loss,rounds_to_target\n")
         for row in rows:

@@ -1,15 +1,30 @@
 """Config files, checkpoints, the experiment driver, and the command line."""
 
+import dataclasses
 import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fronthaul import checkpoint, config as config_mod, data, experiment, protocol
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.txt"))
+
+_VALUE_TOKENS = st.sampled_from(["", "none", "true", "false", "nan", "-inf", "1e999", "0",
+                                 "-1", "2.5", "3", "1,2", "0,30", "1,,2", "sgd", "proposed",
+                                 "mhnet", "per-rb", "ntest", "batch", "external", "a=b"])
+_VALUES = (_VALUE_TOKENS | st.text(max_size=10) | st.integers().map(str)
+           | st.lists(st.floats().map(repr) | st.integers(-3, 20).map(str),
+                      max_size=3).map(",".join))
+# key = value lines over the schema's keys, so the fuzzing reaches every parser
+_CONFIG_LINES = st.lists(st.tuples(st.sampled_from(sorted(config_mod.SCHEMA)), _VALUES)
+                         .map(lambda kv: f"{kv[0]} = {kv[1]}"), max_size=8).map("\n".join)
 
 
 class TestConfigParsing:
@@ -81,6 +96,59 @@ class TestConfigParsing:
     def test_schema_defaults_match_training_config_defaults(self):
         tc = config_mod.to_training_config(config_mod.default_config(), 81, 4)
         assert tc == protocol.TrainingConfig(obs_dim=81, n_classes=4)
+
+    def test_every_training_config_field_but_the_shapes_has_a_key(self):
+        """A field with no key would silently keep its default in every run."""
+        fields = {f.name for f in dataclasses.fields(protocol.TrainingConfig)}
+        keyed = {f for f in fields if config_mod._KEY.get(f, f) in config_mod.SCHEMA}
+        assert fields - keyed == {"obs_dim", "n_classes"}
+
+    def test_renamed_keys_reach_their_fields(self):
+        cfg = config_mod.parse_config_text("branches = 7\nasync = true\n")
+        assert config_mod.to_training_config(cfg, 81, 4) == protocol.TrainingConfig(
+            n_branches=7, async_coordination=True, obs_dim=81, n_classes=4)
+
+    @pytest.mark.parametrize("line, key", [
+        ("eta = nan", "eta"),
+        ("p_c = inf", "p_c"),
+        ("pathloss_alpha = NaN", "pathloss_alpha"),
+        ("eval_snr_grid = 0,nan", "eval_snr_grid"),
+        ("snr_up_db = nan,nan", "snr_up_db"),
+        ("eval_snr_db = -inf", "eval_snr_db"),
+        ("sweep_values = 1,1e999", "sweep_values"),
+    ], ids=["eta", "p_c", "pathloss_alpha", "eval_snr_grid", "snr_up_db", "eval_snr_db",
+            "overflow"])
+    def test_non_finite_number_rejected(self, line, key):
+        """NaN and infinity used to train to NaN losses and write NaN into
+        metrics.csv and result.json (not valid JSON)."""
+        with pytest.raises(config_mod.ConfigError, match=f"line 2: {key}: .*finite"):
+            config_mod.parse_config_text("rounds = 3\n" + line + "\n")
+
+    @given(text=st.text(max_size=80) | _CONFIG_LINES)
+    @settings(max_examples=600, deadline=None)
+    def test_fuzzed_text_parses_or_raises_config_error(self, text):
+        """Any text either parses or raises ConfigError; a parsed config
+        re-parses from its rendering (the checkpoint echo) to equal values,
+        and the cross-key check raises nothing but ConfigError."""
+        try:
+            cfg = config_mod.parse_config_text(text)
+        except config_mod.ConfigError:
+            return
+        assert config_mod.parse_config_text(config_mod.render_config(cfg)) == cfg
+        try:
+            config_mod.check_config(cfg)
+        except config_mod.ConfigError:
+            pass
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_passes_every_check_without_training(self, path):
+        cfg = config_mod.load_config(path)
+        config_mod.check_config(cfg)
+        dataset = experiment.build_dataset(cfg)
+        tc = experiment._training_config(cfg, dataset)
+        assert (tc.n_branches, tc.async_coordination) == (cfg["branches"], cfg["async"])
 
 
 _JSON = st.recursive(
@@ -335,6 +403,46 @@ class TestExperimentDriver:
         assert result.final_round == 2
 
     @pytest.mark.parametrize("overrides, match", [
+        ({"sweep": "ntest", "encoder_sharing": "true", "sweep_values": "2.5,2"},
+         r"sweep_values \[2.5\] are not whole"),
+        ({"sweep": "branches", "sweep_values": "2,1.5"}, r"sweep_values \[1.5\] are not whole"),
+        ({"sweep": "batch", "sweep_values": "8,0"}, "batch_size must be positive"),
+        ({"sweep": "batch", "sweep_values": "8,100"}, "batch_size = 100 exceeds the 64"),
+        ({"sweep": "branches"}, "needs sweep_values"),
+        ({"batch_size": 100}, "batch_size = 100 exceeds the 64"),
+        ({"sweep": "snr", "batch_size": 100}, "batch_size = 100 exceeds the 64"),
+        ({"dataset": "external", "external_val": "v.bin"},
+         "external dataset needs external_train, external_test"),
+    ], ids=["ntest-fraction", "branches-fraction", "batch-zero", "batch-above-split",
+            "branches-no-values", "train-batch-above-split", "snr-sweep-batch-above-split",
+            "external-paths"])
+    def test_whole_config_checked_before_anything_is_written(self, tmp_path, overrides, match):
+        """Every sub-run of a sweep is checked before the first one trains:
+        a batch sweep over 8,0 used to train batch_8/ in full, and an ntest
+        sweep over 2.5,2 wrote a row for 2."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_config_text(**overrides))
+        out = tmp_path / "out"
+        with pytest.raises(config_mod.ConfigError, match=match):
+            experiment.run_experiment(cfg_path, out_dir=out)
+        assert not out.exists()
+
+    def test_eval_takes_the_model_from_the_checkpoint(self, tmp_path):
+        """The default population, the population rules and the architecture
+        label come from the checkpoint's config echo, not the eval file."""
+        experiment.run_training(config_mod.parse_config_text(
+            small_config_text(architecture="mhnet", n_train=2)), tmp_path / "out")
+        line = f"checkpoint = {tmp_path / 'out' / 'checkpoint.bin'}\n"
+        result = experiment.run_eval(config_mod.parse_config_text(line), tmp_path / "eval")
+        assert [(e["architecture"], e["n_test"]) for e in result.grid] == [("mhnet", 2)] * 3
+        payload = json.loads((tmp_path / "eval" / "result.json").read_text())
+        assert config_mod.parse_config_text(payload["config"])["architecture"] == "mhnet"
+        with pytest.raises(config_mod.ConfigError, match=r"\[3\] exceed n_train = 2; mhnet"):
+            experiment.run_eval(config_mod.parse_config_text(line + "eval_ntest_grid = 3\n"),
+                                tmp_path / "eval3")
+        assert not (tmp_path / "eval3").exists()
+
+    @pytest.mark.parametrize("overrides, match", [
         ({"eval_ntest_grid": "2,5"}, "dedicated encoders"),
         ({"eval_ntest_grid": "4", "sweep": "snr", "sweep_values": "0,10"},
          "dedicated encoders"),
@@ -357,6 +465,7 @@ class TestExperimentDriver:
             experiment.run_experiment(cfg_path, out_dir=out)
         assert not list(out.rglob("checkpoint.bin"))
         assert not list(out.rglob("metrics.csv"))
+        assert not out.exists()
 
 
 class TestNumericSuites:
@@ -443,6 +552,34 @@ class TestCli:
         proc = self._run(command, "--config", str(cfg), "--out-dir", str(out))
         assert proc.returncode == 1
         assert "below 1" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("train", {"eta": "nan"}, "eta"),
+        ("train", {"batch_size": 100}, "batch_size"),
+        ("sweep", {"sweep": "batch", "sweep_values": "8,0"}, "batch_size"),
+        ("sweep", {"sweep": "ntest", "sweep_values": "2.5,2"}, "sweep_values"),
+        ("eval", {"eval_snr_grid": "nan"}, "eval_snr_grid"),
+        ("eval", {"eval_ntest_grid": "3"}, "eval_ntest_grid"),
+    ], ids=["train-nan", "train-batch", "sweep-batch", "sweep-ntest", "eval-nan",
+            "eval-population"])
+    def test_bad_config_exits_one_before_writing(self, tmp_path, command, overrides, key):
+        """Exit 1 with a one-line error naming the key and no output directory;
+        eval judges its populations by the (2-node mhnet) checkpoint."""
+        if command == "eval":
+            experiment.run_training(config_mod.parse_config_text(
+                small_config_text(architecture="mhnet", n_train=2)), tmp_path / "trained")
+            text = "".join(f"{k} = {v}\n" for k, v in overrides.items())
+            text += f"checkpoint = {tmp_path / 'trained' / 'checkpoint.bin'}\n"
+        else:
+            text = small_config_text(**overrides)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        proc = self._run(command, "--config", str(cfg), "--out-dir", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and key in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_train_and_eval_commands(self, tmp_path):
