@@ -1,16 +1,18 @@
-"""Complex-baseband fronthaul links: fading, packing, uplink and downlink legs.
+"""Fronthaul links over fading: the fading draw, link noise, uplink and downlink legs.
 
 A length-S real message occupies S/2 complex resource blocks; the first
 half of the vector is the real part and the second half the imaginary
-part. Uplink transmissions are phase-precoded at the edge so the cloud
-sees a nonnegative diagonal gain, and the downlink reuses the same fading
-draw (TDD reciprocity) with conjugate precoding at the cloud and phase
-compensation at the edge. Complex arrays are a definitional view; the
-protocol mostly carries the real form.
+part. Every link function takes and returns these real stacked-halves
+rows, the form the encoders emit and the cloud and edges consume; the
+complex fading array ``h`` (one entry per resource block) is their only
+complex input. Uplink transmissions are phase-precoded at the edge, so
+the cloud receives H s + n with the real gain H = diag([|h|; |h|]). The
+downlink reuses the same fading draw (TDD reciprocity) with conjugate
+precoding at the cloud and phase compensation at the edge, which
+delivers H m plus noise scaled by 1/alpha. The downlink legs compute in
+the complex view, which stays private to this module.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,60 +26,36 @@ def snr_to_noise_var(snr_db) -> float | Array:
     return 10.0 ** (-np.asarray(snr_db, dtype=float) / 10.0)
 
 
-def pack(s: Array) -> Array:
-    """Stacked-halves real vector -> complex vector of half the length."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] % 2 != 0:
+def _pack(rows: Array) -> Array:
+    """Stacked-halves real rows -> complex rows of half the length."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1] % 2 != 0:
         raise ValueError("real form must have even length")
-    half = s.shape[-1] // 2
-    return s[..., :half] + 1j * s[..., half:]
+    half = rows.shape[-1] // 2
+    out = np.empty(rows.shape[:-1] + (half,), dtype=complex)
+    out.real = rows[..., :half]
+    out.imag = rows[..., half:]
+    return out
 
 
-def unpack(y: Array) -> Array:
-    """Complex vector -> stacked-halves real vector of twice the length."""
-    y = np.asarray(y, dtype=complex)
+def _unpack(y: Array) -> Array:
+    """Complex rows -> stacked-halves real rows of twice the length."""
     return np.concatenate([y.real, y.imag], axis=-1)
 
 
-@dataclass
-class ChannelRealization:
-    """One fading draw shared by the uplink and downlink legs of a sample.
-
-    ``h`` has shape (..., n_blocks); leading axes batch over samples or
-    nodes. Noise variances may be scalars or arrays broadcastable against
-    the leading axes (one value per sample).
-    """
-
-    h: Array
-    sigma_c2: float | Array = 0.0
-    sigma_e2: float | Array = 0.0
-
-    @property
-    def magnitude(self) -> Array:
-        return np.abs(self.h)
-
-    @property
-    def phase(self) -> Array:
-        return np.angle(self.h)
-
-    def effective_matrix(self) -> Array:
-        """Real diagonal gain diag([|h|; |h|]) for a single realization."""
-        if self.h.ndim != 1:
-            raise ValueError("effective_matrix is defined for a single draw")
-        mag = self.magnitude
-        return np.diag(np.concatenate([mag, mag]))
+def _check_rows(rows: Array, h: Array) -> None:
+    if rows.shape != (*h.shape[:-1], 2 * h.shape[-1]):
+        raise ValueError(f"rows of shape {rows.shape} do not fit channel shape {h.shape}")
 
 
 def sample_channel(rng: np.random.Generator, n_blocks: int,
-                   pathloss: tuple | None = None,
-                   sigma_c2: float | Array = 0.0,
-                   sigma_e2: float | Array = 0.0,
-                   shape: tuple = ()) -> ChannelRealization:
-    """Draw i.i.d. circularly-symmetric complex Gaussian fading.
+                   pathloss: tuple | None = None, shape: tuple = ()) -> Array:
+    """Draw i.i.d. circularly-symmetric complex Gaussian fading h of shape (*shape, n_blocks).
 
     Without pathloss each entry has unit variance (Rayleigh magnitude).
     With ``pathloss=(d, alpha)`` the per-entry variance is d**(-alpha);
-    ``d`` may be an array broadcastable against ``shape``.
+    ``d`` may be an array broadcastable against ``shape``. One draw is
+    shared by the uplink and downlink legs of a sample.
     """
     if n_blocks < 1:
         raise ValueError("need at least one resource block")
@@ -90,40 +68,45 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
         factor = d ** (-alpha)
     full = (*shape, n_blocks)
     std = np.sqrt(np.broadcast_to(np.asarray(factor)[..., None], full) / 2.0)
-    h = std * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
-    return ChannelRealization(h=h, sigma_c2=sigma_c2, sigma_e2=sigma_e2)
+    return std * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
 
 
-def complex_noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
-    """CN(0, variance) draws of ``shape``: every real part, then every imaginary part."""
+def noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
+    """CN(0, variance) link noise for fading of ``shape``, as real rows.
+
+    One ``standard_normal((2, *shape))`` draw gives every real part, then
+    every imaginary part; the result has shape (*shape[:-1], 2 * shape[-1]).
+    ``variance`` must broadcast against ``shape``.
+    """
     std = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
     np.broadcast_to(std, shape)  # raises unless the variance broadcasts against the draw
-    return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    draw = rng.standard_normal((2, *shape))
+    draw *= std
+    return np.concatenate([draw[0], draw[1]], axis=-1)
 
 
-def uplink_transmit(s_tilde: Array, ch: ChannelRealization,
-                    rng: np.random.Generator | None = None,
-                    noise: Array | None = None) -> Array:
-    """Edge-to-cloud leg; returns the received signal in real form.
+def gain(h: Array) -> Array:
+    """The real effective gain diag([|h|; |h|]) as elementwise row factors."""
+    mag = np.abs(h)
+    return np.concatenate([mag, mag], axis=-1)
+
+
+def uplink_transmit(s: Array, h: Array, noise: Array) -> Array:
+    """Edge-to-cloud leg: the received rows H s + n.
 
     The edge rotates each entry by the negative channel phase, so the
-    multiplicative channel reduces to the magnitude exactly: the returned
-    real form is H s + n with H = diag([|h|; |h|]). ``noise`` may be
-    supplied directly (complex, same shape) for reproducible draws.
+    multiplicative channel reduces to the magnitude exactly.
     """
-    s_tilde = np.asarray(s_tilde, dtype=complex)
-    if s_tilde.shape != ch.h.shape:
-        raise ValueError(f"message shape {s_tilde.shape} != channel shape {ch.h.shape}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("need an rng or an explicit noise draw")
-        noise = complex_noise(rng, s_tilde.shape, ch.sigma_c2)
-    y = np.abs(ch.h) * s_tilde + noise
-    return unpack(y)
+    s = np.asarray(s, dtype=float)
+    _check_rows(s, h)
+    y = gain(h)
+    y *= s
+    y += noise
+    return y
 
 
-def compute_alpha(messages: Array, p_c: float, mode: str) -> Array:
-    """Downlink power scaling factor for node-first messages (N, B, blocks).
+def compute_alpha(m: Array, p_c: float, mode: str) -> Array:
+    """Downlink power scaling factor for node-first message rows (N, B, S).
 
     Per-RB mode scales each node's message by sqrt(p_c / max_j |m[j]|^2),
     one factor per (node, sample); sum mode shares one factor
@@ -134,48 +117,48 @@ def compute_alpha(messages: Array, p_c: float, mode: str) -> Array:
     """
     if p_c <= 0:
         raise ValueError("transmit power budget must be positive")
-    m = np.asarray(messages, dtype=complex)
+    power = np.abs(_pack(m)) ** 2
     if mode == "per-rb":
-        peak = np.max(np.abs(m) ** 2, axis=-1)
+        peak = np.max(power, axis=-1)
         return np.sqrt(p_c / np.maximum(peak, ALPHA_FLOOR))
     if mode == "sum":
-        total = np.sum(np.sum(np.abs(m) ** 2, axis=-1), axis=0)
+        total = np.sum(np.sum(power, axis=-1), axis=0)
         return np.sqrt(p_c / np.maximum(total, ALPHA_FLOOR))
     raise ValueError(f"unknown power mode {mode!r}")
 
 
-def downlink_transmit(m_tilde: Array, ch: ChannelRealization, alpha,
-                      rng: np.random.Generator | None = None,
-                      noise: Array | None = None) -> Array:
+def _per_row(alpha) -> Array:
+    alpha = np.asarray(alpha, dtype=float)
+    return alpha[..., None] if alpha.ndim else alpha
+
+
+def downlink_transmit(m: Array, h: Array, alpha, noise: Array) -> Array:
     """Cloud-to-edge leg over the reciprocal (conjugate) channel.
 
-    Returns the complex signal received at the edge:
-    alpha * conj(h) * m + n with n ~ CN(0, sigma_e2 I).
+    Returns the rows the edge receives: alpha * conj(h) * m + n, with the
+    noise given as real rows.
     """
-    m_tilde = np.asarray(m_tilde, dtype=complex)
-    if m_tilde.shape != ch.h.shape:
-        raise ValueError(f"message shape {m_tilde.shape} != channel shape {ch.h.shape}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("need an rng or an explicit noise draw")
-        noise = complex_noise(rng, m_tilde.shape, ch.sigma_e2)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim:
-        alpha = alpha[..., None]
-    return alpha * np.conj(ch.h) * m_tilde + noise
+    m = np.asarray(m, dtype=float)
+    _check_rows(m, h)
+    # complex addition is per component, so adding the real noise rows to the
+    # unpacked signal gives the bits of adding the complex noise before it
+    y = _unpack(_per_row(alpha) * np.conj(h) * _pack(m))
+    y += noise
+    return y
 
 
-def downlink_decode(y_e_tilde: Array, phase: Array, alpha) -> Array:
-    """Edge-side phase compensation and power unscaling; returns real form.
+def downlink_decode(y: Array, h: Array, alpha) -> Array:
+    """Edge-side phase compensation and power unscaling.
 
-    With the matching realization this recovers H m + n_eff where the
+    With the matching fading draw this recovers H m + n_eff, where the
     effective noise variance is sigma_e2 / alpha^2 per complex entry.
     """
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr <= 0):
+    alpha = _per_row(alpha)
+    if np.any(alpha <= 0):
         raise ValueError("power scaling factor must be positive")
-    if alpha_arr.ndim:
-        alpha_arr = alpha_arr[..., None]
-    y = np.asarray(y_e_tilde, dtype=complex)
-    decoded = np.exp(1j * np.asarray(phase)) * y / alpha_arr
-    return unpack(decoded)
+    y = np.asarray(y, dtype=float)
+    _check_rows(y, h)
+    mag = np.abs(h)
+    # a link faded to exactly zero (pathloss underflow) has no phase to undo
+    phase = np.divide(h, mag, out=np.ones_like(h), where=mag > 0)
+    return _unpack(phase * _pack(y) / alpha)

@@ -3,8 +3,8 @@
 Subcommands: ``train`` runs one experiment, ``eval`` re-evaluates a
 checkpoint, ``sweep`` drives a parameter sweep, and ``gradcheck`` /
 ``equivalence`` run the numeric oracle suites so CI can gate on them.
-Exit codes: 0 success, 1 configuration problems, 2 numeric-check
-failure.
+Each subcommand accepts only the flags it reads. Exit codes: 0 success,
+1 usage or configuration problems, 2 numeric-check failure.
 """
 from __future__ import annotations
 
@@ -19,37 +19,48 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CHECK_FAILED = 2
 
+_FLAG_SPECS = {"--config": dict(required=True, help="path to a key = value config file"),
+               "--seed": dict(type=int, default=None, help="override the master seed"),
+               "--out-dir": dict(default=".", help="where result files go")}
+# subcommand -> the flags it reads
+_FLAGS = {"train": ("--config", "--seed", "--out-dir"),
+          "eval": ("--config", "--out-dir"),
+          "sweep": ("--config", "--seed", "--out-dir"),
+          "gradcheck": ("--seed",),
+          "equivalence": ("--seed",)}
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
-    parser.add_argument("--config", required=config_required,
-                        help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's master_seed")
-    parser.add_argument("--out-dir", default=".", help="where result files go")
+
+class UsageError(Exception):
+    """A command line argparse rejects: exit 1, like a bad config, not 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fronthaul",
         description="split edge-cloud training over simulated fading fronthaul links")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("train", True), ("eval", True), ("sweep", True),
-                               ("gradcheck", False), ("equivalence", False)):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        _add_common(p, needs_config)
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
 
 
 def _load(args) -> dict:
     cfg = config_mod.load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["master_seed"] = int(args.seed)
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "train":
             cfg = _load(args)
             if cfg["sweep"] != "none":
@@ -88,7 +99,7 @@ def main(argv=None) -> int:
                   f"shared-encoder max deviation {report['fedavg_max_dev']:.3e} "
                   f"(tolerance {report['tolerance']:.0e}), {report['elapsed_s']:.1f}s")
             return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
-    except (config_mod.ConfigError, CheckpointError, ValueError) as exc:
+    except (UsageError, config_mod.ConfigError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")

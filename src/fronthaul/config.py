@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from typing import Any, Callable
 
 from . import cloud, protocol
@@ -206,14 +207,15 @@ def to_training_config(cfg: dict[str, Any], obs_dim: int,
                        n_classes: int) -> protocol.TrainingConfig:
     """The protocol configuration: each field reads the key of its name
     (``_KEY`` maps the two that differ); the dataset gives the two fields
-    no key names."""
+    no key names. A rejected value is reported under its config key."""
     keys = {f.name: _KEY.get(f.name, f.name) for f in dataclasses.fields(protocol.TrainingConfig)}
     values = {name: cfg[key] for name, key in keys.items() if key in SCHEMA}
     tc = protocol.TrainingConfig(obs_dim=obs_dim, n_classes=n_classes, **values)
     try:
         tc.validate()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        message = re.sub(r"\b(" + "|".join(_KEY) + r")\b", lambda m: _KEY[m[0]], str(exc))
+        raise ConfigError(message) from None
     return tc
 
 

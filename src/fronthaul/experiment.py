@@ -279,6 +279,30 @@ def _rel_err(a: Array, b: Array) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
+def _central_differences(value, pairs, step: float) -> float:
+    """Largest relative error of central differences of ``value()`` against
+    analytic gradients.
+
+    ``pairs`` holds (array, gradient) of equal size; each array entry is
+    moved by +-``step`` in place, ``value()`` is read, and the entry is
+    restored before the next one moves.
+    """
+    worst = 0.0
+    for p, g in pairs:
+        flat = p.reshape(-1)
+        gflat = g.reshape(-1)
+        for idx in range(flat.size):
+            old = flat[idx]
+            flat[idx] = old + step
+            up_val = value()
+            flat[idx] = old - step
+            dn_val = value()
+            flat[idx] = old
+            fd = (up_val - dn_val) / (2 * step)
+            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
+    return worst
+
+
 def _kink_margin(stack: nn.LayerStack, cache: nn.ForwardCache) -> float:
     """Distance of the forward pass to the nearest non-smooth point.
 
@@ -331,29 +355,8 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
         out, _ = nn.forward(stack, x)
         return float(out[0] @ upstream[0])
 
-    worst = 0.0
-    for name, p in stack.params.items():
-        g = grads.param_grads[name]
-        flat = p.reshape(-1)
-        for idx in range(flat.size):
-            old = flat[idx]
-            flat[idx] = old + step
-            up_val = value()
-            flat[idx] = old - step
-            dn_val = value()
-            flat[idx] = old
-            fd = (up_val - dn_val) / (2 * step)
-            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(g.reshape(-1)[idx])))
-    for j in range(in_dim):
-        old = x[0, j]
-        x[0, j] = old + step
-        up_val = value()
-        x[0, j] = old - step
-        dn_val = value()
-        x[0, j] = old
-        fd = (up_val - dn_val) / (2 * step)
-        worst = max(worst, _rel_err(np.asarray(fd), np.asarray(grads.input_grad[0, j])))
-    return worst
+    pairs = [(p, grads.param_grads[name]) for name, p in stack.params.items()]
+    return _central_differences(value, pairs + [(x, grads.input_grad)], step)
 
 
 def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
@@ -398,32 +401,8 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
         lg, _ = cloud.cloud_infer(model, received, active)
         return float(np.sum(nn.softmax_cross_entropy(lg, labels)[0]))
 
-    worst = 0.0
-    for key, p in model.params.items():
-        flat = p.reshape(-1)
-        gflat = grads[key].reshape(-1)
-        for idx in range(flat.size):
-            old = flat[idx]
-            flat[idx] = old + step
-            up_val = value()
-            flat[idx] = old - step
-            dn_val = value()
-            flat[idx] = old
-            fd = (up_val - dn_val) / (2 * step)
-            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
-    for i in range(n_nodes):
-        flat = received[i].reshape(-1)
-        gflat = messages[i].reshape(-1)
-        for idx in range(flat.size):
-            old = flat[idx]
-            flat[idx] = old + step
-            up_val = value()
-            flat[idx] = old - step
-            dn_val = value()
-            flat[idx] = old
-            fd = (up_val - dn_val) / (2 * step)
-            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
-    return worst
+    pairs = [(p, grads[key]) for key, p in model.params.items()]
+    return _central_differences(value, pairs + list(zip(received, messages)), step)
 
 
 def run_gradcheck(seed: int = 0, stack_instances: int = 140,
@@ -447,7 +426,18 @@ def run_gradcheck(seed: int = 0, stack_instances: int = 140,
             "max_rel_err": worst, "tolerance": tolerance, "elapsed_s": elapsed}
 
 
-def _toy_equivalence_setup(seed: int, sharing: bool, rounds: int):
+def _max_param_deviation(a, b) -> float:
+    pa = protocol.state_parameters(a)
+    pb = protocol.state_parameters(b)
+    worst = 0.0
+    for name in pa:
+        worst = max(worst, _rel_err(pa[name], pb[name]))
+    return worst
+
+
+def _track_oracle(seed: int, sharing: bool, rounds: int) -> float:
+    """Largest parameter deviation between the protocol and the centralized
+    reference over ``rounds`` rounds of a toy run with a noiseless downlink."""
     dataset = data.generate_synthetic(dataset_seed(seed), n_classes=3, grid=8,
                                       samples=(64, 16, 16), window=6)
     cfg = protocol.TrainingConfig(
@@ -456,15 +446,13 @@ def _toy_equivalence_setup(seed: int, sharing: bool, rounds: int):
         eta=0.05, snr_up_db=(10.0, 10.0), snr_dn_db=(10.0, 10.0),
         noiseless_downlink=True, encoder_sharing=sharing, val_cadence=0,
         master_seed=seed)
-    return cfg, dataset
-
-
-def _max_param_deviation(a, b) -> float:
-    pa = protocol.state_parameters(a)
-    pb = protocol.state_parameters(b)
+    state = protocol.init_state(cfg, dataset)
+    oracle = protocol.init_oracle_state(cfg, dataset)
     worst = 0.0
-    for name in pa:
-        worst = max(worst, _rel_err(pa[name], pb[name]))
+    for k in range(1, rounds + 1):
+        protocol.run_training_round(state, k)
+        protocol.centralized_oracle_round(oracle, k)
+        worst = max(worst, _max_param_deviation(state, oracle))
     return worst
 
 
@@ -477,24 +465,8 @@ def run_equivalence(seed: int = 0, rounds: int = 50, fedavg_rounds: int = 20,
     scaled rate; both must track within ``tolerance``.
     """
     t0 = time.time()
-    cfg, dataset = _toy_equivalence_setup(seed, sharing=False, rounds=rounds)
-    state = protocol.init_state(cfg, dataset)
-    oracle = protocol.init_oracle_state(cfg, dataset)
-    dedicated_dev = 0.0
-    for k in range(1, rounds + 1):
-        protocol.run_training_round(state, k)
-        protocol.centralized_oracle_round(oracle, k)
-        dedicated_dev = max(dedicated_dev, _max_param_deviation(state, oracle))
-
-    cfg_sh, dataset_sh = _toy_equivalence_setup(seed + 1, sharing=True,
-                                                rounds=fedavg_rounds)
-    state_sh = protocol.init_state(cfg_sh, dataset_sh)
-    oracle_sh = protocol.init_oracle_state(cfg_sh, dataset_sh)
-    fedavg_dev = 0.0
-    for k in range(1, fedavg_rounds + 1):
-        protocol.run_training_round(state_sh, k)
-        protocol.centralized_oracle_round(oracle_sh, k)
-        fedavg_dev = max(fedavg_dev, _max_param_deviation(state_sh, oracle_sh))
+    dedicated_dev = _track_oracle(seed, sharing=False, rounds=rounds)
+    fedavg_dev = _track_oracle(seed + 1, sharing=True, rounds=fedavg_rounds)
     elapsed = time.time() - t0
     return {"ok": dedicated_dev <= tolerance and fedavg_dev <= tolerance,
             "dedicated_max_dev": dedicated_dev, "fedavg_max_dev": fedavg_dev,

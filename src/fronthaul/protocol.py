@@ -121,7 +121,8 @@ class TrainingConfig:
         if self.architecture not in ("proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG):
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.architecture == cloud.CATNET and self.async_coordination:
-            raise ValueError("the concatenation baseline cannot run asynchronously")
+            raise ValueError("architecture = catnet needs async_coordination = false: the "
+                             "concatenation baseline needs every node on every sample")
         if self.architecture == cloud.SUM_AGG and self.message_dim != self.n_classes:
             raise ValueError("sum aggregation requires message_dim == n_classes")
         if self.drop_probability is not None and not 0.0 <= self.drop_probability < 1.0:
@@ -225,7 +226,7 @@ class RoundEnv:
 
     Tensors cover all (sample, node) pairs whether or not a pair is
     active, so toggling coordination modes never shifts another stream.
-    The link tensors are drawn sample-first, (B, N, blocks), and held
+    The link tensors are drawn sample-first, (B, N, ...), and held
     node-first as transposed views.
     """
 
@@ -233,8 +234,8 @@ class RoundEnv:
     labels: Array
     observations: Array  # (N, B, A)
     h: Array  # (N, B, blocks) complex fading
-    up_noise: Array  # (N, B, blocks) complex, already scaled
-    dn_noise: Array  # (N, B, blocks) complex, already scaled
+    up_noise: Array  # (N, B, S) real rows, already scaled
+    dn_noise: Array  # (N, B, S) real rows, already scaled
     snr_up_db: Array  # (B,)
     snr_dn_db: Array  # (B,)
     active: Array  # (B, N) bool
@@ -266,13 +267,13 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
         pathloss = (d, cfg.pathloss_alpha)
     else:
         pathloss = None
-    ch = channel.sample_channel(stream(seed, _DOM_CHANNEL, k), blocks,
-                                pathloss=pathloss, shape=(b, n))
+    h = channel.sample_channel(stream(seed, _DOM_CHANNEL, k), blocks,
+                               pathloss=pathloss, shape=(b, n))
 
-    up_noise = channel.complex_noise(stream(seed, _DOM_UP_NOISE, k), (b, n, blocks),
-                                     sigma_c2[:, None, None])
-    dn_noise = channel.complex_noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
-                                     sigma_e2[:, None, None])
+    up_noise = channel.noise(stream(seed, _DOM_UP_NOISE, k), (b, n, blocks),
+                             sigma_c2[:, None, None])
+    dn_noise = channel.noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
+                             sigma_e2[:, None, None])
 
     if cfg.async_coordination:
         active, redraws = sample_active_sets(
@@ -287,7 +288,7 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
 
     return RoundEnv(batch_indices=np.asarray(batch_indices),
                     labels=dataset.train_labels[batch_indices],
-                    observations=observations, h=ch.h.transpose(1, 0, 2),
+                    observations=observations, h=h.transpose(1, 0, 2),
                     up_noise=up_noise.transpose(1, 0, 2),
                     dn_noise=dn_noise.transpose(1, 0, 2),
                     snr_up_db=snr_up, snr_dn_db=snr_dn,
@@ -295,10 +296,8 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
 
 
 def _encoder_seed(config: TrainingConfig, node_index: int) -> int:
-    # one shared initialization when nodes reuse the identical encoder
-    idx = 0 if config.encoder_sharing else node_index
     return int(np.random.SeedSequence(
-        config.master_seed, spawn_key=(_DOM_INIT, 1 + idx)).generate_state(1)[0])
+        config.master_seed, spawn_key=(_DOM_INIT, 1 + node_index)).generate_state(1)[0])
 
 
 def _cloud_seed(config: TrainingConfig) -> int:
@@ -327,13 +326,19 @@ def build_cloud(config: TrainingConfig):
 
 
 def build_nodes(config: TrainingConfig) -> list[edge.EdgeNode]:
-    nodes = []
-    for i in range(config.n_train):
-        enc = edge.build_encoder(config.obs_dim, config.message_dim,
-                                 config.encoder_hidden, config.p_e, config.power_mode,
-                                 _encoder_seed(config, i), cqie=config.cqie)
-        nodes.append(edge.EdgeNode(i, enc, config.power_mode, config.p_e, config.cqie))
-    return nodes
+    """One encoder per node, or with encoder sharing one encoder (node 0's)
+    that every node holds."""
+    def encoder(i):
+        return edge.build_encoder(config.obs_dim, config.message_dim,
+                                  config.encoder_hidden, config.p_e, config.power_mode,
+                                  _encoder_seed(config, i), cqie=config.cqie)
+
+    if config.encoder_sharing:
+        encoders = [encoder(0)] * config.n_train
+    else:
+        encoders = [encoder(i) for i in range(config.n_train)]
+    return [edge.EdgeNode(i, enc, config.power_mode, config.p_e, config.cqie)
+            for i, enc in enumerate(encoders)]
 
 
 def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> TrainingState:
@@ -354,12 +359,6 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
                          cloud_optimizer=nn.make_optimizer(config.optimizer, config.eta))
 
 
-def _extend_magnitude(h_rows: Array) -> Array:
-    """Diagonal channel gain diag([|h|; |h|]) as elementwise row factors."""
-    mag = np.abs(h_rows)
-    return np.concatenate([mag, mag], axis=-1)
-
-
 def _norm(params_list) -> float:
     total = 0.0
     for params in params_list:
@@ -373,12 +372,12 @@ def _encode_and_uplink(nodes: list[edge.EdgeNode], observations: Array, h: Array
                        before_uplink=None) -> Array:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
-    ``observations`` is (N, B, A); ``h`` and the scaled ``noise`` are
-    node-first, (N, B, blocks). A channel-aware node reads its own |h| as
-    side input. The nodes' forward caches are appended to ``caches`` when
-    it is given; evaluation and inference pass none, so they never hold N
-    caches at once. ``before_uplink`` runs between the two steps. Returns
-    the received rows (N, B, S).
+    ``observations`` is (N, B, A); ``h`` (N, B, blocks) and the scaled
+    ``noise`` rows (N, B, S) are node-first. A channel-aware node reads
+    its own |h| as side input. The nodes' forward caches are appended to
+    ``caches`` when it is given; evaluation and inference pass none, so
+    they never hold N caches at once. ``before_uplink`` runs between the
+    two steps. Returns the received rows (N, B, S).
     """
     messages = []
     for node, obs, h_node in zip(nodes, observations, h, strict=True):
@@ -389,8 +388,7 @@ def _encode_and_uplink(nodes: list[edge.EdgeNode], observations: Array, h: Array
             caches.append(cache)
     if before_uplink is not None:
         before_uplink()
-    return channel.uplink_transmit(channel.pack(np.stack(messages)),
-                                   channel.ChannelRealization(h=h), noise=noise)
+    return channel.uplink_transmit(np.stack(messages), h, noise)
 
 
 def run_training_round(state: TrainingState, round_index: int,
@@ -453,12 +451,10 @@ def _downlink_phase(config: TrainingConfig, env: RoundEnv, dn_messages: Array) -
     """Deliver the node-first gradient messages (N, B, S); returns the decoded rows."""
     if config.downlink == "exact":
         # reliable links with channel knowledge at the cloud: d = H m
-        return _extend_magnitude(env.h) * dn_messages
-    packed = channel.pack(dn_messages)
-    alpha = channel.compute_alpha(packed, config.p_c, config.power_mode)
-    y_tilde = channel.downlink_transmit(packed, channel.ChannelRealization(h=env.h), alpha,
-                                        noise=env.dn_noise)
-    return channel.downlink_decode(y_tilde, np.angle(env.h), alpha)
+        return channel.gain(env.h) * dn_messages
+    alpha = channel.compute_alpha(dn_messages, config.p_c, config.power_mode)
+    received = channel.downlink_transmit(dn_messages, env.h, alpha, env.dn_noise)
+    return channel.downlink_decode(received, env.h, alpha)
 
 
 def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
@@ -468,9 +464,9 @@ def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
 
     A node sums the gradient over the rows of its active samples and
     divides by their count; a node with no active sample does not step.
-    A shared encoder takes one step on the mean over nodes of those
-    averaged gradients, which for SGD equals averaging the nodes' stepped
-    parameters.
+    A shared encoder, the one stack every node holds, takes one step on
+    the mean over nodes of those averaged gradients, which for SGD equals
+    averaging the nodes' stepped parameters.
     """
     cfg = state.config
     b = len(env.batch_indices)
@@ -488,26 +484,27 @@ def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
             state.edge_optimizers[i].step(state.nodes[i].encoder, grads, count)
         return
     shared = state.nodes[0].encoder
+    for node in state.nodes:
+        if node.encoder is not shared:
+            raise ValueError(f"node {node.node_id} does not hold the shared encoder")
     total = nn.zero_grads_like(shared)
     for _, grads, count in steps:
         for name in total:
             total[name] = total[name] + grads[name] / count
     state.edge_optimizers[0].step(shared, total, cfg.n_train)
-    for node in state.nodes[1:]:
-        node.encoder.set_params(shared.params)
 
 
-def run_inference(nodes: list[edge.EdgeNode], model, ch: channel.ChannelRealization,
+def run_inference(nodes: list[edge.EdgeNode], model, h: Array, sigma_c2,
                   observations: Array, rng: np.random.Generator,
                   pathloss: bool = False) -> Array:
     """One cooperative inference pass: encode, transmit uplink, pool at the cloud.
 
-    ``ch.h`` is node-first, (N, B, blocks), and ``observations`` is
-    (N, B, A). The uplink noise of variance ``ch.sigma_c2`` (a scalar, or
-    one value per sample as (B, 1)) is drawn from ``rng`` node by node.
+    The fading ``h`` is node-first, (N, B, blocks), and ``observations`` is
+    (N, B, A). The uplink noise of variance ``sigma_c2`` (a scalar, or one
+    value per sample as (B, 1)) is drawn from ``rng`` node by node.
     """
-    noise = np.stack([channel.complex_noise(rng, h.shape, ch.sigma_c2) for h in ch.h])
-    logits, _ = model.infer(_encode_and_uplink(nodes, observations, ch.h, noise, pathloss))
+    noise = np.stack([channel.noise(rng, h_node.shape, sigma_c2) for h_node in h])
+    logits, _ = model.infer(_encode_and_uplink(nodes, observations, h, noise, pathloss))
     return logits
 
 
@@ -556,12 +553,12 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
             pathloss = (d, cfg.pathloss_alpha)
         else:
             pathloss = None
-        ch = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
-        noise = channel.complex_noise(rng, (nb, n_test, blocks), sigma2)
+        h = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
+        noise = channel.noise(rng, (nb, n_test, blocks), sigma2)
         offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
                                size=(nb, n_test, 2))
         observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        received = _encode_and_uplink(nodes, observations, ch.h.transpose(1, 0, 2),
+        received = _encode_and_uplink(nodes, observations, h.transpose(1, 0, 2),
                                       noise.transpose(1, 0, 2), cfg.pathloss)
         logits, _ = state.cloud_model.infer(received)
         losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
@@ -630,16 +627,15 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     env = draw_round_env(cfg, state.dataset, batch, round_index)
     b = len(batch)
 
-    caches = []
-    received = []
+    caches, gains, received = [], [], []
     for i, node in enumerate(state.nodes):
-        cqi = None
-        if node.cqie:
-            cqi = edge.cqi_side_input(np.abs(env.h[i]), cfg.pathloss)
+        mag = np.abs(env.h[i])
+        cqi = edge.cqi_side_input(mag, cfg.pathloss) if node.cqie else None
         s, cache = edge.encode(node, env.observations[i], cqi)
         caches.append(cache)
-        gain = _extend_magnitude(env.h[i])
-        received.append(gain * s + channel.unpack(env.up_noise[i]))
+        # the fixed uplink map y = H s + n, H = diag([|h|; |h|])
+        gains.append(np.concatenate([mag, mag], axis=-1))
+        received.append(gains[i] * s + env.up_noise[i])
 
     logits, cloud_cache = state.cloud_model.infer(received, env.active)
     _, grad_logits = nn.softmax_cross_entropy(logits, env.labels)
@@ -648,7 +644,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     # per-node encoder gradients through the fixed channel map: d = H m
     encoder_grads = []
     for i, node in enumerate(state.nodes):
-        d_rows = _extend_magnitude(env.h[i]) * messages[i]
+        d_rows = gains[i] * messages[i]
         encoder_grads.append(edge.batch_gradient(node, caches[i], d_rows))
 
     # single joint commit
@@ -664,9 +660,8 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
                     total[name] = total[name] + encoder_grads[i][name] * (b / count)
             else:
                 nn.accumulate(total, encoder_grads[i])
-        shared = nn.sgd_step(state.nodes[0].encoder.params, total, cfg.eta / cfg.n_train / b)
-        for node in state.nodes:
-            node.encoder.set_params(shared)
+        shared = state.nodes[0].encoder  # every node holds this one stack
+        shared.set_params(nn.sgd_step(shared.params, total, cfg.eta / cfg.n_train / b))
     else:
         for i, node in enumerate(state.nodes):
             if cfg.async_coordination:
@@ -713,8 +708,7 @@ def load_state_parameters(state, params: dict[str, Array]) -> None:
     state.cloud_model.set_named_params({name[len("cloud."):]: p for name, p in params.items()
                                         if name.startswith("cloud.")})
     if state.config.encoder_sharing:
-        for node in state.nodes:
-            install("encoder_shared", node.encoder)
+        install("encoder_shared", state.nodes[0].encoder)
     else:
         for i, node in enumerate(state.nodes):
             install(f"encoder{i}", node.encoder)

@@ -16,6 +16,12 @@ from fronthaul import channel, checkpoint, cloud, data, edge, experiment, nn, pr
 SEEDS = (11, 12, 13, 14, 15)
 
 
+def complex_view(rows):
+    """The complex vector a real stacked-halves row stands for."""
+    half = rows.shape[-1] // 2
+    return rows[..., :half] + 1j * rows[..., half:]
+
+
 def report(criterion: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {verdict} ({detail})")
@@ -82,19 +88,19 @@ class SideInputSpy:
         def spy_encode(node, observation, cqi=None):
             s, cache = encode(node, observation, cqi)
             if node.cqie:
-                self.pending.append((np.array(cqi, dtype=float), channel.pack(s)))
+                self.pending.append((np.array(cqi, dtype=float), np.array(s)))
             return s, cache
 
-        def spy_uplink(s_tilde, ch, *args, **kwargs):
+        def spy_uplink(s, h, noise):
             if self.pending:
                 queued, self.pending = self.pending, []
-                self.checked[self.path] += len(s_tilde)
-                if len(queued) == len(s_tilde):
-                    for (cqi, packed), row, h in zip(queued, s_tilde, ch.h):
-                        want = edge.cqi_side_input(np.abs(h), self.pathloss)
-                        self.matched[self.path] += (np.array_equal(packed, row)
+                self.checked[self.path] += len(s)
+                if len(queued) == len(s):
+                    for (cqi, message), row, h_node in zip(queued, s, h):
+                        want = edge.cqi_side_input(np.abs(h_node), self.pathloss)
+                        self.matched[self.path] += (np.array_equal(message, row)
                                                     and np.array_equal(cqi, want))
-            return uplink(s_tilde, ch, *args, **kwargs)
+            return uplink(s, h, noise)
 
         monkeypatch.setattr(edge, "encode", spy_encode)
         monkeypatch.setattr(channel, "uplink_transmit", spy_uplink)
@@ -106,13 +112,12 @@ def run_inference_on_test_crops(state, seed, n_test, samples=64):
     rng = np.random.default_rng(seed)
     d = rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(samples, n_test))
     h = channel.sample_channel(rng, cfg.n_blocks, pathloss=(d, cfg.pathloss_alpha),
-                               shape=(samples, n_test)).h
+                               shape=(samples, n_test))
     offsets = rng.integers(0, ds.grid - ds.window + 1, size=(samples, n_test, 2))
     observations = data.crop_batch(ds.split("test")[0][:samples], offsets, ds.window)
-    ch = channel.ChannelRealization(h=h.transpose(1, 0, 2),
-                                    sigma_c2=float(channel.snr_to_noise_var(20.0)))
     return protocol.run_inference(protocol.evaluation_nodes(state, n_test),
-                                  state.cloud_model, ch, observations,
+                                  state.cloud_model, h.transpose(1, 0, 2),
+                                  float(channel.snr_to_noise_var(20.0)), observations,
                                   rng=rng, pathloss=cfg.pathloss)
 
 
@@ -165,11 +170,10 @@ class TestCriterion4WirelessUnbiasedness:
         enc = edge.build_encoder(obs_dim, s_dim, (16,), 1.0, nn.PER_RB, seed=2)
         node = edge.EdgeNode(0, enc, nn.PER_RB, 1.0)
         _, cache = edge.encode(node, rng.normal(size=(batch, obs_dim)))
-        ch = channel.sample_channel(rng, blocks, sigma_e2=0.1, shape=(batch,))
+        h = channel.sample_channel(rng, blocks, shape=(batch,))
         messages = rng.normal(size=(batch, s_dim)) * 0.5
-        packed = channel.pack(messages)
-        alpha = channel.compute_alpha(packed, 1.0, "per-rb")
-        gain = np.concatenate([np.abs(ch.h), np.abs(ch.h)], axis=-1)
+        alpha = channel.compute_alpha(messages, 1.0, "per-rb")
+        gain = np.concatenate([np.abs(h), np.abs(h)], axis=-1)
         noiseless = edge.batch_gradient(node, cache, gain * messages)
 
         draws = 20_000
@@ -178,8 +182,9 @@ class TestCriterion4WirelessUnbiasedness:
         sq_sums = {k: np.zeros_like(v) for k, v in noiseless.items()}
         noise_rng = np.random.default_rng(6)
         for _ in range(draws):
-            received = channel.downlink_transmit(packed, ch, alpha, noise_rng)
-            rows = channel.downlink_decode(received, ch.phase, alpha)
+            received = channel.downlink_transmit(
+                messages, h, alpha, channel.noise(noise_rng, (batch, blocks), 0.1))
+            rows = channel.downlink_decode(received, h, alpha)
             term = edge.batch_gradient(node, cache, rows)
             for k in names:
                 sums[k] += term[k]
@@ -205,36 +210,33 @@ class TestCriterion5ChannelStatistics:
         # exact affine form at zero noise
         zero_ok = True
         for _ in range(20):
-            ch = channel.sample_channel(rng, 4)
+            h = channel.sample_channel(rng, 4)
             s = rng.normal(size=8)
-            y = channel.uplink_transmit(channel.pack(s), ch,
-                                        noise=np.zeros(4, complex))
-            zero_ok &= bool(np.array_equal(y, ch.effective_matrix() @ s))
+            y = channel.uplink_transmit(s, h, np.zeros(8))
+            H = np.diag(np.concatenate([np.abs(h), np.abs(h)]))
+            zero_ok &= bool(np.array_equal(y, H @ s))
         # uplink noise variance
-        ch_u = channel.ChannelRealization(h=np.ones((n, 1), complex), sigma_c2=0.2)
-        resid = channel.pack(channel.uplink_transmit(
-            np.ones((n, 1), complex), ch_u, rng)) - 1.0
+        ones = np.ones((n, 1), complex)
+        resid = complex_view(channel.uplink_transmit(
+            np.tile([1.0, 0.0], (n, 1)), ones, channel.noise(rng, (n, 1), 0.2))) - 1.0
         up_var = float(np.mean(np.abs(resid) ** 2))
         up_ok = abs(up_var - 0.2) / 0.2 < 0.03
         # downlink decoded noise variance sigma_e^2 / alpha^2
         alpha = 0.7
-        ch_d = channel.ChannelRealization(h=np.ones((n, 1), complex), sigma_e2=0.1)
         decoded = channel.downlink_decode(
-            channel.downlink_transmit(np.zeros((n, 1), complex), ch_d,
-                                      np.full(n, alpha), rng),
-            ch_d.phase, np.full(n, alpha))
+            channel.downlink_transmit(np.zeros((n, 2)), ones, np.full(n, alpha),
+                                      channel.noise(rng, (n, 1), 0.1)),
+            ones, np.full(n, alpha))
         dn_var = float(np.mean(np.sum(decoded ** 2, axis=1)))
         expected = 0.1 / alpha ** 2
         dn_ok = abs(dn_var - expected) / expected < 0.03
         # exact phase invariance at a fixed noise draw
-        h = channel.sample_channel(rng, 4).h
-        noise = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 0.3
-        s = channel.pack(rng.normal(size=8))
-        ref = channel.uplink_transmit(s, channel.ChannelRealization(h=h), noise=noise)
-        phase_ok = all(
-            np.array_equal(ref, channel.uplink_transmit(
-                s, channel.ChannelRealization(h=rot), noise=noise))
-            for rot in (1j * h, -h, np.conj(h)))
+        h = channel.sample_channel(rng, 4)
+        noise = rng.standard_normal(8) * 0.3  # real parts, then imaginary parts
+        s = rng.normal(size=8)
+        ref = channel.uplink_transmit(s, h, noise)
+        phase_ok = all(np.array_equal(ref, channel.uplink_transmit(s, rot, noise))
+                       for rot in (1j * h, -h, np.conj(h)))
         ok = zero_ok and up_ok and dn_ok and phase_ok
         report("5 channel-statistics", ok,
                f"zero-noise exact={zero_ok}, uplink var {up_var:.4f}/0.2, "
@@ -260,13 +262,12 @@ class TestCriterion6PowerFeasibility:
                 else:
                     worst = max(worst, float(np.sum(s * s, axis=1).max()) - 1.0)
         messages = rng.normal(size=(50_000, 8))
-        packed = channel.pack(messages)
-        alpha = channel.compute_alpha(packed, 1.0, "per-rb")
-        scaled_peak = np.max(np.abs(alpha[:, None] * packed) ** 2, axis=1)
+        alpha = channel.compute_alpha(messages, 1.0, "per-rb")
+        scaled_peak = np.max(np.abs(alpha[:, None] * complex_view(messages)) ** 2, axis=1)
         worst = max(worst, float(scaled_peak.max()) - 1.0)
-        group = [channel.pack(rng.normal(size=(50_000, 8))) for _ in range(3)]
+        group = [rng.normal(size=(50_000, 8)) for _ in range(3)]
         alpha_sum = channel.compute_alpha(group, 1.0, "sum")
-        total = sum(np.sum(np.abs(alpha_sum[:, None] * m) ** 2, axis=1)
+        total = sum(np.sum(np.abs(alpha_sum[:, None] * complex_view(m)) ** 2, axis=1)
                     for m in group)
         worst = max(worst, float(total.max()) - 1.0)
         ok = worst <= 1e-12

@@ -1,4 +1,4 @@
-"""Fronthaul channel model: fading statistics, packing, both link directions."""
+"""Fronthaul channel model: fading statistics, the real row form, both link directions."""
 
 import numpy as np
 import pytest
@@ -13,52 +13,90 @@ class TestNoiseVariance:
         assert abs(channel.snr_to_noise_var(snr_db) - expected) < 1e-15
 
 
+def complex_view(rows):
+    """The complex vector a real stacked-halves row stands for."""
+    half = rows.shape[-1] // 2
+    return rows[..., :half] + 1j * rows[..., half:]
+
+
 class TestPacking:
     def test_direct_example(self):
-        packed = channel.pack(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(packed, np.array([1 + 3j, 2 + 4j]))
+        """Rows are stacked halves: [1, 2, 3, 4] is (1 + 3j, 2 + 4j), so over
+        conj(h) = -1j the cloud sends (3 - 1j, 4 - 2j) = [3, 4, -1, -2]."""
+        y = channel.downlink_transmit(np.array([1.0, 2.0, 3.0, 4.0]), np.full(2, 1j), 1.0,
+                                      np.zeros(4))
+        assert np.array_equal(y, [3.0, 4.0, -1.0, -2.0])
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip(self, half, seed):
+        """Through the complex view of both downlink legs and back, bit for
+        bit, at unit gain and zero noise."""
         s = np.random.default_rng(seed).normal(size=2 * half)
-        assert np.array_equal(channel.unpack(channel.pack(s)), s)
+        h = np.ones(half, complex)
+        y = channel.downlink_transmit(s, h, 1.0, np.zeros(2 * half))
+        assert np.array_equal(y, s)
+        assert np.array_equal(channel.downlink_decode(y, h, 1.0), s)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            channel.pack(np.zeros(3))
+            channel.compute_alpha(np.zeros(3), 1.0, "per-rb")
+        with pytest.raises(ValueError, match="channel shape"):
+            channel.uplink_transmit(np.zeros(3), np.ones(1, complex), np.zeros(3))
+
+
+class TestLinkNoise:
+    def test_one_draw_equals_real_then_imaginary_draws(self):
+        """The rows hold every real part, then every imaginary part, of the
+        complex draws the two-draw form makes, bit for bit."""
+        variance = np.random.default_rng(0).uniform(0.1, 2.0, size=(5, 1, 1))
+        got = channel.noise(np.random.default_rng(1), (5, 3, 4), variance)
+        rng = np.random.default_rng(1)
+        std = np.sqrt(variance / 2.0)
+        want = std * (rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4)))
+        assert got.shape == (5, 3, 8)
+        assert np.array_equal(complex_view(got), want)
+
+    def test_variance_must_broadcast(self):
+        with pytest.raises(ValueError):
+            channel.noise(np.random.default_rng(0), (5, 4), np.ones(3))
 
 
 class TestSampleChannel:
     def test_unit_variance_magnitude(self):
         """Mean squared magnitude of the fading entries is 1 under no pathloss."""
-        ch = channel.sample_channel(np.random.default_rng(0), 4, shape=(25000,))
-        mean_sq = float(np.mean(np.abs(ch.h) ** 2))
+        h = channel.sample_channel(np.random.default_rng(0), 4, shape=(25000,))
+        mean_sq = float(np.mean(np.abs(h) ** 2))
         assert abs(mean_sq - 1.0) < 0.02
 
     def test_pathloss_scales_variance(self):
-        ch = channel.sample_channel(np.random.default_rng(1), 4,
-                                    pathloss=(10.0, 2.7), shape=(25000,))
+        h = channel.sample_channel(np.random.default_rng(1), 4,
+                                   pathloss=(10.0, 2.7), shape=(25000,))
         expected = 10.0 ** (-2.7)
-        mean_sq = float(np.mean(np.abs(ch.h) ** 2))
+        mean_sq = float(np.mean(np.abs(h) ** 2))
         assert abs(mean_sq - expected) / expected < 0.05
 
     def test_fixed_seed_replays(self):
         a = channel.sample_channel(np.random.default_rng(7), 6)
         b = channel.sample_channel(np.random.default_rng(7), 6)
-        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a, b)
 
     def test_magnitude_phase_reconstruct(self):
-        ch = channel.sample_channel(np.random.default_rng(2), 8)
-        rebuilt = ch.magnitude * np.exp(1j * ch.phase)
-        assert np.max(np.abs(rebuilt - ch.h)) < 1e-12
+        """The gain's magnitude, rotated by the phase the edge compensates
+        with, rebuilds the fading draw."""
+        h = channel.sample_channel(np.random.default_rng(2), 8)
+        magnitude_rows = channel.gain(h) * np.repeat([1.0, 0.0], 8)
+        rebuilt = complex_view(channel.downlink_decode(magnitude_rows, h, 1.0))
+        assert np.max(np.abs(rebuilt - h)) < 1e-12
 
     def test_effective_matrix_structure(self):
-        ch = channel.sample_channel(np.random.default_rng(3), 3)
-        H = ch.effective_matrix()
+        """diag(gain(h)) is the effective matrix diag([|h|; |h|])."""
+        h = channel.sample_channel(np.random.default_rng(3), 3)
+        H = np.diag(channel.gain(h))
         assert H.shape == (6, 6)
         diag = np.diag(H)
         assert np.array_equal(diag[:3], diag[3:])
+        assert np.array_equal(diag[:3], np.abs(h))
         assert np.all(diag >= 0)
         assert np.array_equal(H, np.diag(diag))
 
@@ -71,25 +109,23 @@ class TestSampleChannel:
 
 class TestUplink:
     def test_phase_cancelled_magnitude_applied(self):
-        ch = channel.ChannelRealization(h=np.array([3 + 4j]))
-        y = channel.uplink_transmit(np.array([1 + 0j]), ch, noise=np.zeros(1, complex))
-        assert np.allclose(channel.pack(y), [5 + 0j], atol=1e-12)
+        y = channel.uplink_transmit(np.array([1.0, 0.0]), np.array([3 + 4j]), np.zeros(2))
+        assert np.allclose(y, [5.0, 0.0], atol=1e-12)
 
     def test_unit_magnitude_any_phase_is_transparent(self):
         for theta in (0.0, 0.4, 2.2, -1.3):
-            ch = channel.ChannelRealization(h=np.array([np.exp(1j * theta)]))
-            y = channel.uplink_transmit(np.array([0.3 - 0.7j]), ch,
-                                        noise=np.zeros(1, complex))
-            assert np.max(np.abs(channel.pack(y) - (0.3 - 0.7j))) < 1e-12
+            h = np.array([np.exp(1j * theta)])
+            y = channel.uplink_transmit(np.array([0.3, -0.7]), h, np.zeros(2))
+            assert np.max(np.abs(y - [0.3, -0.7])) < 1e-12
 
     def test_noise_variance_empirical(self):
         """Complex noise variance matches the configured value within 3%."""
         rng = np.random.default_rng(5)
         n = 100_000
-        s = np.full((n, 1), 1.0 + 0.0j)
-        ch = channel.ChannelRealization(h=np.ones((n, 1), complex), sigma_c2=0.1)
-        y = channel.uplink_transmit(s, ch, rng)
-        resid = channel.pack(y) - s
+        s = np.tile([1.0, 0.0], (n, 1))
+        y = channel.uplink_transmit(s, np.ones((n, 1), complex),
+                                    channel.noise(rng, (n, 1), 0.1))
+        resid = complex_view(y - s)
         var = float(np.mean(np.abs(resid) ** 2))
         assert abs(var - 0.1) / 0.1 < 0.03
 
@@ -97,10 +133,11 @@ class TestUplink:
         """Real form satisfies y = H s + n exactly, entrywise."""
         rng = np.random.default_rng(6)
         for _ in range(10):
-            ch = channel.sample_channel(rng, 4)
+            h = channel.sample_channel(rng, 4)
             s = rng.normal(size=8)
-            y = channel.uplink_transmit(channel.pack(s), ch, noise=np.zeros(4, complex))
-            assert np.array_equal(y, ch.effective_matrix() @ s)
+            y = channel.uplink_transmit(s, h, np.zeros(8))
+            H = np.diag(np.concatenate([np.abs(h), np.abs(h)]))
+            assert np.array_equal(y, H @ s)
 
     def test_phase_invariance_at_fixed_noise(self):
         """Same magnitude and same noise draw give bitwise-identical output.
@@ -109,50 +146,48 @@ class TestUplink:
         which alter the angle while leaving the float magnitude untouched.
         """
         rng = np.random.default_rng(7)
-        h = channel.sample_channel(rng, 4).h
-        noise = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 0.2
-        s = channel.pack(rng.normal(size=8))
-        reference = channel.uplink_transmit(s, channel.ChannelRealization(h=h),
-                                            noise=noise)
+        h = channel.sample_channel(rng, 4)
+        noise = rng.standard_normal(8) * 0.2
+        s = rng.normal(size=8)
+        reference = channel.uplink_transmit(s, h, noise)
         for rotated in (1j * h, -h, -1j * h, np.conj(h)):
             assert not np.allclose(np.angle(rotated), np.angle(h))
-            out = channel.uplink_transmit(s, channel.ChannelRealization(h=rotated),
-                                          noise=noise)
+            out = channel.uplink_transmit(s, rotated, noise)
             assert np.array_equal(out, reference)
 
     def test_dimension_mismatch_rejected(self):
-        ch = channel.ChannelRealization(h=np.zeros(3, complex))
         with pytest.raises(ValueError, match="shape"):
-            channel.uplink_transmit(np.zeros(4, complex), ch, np.random.default_rng(0))
+            channel.uplink_transmit(np.zeros(8), np.zeros(3, complex), np.zeros(8))
 
 
 class TestAlpha:
     def test_per_rb_peak(self):
-        alpha = channel.compute_alpha([np.array([1 + 1j, 0.0])], 1.0, "per-rb")
+        alpha = channel.compute_alpha([np.array([1.0, 0.0, 1.0, 0.0])], 1.0, "per-rb")
         assert abs(alpha - 1 / np.sqrt(2)) < 1e-12
 
     def test_sum_mode_shares_budget(self):
-        m1 = np.array([1 + 1j, 1.0])  # squared norm 3
-        m2 = np.array([1.0, 0.0])  # squared norm 1
+        m1 = np.array([1.0, 1.0, 1.0, 0.0])  # squared norm 3
+        m2 = np.array([1.0, 0.0, 0.0, 0.0])  # squared norm 1
         alpha = channel.compute_alpha([m1, m2], 1.0, "sum")
         assert abs(alpha - 0.5) < 1e-12
 
     def test_zero_message_floored(self):
-        alpha = channel.compute_alpha([np.zeros(4, complex)], 1.0, "per-rb")
+        alpha = channel.compute_alpha([np.zeros(8)], 1.0, "per-rb")
         assert abs(alpha - np.sqrt(1.0 / 1e-12)) < 1e-3
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
-            channel.compute_alpha([np.ones(2, complex)], 0.0, "per-rb")
+            channel.compute_alpha([np.ones(4)], 0.0, "per-rb")
 
     @pytest.mark.parametrize("nodes", [1, 2, 3, 7, 16])
     def test_node_first_equals_per_node_loop(self, nodes):
-        """On node-first messages (N, B, blocks) per-RB mode gives each node's
+        """On node-first message rows (N, B, S) per-RB mode gives each node's
         own factor and sum mode adds the nodes' energies in node order, bit
         for bit as a loop over the nodes does."""
         rng = np.random.default_rng(nodes)
-        m = channel.pack(rng.normal(size=(nodes, 32, 16)) * rng.uniform(0.1, 10, (nodes, 32, 1)))
-        per_rb = channel.compute_alpha(m, 1.0, "per-rb")
+        rows = rng.normal(size=(nodes, 32, 16)) * rng.uniform(0.1, 10, (nodes, 32, 1))
+        m = complex_view(rows)
+        per_rb = channel.compute_alpha(rows, 1.0, "per-rb")
         assert per_rb.shape == (nodes, 32)
         for i in range(nodes):
             peak = np.max(np.abs(m[i]) ** 2, axis=-1)
@@ -161,36 +196,32 @@ class TestAlpha:
         for i in range(nodes):
             total = total + np.sum(np.abs(m[i]) ** 2, axis=-1)
         want = np.sqrt(1.0 / np.maximum(total, 1e-12))
-        assert np.array_equal(channel.compute_alpha(m, 1.0, "sum"), want)
+        assert np.array_equal(channel.compute_alpha(rows, 1.0, "sum"), want)
 
 
 class TestDownlink:
     def test_conjugate_product(self):
-        ch = channel.ChannelRealization(h=np.array([3 + 4j]))
-        y = channel.downlink_transmit(np.array([1 + 0j]), ch, 1.0,
-                                      noise=np.zeros(1, complex))
-        assert np.allclose(y, [3 - 4j], atol=1e-12)
+        y = channel.downlink_transmit(np.array([1.0, 0.0]), np.array([3 + 4j]), 1.0,
+                                      np.zeros(2))
+        assert np.allclose(y, [3.0, -4.0], atol=1e-12)
 
     def test_zero_message_zero_output(self):
-        ch = channel.ChannelRealization(h=np.array([3 + 4j, 1 - 1j]))
-        y = channel.downlink_transmit(np.zeros(2, complex), ch, 2.0,
-                                      noise=np.zeros(2, complex))
+        y = channel.downlink_transmit(np.zeros(4), np.array([3 + 4j, 1 - 1j]), 2.0,
+                                      np.zeros(4))
         assert np.all(y == 0)
 
     def test_noise_variance_empirical(self):
         rng = np.random.default_rng(8)
         n = 100_000
-        ch = channel.ChannelRealization(h=np.ones((n, 1), complex), sigma_e2=0.25)
-        y = channel.downlink_transmit(np.zeros((n, 1), complex), ch,
-                                      np.ones(n), rng)
-        var = float(np.mean(np.abs(y) ** 2))
+        y = channel.downlink_transmit(np.zeros((n, 2)), np.ones((n, 1), complex),
+                                      np.ones(n), channel.noise(rng, (n, 1), 0.25))
+        var = float(np.mean(np.abs(complex_view(y)) ** 2))
         assert abs(var - 0.25) / 0.25 < 0.03
 
     def test_decode_compensates_phase(self):
-        ch = channel.ChannelRealization(h=np.array([3 + 4j]))
-        y = channel.downlink_transmit(np.array([1 + 0j]), ch, 1.0,
-                                      noise=np.zeros(1, complex))
-        decoded = channel.downlink_decode(y, ch.phase, 1.0)
+        h = np.array([3 + 4j])
+        y = channel.downlink_transmit(np.array([1.0, 0.0]), h, 1.0, np.zeros(2))
+        decoded = channel.downlink_decode(y, h, 1.0)
         assert np.allclose(decoded, [5.0, 0.0], atol=1e-12)
 
     def test_composition_equals_uplink_effective_map(self):
@@ -198,15 +229,12 @@ class TestDownlink:
         realizes, for random messages and realizations."""
         rng = np.random.default_rng(9)
         for _ in range(100):
-            ch = channel.sample_channel(rng, 5)
+            h = channel.sample_channel(rng, 5)
             m = rng.normal(size=10)
-            m_tilde = channel.pack(m)
-            alpha = channel.compute_alpha([m_tilde], 1.0, "per-rb")
+            alpha = channel.compute_alpha(m, 1.0, "per-rb")
             got = channel.downlink_decode(
-                channel.downlink_transmit(m_tilde, ch, alpha,
-                                          noise=np.zeros(5, complex)),
-                ch.phase, alpha)
-            want = channel.uplink_transmit(m_tilde, ch, noise=np.zeros(5, complex))
+                channel.downlink_transmit(m, h, alpha, np.zeros(10)), h, alpha)
+            want = channel.uplink_transmit(m, h, np.zeros(10))
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_decoded_noise_std_is_sigma_over_alpha(self):
@@ -214,40 +242,48 @@ class TestDownlink:
         n = 100_000
         alpha = 0.5
         sigma_e2 = 0.09
-        ch = channel.ChannelRealization(h=np.ones((n, 1), complex), sigma_e2=sigma_e2)
-        y = channel.downlink_transmit(np.zeros((n, 1), complex), ch,
-                                      np.full(n, alpha), rng)
-        decoded = channel.downlink_decode(y, ch.phase, np.full(n, alpha))
+        h = np.ones((n, 1), complex)
+        y = channel.downlink_transmit(np.zeros((n, 2)), h, np.full(n, alpha),
+                                      channel.noise(rng, (n, 1), sigma_e2))
+        decoded = channel.downlink_decode(y, h, np.full(n, alpha))
         std = float(np.std(decoded))  # per real dimension: sigma_e / (alpha sqrt 2)
         expected = np.sqrt(sigma_e2) / alpha / np.sqrt(2)
         assert abs(std - expected) / expected < 0.03
 
+    def test_zero_fading_has_no_phase_to_undo(self):
+        """A block whose fading is exactly zero decodes with phase factor 1,
+        the angle of zero, instead of the 0/0 of h/|h|."""
+        h = np.array([0j, 3 + 4j])
+        y = np.array([0.3, 1.0, -0.6, 2.0])
+        decoded = channel.downlink_decode(y, h, 2.0)
+        assert np.array_equal(decoded[[0, 2]], [0.15, -0.3])
+        assert np.all(np.isfinite(decoded))
+
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError, match="scaling"):
-            channel.downlink_decode(np.zeros(2, complex), np.zeros(2), 0.0)
+            channel.downlink_decode(np.zeros(4), np.ones(2, complex), 0.0)
 
     @pytest.mark.parametrize("mode", ["per-rb", "sum"])
     def test_power_feasibility(self, mode):
         """Scaled transmissions never exceed the budget beyond 1e-12."""
         rng = np.random.default_rng(11)
         for _ in range(100):
-            msgs = [channel.pack(rng.normal(size=8) * rng.uniform(0.1, 10))
-                    for _ in range(3)]
+            msgs = [rng.normal(size=8) * rng.uniform(0.1, 10) for _ in range(3)]
             if mode == "per-rb":
                 alpha = channel.compute_alpha(msgs, 1.0, "per-rb")
                 assert alpha.shape == (3,)
                 for i in range(3):
-                    assert np.max(np.abs(alpha[i] * msgs[i]) ** 2) <= 1.0 + 1e-12
+                    assert np.max(np.abs(alpha[i] * complex_view(msgs[i])) ** 2) <= 1.0 + 1e-12
             else:
                 alpha = channel.compute_alpha(msgs, 1.0, "sum")
-                total = sum(np.sum(np.abs(alpha * m) ** 2) for m in msgs)
+                total = sum(np.sum(np.abs(alpha * complex_view(m)) ** 2) for m in msgs)
                 assert total <= 1.0 + 1e-12
 
 
 class TestIndependence:
     def test_distinct_draws_uncorrelated(self):
         """Fading for distinct (node, sample) slots shows no linear dependence."""
-        ch = channel.sample_channel(np.random.default_rng(12), 1, shape=(20000, 2))
-        a = ch.h[:, 0, 0].real
-        b = ch.h[:, 1, 0].real
+        h = channel.sample_channel(np.random.default_rng(12), 1, shape=(20000, 2))
+        a = h[:, 0, 0].real
+        b = h[:, 1, 0].real
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03

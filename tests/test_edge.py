@@ -19,13 +19,16 @@ def stepped(nodes, observations, rows, active=None, optimizer="sgd", sharing=Fal
     """Each node's parameters after the round's edge step, on copies of ``nodes``.
 
     Node i encodes ``observations[i]`` and receives ``rows[i]``; ``active``
-    is the (batch, nodes) mask, all true by default.
+    is the (batch, nodes) mask, all true by default. With ``sharing``,
+    nodes that hold one encoder hold one copy of it, as sharing nodes do.
     """
-    copies = []
+    copies, stacks = [], {}
     for i, node in enumerate(nodes):
-        enc = nn.LayerStack(node.encoder.layers, node.encoder.seed)
-        enc.set_params(node.encoder.params)
-        copies.append(edge.EdgeNode(i, enc, node.power_mode, node.p_e, node.cqie))
+        key = id(node.encoder) if sharing else i
+        if key not in stacks:
+            stacks[key] = nn.LayerStack(node.encoder.layers, node.encoder.seed)
+            stacks[key].set_params(node.encoder.params)
+        copies.append(edge.EdgeNode(i, stacks[key], node.power_mode, node.p_e, node.cqie))
     caches = [edge.encode(node, obs)[1] for node, obs in zip(copies, observations)]
     batch = len(rows[0])
     state = SimpleNamespace(
@@ -142,7 +145,7 @@ class TestLocalUpdateWireless:
         batch, nodes = 3, 2
         env = SimpleNamespace(
             h=(rng.normal(size=(nodes, batch, 2)) + 1j * rng.normal(size=(nodes, batch, 2))),
-            dn_noise=np.zeros((nodes, batch, 2), complex))
+            dn_noise=np.zeros((nodes, batch, 4)))
         messages = rng.normal(size=(nodes, batch, 4))
         rows = {}
         for mode in ("exact", "wireless"):
@@ -248,9 +251,11 @@ class TestLocalUpdateShared:
                 assert np.array_equal(out[k], alone[k])
 
     def test_shape_mismatch_rejected(self):
-        """Nodes whose encoder layouts differ cannot share one encoder."""
+        """Nodes whose encoder layouts differ cannot share one encoder: every
+        sharing node must hold the one shared stack, and a node holding
+        another is rejected before any step."""
         a = np.zeros((1, 6))
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="node 1 does not hold the shared encoder"):
             stepped([make_node(), make_node(hidden=(5,))], [a, a],
                     [np.ones((1, 4))] * 2, sharing=True)
 

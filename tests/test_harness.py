@@ -77,7 +77,7 @@ class TestConfigParsing:
             config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
 
     @pytest.mark.parametrize("line, match", [
-        ("branches = 0", "n_branches"),
+        ("branches = 0", r"\bbranches\b"),
         ("latent_dim = 0", "latent_dim"),
         ("cloud_hidden = 0", "cloud_hidden"),
         ("encoder_hidden = 48,0", "encoder_hidden"),
@@ -88,10 +88,19 @@ class TestConfigParsing:
             "eta", "val_cadence"])
     def test_bad_widths_rates_and_cadences_rejected(self, line, match):
         """Widths below 1, a negative learning rate or cadence stop before any
-        round runs; zero widths used to train to chance accuracy."""
+        round runs; zero widths used to train to chance accuracy. The error
+        names the config key, never a field name that differs from it."""
         cfg = config_mod.parse_config_text(line + "\n")
-        with pytest.raises(config_mod.ConfigError, match=match):
+        with pytest.raises(config_mod.ConfigError, match=match) as excinfo:
             config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
+        assert not any(field in str(excinfo.value) for field in config_mod._KEY)
+
+    def test_catnet_async_names_both_keys(self):
+        cfg = config_mod.parse_config_text("architecture = catnet\nasync = true\n")
+        with pytest.raises(config_mod.ConfigError,
+                           match=r"^architecture = catnet needs async = false") as excinfo:
+            config_mod.to_training_config(cfg, obs_dim=81, n_classes=4)
+        assert "async_coordination" not in str(excinfo.value)
 
     def test_schema_defaults_match_training_config_defaults(self):
         tc = config_mod.to_training_config(config_mod.default_config(), 81, 4)
@@ -350,6 +359,18 @@ class TestExperimentDriver:
         acc, loss = protocol.evaluate(state, "test", n_test=8, snr_db=10.0)
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
+    def test_shared_encoder_is_one_stack(self, tmp_path):
+        """With encoder sharing every node holds the same encoder object, both
+        as built and as restored from a checkpoint."""
+        cfg = config_mod.parse_config_text(small_config_text(encoder_sharing="true"))
+        experiment.run_training(cfg, tmp_path / "out")
+        dataset = experiment.build_dataset(cfg)
+        built = protocol.init_state(config_mod.to_training_config(
+            cfg, dataset.obs_dim, dataset.n_classes), dataset)
+        restored, _ = experiment.restore_state(tmp_path / "out" / "checkpoint.bin")
+        for state in (built, restored):
+            assert all(node.encoder is state.nodes[0].encoder for node in state.nodes)
+
     def test_eval_command_uses_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text())
@@ -595,6 +616,29 @@ class TestCli:
         proc = self._run("eval", "--config", str(eval_cfg), "--out-dir",
                          str(tmp_path / "eval_out"))
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("args, named", [
+        ((), "command"),
+        (("train",), "--config"),
+        (("train", "--config", "cfg.txt", "--bogus"), "--bogus"),
+        (("eval", "--config", "cfg.txt", "--seed", "5"), "--seed"),
+        (("gradcheck", "--config", "cfg.txt"), "--config"),
+        (("gradcheck", "--out-dir", "out"), "--out-dir"),
+        (("equivalence", "--config", "cfg.txt"), "--config"),
+        (("equivalence", "--out-dir", "out"), "--out-dir"),
+        (("sweep", "--config", "cfg.txt", "--seed", "five"), "--seed"),
+    ], ids=["no-command", "train-no-config", "unknown-flag", "eval-seed",
+            "gradcheck-config", "gradcheck-out-dir", "equivalence-config",
+            "equivalence-out-dir", "bad-seed"])
+    def test_usage_error_exits_one(self, tmp_path, args, named):
+        """A command line the subcommand does not read exits 1, as a bad
+        config does, naming what is wrong; exit 2 stays reserved for a
+        failed numeric check."""
+        proc = self._run(*(str(tmp_path / a) if a in ("cfg.txt", "out") else a for a in args))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_numeric_check_exits_two(self, monkeypatch, capsys):
         from fronthaul import cli

@@ -117,9 +117,8 @@ class TestRunInference:
         state = protocol.init_state(cfg, ds)
         rng = np.random.default_rng(3)
         observations = rng.normal(size=(3, 1, 36))
-        ch = channel.ChannelRealization(h=np.ones((3, 1, 4), complex))
-        logits = protocol.run_inference(state.nodes, state.cloud_model, ch,
-                                        observations,
+        logits = protocol.run_inference(state.nodes, state.cloud_model,
+                                        np.ones((3, 1, 4), complex), 0.0, observations,
                                         rng=np.random.default_rng(4))
         received = []
         for node, obs in zip(state.nodes, observations):
@@ -136,9 +135,8 @@ class TestRunInference:
         observations = rng.normal(size=(3, 2, 36))
         outs = []
         for _ in range(2):
-            ch = channel.sample_channel(np.random.default_rng(10), 4, sigma_c2=0.1,
-                                        shape=(3, 2))
-            logits = protocol.run_inference(state.nodes, state.cloud_model, ch,
+            h = channel.sample_channel(np.random.default_rng(10), 4, shape=(3, 2))
+            logits = protocol.run_inference(state.nodes, state.cloud_model, h, 0.1,
                                             observations,
                                             rng=np.random.default_rng(6))
             outs.append(logits)
@@ -150,17 +148,18 @@ class TestRunInference:
         state = protocol.init_state(toy_config(cqie=True, pathloss=True), toy_dataset())
         rng = np.random.default_rng(9)
         observations = rng.normal(size=(3, 5, 36))
-        ch = channel.sample_channel(rng, 4, sigma_c2=rng.uniform(0.1, 1.0, size=(5, 1)),
-                                    pathloss=(rng.uniform(1, 10, size=(3, 5)), 2.7),
-                                    shape=(3, 5))
-        logits = protocol.run_inference(state.nodes, state.cloud_model, ch, observations,
-                                        rng=np.random.default_rng(10), pathloss=True)
+        sigma_c2 = rng.uniform(0.1, 1.0, size=(5, 1))
+        h = channel.sample_channel(rng, 4, pathloss=(rng.uniform(1, 10, size=(3, 5)), 2.7),
+                                   shape=(3, 5))
+        logits = protocol.run_inference(state.nodes, state.cloud_model, h, sigma_c2,
+                                        observations, rng=np.random.default_rng(10),
+                                        pathloss=True)
         noise_rng = np.random.default_rng(10)
         received = []
-        for node, obs, h in zip(state.nodes, observations, ch.h):
-            s, _ = edge.encode(node, obs, edge.cqi_side_input(np.abs(h), True))
-            one = channel.ChannelRealization(h=h, sigma_c2=ch.sigma_c2)
-            received.append(channel.uplink_transmit(channel.pack(s), one, noise_rng))
+        for node, obs, h_node in zip(state.nodes, observations, h):
+            s, _ = edge.encode(node, obs, edge.cqi_side_input(np.abs(h_node), True))
+            noise = channel.noise(noise_rng, h_node.shape, sigma_c2)
+            received.append(channel.uplink_transmit(s, h_node, noise))
         want, _ = cloud.cloud_infer(state.cloud_model, received)
         assert np.array_equal(logits, want)
 
@@ -172,9 +171,9 @@ class TestRunInference:
         state = protocol.init_state(cfg, ds)
         rng = np.random.default_rng(7)
         observations = rng.normal(size=(2, 1, 36))
-        ch = channel.ChannelRealization(h=np.ones((2, 1, 4), complex))
-        logits = protocol.run_inference(state.nodes[:2], state.cloud_model, ch,
-                                        observations, rng=np.random.default_rng(8))
+        logits = protocol.run_inference(state.nodes[:2], state.cloud_model,
+                                        np.ones((2, 1, 4), complex), 0.0, observations,
+                                        rng=np.random.default_rng(8))
         received = [edge.encode(n, o)[0] for n, o in zip(state.nodes[:2], observations)]
         want, _ = cloud.cloud_infer(state.cloud_model, received)
         assert np.max(np.abs(logits - want)) < 1e-12
@@ -188,6 +187,16 @@ class TestTrainingRound:
         protocol.run_training_round(state, 1,
                                     phase_hook=lambda phase, k: seen.append(phase))
         assert tuple(seen) == protocol.PHASES
+
+    def test_links_faded_to_zero_keep_training_finite(self):
+        """Pathloss at distances of 1e200 underflows the fading to exactly
+        zero; the wireless downlink still delivers finite rows."""
+        state = protocol.init_state(toy_config(pathloss=True, pathloss_d=(1e200, 1e200),
+                                               noiseless_downlink=False), toy_dataset())
+        for k in (1, 2):
+            record = protocol.run_training_round(state, k)
+        assert np.isfinite(record.train_loss)
+        assert all(np.isfinite(p).all() for p in protocol.state_parameters(state).values())
 
     def test_cloud_commits_before_downlink_edges_after(self):
         """The cloud's parameters change during cloud backpropagation; the
