@@ -315,10 +315,6 @@ class BaselineModel:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
 
     @property
-    def param_count(self) -> int:
-        return sum(s.param_count for s in self.stacks)
-
-    @property
     def output_dim(self) -> int:
         return self.n_classes
 
@@ -461,7 +457,7 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
     batch = cache.active.shape[0]
     if g.shape != (batch, model.n_classes):
         raise ValueError("gradient shape does not match the cached forward")
-    stack_grads = [nn.zero_grads_like(stack) for stack in model.stacks]
+    stack_grads = [{k: np.zeros_like(p) for k, p in s.params.items()} for s in model.stacks]
     if model.kind == SUM_AGG:
         messages = [g * cache.active[:, i:i + 1] for i in range(cache.n_nodes)]
     elif model.kind == CATNET:

@@ -1,15 +1,16 @@
 """Edge node behavior: observation encoding and the per-node gradient.
 
-Each node owns one encoder stack whose final layer is the power
-projection, so every message it emits already satisfies the node's
-transmit constraint. The gradient only ever sees this node's cache and
-the gradient rows delivered for it; nothing here takes another node's
-observations or parameters. The round protocol turns that gradient
-into the node's step.
+Every node's encoder lives in one ``EncoderSet`` that one optimizer
+steps. Each encoder ends with the power projection, so every message a
+node emits already satisfies its transmit constraint. A node's gradient
+only ever reads that node's cache, parameters and delivered gradient
+rows. The round protocol turns the gradients into the encoders' step.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,31 +19,82 @@ from . import nn
 Array = np.ndarray
 
 
-@dataclass
-class EdgeNode:
-    node_id: int
-    encoder: nn.LayerStack
-    power_mode: str = nn.PER_RB
-    p_e: float = 1.0
-    cqie: bool = False
+# one node's encoder as ``nn.forward`` and ``nn.backward`` read a layer
+# stack, with views of its slice of the set's arrays as ``params``
+NodeEncoder = namedtuple("NodeEncoder", "layers params in_dim version")
 
-    def __post_init__(self):
-        if self.encoder.out_dim % 2 != 0:
+
+class EncoderSet:
+    """Every node's encoder as one parameter set with the node axis first.
+
+    ``params`` holds (N, out, in) weights and (N, out) biases for N
+    dedicated encoders, node i owning slice i, or one slice for a shared
+    encoder, which serves any number of nodes. Each slice starts as the
+    ``nn.LayerStack`` (one layout for all) it was built from; ``version``
+    increments on every ``set_params`` so stale caches are rejected.
+    """
+
+    def __init__(self, stacks: Sequence[nn.LayerStack], power_mode: str = nn.PER_RB,
+                 p_e: float = 1.0, cqie: bool = False, shared: bool = False):
+        if shared and len(stacks) != 1:
+            raise ValueError("a shared encoder set holds exactly one encoder")
+        layers = stacks[0].layers
+        if any(stack.layers != layers for stack in stacks):
+            raise ValueError("every encoder of a set needs the same layers")
+        if stacks[0].out_dim % 2 != 0:
             raise ValueError("encoder output length must be even")
-        last = self.encoder.layers[-1]
+        last = layers[-1]
         if not isinstance(last, nn.Projection):
             raise ValueError("encoder must end with the power projection")
-        if last.mode != self.power_mode or last.power != self.p_e:
+        if last.mode != power_mode or last.power != p_e:
             raise ValueError("encoder projection does not match the node's power budget")
+        self.layers = layers
+        self.in_dim = stacks[0].in_dim
+        self.message_dim = stacks[0].out_dim
+        self.cqie = cqie
+        self.shared = shared
+        self.n_encoders = n = len(stacks)
+        self.prefixes = ["encoder_shared"] if shared else [f"encoder{i}" for i in range(n)]
+        self.params = {name: np.stack([stack.params[name] for stack in stacks])
+                       for name in stacks[0].params}
+        self.version = 0
 
-    @property
-    def message_dim(self) -> int:
-        return self.encoder.out_dim
+    def node_encoder(self, node: int) -> NodeEncoder:
+        """The encoder node ``node`` encodes with."""
+        slot = 0 if self.shared else node
+        return NodeEncoder(self.layers, {name: p[slot] for name, p in self.params.items()},
+                           self.in_dim, self.version)
 
-    @property
-    def obs_dim(self) -> int:
-        blocks = self.encoder.out_dim // 2
-        return self.encoder.in_dim - blocks if self.cqie else self.encoder.in_dim
+    def set_params(self, params: Mapping[str, Array]) -> None:
+        """Swap in a new stacked parameter set (shapes must match) and bump the version."""
+        if {k: np.shape(p) for k, p in params.items()} != \
+                {k: p.shape for k, p in self.params.items()}:
+            raise ValueError("parameter names or shapes do not match this encoder set")
+        self.params = {name: np.asarray(params[name], dtype=float) for name in self.params}
+        self.version += 1
+
+    def named_params(self) -> dict[str, Array]:
+        """Checkpoint names (``encoder{i}.dense0.w`` and so on, or
+        ``encoder_shared.*``) over views of the slices, slice by slice."""
+        return {f"{prefix}.{name}": p[k] for k, prefix in enumerate(self.prefixes)
+                for name, p in self.params.items()}
+
+    def set_named_params(self, named: Mapping[str, Array]) -> None:
+        """Install arrays named as ``named_params`` names them; others are ignored."""
+        self.set_params({name: np.stack([named[f"{prefix}.{name}"] for prefix in self.prefixes])
+                         for name in self.params})
+
+    def step_gradients(self, grads: Mapping[str, Array], counts: Array
+                       ) -> tuple[Mapping[str, Array], Array | int]:
+        """The optimizer's (gradients, divisor) from node-first gradient sums
+        and active counts: per slice for dedicated encoders; for a shared one
+        the mean over nodes of each node's average (a node with no active
+        sample has a zero sum and adds nothing)."""
+        if not self.shared:
+            return grads, counts
+        per_node = np.maximum(counts, 1).astype(float)
+        return ({name: (g / per_node.reshape(-1, *(1,) * (g.ndim - 1))).sum(axis=0, keepdims=True)
+                 for name, g in grads.items()}, len(counts))
 
 
 def build_encoder(obs_dim: int, message_dim: int, hidden: tuple[int, ...],
@@ -76,25 +128,62 @@ def cqi_side_input(magnitude: Array, pathloss: bool) -> Array:
     return mag
 
 
-def encode(node: EdgeNode, observation, cqi: Array | None = None
-           ) -> tuple[Array, nn.ForwardCache]:
-    """Message s = projection(encoder(a [, cqi])) plus the forward cache.
+@dataclass
+class EncoderCache:
+    """What ``batch_gradient`` reads from one ``encode`` call."""
 
-    ``observation`` is a batch of rows; ``cqi`` must be present exactly
-    when the node runs with channel quality input, one row per sample.
+    encoders: EncoderSet
+    version: int  # the set's version at the forward pass
+    caches: list[nn.ForwardCache]  # one per node
+
+
+def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
+           keep_cache: bool = True) -> tuple[Array, EncoderCache | None]:
+    """Every node's messages s_i = projection(encoder_i(a_i [, cqi_i])), (n, B, S).
+
+    ``observations`` is (n, B, A); ``cqi`` (n, B, blocks) is present
+    exactly when the set takes channel quality input. Dedicated encoders
+    serve nodes 0 to n-1; a shared encoder serves any n. Each node runs its
+    whole stack before the next: products batched over the node axis give
+    the same bits but, at the larger node counts and batches, run slower
+    because their temporaries spill L2. Inference passes ``keep_cache=False``
+    and gets no cache, so it never holds every node's layer inputs at once.
     """
-    values = np.asarray(observation, dtype=float)
-    if node.cqie:
-        if cqi is None:
-            raise ValueError("node expects a channel quality side input")
-        x = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
-    else:
-        if cqi is not None:
-            raise ValueError("node does not take a channel quality side input")
-        x = values
-    return nn.forward(node.encoder, x)
+    values = np.asarray(observations, dtype=float)
+    if values.ndim != 3:
+        raise ValueError("observations must be (nodes, batch, length)")
+    if encoders.cqie != (cqi is not None):
+        raise ValueError(f"the encoders take {'a' if encoders.cqie else 'no'} channel "
+                         "quality side input")
+    if encoders.cqie:
+        values = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
+    n = len(values)
+    if not encoders.shared and n > encoders.n_encoders:
+        raise ValueError(f"{n} nodes requested but only {encoders.n_encoders} trained "
+                         "encoders exist (enable encoder sharing to scale up)")
+    messages = np.empty((n, values.shape[1], encoders.message_dim))
+    caches = []
+    for i in range(n):
+        messages[i], cache = nn.forward(encoders.node_encoder(i), values[i])
+        if keep_cache:
+            caches.append(cache)
+    return messages, EncoderCache(encoders, encoders.version, caches) if keep_cache else None
 
 
-def batch_gradient(node: EdgeNode, cache: nn.ForwardCache, upstream: Array) -> dict[str, Array]:
-    """Sum over the batch of (ds/dpsi) u_b for upstream rows u_b."""
-    return nn.backward(node.encoder, cache, upstream).param_grads
+def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
+                   ) -> dict[str, Array]:
+    """Per node, the sum over its batch of (ds_i/dpsi_i) u_ib for upstream
+    rows u_ib, node-first (n, ...): slice i reads only node i's cache and
+    rows."""
+    if cache.encoders is not encoders:
+        raise ValueError("cache was produced by a different encoder set")
+    if cache.version != encoders.version:
+        raise ValueError("stale cache: parameters changed since the forward pass")
+    g = np.asarray(upstream, dtype=float)
+    if len(g) != len(cache.caches):
+        raise ValueError(f"upstream rows for {len(g)} nodes, cache for {len(cache.caches)}")
+    out = {name: np.empty((len(g), *p.shape[1:])) for name, p in encoders.params.items()}
+    for i, (c, rows) in enumerate(zip(cache.caches, g)):
+        for name, grad in nn.backward(c.stack, c, rows).param_grads.items():
+            out[name][i] = grad
+    return out

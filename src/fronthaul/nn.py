@@ -97,10 +97,6 @@ class LayerStack:
                 params[f"dense{idx}.b"] = np.zeros(layer.out_dim)
         return params
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def set_params(self, params: Mapping[str, Array]) -> None:
         """Swap in a new parameter set (shapes must match) and bump the version."""
         if set(params) != set(self.params):
@@ -252,119 +248,111 @@ def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> A
     raise ValueError(f"unknown projection mode {mode!r}")
 
 
-def softmax(logits: Array) -> Array:
+def softmax_cross_entropy(logits: Array, labels) -> tuple[Array, Array]:
+    """Stabilized cross entropy with its gradient, for (B, X) logits and a
+    length-B label array; returns the (B,) losses and the (B, X) gradient."""
     z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: Array, label) -> tuple[Array, Array]:
-    """Stabilized cross entropy with its gradient.
-
-    Single form: ``logits`` of shape (X,) with an int label; batched form:
-    (B, X) logits with a length-B label array. Returns (loss, grad) with
-    loss scalar or (B,) and grad shaped like ``logits``.
-    """
-    z = np.asarray(logits, dtype=float)
-    single = z.ndim == 1
-    z2 = z[None, :] if single else z
-    labels = np.atleast_1d(np.asarray(label, dtype=int))
-    if labels.shape[0] != z2.shape[0]:
-        raise ValueError("label count does not match the batch")
-    n_classes = z2.shape[1]
+    labels = np.asarray(labels, dtype=int)
+    if z.ndim != 2 or labels.shape != z.shape[:1]:
+        raise ValueError("need (batch, classes) logits and one label per row")
+    n_classes = z.shape[1]
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
-    shift = z2 - z2.max(axis=1, keepdims=True)
+    shift = z - z.max(axis=1, keepdims=True)
     exp_shift = np.exp(shift)
     norm = exp_shift.sum(axis=1)
-    loss = np.log(norm) - shift[np.arange(z2.shape[0]), labels]
+    rows = np.arange(z.shape[0])
+    loss = np.log(norm) - shift[rows, labels]
     grad = exp_shift / norm[:, None]
-    grad[np.arange(z2.shape[0]), labels] -= 1.0
-    if single:
-        return float(loss[0]), grad[0]
+    grad[rows, labels] -= 1.0
     return loss, grad
 
 
-def sgd_step(params: Mapping[str, Array], grads: Mapping[str, Array], eta: float) -> dict[str, Array]:
-    """Plain gradient step p <- p - eta * g, returning a fresh dict."""
+def sgd_step(params: Mapping[str, Array], grads: Mapping[str, Array], eta) -> dict[str, Array]:
+    """Plain gradient step p <- p - eta * g, returning a fresh dict.
+
+    ``eta`` is a number, or one rate per slice along every parameter's
+    leading axis.
+    """
     if set(params) != set(grads):
         raise ValueError("gradient names do not match parameters")
+    rate = np.asarray(eta, dtype=float)
     out = {}
     for name, p in params.items():
         g = grads[name]
         if np.shape(g) != np.shape(p):
             raise ValueError(f"shape mismatch for {name}")
-        out[name] = p - eta * g
+        out[name] = p - rate.reshape(rate.shape + (1,) * (np.ndim(p) - rate.ndim)) * g
     return out
 
 
-def apply_update(stack: LayerStack, summed_grads: Mapping[str, Array], eta: float,
-                 divisor: float = 1.0) -> None:
-    """Commit p <- p - (eta/divisor) * g to the stack.
-
-    Here and in the optimizers, ``stack`` is anything that holds a
-    ``params`` dict and a ``set_params`` method: a layer stack, or a
-    whole cloud model. Both the round protocol and the centralized
-    reference path go through this helper so their floating-point
-    arithmetic is identical.
-    """
-    stack.set_params(sgd_step(stack.params, summed_grads, eta / divisor))
-
-
-def zero_grads_like(stack: LayerStack) -> dict[str, Array]:
-    return {name: np.zeros_like(p) for name, p in stack.params.items()}
-
-
-def accumulate(into: dict[str, Array], grads: Mapping[str, Array]) -> dict[str, Array]:
-    for name, g in grads.items():
-        into[name] = into[name] + g
-    return into
-
-
+# The optimizers step anything with a ``params`` dict and ``set_params``.
+# ``divisor`` is the sample count the summed gradients are averaged over:
+# a number, or one count per slice along every parameter's leading axis;
+# a slice whose count is 0 had no sample and takes no step.
 class SgdOptimizer:
     """Stateless SGD; exists so edge and cloud share one update interface."""
-
-    kind = "sgd"
 
     def __init__(self, eta: float):
         self.eta = eta
 
-    def step(self, stack: LayerStack, summed_grads: Mapping[str, Array], divisor: float) -> None:
-        apply_update(stack, summed_grads, self.eta, divisor)
+    def step(self, stack, summed_grads: Mapping[str, Array], divisor) -> None:
+        counts = np.asarray(divisor, dtype=float)
+        # rate 0 for a slice with no sample: p - 0 * g is p
+        rate = np.divide(self.eta, counts, out=np.zeros_like(counts), where=counts > 0)
+        stack.set_params(sgd_step(stack.params, summed_grads, rate))
 
 
 class AdamOptimizer:
-    """Adam applied to the batch-averaged gradient on one stack."""
-
-    kind = "adam"
+    """Adam applied to the averaged gradient, with one step count per slice
+    when the divisor has one count per slice."""
 
     def __init__(self, eta: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.eta = eta
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
+        self.t: int | Array = 0
         self.m: dict[str, Array] = {}
         self.v: dict[str, Array] = {}
 
-    def step(self, stack: LayerStack, summed_grads: Mapping[str, Array], divisor: float) -> None:
-        self.t += 1
+    def step(self, stack, summed_grads: Mapping[str, Array], divisor) -> None:
+        """A slice with count 0 keeps its parameters, moments and step count."""
+        counts = np.asarray(divisor, dtype=float)
+        live = counts > 0
+        self.t = self.t + live
+        # each stepping slice's divisor and 1 - beta ** t (numbers for a number
+        # divisor), the powers in Python floats: numpy's power can round differently
+        if counts.ndim == 0:
+            at = ...
+            per_slice = [float(counts), *(1.0 - b ** int(self.t) for b in (self.beta1, self.beta2))]
+        else:
+            # every slice, as views, or copies of the live ones
+            at = ... if live.all() else np.flatnonzero(live)
+            per_slice = [counts[at], *(np.array([1.0 - b ** k for k in self.t[at].tolist()])
+                                       for b in (self.beta1, self.beta2))]
         new_params = {}
         for name, p in stack.params.items():
-            g = summed_grads[name] / divisor
+            n, c1, c2 = per_slice if counts.ndim == 0 else (
+                x.reshape(-1, *(1,) * (p.ndim - 1)) for x in per_slice)
+            g = summed_grads[name][at] / n
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            # the moments are updated in place, in the same operation order
-            # as beta * m + (1 - beta) * g
+            m, v = self.m[name][at], self.v[name][at]
+            # in place, in the same operation order as beta * m + (1 - beta) * g
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            new_params[name] = p - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / c1
+            v_hat = v / c2
+            moved = p[at] - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+            if at is ...:
+                new_params[name] = moved
+            else:
+                self.m[name][at], self.v[name][at] = m, v
+                new_params[name] = p.copy()
+                new_params[name][at] = moved
         stack.set_params(new_params)
 
 

@@ -132,6 +132,13 @@ class TrainingConfig:
         lo, hi = self.pathloss_d
         if self.pathloss and (lo <= 0 or hi < lo):
             raise ValueError("pathloss distance range must be positive and ordered")
+        with np.errstate(all="ignore"):
+            factor = np.power([lo, hi], -self.pathloss_alpha)
+        # the factor is monotone in d, so the two ends cover the range
+        if self.pathloss and not np.all(np.isfinite(factor) & (factor > 0)):
+            raise ValueError(f"pathloss_d = {lo:g},{hi:g}: the fading variance "
+                             f"d**(-pathloss_alpha) is {factor[0]:g} to {factor[1]:g}; "
+                             "it must be positive and finite")
 
     @property
     def n_blocks(self) -> int:
@@ -163,19 +170,15 @@ class RoundRecord:
     val_accuracy: float | None = None
     val_loss: float | None = None
 
-    @property
-    def per_node_active_counts(self) -> Array:
-        return self.active_mask.sum(axis=0).astype(int)
-
 
 @dataclass
 class TrainingState:
     config: TrainingConfig
     dataset: data.SyntheticDataset
-    nodes: list[edge.EdgeNode]
+    encoders: edge.EncoderSet
     cloud_model: cloud.CloudModel | cloud.BaselineModel
     schedule: list[Array]
-    edge_optimizers: list  # one per node, or one for a shared encoder
+    edge_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     cloud_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     round_index: int = 0
 
@@ -325,20 +328,16 @@ def build_cloud(config: TrainingConfig):
                                 hidden=config.baseline_hidden, target_params=target)
 
 
-def build_nodes(config: TrainingConfig) -> list[edge.EdgeNode]:
-    """One encoder per node, or with encoder sharing one encoder (node 0's)
-    that every node holds."""
-    def encoder(i):
-        return edge.build_encoder(config.obs_dim, config.message_dim,
-                                  config.encoder_hidden, config.p_e, config.power_mode,
-                                  _encoder_seed(config, i), cqie=config.cqie)
-
-    if config.encoder_sharing:
-        encoders = [encoder(0)] * config.n_train
-    else:
-        encoders = [encoder(i) for i in range(config.n_train)]
-    return [edge.EdgeNode(i, enc, config.power_mode, config.p_e, config.cqie)
-            for i, enc in enumerate(encoders)]
+def build_encoders(config: TrainingConfig) -> edge.EncoderSet:
+    """One encoder per node, each from its node's seed, or with encoder
+    sharing one encoder (node 0's) that serves every node."""
+    count = 1 if config.encoder_sharing else config.n_train
+    stacks = [edge.build_encoder(config.obs_dim, config.message_dim, config.encoder_hidden,
+                                 config.p_e, config.power_mode, _encoder_seed(config, i),
+                                 cqie=config.cqie)
+              for i in range(count)]
+    return edge.EncoderSet(stacks, config.power_mode, config.p_e, config.cqie,
+                           shared=config.encoder_sharing)
 
 
 def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> TrainingState:
@@ -347,48 +346,33 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
         raise ValueError("config n_classes does not match the dataset")
     if dataset.obs_dim != config.obs_dim:
         raise ValueError("config obs_dim does not match the dataset window")
-    nodes = build_nodes(config)
-    cloud_model = build_cloud(config)
     schedule = schedule_minibatches(config.master_seed, len(dataset.train_labels),
                                     config.batch_size, config.rounds)
-    n_edge_opts = 1 if config.encoder_sharing else len(nodes)
-    edge_opts = [nn.make_optimizer(config.optimizer, config.eta) for _ in range(n_edge_opts)]
-    return TrainingState(config=config, dataset=dataset, nodes=nodes,
-                         cloud_model=cloud_model, schedule=schedule,
-                         edge_optimizers=edge_opts,
+    return TrainingState(config=config, dataset=dataset, encoders=build_encoders(config),
+                         cloud_model=build_cloud(config), schedule=schedule,
+                         edge_optimizer=nn.make_optimizer(config.optimizer, config.eta),
                          cloud_optimizer=nn.make_optimizer(config.optimizer, config.eta))
 
 
-def _norm(params_list) -> float:
-    total = 0.0
-    for params in params_list:
-        for p in params.values():
-            total += float(np.sum(p * p))
-    return math.sqrt(total)
+def _norm(params: dict[str, Array]) -> float:
+    return math.sqrt(sum(float(np.sum(p * p)) for p in params.values()))
 
 
-def _encode_and_uplink(nodes: list[edge.EdgeNode], observations: Array, h: Array,
-                       noise: Array, pathloss: bool, caches: list | None = None,
-                       before_uplink=None) -> Array:
+def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
+                       noise: Array, pathloss: bool, keep_cache: bool = False,
+                       before_uplink=None) -> tuple[Array, edge.EncoderCache | None]:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
-    ``observations`` is (N, B, A); ``h`` (N, B, blocks) and the scaled
-    ``noise`` rows (N, B, S) are node-first. A channel-aware node reads
-    its own |h| as side input. The nodes' forward caches are appended to
-    ``caches`` when it is given; evaluation and inference pass none, so
-    they never hold N caches at once. ``before_uplink`` runs between the
-    two steps. Returns the received rows (N, B, S).
+    ``observations`` (N, B, A), ``h`` (N, B, blocks) and the scaled
+    ``noise`` rows (N, B, S) are node-first; a channel-aware node reads its
+    own |h| as side input. ``before_uplink`` runs between the two steps.
+    Returns the received rows (N, B, S) and the encoders' forward cache.
     """
-    messages = []
-    for node, obs, h_node in zip(nodes, observations, h, strict=True):
-        cqi = edge.cqi_side_input(np.abs(h_node), pathloss) if node.cqie else None
-        s, cache = edge.encode(node, obs, cqi)
-        messages.append(s)
-        if caches is not None:
-            caches.append(cache)
+    cqi = edge.cqi_side_input(np.abs(h), pathloss) if encoders.cqie else None
+    messages, cache = edge.encode(encoders, observations, cqi, keep_cache=keep_cache)
     if before_uplink is not None:
         before_uplink()
-    return channel.uplink_transmit(np.stack(messages), h, noise)
+    return channel.uplink_transmit(messages, h, noise), cache
 
 
 def run_training_round(state: TrainingState, round_index: int,
@@ -406,9 +390,9 @@ def run_training_round(state: TrainingState, round_index: int,
             phase_hook(phase, round_index)
 
     hook("edge-forward")
-    caches: list[nn.ForwardCache] = []
-    received = _encode_and_uplink(state.nodes, env.observations, env.h, env.up_noise,
-                                  cfg.pathloss, caches, before_uplink=lambda: hook("uplink"))
+    received, edge_cache = _encode_and_uplink(state.encoders, env.observations, env.h,
+                                              env.up_noise, cfg.pathloss, keep_cache=True,
+                                              before_uplink=lambda: hook("uplink"))
     uplink_count = received.size
 
     hook("cloud-backprop")
@@ -424,7 +408,7 @@ def run_training_round(state: TrainingState, round_index: int,
     downlink_count = int(env.active.sum()) * cfg.message_dim
 
     hook("edge-backprop")
-    _edge_backprop_phase(state, env, caches, gradient_rows)
+    _edge_backprop_phase(state, env, edge_cache, gradient_rows)
 
     state.round_index = round_index
     on_cadence = round_index % max(1, cfg.val_cadence) == 0
@@ -436,11 +420,10 @@ def run_training_round(state: TrainingState, round_index: int,
         snr_up_db_mean=float(np.mean(env.snr_up_db)),
         snr_dn_db_mean=float(np.mean(env.snr_dn_db)),
         mean_active=float(env.active.sum(axis=1).mean()),
-        # the per-branch views keep the summation order, and so the rounding,
-        # of the norm over per-branch stacks
-        param_norm_cloud=_norm([state.cloud_model.named_params()]) if on_cadence else None,
-        param_norm_edges=(_norm([node.encoder.params for node in state.nodes])
-                          if on_cadence else None),
+        # the per-branch and per-encoder views keep the summation order, and
+        # so the rounding, of the norm over separate stacks
+        param_norm_cloud=_norm(state.cloud_model.named_params()) if on_cadence else None,
+        param_norm_edges=_norm(state.encoders.named_params()) if on_cadence else None,
         uplink_values=uplink_count,
         downlink_values=downlink_count,
         redraw_count=env.redraws,
@@ -457,73 +440,37 @@ def _downlink_phase(config: TrainingConfig, env: RoundEnv, dn_messages: Array) -
     return channel.downlink_decode(received, env.h, alpha)
 
 
-def _edge_backprop_phase(state: TrainingState, env: RoundEnv,
-                         caches: list[nn.ForwardCache],
+def _edge_backprop_phase(state: TrainingState, env: RoundEnv, cache: edge.EncoderCache,
                          gradient_rows: Array) -> None:
     """One local step per node on its delivered gradient rows.
 
     A node sums the gradient over the rows of its active samples and
     divides by their count; a node with no active sample does not step.
-    A shared encoder, the one stack every node holds, takes one step on
-    the mean over nodes of those averaged gradients, which for SGD equals
-    averaging the nodes' stepped parameters.
+    A shared encoder takes one step on the mean over nodes of those
+    averaged gradients, which for SGD equals averaging the nodes' stepped
+    parameters.
     """
-    cfg = state.config
-    b = len(env.batch_indices)
-    counts = env.active.sum(axis=0)
-    steps = []
-    for i, node in enumerate(state.nodes):
-        count = int(counts[i])
-        if count == 0:
-            continue
-        # a fully active node's rows need no mask
-        rows = gradient_rows[i] if count == b else gradient_rows[i] * env.active[:, i][:, None]
-        steps.append((i, edge.batch_gradient(node, caches[i], rows), count))
-    if not cfg.encoder_sharing:
-        for i, grads, count in steps:
-            state.edge_optimizers[i].step(state.nodes[i].encoder, grads, count)
-        return
-    shared = state.nodes[0].encoder
-    for node in state.nodes:
-        if node.encoder is not shared:
-            raise ValueError(f"node {node.node_id} does not hold the shared encoder")
-    total = nn.zero_grads_like(shared)
-    for _, grads, count in steps:
-        for name in total:
-            total[name] = total[name] + grads[name] / count
-    state.edge_optimizers[0].step(shared, total, cfg.n_train)
+    # rows of inactive samples carry downlink noise only
+    rows = gradient_rows * env.active.T[:, :, None]
+    grads, divisor = state.encoders.step_gradients(
+        edge.batch_gradient(state.encoders, cache, rows), env.active.sum(axis=0))
+    state.edge_optimizer.step(state.encoders, grads, divisor)
 
 
-def run_inference(nodes: list[edge.EdgeNode], model, h: Array, sigma_c2,
+def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
                   observations: Array, rng: np.random.Generator,
                   pathloss: bool = False) -> Array:
     """One cooperative inference pass: encode, transmit uplink, pool at the cloud.
 
     The fading ``h`` is node-first, (N, B, blocks), and ``observations`` is
-    (N, B, A). The uplink noise of variance ``sigma_c2`` (a scalar, or one
-    value per sample as (B, 1)) is drawn from ``rng`` node by node.
+    (N, B, A); node i encodes with encoder i, or with the shared encoder.
+    The uplink noise of variance ``sigma_c2`` (a scalar, or one value per
+    sample as (B, 1)) is drawn from ``rng`` node by node.
     """
     noise = np.stack([channel.noise(rng, h_node.shape, sigma_c2) for h_node in h])
-    logits, _ = model.infer(_encode_and_uplink(nodes, observations, h, noise, pathloss))
+    received, _ = _encode_and_uplink(encoders, observations, h, noise, pathloss)
+    logits, _ = model.infer(received)
     return logits
-
-
-def evaluation_nodes(state: TrainingState, n_test: int) -> list[edge.EdgeNode]:
-    """Node population for evaluation.
-
-    With encoder sharing the trained shared encoder itself serves any
-    requested population; without it the first n_test trained nodes
-    serve, which caps n_test at the training population.
-    """
-    cfg = state.config
-    if cfg.encoder_sharing:
-        shared = state.nodes[0].encoder
-        return [edge.EdgeNode(i, shared, cfg.power_mode, cfg.p_e, cfg.cqie)
-                for i in range(n_test)]
-    if n_test > cfg.n_train:
-        raise ValueError(f"{n_test} nodes requested but only {cfg.n_train} trained "
-                         "encoders exist (enable encoder sharing to scale up)")
-    return state.nodes[:n_test]
 
 
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
@@ -533,10 +480,10 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     ``snr_db`` of None evaluates over noiseless links (fading still
     applies). Draws are keyed by (split, n_test), so sweeping the SNR
     reuses the same fading and crops and the comparison is paired.
+    Dedicated encoders serve at most n_train nodes, a shared one any number.
     """
     cfg = state.config
     n_test = cfg.n_train if n_test is None else n_test
-    nodes = evaluation_nodes(state, n_test)
     states, labels = state.dataset.split(split)
     n_samples = len(labels)
     blocks = cfg.n_blocks
@@ -558,8 +505,8 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
         offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
                                size=(nb, n_test, 2))
         observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        received = _encode_and_uplink(nodes, observations, h.transpose(1, 0, 2),
-                                      noise.transpose(1, 0, 2), cfg.pathloss)
+        received, _ = _encode_and_uplink(state.encoders, observations, h.transpose(1, 0, 2),
+                                         noise.transpose(1, 0, 2), cfg.pathloss)
         logits, _ = state.cloud_model.infer(received)
         losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
         loss_total += float(np.sum(losses))
@@ -594,7 +541,7 @@ class OracleState:
 
     config: TrainingConfig
     dataset: data.SyntheticDataset
-    nodes: list[edge.EdgeNode]
+    encoders: edge.EncoderSet
     cloud_model: cloud.CloudModel | cloud.BaselineModel
     schedule: list[Array]
     round_index: int = 0
@@ -605,7 +552,7 @@ def init_oracle_state(config: TrainingConfig,
     config.validate()
     if config.optimizer != "sgd":
         raise ValueError("the centralized reference is defined for plain SGD")
-    return OracleState(config=config, dataset=dataset, nodes=build_nodes(config),
+    return OracleState(config=config, dataset=dataset, encoders=build_encoders(config),
                        cloud_model=build_cloud(config),
                        schedule=schedule_minibatches(config.master_seed,
                                                      len(dataset.train_labels),
@@ -627,11 +574,14 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     env = draw_round_env(cfg, state.dataset, batch, round_index)
     b = len(batch)
 
+    encoders = state.encoders
     caches, gains, received = [], [], []
-    for i, node in enumerate(state.nodes):
+    for i in range(cfg.n_train):
         mag = np.abs(env.h[i])
-        cqi = edge.cqi_side_input(mag, cfg.pathloss) if node.cqie else None
-        s, cache = edge.encode(node, env.observations[i], cqi)
+        x = env.observations[i]
+        if cfg.cqie:
+            x = np.concatenate([x, edge.cqi_side_input(mag, cfg.pathloss)], axis=-1)
+        s, cache = nn.forward(encoders.node_encoder(i), x)
         caches.append(cache)
         # the fixed uplink map y = H s + n, H = diag([|h|; |h|])
         gains.append(np.concatenate([mag, mag], axis=-1))
@@ -642,37 +592,25 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
     cloud_grads, messages = state.cloud_model.backward(cloud_cache, grad_logits)
 
     # per-node encoder gradients through the fixed channel map: d = H m
-    encoder_grads = []
-    for i, node in enumerate(state.nodes):
-        d_rows = gains[i] * messages[i]
-        encoder_grads.append(edge.batch_gradient(node, caches[i], d_rows))
+    encoder_grads = [nn.backward(caches[i].stack, caches[i], gains[i] * messages[i]).param_grads
+                     for i in range(cfg.n_train)]
 
-    # single joint commit
-    nn.apply_update(state.cloud_model, cloud_grads, cfg.eta, b)
-    if cfg.encoder_sharing:
-        total = nn.zero_grads_like(state.nodes[0].encoder)
-        for i in range(cfg.n_train):
-            if cfg.async_coordination:
-                count = int(env.active[:, i].sum())
-                if count == 0:
-                    continue
-                for name in total:
-                    total[name] = total[name] + encoder_grads[i][name] * (b / count)
-            else:
-                nn.accumulate(total, encoder_grads[i])
-        shared = state.nodes[0].encoder  # every node holds this one stack
-        shared.set_params(nn.sgd_step(shared.params, total, cfg.eta / cfg.n_train / b))
-    else:
-        for i, node in enumerate(state.nodes):
-            if cfg.async_coordination:
-                count = int(env.active[:, i].sum())
-                if count == 0:
-                    continue
-                node.encoder.set_params(nn.sgd_step(node.encoder.params,
-                                                    encoder_grads[i], cfg.eta / count))
-            else:
-                node.encoder.set_params(nn.sgd_step(node.encoder.params,
-                                                    encoder_grads[i], cfg.eta / b))
+    # single joint commit; without async coordination every node is active
+    # on all b samples
+    state.cloud_model.set_params(nn.sgd_step(state.cloud_model.params, cloud_grads,
+                                             cfg.eta / b))
+    counts = env.active.sum(axis=0)
+    stepped = {name: p.copy() for name, p in encoders.params.items()}
+    for name, p in stepped.items():
+        if cfg.encoder_sharing:
+            total = np.zeros_like(p[0])
+            for i in np.flatnonzero(counts):
+                total = total + encoder_grads[i][name] * (b / counts[i])
+            p[0] = p[0] - cfg.eta / cfg.n_train / b * total
+        else:
+            for i in np.flatnonzero(counts):
+                p[i] = p[i] - cfg.eta / counts[i] * encoder_grads[i][name]
+    encoders.set_params(stepped)
     state.round_index = round_index
 
 
@@ -682,13 +620,7 @@ def centralized_oracle_round(state: OracleState, round_index: int) -> None:
 def state_parameters(state) -> dict[str, Array]:
     """Flat named view over every trainable array in the state."""
     out = {f"cloud.{name}": p for name, p in state.cloud_model.named_params().items()}
-    if state.config.encoder_sharing:
-        for name, p in state.nodes[0].encoder.params.items():
-            out[f"encoder_shared.{name}"] = p
-    else:
-        for i, node in enumerate(state.nodes):
-            for name, p in node.encoder.params.items():
-                out[f"encoder{i}.{name}"] = p
+    out.update(state.encoders.named_params())
     return out
 
 
@@ -701,14 +633,6 @@ def load_state_parameters(state, params: dict[str, Array]) -> None:
     for name, p in params.items():
         if p.shape != expected[name].shape:
             raise ValueError(f"shape mismatch for {name}")
-
-    def install(prefix, stack):
-        stack.set_params({name: params[f"{prefix}.{name}"] for name in stack.params})
-
     state.cloud_model.set_named_params({name[len("cloud."):]: p for name, p in params.items()
                                         if name.startswith("cloud.")})
-    if state.config.encoder_sharing:
-        install("encoder_shared", state.nodes[0].encoder)
-    else:
-        for i, node in enumerate(state.nodes):
-            install(f"encoder{i}", node.encoder)
+    state.encoders.set_named_params(params)

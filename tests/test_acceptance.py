@@ -68,7 +68,7 @@ class SideInputSpy:
     channel that then carries its message.
 
     Wraps ``edge.encode`` and ``channel.uplink_transmit`` as the protocol
-    calls them. Every message encoded with a side input is queued; the next
+    calls them. Every node message encoded with a side input is queued; the next
     uplink call carries the whole encode pass, node-first. Each of its node
     rows counts as one check, which matches when the call carries exactly
     as many nodes as were queued, row i is exactly the i-th queued message,
@@ -85,10 +85,10 @@ class SideInputSpy:
         self.matched = Counter()
         encode, uplink = edge.encode, channel.uplink_transmit
 
-        def spy_encode(node, observation, cqi=None):
-            s, cache = encode(node, observation, cqi)
-            if node.cqie:
-                self.pending.append((np.array(cqi, dtype=float), np.array(s)))
+        def spy_encode(encoders, observations, cqi=None, keep_cache=True):
+            s, cache = encode(encoders, observations, cqi, keep_cache)
+            if encoders.cqie:
+                self.pending += [(np.array(c, dtype=float), np.array(m)) for c, m in zip(cqi, s)]
             return s, cache
 
         def spy_uplink(s, h, noise):
@@ -115,8 +115,7 @@ def run_inference_on_test_crops(state, seed, n_test, samples=64):
                                shape=(samples, n_test))
     offsets = rng.integers(0, ds.grid - ds.window + 1, size=(samples, n_test, 2))
     observations = data.crop_batch(ds.split("test")[0][:samples], offsets, ds.window)
-    return protocol.run_inference(protocol.evaluation_nodes(state, n_test),
-                                  state.cloud_model, h.transpose(1, 0, 2),
+    return protocol.run_inference(state.encoders, state.cloud_model, h.transpose(1, 0, 2),
                                   float(channel.snr_to_noise_var(20.0)), observations,
                                   rng=rng, pathloss=cfg.pathloss)
 
@@ -168,13 +167,13 @@ class TestCriterion4WirelessUnbiasedness:
         batch, obs_dim, s_dim = 8, 12, 8
         blocks = s_dim // 2
         enc = edge.build_encoder(obs_dim, s_dim, (16,), 1.0, nn.PER_RB, seed=2)
-        node = edge.EdgeNode(0, enc, nn.PER_RB, 1.0)
-        _, cache = edge.encode(node, rng.normal(size=(batch, obs_dim)))
+        node = edge.EncoderSet([enc], nn.PER_RB, 1.0)
+        _, cache = edge.encode(node, rng.normal(size=(1, batch, obs_dim)))
         h = channel.sample_channel(rng, blocks, shape=(batch,))
         messages = rng.normal(size=(batch, s_dim)) * 0.5
         alpha = channel.compute_alpha(messages, 1.0, "per-rb")
         gain = np.concatenate([np.abs(h), np.abs(h)], axis=-1)
-        noiseless = edge.batch_gradient(node, cache, gain * messages)
+        noiseless = edge.batch_gradient(node, cache, (gain * messages)[None])
 
         draws = 20_000
         names = sorted(noiseless)
@@ -185,7 +184,7 @@ class TestCriterion4WirelessUnbiasedness:
             received = channel.downlink_transmit(
                 messages, h, alpha, channel.noise(noise_rng, (batch, blocks), 0.1))
             rows = channel.downlink_decode(received, h, alpha)
-            term = edge.batch_gradient(node, cache, rows)
+            term = edge.batch_gradient(node, cache, rows[None])
             for k in names:
                 sums[k] += term[k]
                 sq_sums[k] += term[k] ** 2
@@ -254,8 +253,8 @@ class TestCriterion6PowerFeasibility:
             for trial in range(5):
                 enc = edge.build_encoder(10, 8, (12,), 1.0, mode,
                                          seed=trial + 50 * (mode == nn.SUM))
-                node = edge.EdgeNode(0, enc, mode, 1.0)
-                s, _ = edge.encode(node, rng.normal(size=(rows_per_encoder, 10)) * 4)
+                node = edge.EncoderSet([enc], mode, 1.0)
+                [s], _ = edge.encode(node, rng.normal(size=(1, rows_per_encoder, 10)) * 4)
                 if mode == nn.PER_RB:
                     power = s[:, :4] ** 2 + s[:, 4:] ** 2
                     worst = max(worst, float(power.max()) - 1.0)
@@ -358,7 +357,8 @@ class TestCriterion8Trends:
                                    async_coordination=False, encoder_sharing=False)
             state_c, _ = protocol.train(cfg_cat, trend_dataset)
             assert time.time() - start < 600.0
-            assert abs(state_c.cloud_model.param_count - budget) / budget < 0.05
+            size = sum(p.size for p in state_c.cloud_model.params.values())
+            assert abs(size - budget) / budget < 0.05
             catnet.append(protocol.evaluate(state_c, "test", n_test=8,
                                             snr_db=0.0)[0])
             proposed.append(protocol.evaluate(trend_models[seed], "test",

@@ -129,12 +129,12 @@ class TestCloudBackward:
         received = [rng.normal(size=(1, 6)) for _ in range(2)]
         label = 1
         logits, cache = cloud.cloud_infer(model, received)
-        _, gx = nn.softmax_cross_entropy(logits[0], label)
-        grads, _ = cloud.cloud_backward(model, cache, gx[None, :])
+        _, gx = nn.softmax_cross_entropy(logits, [label])
+        grads, _ = cloud.cloud_backward(model, cache, gx)
 
         def loss():
             lg, _ = cloud.cloud_infer(model, received)
-            return nn.softmax_cross_entropy(lg[0], label)[0]
+            return nn.softmax_cross_entropy(lg, [label])[0][0]
 
         step = 1e-5
         assert set(grads) == set(model.params)
@@ -157,12 +157,12 @@ class TestCloudBackward:
         model = small_model(m=2)
         received = [rng.normal(size=(1, 6)) for _ in range(3)]
         logits, cache = cloud.cloud_infer(model, received)
-        _, gx = nn.softmax_cross_entropy(logits[0], 0)
-        _, messages = cloud.cloud_backward(model, cache, gx[None, :])
+        _, gx = nn.softmax_cross_entropy(logits, [0])
+        _, messages = cloud.cloud_backward(model, cache, gx)
         step = 1e-5
 
         def loss():
-            return nn.softmax_cross_entropy(cloud.cloud_infer(model, received)[0][0], 0)[0]
+            return nn.softmax_cross_entropy(cloud.cloud_infer(model, received)[0], [0])[0][0]
 
         for i in range(3):
             for j in range(6):
@@ -234,10 +234,11 @@ def per_branch_node_reference(model, received, active, grad_logits):
         logits = logits + out
         u_set = nn.backward(u_stack, u_cache, grad_logits)
         u_grads.append(u_set.param_grads)
-        acc = nn.zero_grads_like(z_stack)
+        acc = {k: np.zeros_like(p) for k, p in z_stack.params.items()}
         for i in range(len(received)):
             z_set = nn.backward(z_stack, caches[i], u_set.input_grad * active[:, i:i + 1])
-            nn.accumulate(acc, z_set.param_grads)
+            for name, g in z_set.param_grads.items():
+                acc[name] = acc[name] + g
             messages[i] = messages[i] + z_set.input_grad
         z_grads.append(acc)
     return logits, z_grads, u_grads, messages
@@ -482,7 +483,7 @@ class TestBaselines:
         target = 12000
         for kind, n in ((cloud.CATNET, 4), (cloud.MHNET, 4)):
             model = cloud.build_baseline(kind, 16, 4, n, seed=4, target_params=target)
-            assert abs(model.param_count - target) / target < 0.05
+            assert abs(sum(p.size for p in model.params.values()) - target) / target < 0.05
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -490,12 +491,12 @@ class TestBaselines:
             model = cloud.build_baseline(kind, 4, 3, 2, seed=5, hidden=4)
             received = [rng.normal(size=(1, 4)) for _ in range(2)]
             logits, cache = cloud.baseline_infer(model, received)
-            _, gx = nn.softmax_cross_entropy(logits[0], 1)
-            grads, messages = cloud.baseline_backward(model, cache, gx[None, :])
+            _, gx = nn.softmax_cross_entropy(logits, [1])
+            grads, messages = cloud.baseline_backward(model, cache, gx)
 
             def loss():
                 lg, _ = cloud.baseline_infer(model, received)
-                return nn.softmax_cross_entropy(lg[0], 1)[0]
+                return nn.softmax_cross_entropy(lg, [1])[0][0]
 
             step = 1e-5
             assert set(grads) == set(model.params)

@@ -360,8 +360,8 @@ class TestExperimentDriver:
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
     def test_shared_encoder_is_one_stack(self, tmp_path):
-        """With encoder sharing every node holds the same encoder object, both
-        as built and as restored from a checkpoint."""
+        """With encoder sharing the encoder set holds one encoder that every
+        node encodes with, both as built and as restored from a checkpoint."""
         cfg = config_mod.parse_config_text(small_config_text(encoder_sharing="true"))
         experiment.run_training(cfg, tmp_path / "out")
         dataset = experiment.build_dataset(cfg)
@@ -369,7 +369,11 @@ class TestExperimentDriver:
             cfg, dataset.obs_dim, dataset.n_classes), dataset)
         restored, _ = experiment.restore_state(tmp_path / "out" / "checkpoint.bin")
         for state in (built, restored):
-            assert all(node.encoder is state.nodes[0].encoder for node in state.nodes)
+            encoders = state.encoders
+            assert encoders.shared and encoders.n_encoders == 1
+            for i in range(state.config.n_train):
+                for name, p in encoders.node_encoder(i).params.items():
+                    assert np.shares_memory(p, encoders.params[name])
 
     def test_eval_command_uses_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -578,12 +582,13 @@ class TestCli:
     @pytest.mark.parametrize("command, overrides, key", [
         ("train", {"eta": "nan"}, "eta"),
         ("train", {"batch_size": 100}, "batch_size"),
+        ("train", {"pathloss": "true", "pathloss_d": "1e200,1e200"}, "pathloss_d"),
         ("sweep", {"sweep": "batch", "sweep_values": "8,0"}, "batch_size"),
         ("sweep", {"sweep": "ntest", "sweep_values": "2.5,2"}, "sweep_values"),
         ("eval", {"eval_snr_grid": "nan"}, "eval_snr_grid"),
         ("eval", {"eval_ntest_grid": "3"}, "eval_ntest_grid"),
-    ], ids=["train-nan", "train-batch", "sweep-batch", "sweep-ntest", "eval-nan",
-            "eval-population"])
+    ], ids=["train-nan", "train-batch", "train-pathloss-underflow", "sweep-batch",
+            "sweep-ntest", "eval-nan", "eval-population"])
     def test_bad_config_exits_one_before_writing(self, tmp_path, command, overrides, key):
         """Exit 1 with a one-line error naming the key and no output directory;
         eval judges its populations by the (2-node mhnet) checkpoint."""

@@ -89,7 +89,8 @@ class TestLayerStack:
 
     def test_param_count_pure_function_of_layers(self):
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4)]
-        assert nn.LayerStack(layers, seed=0).param_count == 6 * 8 + 8 + 8 * 4 + 4
+        params = nn.LayerStack(layers, seed=0).params
+        assert sum(p.size for p in params.values()) == 6 * 8 + 8 + 8 * 4 + 4
 
     def test_init_range_is_fan_scaled(self):
         stack = nn.LayerStack([nn.Dense(30, 50)], seed=3)
@@ -129,8 +130,8 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         stack = nn.LayerStack([nn.Dense(3, 4)], seed=1)
         _, cache = nn.forward(stack, np.zeros((1, 3)))
-        nn.apply_update(stack, {k: np.ones_like(v) for k, v in stack.params.items()},
-                        eta=0.1)
+        nn.SgdOptimizer(0.1).step(stack, {k: np.ones_like(v) for k, v in stack.params.items()},
+                                  divisor=1)
         with pytest.raises(ValueError, match="stale"):
             nn.backward(stack, cache, np.zeros((1, 4)))
 
@@ -241,49 +242,56 @@ class TestProjection:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_n(self):
-        loss, _ = nn.softmax_cross_entropy(np.full(10, 123.456), 3)
-        assert abs(loss - np.log(10)) < 1e-12
+        loss, _ = nn.softmax_cross_entropy(np.full((1, 10), 123.456), [3])
+        assert abs(loss[0] - np.log(10)) < 1e-12
 
     def test_grad_sums_to_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            _, grad = nn.softmax_cross_entropy(rng.normal(size=7) * 10, 2)
+            _, grad = nn.softmax_cross_entropy(rng.normal(size=(1, 7)) * 10, [2])
             assert abs(grad.sum()) < 1e-12
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=6)
-        _, grad = nn.softmax_cross_entropy(logits, 4)
+        logits = rng.normal(size=(1, 6))
+        _, grad = nn.softmax_cross_entropy(logits, [4])
         step = 1e-6
         for j in range(6):
             zp, zm = logits.copy(), logits.copy()
-            zp[j] += step
-            zm[j] -= step
-            fd = (nn.softmax_cross_entropy(zp, 4)[0]
-                  - nn.softmax_cross_entropy(zm, 4)[0]) / (2 * step)
-            assert abs(fd - grad[j]) < 1e-6
+            zp[0, j] += step
+            zm[0, j] -= step
+            fd = (nn.softmax_cross_entropy(zp, [4])[0][0]
+                  - nn.softmax_cross_entropy(zm, [4])[0][0]) / (2 * step)
+            assert abs(fd - grad[0, j]) < 1e-6
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            nn.softmax_cross_entropy(np.zeros(4), 4)
+            nn.softmax_cross_entropy(np.zeros((1, 4)), [4])
         with pytest.raises(ValueError, match="label"):
-            nn.softmax_cross_entropy(np.zeros(4), -1)
+            nn.softmax_cross_entropy(np.zeros((1, 4)), [-1])
 
     def test_batched_matches_single(self):
+        """Each row of a batch gets the loss and gradient of that row alone;
+        one sample is a (1, X) row, and a bare vector is rejected."""
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
         losses, grads = nn.softmax_cross_entropy(logits, labels)
         for b in range(5):
-            loss1, grad1 = nn.softmax_cross_entropy(logits[b], int(labels[b]))
-            assert abs(losses[b] - loss1) < 1e-14
-            assert np.allclose(grads[b], grad1, atol=1e-14)
+            loss1, grad1 = nn.softmax_cross_entropy(logits[b:b + 1], labels[b:b + 1])
+            assert abs(losses[b] - loss1[0]) < 1e-14
+            assert np.allclose(grads[b], grad1[0], atol=1e-14)
+        with pytest.raises(ValueError, match="batch"):
+            nn.softmax_cross_entropy(logits[0], labels[0])
 
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=30, deadline=None)
     def test_softmax_normalized_at_any_magnitude(self, shift):
-        p = nn.softmax(np.array([1.0, 2.0, 3.0]) + shift)
-        assert abs(p.sum() - 1.0) < 1e-12
+        """The class probabilities behind the gradient (gradient plus the
+        one-hot label) sum to one at any logit magnitude."""
+        _, grad = nn.softmax_cross_entropy(np.array([[1.0, 2.0, 3.0]]) + shift, [0])
+        p = grad[0] + np.array([1.0, 0.0, 0.0])
+        assert abs(p.sum() - 1.0) < 1e-12 and np.all(p > 0.0)
 
 
 class TestSgdStep:
@@ -377,6 +385,49 @@ class TestAdam:
         nn.AdamOptimizer(eta=0.05).step(b, g, divisor=1.0)
         for k in a.params:
             assert np.allclose(a.params[k], b.params[k], atol=1e-15)
+
+
+class StackedParams:
+    """Parameters with a leading slice axis, as an optimizer steps them."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def set_params(self, params):
+        self.params = params
+
+
+class TestPerSliceDivisor:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_each_slice_steps_alone(self, optimizer):
+        """With one divisor per slice along the leading axis, each slice
+        lands where its own optimizer on that slice alone lands, bit for
+        bit, over steps in which the slices have no sample in turn; a slice
+        with divisor 0 keeps its parameters, moments and step count."""
+        rng = np.random.default_rng(47)
+        layers = [nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 3)]
+        lone = [nn.LayerStack(layers, seed=s) for s in (1, 2, 3)]
+        stacked = StackedParams({k: np.stack([s.params[k] for s in lone])
+                                 for k in lone[0].params})
+        opt = nn.make_optimizer(optimizer, 0.01)
+        lone_opts = [nn.make_optimizer(optimizer, 0.01) for _ in lone]
+        for counts in ([3, 1, 4], [0, 2, 5], [6, 0, 0], [2, 2, 2], [1, 0, 3]):
+            grads = {k: rng.normal(size=p.shape) for k, p in stacked.params.items()}
+            before = {k: p.copy() for k, p in stacked.params.items()}
+            opt.step(stacked, grads, np.array(counts))
+            for i, count in enumerate(counts):
+                if count:
+                    lone_opts[i].step(lone[i], {k: g[i] for k, g in grads.items()}, count)
+                for k, p in stacked.params.items():
+                    assert np.array_equal(p[i], lone[i].params[k]), (counts, i, k)
+                    if not count:
+                        assert np.array_equal(p[i], before[k][i])
+        if optimizer == "adam":
+            assert opt.t.tolist() == [lone_opts[i].t for i in range(3)] == [4, 3, 4]
+            for i in range(3):
+                for k in opt.m:
+                    assert np.array_equal(opt.m[k][i], lone_opts[i].m[k])
+                    assert np.array_equal(opt.v[k][i], lone_opts[i].v[k])
 
 
 # --- the kernels' earlier formulas, kept as references -------------------

@@ -117,13 +117,10 @@ class TestRunInference:
         state = protocol.init_state(cfg, ds)
         rng = np.random.default_rng(3)
         observations = rng.normal(size=(3, 1, 36))
-        logits = protocol.run_inference(state.nodes, state.cloud_model,
+        logits = protocol.run_inference(state.encoders, state.cloud_model,
                                         np.ones((3, 1, 4), complex), 0.0, observations,
                                         rng=np.random.default_rng(4))
-        received = []
-        for node, obs in zip(state.nodes, observations):
-            s, _ = edge.encode(node, obs)
-            received.append(s)
+        received, _ = edge.encode(state.encoders, observations)
         want, _ = cloud.cloud_infer(state.cloud_model, received)
         assert np.max(np.abs(logits - want)) < 1e-12
 
@@ -136,7 +133,7 @@ class TestRunInference:
         outs = []
         for _ in range(2):
             h = channel.sample_channel(np.random.default_rng(10), 4, shape=(3, 2))
-            logits = protocol.run_inference(state.nodes, state.cloud_model, h, 0.1,
+            logits = protocol.run_inference(state.encoders, state.cloud_model, h, 0.1,
                                             observations,
                                             rng=np.random.default_rng(6))
             outs.append(logits)
@@ -151,30 +148,33 @@ class TestRunInference:
         sigma_c2 = rng.uniform(0.1, 1.0, size=(5, 1))
         h = channel.sample_channel(rng, 4, pathloss=(rng.uniform(1, 10, size=(3, 5)), 2.7),
                                    shape=(3, 5))
-        logits = protocol.run_inference(state.nodes, state.cloud_model, h, sigma_c2,
+        logits = protocol.run_inference(state.encoders, state.cloud_model, h, sigma_c2,
                                         observations, rng=np.random.default_rng(10),
                                         pathloss=True)
         noise_rng = np.random.default_rng(10)
+        messages, _ = edge.encode(state.encoders, observations,
+                                  edge.cqi_side_input(np.abs(h), True))
         received = []
-        for node, obs, h_node in zip(state.nodes, observations, h):
-            s, _ = edge.encode(node, obs, edge.cqi_side_input(np.abs(h_node), True))
+        for s, h_node in zip(messages, h):
             noise = channel.noise(noise_rng, h_node.shape, sigma_c2)
             received.append(channel.uplink_transmit(s, h_node, noise))
         want, _ = cloud.cloud_infer(state.cloud_model, received)
         assert np.array_equal(logits, want)
 
     def test_trailing_nodes_drop_without_rebuild(self):
-        """Fewer nodes at test time reuse the same cloud and match a direct
-        re-evaluation on the surviving subset."""
+        """Fewer nodes at test time reuse the same cloud and the first
+        encoders: the logits match the first two messages of a three-node
+        pass."""
         cfg = toy_config()
         ds = toy_dataset()
         state = protocol.init_state(cfg, ds)
         rng = np.random.default_rng(7)
         observations = rng.normal(size=(2, 1, 36))
-        logits = protocol.run_inference(state.nodes[:2], state.cloud_model,
+        logits = protocol.run_inference(state.encoders, state.cloud_model,
                                         np.ones((2, 1, 4), complex), 0.0, observations,
                                         rng=np.random.default_rng(8))
-        received = [edge.encode(n, o)[0] for n, o in zip(state.nodes[:2], observations)]
+        full = np.concatenate([observations, np.zeros((1, 1, 36))])
+        received = edge.encode(state.encoders, full)[0][:2]
         want, _ = cloud.cloud_infer(state.cloud_model, received)
         assert np.max(np.abs(logits - want)) < 1e-12
 
@@ -190,9 +190,13 @@ class TestTrainingRound:
 
     def test_links_faded_to_zero_keep_training_finite(self):
         """Pathloss at distances of 1e200 underflows the fading to exactly
-        zero; the wireless downlink still delivers finite rows."""
-        state = protocol.init_state(toy_config(pathloss=True, pathloss_d=(1e200, 1e200),
-                                               noiseless_downlink=False), toy_dataset())
+        zero; the wireless downlink still delivers finite rows. Validation
+        rejects such distances, so they are set after it, to reach the
+        links themselves."""
+        cfg = toy_config(pathloss=True, noiseless_downlink=False)
+        state = protocol.init_state(cfg, toy_dataset())
+        cfg.pathloss_d = (1e200, 1e200)
+        assert not np.any(protocol.draw_round_env(cfg, state.dataset, state.schedule[0], 1).h)
         for k in (1, 2):
             record = protocol.run_training_round(state, k)
         assert np.isfinite(record.train_loss)
@@ -208,14 +212,13 @@ class TestTrainingRound:
 
         def hook(phase, k):
             cloud_versions[phase] = state.cloud_model.version
-            edge_versions[phase] = [n.encoder.version for n in state.nodes]
+            edge_versions[phase] = state.encoders.version
 
         protocol.run_training_round(state, 1, phase_hook=hook)
         assert cloud_versions["cloud-backprop"] == cloud_versions["edge-forward"]
         assert cloud_versions["downlink"] > cloud_versions["cloud-backprop"]
         assert edge_versions["downlink"] == edge_versions["edge-forward"]
-        final_edges = [n.encoder.version for n in state.nodes]
-        assert final_edges > edge_versions["edge-backprop"]
+        assert state.encoders.version > edge_versions["edge-backprop"]
 
     def test_boundary_value_counts_are_exact(self):
         cfg = toy_config(rounds=3, async_coordination=True)
@@ -250,10 +253,11 @@ class TestTrainingRound:
         cfg = toy_config(encoder_sharing=True, rounds=2)
         state = protocol.init_state(cfg, toy_dataset())
         protocol.run_training_round(state, 1)
-        reference = state.nodes[0].encoder.params
-        for node in state.nodes[1:]:
+        assert state.encoders.n_encoders == 1
+        reference = state.encoders.node_encoder(0).params
+        for i in range(1, cfg.n_train):
             for name in reference:
-                assert np.array_equal(node.encoder.params[name],
+                assert np.array_equal(state.encoders.node_encoder(i).params[name],
                                       reference[name])
 
     def test_empty_active_set_skips_node_update(self):
@@ -264,71 +268,76 @@ class TestTrainingRound:
         # for that node alone: emulate by patching the drawn mask
         env = protocol.draw_round_env(cfg, state.dataset, state.schedule[0], 1)
         env.active[:, 2] = False
-        before = {k: v.copy() for k, v in state.nodes[2].encoder.params.items()}
-        caches = []
-        rows = []
-        for i, node in enumerate(state.nodes):
-            s, cache = edge.encode(node, env.observations[i])
-            caches.append(cache)
-            rows.append(np.zeros((8, 8)))
-        protocol._edge_backprop_phase(state, env, caches, rows)
-        after = state.nodes[2].encoder.params
+        before = {k: v.copy() for k, v in state.encoders.node_encoder(2).params.items()}
+        _, cache = edge.encode(state.encoders, env.observations)
+        rows = np.zeros((3, 8, 8))
+        protocol._edge_backprop_phase(state, env, cache, rows)
+        after = state.encoders.node_encoder(2).params
         for name in before:
             assert np.array_equal(before[name], after[name])
 
 
-def reference_edge_step(state, env, caches, rows):
+def node_stacks(encoders, n_nodes):
+    """One ``nn.LayerStack`` per node holding a copy of its encoder; under
+    encoder sharing every node holds the same stack."""
+    stacks = []
+    for i in range(encoders.n_encoders):
+        stack = nn.LayerStack(encoders.layers, seed=0)
+        stack.set_params({k: v.copy() for k, v in encoders.node_encoder(i).params.items()})
+        stacks.append(stack)
+    return stacks * n_nodes if encoders.shared else stacks
+
+
+def reference_edge_step(cfg, stacks, optimizers, env, rows):
     """The per-mode edge formulas the single rule replaced, kept as its reference.
 
-    Shared SGD averaged the nodes' stepped parameters (FedAvg, with a node
-    that has no active sample contributing its unchanged parameters);
-    shared Adam stepped once on the mean of the nodes' averaged
-    gradients; dedicated encoders stepped on their own.
+    ``stacks`` holds each node's ``nn.LayerStack`` (one stack that every
+    node holds under encoder sharing) and ``optimizers`` one optimizer per
+    distinct stack. Shared SGD averaged the nodes' stepped parameters
+    (FedAvg, with a node that has no active sample contributing its
+    unchanged parameters); shared Adam stepped once on the mean of the
+    nodes' averaged gradients; dedicated encoders stepped on their own.
     """
-    cfg = state.config
-    b = len(env.batch_indices)
-    nodes = state.nodes
+    b = len(env.active)
 
     def averaged(i):
+        _, cache = nn.forward(stacks[i], env.observations[i])
         if not cfg.async_coordination:
-            return edge.batch_gradient(nodes[i], caches[i], rows[i]), b
+            return nn.backward(stacks[i], cache, rows[i]).param_grads, b
         count = int(env.active[:, i].sum())
         if count == 0:
             return None, 0
         masked = rows[i] * env.active[:, i][:, None]
-        return edge.batch_gradient(nodes[i], caches[i], masked), count
+        return nn.backward(stacks[i], cache, masked).param_grads, count
 
-    steps = [averaged(i) for i in range(len(nodes))]
+    steps = [averaged(i) for i in range(len(stacks))]
     if cfg.encoder_sharing and cfg.optimizer == "sgd":
-        candidates = [dict(node.encoder.params) if grads is None
-                      else nn.sgd_step(node.encoder.params, grads, cfg.eta / count)
-                      for node, (grads, count) in zip(nodes, steps)]
+        shared_stack = stacks[0]
+        candidates = [dict(shared_stack.params) if grads is None
+                      else nn.sgd_step(shared_stack.params, grads, cfg.eta / count)
+                      for grads, count in steps]
         shared = {}
         for name in candidates[0]:
             total = np.array(candidates[0][name])
             for cand in candidates[1:]:
                 total = total + cand[name]
             shared[name] = total / float(len(candidates))
-        for node in nodes:
-            node.encoder.set_params(shared)
+        shared_stack.set_params(shared)
     elif cfg.encoder_sharing:
-        total = nn.zero_grads_like(nodes[0].encoder)
+        total = {k: np.zeros_like(p) for k, p in stacks[0].params.items()}
         for grads, count in steps:
             if grads is not None:
                 for name in total:
                     total[name] = total[name] + grads[name] / count
-        state.edge_optimizers[0].step(nodes[0].encoder, total, cfg.n_train)
-        for node in nodes[1:]:
-            node.encoder.set_params(dict(nodes[0].encoder.params))
+        optimizers[0].step(stacks[0], total, cfg.n_train)
     else:
-        for i, (node, (grads, count)) in enumerate(zip(nodes, steps)):
+        for i, (grads, count) in enumerate(steps):
             if grads is None:
                 continue
             if cfg.optimizer == "sgd":
-                node.encoder.set_params(nn.sgd_step(node.encoder.params, grads,
-                                                    cfg.eta / count))
+                stacks[i].set_params(nn.sgd_step(stacks[i].params, grads, cfg.eta / count))
             else:
-                state.edge_optimizers[i].step(node.encoder, grads, count)
+                optimizers[i].step(stacks[i], grads, count)
 
 
 class TestEdgeUpdateRule:
@@ -336,7 +345,8 @@ class TestEdgeUpdateRule:
     @pytest.mark.parametrize("sharing", [False, True], ids=["dedicated", "shared"])
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_one_rule_matches_per_mode_formulas(self, optimizer, sharing, asynchronous):
-        """One edge-backprop call against the old per-mode formulas.
+        """One edge-backprop call against the old per-mode formulas on
+        per-node stacks.
 
         The async mask leaves node 2 without an active sample and node 0
         active on every sample; the delivered rows of inactive samples are
@@ -348,7 +358,6 @@ class TestEdgeUpdateRule:
                          async_coordination=asynchronous)
         ds = toy_dataset()
         rule = protocol.init_state(cfg, ds)
-        reference = protocol.init_state(cfg, ds)
         env = protocol.draw_round_env(cfg, ds, rule.schedule[0], 1)
         rng = np.random.default_rng(23)
         if asynchronous:
@@ -356,24 +365,25 @@ class TestEdgeUpdateRule:
             env.active[:, 0] = True
             env.active[:, 2] = False
             env.active[:2, 1] = [True, False]
-        rows = [rng.normal(size=(cfg.batch_size, cfg.message_dim))
-                for _ in range(cfg.n_train)]
-        initial = [dict(node.encoder.params) for node in rule.nodes]
-        for state, step in ((rule, protocol._edge_backprop_phase),
-                            (reference, reference_edge_step)):
-            caches = [edge.encode(node, env.observations[i])[1]
-                      for i, node in enumerate(state.nodes)]
-            step(state, env, caches, rows)
-        for i, (got, want) in enumerate(zip(rule.nodes, reference.nodes)):
-            for name in want.encoder.params:
-                g, w = got.encoder.params[name], want.encoder.params[name]
+        rows = rng.normal(size=(cfg.n_train, cfg.batch_size, cfg.message_dim))
+        stacks = node_stacks(rule.encoders, cfg.n_train)
+        optimizers = [nn.make_optimizer(optimizer, cfg.eta) for _ in set(map(id, stacks))]
+        initial = [{k: v.copy() for k, v in rule.encoders.node_encoder(i).params.items()}
+                   for i in range(cfg.n_train)]
+        _, cache = edge.encode(rule.encoders, env.observations)
+        protocol._edge_backprop_phase(rule, env, cache, rows)
+        reference_edge_step(cfg, stacks, optimizers, env, rows)
+        for i, want in enumerate(stacks):
+            got = rule.encoders.node_encoder(i).params
+            for name in want.params:
+                g, w = got[name], want.params[name]
                 if sharing and optimizer == "sgd":
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
                 else:
                     assert np.array_equal(g, w), (i, name)
         # only a dedicated node without an active sample keeps its parameters
-        moved = [not np.array_equal(node.encoder.params["dense0.w"], start["dense0.w"])
-                 for node, start in zip(rule.nodes, initial)]
+        moved = [not np.array_equal(rule.encoders.node_encoder(i).params["dense0.w"],
+                                    start["dense0.w"]) for i, start in enumerate(initial)]
         assert moved == [True, True, not (asynchronous and not sharing)]
 
 
@@ -416,14 +426,14 @@ class TestCentralizedAgreement:
         cfg = toy_config(rounds=8, cqie=True, pathloss=True)
         state = protocol.init_state(cfg, ds)
         oracle = protocol.init_oracle_state(cfg, ds)
-        side_columns = state.nodes[0].encoder.params["dense0.w"][:, cfg.obs_dim:].copy()
+        side_columns = state.encoders.params["dense0.w"][0][:, cfg.obs_dim:].copy()
         worst = 0.0
         for k in range(1, 9):
             protocol.run_training_round(state, k)
             protocol.centralized_oracle_round(oracle, k)
             worst = max(worst, max_param_deviation(state, oracle))
         assert worst < 1e-10
-        moved = state.nodes[0].encoder.params["dense0.w"][:, cfg.obs_dim:]
+        moved = state.encoders.params["dense0.w"][0][:, cfg.obs_dim:]
         assert side_columns.shape == (12, cfg.n_blocks)
         assert not np.array_equal(side_columns, moved)
 
@@ -472,24 +482,56 @@ class TestTrain:
         assert evaluated == [3, 6]
 
 
+def per_node_reference_phase(stacks, optimizers):
+    """An edge-backprop phase written out with one ``nn.LayerStack`` and one
+    optimizer per encoder: each node runs its own stack, averages its
+    gradient over its active samples and, with dedicated encoders, steps
+    its own optimizer; a shared encoder steps once on the mean of the
+    nodes' averages. The results are written back into ``state.encoders``.
+    """
+    def phase(state, env, cache, gradient_rows):
+        cfg = state.config
+        total = {k: np.zeros_like(p) for k, p in stacks[0].params.items()}
+        for i in range(cfg.n_train):
+            stack = stacks[0] if cfg.encoder_sharing else stacks[i]
+            count = int(env.active[:, i].sum())
+            if count == 0:
+                continue
+            _, node_cache = nn.forward(stack, env.observations[i])
+            rows = gradient_rows[i] * env.active[:, i][:, None]
+            grads = nn.backward(stack, node_cache, rows).param_grads
+            if cfg.encoder_sharing:
+                for name in total:
+                    total[name] = total[name] + grads[name] / count
+            else:
+                optimizers[i].step(stack, grads, count)
+        if cfg.encoder_sharing:
+            optimizers[0].step(stacks[0], total, cfg.n_train)
+        state.encoders.set_params({name: np.stack([s.params[name] for s in stacks])
+                                   for name in state.encoders.params})
+    return phase
+
+
 class TestOptimizers:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("sharing", [False, True], ids=["dedicated", "shared"])
-    def test_one_edge_optimizer_per_encoder(self, sharing, optimizer):
-        """A shared encoder gets one edge optimizer, dedicated encoders one
-        each; 12 rounds land where a state with one optimizer per node
-        lands, bit for bit."""
+    def test_one_edge_optimizer_per_encoder(self, sharing, optimizer, monkeypatch):
+        """One optimizer steps the stacked encoders; 12 rounds land where
+        per-node stacks with one optimizer per encoder land, bit for bit."""
         cfg = toy_config(encoder_sharing=sharing, optimizer=optimizer, rounds=12,
                          async_coordination=True, noiseless_downlink=False)
         ds = toy_dataset()
         state = protocol.init_state(cfg, ds)
-        assert len(state.edge_optimizers) == (1 if sharing else cfg.n_train)
         per_node = protocol.init_state(cfg, ds)
-        per_node.edge_optimizers = [nn.make_optimizer(optimizer, cfg.eta)
-                                    for _ in range(cfg.n_train)]
+        stacks = node_stacks(per_node.encoders, 1)
+        optimizers = [nn.make_optimizer(optimizer, cfg.eta) for _ in stacks]
+        assert len(stacks) == (1 if sharing else cfg.n_train)
         for k in range(1, 13):
             protocol.run_training_round(state, k)
-            protocol.run_training_round(per_node, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "_edge_backprop_phase",
+                              per_node_reference_phase(stacks, optimizers))
+                protocol.run_training_round(per_node, k)
         pa = protocol.state_parameters(state)
         pb = protocol.state_parameters(per_node)
         for name in pa:
@@ -511,8 +553,93 @@ class TestOptimizers:
         protocol.run_training_round(state, 2)
         cloud_steps = [c for c in calls if c is state.cloud_model]
         assert len(cloud_steps) == 2
-        assert len(calls) == 2 * (1 + cfg.n_train)
+        assert len(calls) == 2 * 2
         assert state.cloud_optimizer.t == 2
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("sharing", [False, True], ids=["dedicated", "shared"])
+    def test_one_encode_gradient_and_edge_step_per_round(self, sharing, optimizer,
+                                                         monkeypatch):
+        """Each round makes one ``edge.encode`` call, one cloud step, one
+        ``edge.batch_gradient`` call and one step of the edge optimizer."""
+        calls = []
+
+        def count_calls(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append((name, args[0]))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count_calls(edge, "encode")
+        count_calls(edge, "batch_gradient")
+        count_calls(nn.SgdOptimizer, "step")
+        count_calls(nn.AdamOptimizer, "step")
+        cfg = toy_config(encoder_sharing=sharing, optimizer=optimizer, n_train=5,
+                         async_coordination=True, rounds=3)
+        state = protocol.init_state(cfg, toy_dataset())
+        for k in (1, 2, 3):
+            calls.clear()
+            protocol.run_training_round(state, k)
+            assert calls == [("encode", state.encoders), ("step", state.cloud_optimizer),
+                             ("batch_gradient", state.encoders),
+                             ("step", state.edge_optimizer)]
+
+    def test_stacked_adam_skips_a_node_without_samples(self, monkeypatch):
+        """Node 2 is active in rounds 1 and 3 and on no sample in round 2.
+        Round 2 leaves its parameters, moments and step count as round 1
+        left them; its round-3 step is a lone Adam step with step count 2
+        from the round-1 moments."""
+        cfg = toy_config(optimizer="adam", async_coordination=True, noiseless_downlink=False,
+                         rounds=3)
+        state = protocol.init_state(cfg, toy_dataset())
+        draw = protocol.draw_round_env
+
+        def forced(config, dataset, batch_indices, round_index):
+            env = draw(config, dataset, batch_indices, round_index)
+            env.active[:, 0] = True  # every sample keeps an active node
+            env.active[:, 2] = round_index != 2
+            return env
+
+        steps = []
+        adam_step = nn.AdamOptimizer.step
+
+        def recorded(opt, stack, grads, divisor):
+            if stack is state.encoders:
+                steps.append(({k: g.copy() for k, g in grads.items()}, np.array(divisor)))
+            adam_step(opt, stack, grads, divisor)
+
+        monkeypatch.setattr(protocol, "draw_round_env", forced)
+        monkeypatch.setattr(nn.AdamOptimizer, "step", recorded)
+        opt = state.edge_optimizer
+
+        def node2():
+            return ({k: v.copy() for k, v in state.encoders.node_encoder(2).params.items()},
+                    {k: m[2].copy() for k, m in opt.m.items()},
+                    {k: v[2].copy() for k, v in opt.v.items()})
+
+        protocol.run_training_round(state, 1)
+        params1, m1, v1 = node2()
+        assert opt.t.tolist() == [1, 1, 1]
+        protocol.run_training_round(state, 2)
+        params2, m2, v2 = node2()
+        assert steps[1][1][2] == 0
+        assert opt.t.tolist() == [2, 2, 1]
+        for k in params1:
+            assert np.array_equal(params2[k], params1[k])
+            assert np.array_equal(m2[k], m1[k]) and np.array_equal(v2[k], v1[k])
+        protocol.run_training_round(state, 3)
+        assert opt.t.tolist() == [3, 3, 2]
+        lone = nn.LayerStack(state.encoders.layers, seed=0)
+        lone.set_params(params1)
+        written = nn.AdamOptimizer(cfg.eta)
+        written.t, written.m, written.v = 1, m1, v1
+        grads, counts = steps[2]
+        written.step(lone, {k: g[2] for k, g in grads.items()}, int(counts[2]))
+        for k, p in state.encoders.node_encoder(2).params.items():
+            assert np.array_equal(p, lone.params[k])
+            assert not np.array_equal(p, params1[k])
 
 
 def full_norm(arrays):
@@ -537,9 +664,8 @@ class TestParamNorms:
             params = protocol.state_parameters(state)
             assert record.param_norm_cloud == full_norm(
                 p for name, p in params.items() if name.startswith("cloud."))
-            # a shared encoder counts once per node
             assert record.param_norm_edges == full_norm(
-                p for node in state.nodes for p in node.encoder.params.values())
+                p for name, p in params.items() if name.startswith("encoder"))
 
 
 def expected_parameter_shapes(cfg, architecture):
@@ -675,3 +801,16 @@ class TestConfigValidation:
     def test_sum_agg_dimension_rule(self):
         with pytest.raises(ValueError, match="sum aggregation"):
             toy_config(architecture="sum_agg", message_dim=8).validate()
+
+    @pytest.mark.parametrize("distances, alpha", [((1e200, 1e200), 2.7), ((1.0, 1e150), 2.7),
+                                                  ((1e-200, 1.0), 2.7), ((1.0, 10.0), 400.0)],
+                             ids=["far-range", "far-end", "near-end", "steep-exponent"])
+    def test_pathloss_variance_must_be_positive_and_finite(self, distances, alpha):
+        """d**(-pathloss_alpha) that underflows to 0 or overflows at either end
+        of the distance range is rejected; it is monotone in d, so the ends
+        cover the range."""
+        cfg = toy_config(pathloss=True, pathloss_d=distances, pathloss_alpha=alpha)
+        with pytest.raises(ValueError, match="pathloss_d"):
+            cfg.validate()
+        toy_config(pathloss=False, pathloss_d=distances, pathloss_alpha=alpha).validate()
+        toy_config(pathloss=True, pathloss_d=(1.0, 1e100), pathloss_alpha=2.7).validate()
