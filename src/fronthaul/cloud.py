@@ -143,13 +143,12 @@ class CloudCache:
     version: int  # the model's version at the forward pass
     received: Array  # (N, B, S)
     active: Array  # (B, N) float mask
-    # per node, (B, M*H) pre-activations of every inner first layer, held
-    # at zero for inactive pairs
-    inner_pre: list[Array]
+    # (N, B, M*H) bool slopes, pre-activation > 0, of every inner first
+    # layer's rectifier; False for inactive pairs
+    inner_slope: Array
     pooled: Array  # (M, B, H) masked node sum of the rectified inner activations
     latent: Array  # (M, B, R) pooled latent per branch
-    outer_pre: Array  # (M, B, H_u) outer pre-activations
-    outer_act: Array  # (M, B, H_u) rectified outer activations
+    outer_act: Array  # (M, B, H_u) rectified outer activations; > 0 is their slope
 
 
 def _prepare_received(model_in_dim: int, received: Array) -> Array:
@@ -193,29 +192,30 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("active mask entries must be 0 or 1")
     w = model.params
-    inner_pre = []
     pooled = np.zeros((batch, w["z_in"].shape[0]))
+    pre = np.empty_like(pooled)
     scratch = np.empty_like(pooled)
+    inner_slope = np.empty((len(rows), *pooled.shape), dtype=bool)
     for i, y in enumerate(rows):
-        pre = y @ w["z_in"].T
+        np.matmul(y, w["z_in"].T, out=pre)
         pre += w["z_in_b"]
         # zeroing an inactive pair's pre-activations zeroes its rectified
-        # activation here and its rectifier slope in the backward pass
+        # activation and its rectifier slope
         pre[mask[:, i] == 0.0] = 0.0
-        inner_pre.append(pre)
+        np.greater(pre, 0.0, out=inner_slope[i])
         pooled += np.maximum(pre, 0.0, out=scratch)
     # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
     pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
     latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
     latent += mask.sum(axis=1)[:, None] * w["z_out_b"][:, None, :]
-    outer_pre = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
-    outer_pre += w["u_in_b"][:, None, :]
-    outer_act = np.maximum(outer_pre, 0.0)
+    outer_act = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
+    outer_act += w["u_in_b"][:, None, :]
+    np.maximum(outer_act, 0.0, out=outer_act)  # the outer rectifier, in place
     out = np.matmul(outer_act, w["u_out"].transpose(0, 2, 1))
     out += w["u_out_b"][:, None, :]
     logits = out.sum(axis=0)
-    cache = CloudCache(model, model.version, rows, mask, inner_pre, pooled,
-                       latent, outer_pre, outer_act)
+    cache = CloudCache(model, model.version, rows, mask, inner_slope, pooled,
+                       latent, outer_act)
     return logits, cache
 
 
@@ -245,7 +245,7 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     # every branch's output bias gets the same gradient, one row per branch
     u_out_b = np.repeat((ones @ g)[None, :], model.n_branches, axis=0)
     g_hidden = np.matmul(g, w["u_out"])
-    g_hidden *= cache.outer_pre > 0.0
+    g_hidden *= cache.outer_act > 0.0
     u_in_w = np.matmul(g_hidden.transpose(0, 2, 1), cache.latent)
     u_in_b = np.matmul(ones, g_hidden)
     g_latent = np.matmul(g_hidden, w["u_in"])
@@ -259,8 +259,7 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     messages = np.empty(cache.received.shape)
     g_act = np.empty_like(g_pooled)
     for i, y in enumerate(cache.received):
-        np.greater(cache.inner_pre[i], 0.0, out=g_act)  # the rectifier's slope
-        g_act *= g_pooled
+        np.multiply(cache.inner_slope[i], g_pooled, out=g_act)
         z_in_w += g_act.T @ y
         z_in_b += ones @ g_act
         np.matmul(g_act, w["z_in"], out=messages[i])

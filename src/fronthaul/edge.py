@@ -174,7 +174,8 @@ def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
                    ) -> dict[str, Array]:
     """Per node, the sum over its batch of (ds_i/dpsi_i) u_ib for upstream
     rows u_ib, node-first (n, ...): slice i reads only node i's cache and
-    rows."""
+    rows. No node reads the gradient with respect to its observations, so
+    the backward pass does not form it."""
     if cache.encoders is not encoders:
         raise ValueError("cache was produced by a different encoder set")
     if cache.version != encoders.version:
@@ -184,6 +185,6 @@ def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
         raise ValueError(f"upstream rows for {len(g)} nodes, cache for {len(cache.caches)}")
     out = {name: np.empty((len(g), *p.shape[1:])) for name, p in encoders.params.items()}
     for i, (c, rows) in enumerate(zip(cache.caches, g)):
-        for name, grad in nn.backward(c.stack, c, rows).param_grads.items():
+        for name, grad in nn.backward(c.stack, c, rows, input_grad=False).param_grads.items():
             out[name][i] = grad
     return out

@@ -303,25 +303,31 @@ def _central_differences(value, pairs, step: float) -> float:
     return worst
 
 
-def _kink_margin(stack: nn.LayerStack, cache: nn.ForwardCache) -> float:
-    """Distance of the forward pass to the nearest non-smooth point.
+def _kink_margin(stack: nn.LayerStack, x: Array) -> float:
+    """Distance of the forward pass on ``x`` to the nearest non-smooth point.
 
     Central differences are only meaningful inside one smooth piece, so
     the oracle redraws any instance that sits too close to a rectifier
-    zero or a projection power boundary.
+    zero or a projection power boundary. The pass is replayed here, in
+    the forward's operation order, from ``x`` and the parameters.
     """
     margin = np.inf
+    h = x
     for idx, layer in enumerate(stack.layers):
-        h_in = cache.inputs[idx]
-        if isinstance(layer, nn.Relu):
-            margin = min(margin, float(np.min(np.abs(h_in))))
-        elif isinstance(layer, nn.Projection):
+        if isinstance(layer, nn.Dense):
+            h = h @ stack.params[f"dense{idx}.w"].T
+            h += stack.params[f"dense{idx}.b"]
+        elif isinstance(layer, nn.Relu):
+            margin = min(margin, float(np.min(np.abs(h))))
+            h = np.maximum(h, 0.0)
+        else:
             if layer.mode == nn.PER_RB:
-                half = h_in.shape[-1] // 2
-                p = h_in[..., :half] ** 2 + h_in[..., half:] ** 2
+                half = h.shape[-1] // 2
+                p = h[..., :half] ** 2 + h[..., half:] ** 2
             else:
-                p = np.sum(h_in * h_in, axis=-1)
+                p = np.sum(h * h, axis=-1)
             margin = min(margin, float(np.min(np.abs(p - layer.power))))
+            h = nn.projection_forward(h, layer.power, layer.mode)
     return margin
 
 
@@ -345,7 +351,7 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
     def draw():
         x = rng.normal(size=(1, in_dim)) * 2.0
         _, cache = nn.forward(stack, x)
-        return (x, cache), _kink_margin(stack, cache)
+        return (x, cache), _kink_margin(stack, x)
 
     x, cache = _draw_smooth(draw)
     upstream = rng.normal(size=(1, out_dim))
@@ -357,6 +363,33 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
 
     pairs = [(p, grads.param_grads[name]) for name, p in stack.params.items()]
     return _central_differences(value, pairs + [(x, grads.input_grad)], step)
+
+
+def _cloud_kink_margin(model: cloud.CloudModel, received: list[Array], active: Array) -> float:
+    """Distance of the cloud's forward pass to the nearest rectifier kink.
+
+    The inner and outer pre-activations are replayed, in the forward's
+    operation order, from the received rows, the mask and the parameters.
+    Inactive pairs' pre-activations are held at zero and never move, so
+    they are no kink.
+    """
+    w = model.params
+    batch = len(active)
+    pooled = np.zeros((batch, w["z_in"].shape[0]))
+    margin = np.inf
+    for i, y in enumerate(received):
+        pre = y @ w["z_in"].T
+        pre += w["z_in_b"]
+        on = active[:, i] == 1.0
+        pre[~on] = 0.0
+        margin = min(margin, float(np.min(np.abs(pre[on]), initial=np.inf)))
+        pooled += np.maximum(pre, 0.0)
+    pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
+    latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
+    latent += active.sum(axis=1)[:, None] * w["z_out_b"][:, None, :]
+    outer_pre = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
+    outer_pre += w["u_in_b"][:, None, :]
+    return min(margin, float(np.min(np.abs(outer_pre))))
 
 
 def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
@@ -386,11 +419,7 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
         active[-1] = 1.0
         received = [rng.normal(size=(batch, 4)) for _ in range(n_nodes)]
         logits, cache = cloud.cloud_infer(model, received, active)
-        # inactive pairs' pre-activations are held at zero and never move
-        kinks = [np.abs(pre[active[:, i] == 1.0]) for i, pre in enumerate(cache.inner_pre)]
-        kinks.append(np.abs(cache.outer_pre))
-        margin = min(float(np.min(k, initial=np.inf)) for k in kinks)
-        return (active, received, logits, cache), margin
+        return (active, received, logits, cache), _cloud_kink_margin(model, received, active)
 
     active, received, logits, cache = _draw_smooth(draw)
     labels = rng.integers(0, 3, size=batch)

@@ -3,9 +3,10 @@
 Everything runs in float64 numpy. A stack is a flat list of layer
 descriptors; its parameters live in a named dict so they can be swapped,
 averaged across nodes, and checkpointed without touching layer code.
-Forward passes take a batch of row vectors; backward passes return
-parameter gradients summed over the batch plus the gradient with respect
-to the input.
+Forward passes take a batch of row vectors and keep only what the
+backward pass reads; backward passes return parameter gradients summed
+over the batch and, unless the caller declines it, the gradient with
+respect to the input.
 """
 from __future__ import annotations
 
@@ -110,20 +111,23 @@ class LayerStack:
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs recorded by one forward pass, consumed by backward."""
+    """What one forward pass keeps for backward, one entry per layer: the
+    input of a Dense or Projection layer, and a ReLU's slope, its input
+    > 0, as a bool array."""
 
     stack: LayerStack
     version: int
-    inputs: list[Array]
+    saved: list[Array]
     output: Array
 
 
 @dataclass
 class GradientSet:
-    """Parameter gradients (same names/shapes as the stack) plus the input gradient."""
+    """Parameter gradients (same names/shapes as the stack) plus the input
+    gradient, None when the backward pass was asked not to form it."""
 
     param_grads: dict[str, Array]
-    input_grad: Array
+    input_grad: Array | None
 
 
 def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
@@ -133,25 +137,30 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
         raise ValueError("layer 0 input must be a batch of rows")
     if h.shape[1] != stack.in_dim:
         raise ValueError(f"layer 0 input has dim {h.shape[1]}, expected {stack.in_dim}")
-    inputs: list[Array] = []
+    saved: list[Array] = []
     for idx, layer in enumerate(stack.layers):
-        inputs.append(h)
         if isinstance(layer, Dense):
+            saved.append(h)
             h = h @ stack.params[f"dense{idx}.w"].T
             h += stack.params[f"dense{idx}.b"]
         elif isinstance(layer, Relu):
-            h = np.maximum(h, 0.0)
+            saved.append(h > 0.0)
+            # h is this call's own temporary, which nothing else keeps
+            h = np.maximum(h, 0.0, out=h)
         else:
+            saved.append(h)
             h = projection_forward(h, layer.power, layer.mode)
-    return h, ForwardCache(stack, stack.version, inputs, h)
+    return h, ForwardCache(stack, stack.version, saved, h)
 
 
-def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> GradientSet:
+def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,
+             input_grad: bool = True) -> GradientSet:
     """Exact vector-Jacobian product through the stack.
 
     ``upstream`` must match the shape of the cached forward output.
     Parameter gradients are summed over batch rows; the caller owns any
-    batch-size divisor.
+    batch-size divisor. With ``input_grad`` false the pass ends at layer
+    0's parameter gradients and returns no input gradient.
     """
     if cache.stack is not stack:
         raise ValueError("cache was produced by a different stack")
@@ -165,21 +174,22 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array) -> Gradien
     last = len(stack.layers) - 1
     for idx in reversed(range(len(stack.layers))):
         layer = stack.layers[idx]
-        h_in = cache.inputs[idx]
+        saved = cache.saved[idx]
         if isinstance(layer, Dense):
-            grads[f"dense{idx}.w"] = g.T @ h_in
+            grads[f"dense{idx}.w"] = g.T @ saved
             grads[f"dense{idx}.b"] = ones @ g
-            g = g @ stack.params[f"dense{idx}.w"]
+            if idx > 0 or input_grad:
+                g = g @ stack.params[f"dense{idx}.w"]
         elif isinstance(layer, Relu):
             # below the last layer g is a temporary of this call, so the
-            # mask can be applied in place; the last layer's g is upstream
+            # slope can be applied in place; the last layer's g is upstream
             if idx == last:
-                g = g * (h_in > 0.0)
+                g = g * saved
             else:
-                g *= h_in > 0.0
+                g *= saved
         else:
-            g = projection_backward(h_in, layer.power, layer.mode, g)
-    return GradientSet(grads, g)
+            g = projection_backward(saved, layer.power, layer.mode, g)
+    return GradientSet(grads, g if input_grad else None)
 
 
 def _budget_scale(sq: Array, power: float) -> tuple[Array, Array]:

@@ -354,8 +354,19 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
                          cloud_optimizer=nn.make_optimizer(config.optimizer, config.eta))
 
 
-def _norm(params: dict[str, Array]) -> float:
-    return math.sqrt(sum(float(np.sum(p * p)) for p in params.values()))
+def _norm(model) -> float:
+    """The L2 norm over a model's parameters. Each stacked array is reduced
+    once, one sum per leading-axis slice, and the sums are added in the
+    order of the checkpoint views (slice-major, key-minor), which keeps
+    the rounding of the norm over separate stacks."""
+    params = model.params
+    if not params:
+        return 0.0
+    # views per stacked array: M for the cloud, one per encoder slice, 1 for a baseline
+    slices = len(model.named_params()) // len(params)
+    per_key = [np.sum(np.square(p.reshape(slices, -1)), axis=1).tolist()
+               for p in params.values()]
+    return math.sqrt(sum(total for per_view in zip(*per_key) for total in per_view))
 
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
@@ -420,10 +431,8 @@ def run_training_round(state: TrainingState, round_index: int,
         snr_up_db_mean=float(np.mean(env.snr_up_db)),
         snr_dn_db_mean=float(np.mean(env.snr_dn_db)),
         mean_active=float(env.active.sum(axis=1).mean()),
-        # the per-branch and per-encoder views keep the summation order, and
-        # so the rounding, of the norm over separate stacks
-        param_norm_cloud=_norm(state.cloud_model.named_params()) if on_cadence else None,
-        param_norm_edges=_norm(state.encoders.named_params()) if on_cadence else None,
+        param_norm_cloud=_norm(state.cloud_model) if on_cadence else None,
+        param_norm_edges=_norm(state.encoders) if on_cadence else None,
         uplink_values=uplink_count,
         downlink_values=downlink_count,
         redraw_count=env.redraws,

@@ -286,6 +286,25 @@ class TestFusedCloud:
         assert_fused_matches_reference(model, received, active,
                                        rng.normal(size=(batch, 3)))
 
+    def test_cache_keeps_bool_slopes_only(self):
+        """The cache holds every inner rectifier's slope as one (N, B, M*H) bool
+        array, off on inactive pairs, and no per-node float pre-activations."""
+        rng = np.random.default_rng(103)
+        model = small_model(m=4)
+        random_biases(model, rng)
+        received = [rng.normal(size=(7, 6)) for _ in range(3)]
+        active = (rng.random((7, 3)) < 0.6).astype(float)
+        _, cache = cloud.cloud_infer(model, received, active)
+        width = model.params["z_in"].shape[0]
+        assert cache.inner_slope.dtype == bool and cache.inner_slope.shape == (3, 7, width)
+        for i, y in enumerate(received):
+            pre = y @ model.params["z_in"].T + model.params["z_in_b"]
+            assert np.array_equal(cache.inner_slope[i], (pre > 0.0) & (active[:, i:i + 1] == 1.0))
+        fields = vars(cache).values()
+        assert not any(isinstance(v, list) for v in fields)
+        assert not any(isinstance(v, np.ndarray) and v.dtype == float and v.shape[-1] == width
+                       for v in fields)
+
     def test_single_vector_matches_reference(self):
         rng = np.random.default_rng(101)
         model = small_model(m=4)

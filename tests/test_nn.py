@@ -347,20 +347,26 @@ class TestGradientProperty:
         assert np.array_equal(outs[0][1], outs[1][1])
 
     def test_cache_replay_reproduces_output(self):
-        """Re-running each layer on its cached input reproduces the output."""
+        """Re-running each Dense and Projection layer on its cached input
+        reproduces the output, and each ReLU's cached slope is its replayed
+        input > 0."""
         stack = nn.LayerStack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
                                nn.Projection(0.7)], seed=9)
-        x = np.random.default_rng(2).normal(size=(1, 4))
+        x = np.random.default_rng(2).normal(size=(5, 4))
         out, cache = nn.forward(stack, x)
-        h = cache.inputs[0]
+        h = x
         for idx, layer in enumerate(stack.layers):
-            assert np.array_equal(h, cache.inputs[idx])
-            if isinstance(layer, nn.Dense):
-                h = h @ stack.params[f"dense{idx}.w"].T + stack.params[f"dense{idx}.b"]
-            elif isinstance(layer, nn.Relu):
+            saved = cache.saved[idx]
+            if isinstance(layer, nn.Relu):
+                assert saved.dtype == bool and np.array_equal(saved, h > 0.0)
+                assert saved.any() and not saved.all()
                 h = np.maximum(h, 0.0)
+                continue
+            assert np.array_equal(h, saved)
+            if isinstance(layer, nn.Dense):
+                h = saved @ stack.params[f"dense{idx}.w"].T + stack.params[f"dense{idx}.b"]
             else:
-                h = nn.projection_forward(h, layer.power, layer.mode)
+                h = nn.projection_forward(saved, layer.power, layer.mode)
         assert np.array_equal(h, out)
 
 
@@ -578,6 +584,24 @@ class TestKernelsMatchReferences:
                 else:
                     assert same_bits(got.param_grads[pname], ref), pname
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    def test_backward_without_input_gradient(self, name):
+        """``input_grad=False`` gives the default call's parameter gradients
+        bit for bit and no input gradient; every ReLU caches bools."""
+        rng = np.random.default_rng(37)
+        stack = kernel_stack(name, seed=8)
+        for rows in (1, 7, 256):
+            out, cache = nn.forward(stack, rng.normal(size=(rows, 6)) * 2.0)
+            assert all(saved.dtype == bool for layer, saved in zip(stack.layers, cache.saved)
+                       if isinstance(layer, nn.Relu))
+            upstream = rng.normal(size=out.shape)
+            full = nn.backward(stack, cache, upstream)
+            params_only = nn.backward(stack, cache, upstream, input_grad=False)
+            assert full.input_grad is not None and params_only.input_grad is None
+            assert list(params_only.param_grads) == list(full.param_grads)
+            for pname, grad in full.param_grads.items():
+                assert same_bits(params_only.param_grads[pname], grad), pname
+
     @pytest.mark.parametrize("mode", [nn.PER_RB, nn.SUM])
     @pytest.mark.parametrize("power", [0.0, 0.25, 1.0, 4.0])
     def test_projection_matches_reference(self, mode, power):
@@ -617,8 +641,8 @@ class TestKernelsLeaveInputsAlone:
     @pytest.mark.parametrize("rows", [1, 16])
     def test_no_call_writes_into_its_inputs(self, name, rows):
         """forward leaves x alone; backward leaves upstream, the cached layer
-        inputs and the parameters alone (a stack ending in Relu hands the
-        caller's upstream straight to the ReLU backward)."""
+        inputs and slopes and the parameters alone (a stack ending in Relu
+        hands the caller's upstream straight to the ReLU backward)."""
         rng = np.random.default_rng(43)
         stack = kernel_stack(name, seed=6)
         x = rng.normal(size=(rows, 6))
@@ -626,7 +650,7 @@ class TestKernelsLeaveInputsAlone:
         out, cache = nn.forward(stack, x)
         assert unchanged(x_before, [x])
         upstream = rng.normal(size=out.shape)
-        guarded = [upstream, *cache.inputs, *stack.params.values()]
+        guarded = [upstream, *cache.saved, *stack.params.values()]
         before = snapshot(guarded)
         names_before = list(stack.params)
         nn.backward(stack, cache, upstream)

@@ -668,6 +668,27 @@ class TestParamNorms:
                 p for name, p in params.items() if name.startswith("encoder"))
 
 
+class TestNorm:
+    @pytest.mark.parametrize("which", ["cloud", "dedicated", "shared", "mhnet", "sum_agg"])
+    def test_one_reduction_per_array_matches_per_view_sums(self, which):
+        """One reduction per stacked array gives the norm summed view by view,
+        bit for bit; a model with no parameters has norm 0.0."""
+        rng = np.random.default_rng(17)
+        architecture = which if which in ("mhnet", "sum_agg") else "proposed"
+        cfg = toy_config(architecture=architecture, encoder_sharing=which == "shared",
+                         n_train=4, n_branches=5,
+                         **({"message_dim": 4, "n_classes": 4} if which == "sum_agg" else {}))
+        model = (protocol.build_encoders(cfg) if which in ("dedicated", "shared")
+                 else protocol.build_cloud(cfg))
+        for _ in range(4):
+            # entries over six decades, so the summation order shows in the bits
+            model.set_params({k: rng.normal(size=p.shape) * 10 ** rng.uniform(-3, 3, p.shape)
+                              for k, p in model.params.items()})
+            assert protocol._norm(model) == full_norm(model.named_params().values())
+        if which == "sum_agg":
+            assert protocol._norm(model) == 0.0
+
+
 def expected_parameter_shapes(cfg, architecture):
     """The checkpoint layout, written out: per-branch stacks for the proposed
     cloud, ``stack{i}`` three-layer perceptrons for the baselines."""
