@@ -194,7 +194,6 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
     w = model.params
     pooled = np.zeros((batch, w["z_in"].shape[0]))
     pre = np.empty_like(pooled)
-    scratch = np.empty_like(pooled)
     inner_slope = np.empty((len(rows), *pooled.shape), dtype=bool)
     for i, y in enumerate(rows):
         np.matmul(y, w["z_in"].T, out=pre)
@@ -203,7 +202,7 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
         # activation and its rectifier slope
         pre[mask[:, i] == 0.0] = 0.0
         np.greater(pre, 0.0, out=inner_slope[i])
-        pooled += np.maximum(pre, 0.0, out=scratch)
+        pooled += np.maximum(pre, 0.0, out=pre)
     # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
     pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
     latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))

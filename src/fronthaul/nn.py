@@ -139,16 +139,15 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
         raise ValueError(f"layer 0 input has dim {h.shape[1]}, expected {stack.in_dim}")
     saved: list[Array] = []
     for idx, layer in enumerate(stack.layers):
+        # a ReLU's backward reads only its slope
+        saved.append(h > 0.0 if isinstance(layer, Relu) else h)
         if isinstance(layer, Dense):
-            saved.append(h)
             h = h @ stack.params[f"dense{idx}.w"].T
             h += stack.params[f"dense{idx}.b"]
         elif isinstance(layer, Relu):
-            saved.append(h > 0.0)
             # h is this call's own temporary, which nothing else keeps
             h = np.maximum(h, 0.0, out=h)
         else:
-            saved.append(h)
             h = projection_forward(h, layer.power, layer.mode)
     return h, ForwardCache(stack, stack.version, saved, h)
 

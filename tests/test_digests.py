@@ -64,6 +64,7 @@ def _matrix() -> dict[str, dict]:
 
 MODES = _matrix()
 DEFAULT_MODE = "default-config"  # configs/default.txt, shortened
+ALL_MODES = [*MODES, DEFAULT_MODE]
 
 
 def mode_config(mode: str) -> dict:
@@ -105,21 +106,17 @@ def mode_digests(mode: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def all_modes() -> list[str]:
-    return [*MODES, DEFAULT_MODE]
-
-
 @pytest.fixture(scope="module")
 def stored():
     return json.loads(DIGESTS.read_text())
 
 
 def test_matrix_matches_stored_modes(stored):
-    assert list(stored["modes"]) == all_modes(), \
+    assert list(stored["modes"]) == ALL_MODES, \
         "the mode matrix changed; regenerate tests/digests.json"
 
 
-@pytest.mark.parametrize("mode", all_modes())
+@pytest.mark.parametrize("mode", ALL_MODES)
 def test_mode_is_bit_identical(mode, stored, tmp_path):
     here = environment()
     if stored["environment"] != here:
@@ -137,7 +134,7 @@ def regenerate() -> None:
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"modes": {}}
     modes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for mode in all_modes():
+        for mode in ALL_MODES:
             modes[mode] = mode_digests(mode, Path(tmp) / mode)
             moved = [k for k, v in modes[mode].items() if old["modes"].get(mode, {}).get(k) != v]
             print(f"{mode}: {', '.join(moved) if moved else 'unchanged'}")
