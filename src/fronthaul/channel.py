@@ -71,14 +71,21 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
     return std * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
 
 
+def noise_std(variance) -> Array:
+    """Standard deviation of each real component of CN(0, variance) noise."""
+    return np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+
+
 def noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
     """CN(0, variance) link noise for fading of ``shape``, as real rows.
 
     One ``standard_normal((2, *shape))`` draw gives every real part, then
     every imaginary part; the result has shape (*shape[:-1], 2 * shape[-1]).
-    ``variance`` must broadcast against ``shape``.
+    ``variance`` must broadcast against ``shape``. Variance 2 (std 1)
+    returns the draw itself, which ``noise_std`` can later scale to any
+    variance with the same bits as drawing at that variance.
     """
-    std = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    std = noise_std(variance)
     np.broadcast_to(std, shape)  # raises unless the variance broadcasts against the draw
     draw = rng.standard_normal((2, *shape))
     draw *= std
@@ -91,8 +98,8 @@ def gain(h: Array) -> Array:
     return np.concatenate([mag, mag], axis=-1)
 
 
-def uplink_transmit(s: Array, h: Array, noise: Array) -> Array:
-    """Edge-to-cloud leg: the received rows H s + n.
+def uplink_transmit(s: Array, h: Array, noise: Array | None) -> Array:
+    """Edge-to-cloud leg: the received rows H s + n, or H s when ``noise`` is None.
 
     The edge rotates each entry by the negative channel phase, so the
     multiplicative channel reduces to the magnitude exactly.
@@ -101,7 +108,8 @@ def uplink_transmit(s: Array, h: Array, noise: Array) -> Array:
     _check_rows(s, h)
     y = gain(h)
     y *= s
-    y += noise
+    if noise is not None:
+        y += noise
     return y
 
 

@@ -17,7 +17,8 @@ is the main correctness check on the whole protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,6 +173,24 @@ class RoundRecord:
 
 
 @dataclass
+class EvalPopulation:
+    """One evaluation population, drawn and encoded once for every SNR.
+
+    Per chunk of at most ``_EVAL_CHUNK`` samples, ``chunks`` holds the
+    noiseless received rows H s and the unit noise rows, both node-first
+    (n_test, nb, S), and the labels. It is valid for the encoder set and
+    dataset objects it names while ``key`` still matches (see
+    ``_eval_population``).
+    """
+
+    encoders: edge.EncoderSet
+    dataset: data.SyntheticDataset
+    key: tuple
+    chunks: list[tuple[Array, Array, Array]]
+    n_samples: int
+
+
+@dataclass
 class TrainingState:
     config: TrainingConfig
     dataset: data.SyntheticDataset
@@ -181,6 +200,8 @@ class TrainingState:
     edge_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     cloud_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     round_index: int = 0
+    # the last population ``evaluate`` drew; never more than one
+    eval_population: EvalPopulation | None = field(default=None, repr=False, compare=False)
 
 
 def schedule_minibatches(master_seed: int, dataset_size: int, batch_size: int,
@@ -370,13 +391,13 @@ def _norm(model) -> float:
 
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
-                       noise: Array, pathloss: bool, keep_cache: bool = False,
+                       noise: Array | None, pathloss: bool, keep_cache: bool = False,
                        before_uplink=None) -> tuple[Array, edge.EncoderCache | None]:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
     ``observations`` (N, B, A), ``h`` (N, B, blocks) and the scaled
-    ``noise`` rows (N, B, S) are node-first; a channel-aware node reads its
-    own |h| as side input. ``before_uplink`` runs between the two steps.
+    ``noise`` rows (N, B, S), or None for noiseless rows, are node-first; a
+    channel-aware node reads its own |h| as side input. ``before_uplink`` runs between the two steps.
     Returns the received rows (N, B, S) and the encoders' forward cache.
     """
     cqi = edge.cqi_side_input(np.abs(h), pathloss) if encoders.cqie else None
@@ -482,6 +503,48 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     return logits
 
 
+def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopulation:
+    """The state's population for (split, n_test), drawn and encoded on a miss.
+
+    Per chunk the stream gives the pathloss distances, the fading, the
+    unit noise and the crop offsets, in that order. The old population is
+    dropped before the new one is built, so at most one is ever held.
+    """
+    cfg = state.config
+    # what the draws and the encoding read besides the set and dataset
+    # objects; every parameter change bumps the set's version (set_params)
+    key = (split, n_test, state.encoders.version, cfg.master_seed, cfg.n_blocks,
+           cfg.pathloss, tuple(cfg.pathloss_d), cfg.pathloss_alpha)
+    population = state.eval_population
+    if (population is not None and population.encoders is state.encoders
+            and population.dataset is state.dataset and population.key == key):
+        return population
+    state.eval_population = None
+    states, labels = state.dataset.split(split)
+    blocks = cfg.n_blocks
+    rng = stream(cfg.master_seed, _DOM_EVAL, _SPLIT_IDS[split], n_test)
+    chunks = []
+    for start in range(0, len(labels), _EVAL_CHUNK):
+        stop = min(start + _EVAL_CHUNK, len(labels))
+        nb = stop - start
+        if cfg.pathloss:
+            d = rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test))
+            pathloss = (d, cfg.pathloss_alpha)
+        else:
+            pathloss = None
+        h = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
+        unit = channel.noise(rng, (nb, n_test, blocks), 2.0)
+        offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
+                               size=(nb, n_test, 2))
+        observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
+        hs, _ = _encode_and_uplink(state.encoders, observations, h.transpose(1, 0, 2),
+                                   None, cfg.pathloss)
+        chunks.append((hs, np.ascontiguousarray(unit.transpose(1, 0, 2)), labels[start:stop]))
+    state.eval_population = EvalPopulation(state.encoders, state.dataset, key, chunks,
+                                           len(labels))
+    return state.eval_population
+
+
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
              snr_db: float | None = None) -> tuple[float, float]:
     """Accuracy and mean loss on a split under fixed evaluation channels.
@@ -490,37 +553,39 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     applies). Draws are keyed by (split, n_test), so sweeping the SNR
     reuses the same fading and crops and the comparison is paired.
     Dedicated encoders serve at most n_train nodes, a shared one any number.
+
+    The state keeps the last population in ``state.eval_population``: the
+    received rows H s, the unit noise and the labels. Each SNR scales the
+    unit noise by sqrt(sigma^2 / 2) and adds H s, which gives the bits a
+    fresh draw at that SNR would. A different split or n_test, a parameter
+    change of the encoder set (its ``version``), another encoder set or
+    dataset object, or a change of ``master_seed``, ``message_dim`` or the
+    pathloss fields draws the population again and replaces the old one.
+    The cloud model is not cached and is read on every call.
     """
-    cfg = state.config
-    n_test = cfg.n_train if n_test is None else n_test
-    states, labels = state.dataset.split(split)
-    n_samples = len(labels)
-    blocks = cfg.n_blocks
-    rng = stream(cfg.master_seed, _DOM_EVAL, _SPLIT_IDS[split], n_test)
-    sigma2 = 0.0 if snr_db is None else float(channel.snr_to_noise_var(snr_db))
+    if split not in _SPLIT_IDS:
+        raise ValueError(f"split must be one of {sorted(_SPLIT_IDS)}, got {split!r}")
+    n_test = state.config.n_train if n_test is None else n_test
+    if isinstance(n_test, bool) or not isinstance(n_test, numbers.Integral) or n_test < 1:
+        raise ValueError(f"n_test must be an integer of at least 1, got {n_test!r}")
+    if not state.encoders.shared and n_test > state.encoders.n_encoders:
+        raise ValueError(f"n_test = {n_test}, but only {state.encoders.n_encoders} trained "
+                         "encoders exist (enable encoder sharing to scale up)")
+    if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
+        raise ValueError(f"snr_db must be None or a finite number, got {snr_db!r}")
+    population = _eval_population(state, split, int(n_test))
+    std = channel.noise_std(0.0 if snr_db is None else channel.snr_to_noise_var(snr_db))
 
     correct = 0
     loss_total = 0.0
-    for start in range(0, n_samples, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, n_samples)
-        nb = stop - start
-        if cfg.pathloss:
-            d = rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test))
-            pathloss = (d, cfg.pathloss_alpha)
-        else:
-            pathloss = None
-        h = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
-        noise = channel.noise(rng, (nb, n_test, blocks), sigma2)
-        offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
-                               size=(nb, n_test, 2))
-        observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        received, _ = _encode_and_uplink(state.encoders, observations, h.transpose(1, 0, 2),
-                                         noise.transpose(1, 0, 2), cfg.pathloss)
+    for hs, unit, labels in population.chunks:
+        received = unit * std
+        received += hs
         logits, _ = state.cloud_model.infer(received)
-        losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
+        losses, _ = nn.softmax_cross_entropy(logits, labels)
         loss_total += float(np.sum(losses))
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:stop]))
-    return correct / n_samples, loss_total / n_samples
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels))
+    return correct / population.n_samples, loss_total / population.n_samples
 
 
 def train(config: TrainingConfig, dataset: data.SyntheticDataset,

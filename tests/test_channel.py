@@ -61,6 +61,14 @@ class TestLinkNoise:
         with pytest.raises(ValueError):
             channel.noise(np.random.default_rng(0), (5, 4), np.ones(3))
 
+    @pytest.mark.parametrize("variance", [0.0, 1e-4, 0.37, 1.0, 5.0])
+    def test_unit_draw_rescales_to_any_variance(self, variance):
+        """The variance-2 draw scaled by ``noise_std`` gives the bits of a draw
+        at that variance, zeros with the sign of the draw included."""
+        unit = channel.noise(np.random.default_rng(3), (6, 2, 4), 2.0)
+        want = channel.noise(np.random.default_rng(3), (6, 2, 4), variance)
+        assert (unit * channel.noise_std(variance)).tobytes() == want.tobytes()
+
 
 class TestSampleChannel:
     def test_unit_variance_magnitude(self):
@@ -154,6 +162,18 @@ class TestUplink:
             assert not np.allclose(np.angle(rotated), np.angle(h))
             out = channel.uplink_transmit(s, rotated, noise)
             assert np.array_equal(out, reference)
+
+    def test_noiseless_rows_then_noise_match_noisy_rows(self):
+        """``noise=None`` gives H s; adding the noise afterwards, in either
+        order, gives the noisy call's bits."""
+        rng = np.random.default_rng(8)
+        h = channel.sample_channel(rng, 4, shape=(3, 5))
+        s = rng.normal(size=(3, 5, 8))
+        noise = channel.noise(rng, (3, 5, 4), 0.3)
+        hs = channel.uplink_transmit(s, h, None)
+        assert hs.tobytes() == (channel.gain(h) * s).tobytes()
+        noisy = channel.uplink_transmit(s, h, noise).tobytes()
+        assert (hs + noise).tobytes() == (noise + hs).tobytes() == noisy
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

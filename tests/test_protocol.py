@@ -1,6 +1,7 @@
 """Round orchestration: schedules, active sets, phases, and the reference path."""
 
 
+import copy
 import math
 
 import numpy as np
@@ -781,6 +782,232 @@ class TestEvaluate:
         after = protocol.state_parameters(state)
         for name in before:
             assert np.array_equal(before[name], after[name])
+
+
+def reference_evaluate(state, split, n_test, snr_db, rows=None):
+    """The per-cell evaluation that the cached population replaced, kept as its
+    reference: every call draws the fading, the noise at this SNR and the
+    crops, encodes, and carries the messages over a noisy uplink. Appends
+    each chunk's received rows to ``rows`` when given."""
+    cfg = state.config
+    states, labels = state.dataset.split(split)
+    n_samples = len(labels)
+    rng = protocol.stream(cfg.master_seed, protocol._DOM_EVAL, protocol._SPLIT_IDS[split],
+                          n_test)
+    sigma2 = 0.0 if snr_db is None else float(channel.snr_to_noise_var(snr_db))
+    correct = 0
+    loss_total = 0.0
+    for start in range(0, n_samples, protocol._EVAL_CHUNK):
+        stop = min(start + protocol._EVAL_CHUNK, n_samples)
+        nb = stop - start
+        pathloss = None
+        if cfg.pathloss:
+            pathloss = (rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test)),
+                        cfg.pathloss_alpha)
+        h = channel.sample_channel(rng, cfg.n_blocks, pathloss=pathloss, shape=(nb, n_test))
+        noise = channel.noise(rng, (nb, n_test, cfg.n_blocks), sigma2)
+        offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
+                               size=(nb, n_test, 2))
+        observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
+        h = h.transpose(1, 0, 2)
+        cqi = edge.cqi_side_input(np.abs(h), cfg.pathloss) if cfg.cqie else None
+        messages, _ = edge.encode(state.encoders, observations, cqi, keep_cache=False)
+        received = channel.uplink_transmit(messages, h, noise.transpose(1, 0, 2))
+        if rows is not None:
+            rows.append(received)
+        logits, _ = state.cloud_model.infer(received)
+        losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
+        loss_total += float(np.sum(losses))
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:stop]))
+    return correct / n_samples, loss_total / n_samples
+
+
+def bits(result):
+    """An (accuracy, loss) pair as hex strings, which tell -0.0 from 0.0."""
+    return tuple(float(x).hex() for x in result)
+
+
+EVAL_MODES = {
+    "shared": dict(encoder_sharing=True),
+    "dedicated": dict(n_train=5),
+    "cqie": dict(encoder_sharing=True, cqie=True),
+    "pathloss": dict(encoder_sharing=True, pathloss=True, cqie=True),
+}
+EVAL_NTEST = (1, 3, 5)
+EVAL_SNR = (None, 0.0, 17.5, 40.0)
+EVAL_ORDERS = {
+    "n-major": [("test", n, snr) for n in EVAL_NTEST for snr in EVAL_SNR],
+    "snr-major": [("test", n, snr) for snr in EVAL_SNR for n in EVAL_NTEST],
+    "interleaved": [(split, n, snr) for n in EVAL_NTEST for snr in EVAL_SNR
+                    for split in ("val", "test")],
+}
+
+
+def eval_dataset():
+    # 600 test samples make two chunks: 512 and 88
+    return toy_dataset(samples=(64, 24, 600))
+
+
+def trained_eval_state(mode, ds):
+    state, _ = protocol.train(toy_config(rounds=3, **EVAL_MODES[mode]), ds)
+    return state
+
+
+def restored(state):
+    """A fresh state with ``state``'s config, dataset and parameters."""
+    fresh = protocol.init_state(state.config, state.dataset)
+    protocol.load_state_parameters(fresh, protocol.state_parameters(state))
+    return fresh
+
+
+class TestEvaluatePopulation:
+    @pytest.fixture(scope="class")
+    def eval_states(self):
+        ds = eval_dataset()
+        return {mode: trained_eval_state(mode, ds) for mode in EVAL_MODES}
+
+    @pytest.mark.parametrize("order", sorted(EVAL_ORDERS))
+    @pytest.mark.parametrize("mode", sorted(EVAL_MODES))
+    def test_matches_per_cell_reference(self, eval_states, mode, order, monkeypatch):
+        """Every cell, in every call order, gives the reference's accuracy and
+        loss and hands the cloud the reference's received rows, byte for byte
+        (so the noiseless cells match to the sign of zero)."""
+        state = copy.deepcopy(eval_states[mode])
+        infer = state.cloud_model.infer
+        seen = []
+
+        def spy(received, active=None):
+            seen.append(received)
+            return infer(received, active)
+
+        monkeypatch.setattr(state.cloud_model, "infer", spy)
+        for split, n_test, snr in EVAL_ORDERS[order]:
+            seen.clear()
+            got = protocol.evaluate(state, split, n_test=n_test, snr_db=snr)
+            got_rows = list(seen)
+            want_rows = []
+            want = reference_evaluate(state, split, n_test, snr, rows=want_rows)
+            assert bits(got) == bits(want), (split, n_test, snr)
+            assert len(got_rows) == len(want_rows) == (2 if split == "test" else 1)
+            for g, w in zip(got_rows, want_rows):
+                assert g.tobytes() == w.tobytes(), (split, n_test, snr)
+
+    def _changes(self, ds):
+        """Changes by name, each returning the state to evaluate next."""
+        other = protocol.init_state(toy_config(rounds=3, master_seed=5,
+                                               encoder_sharing=True), ds)
+        protocol.run_training_round(other, 1)
+
+        def round_step(state):
+            protocol.run_training_round(state, state.round_index + 1)
+            return state
+
+        def load(state):
+            protocol.load_state_parameters(state, protocol.state_parameters(other))
+            return state
+
+        def set_params(state):
+            state.encoders.set_params({k: p * 0.5 for k, p in state.encoders.params.items()})
+            return state
+
+        def deep_copy_set_params(state):
+            return set_params(copy.deepcopy(state))
+
+        def reseed(state):
+            state.config.master_seed += 1
+            return state
+
+        def pathloss(state):
+            state.config.pathloss = True
+            return state
+
+        def pathloss_alpha(state):
+            pathloss(state)
+            protocol.evaluate(state, "val", n_test=4)
+            state.config.pathloss_alpha = 2.0
+            return state
+
+        # another set at the same version (0) as the state's own
+        def swap_encoders(state):
+            state.encoders = protocol.build_encoders(other.config)
+            return state
+
+        def swap_dataset(state):
+            state.dataset = toy_dataset(seed=8)
+            return state
+
+        return {"round": round_step, "load": load, "set_params": set_params,
+                "deepcopy": copy.deepcopy, "deepcopy_set_params": deep_copy_set_params,
+                "master_seed": reseed, "pathloss": pathloss, "pathloss_alpha": pathloss_alpha,
+                "encoder_set": swap_encoders, "dataset": swap_dataset}
+
+    @pytest.mark.parametrize("change", ["round", "load", "set_params", "deepcopy",
+                                        "deepcopy_set_params", "master_seed", "pathloss",
+                                        "pathloss_alpha", "encoder_set", "dataset"])
+    def test_parameter_change_draws_again(self, change):
+        """After each change, every cell equals a freshly restored state's
+        result bit for bit, and the state holds one population only."""
+        ds = toy_dataset()
+        state = protocol.init_state(toy_config(rounds=3, encoder_sharing=True), ds)
+        before = [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
+                  for snr in EVAL_SNR]
+        changed = self._changes(ds)[change](state)
+        for snr in EVAL_SNR:
+            got = protocol.evaluate(changed, "val", n_test=4, snr_db=snr)
+            assert bits(got) == bits(protocol.evaluate(restored(changed), "val",
+                                                       n_test=4, snr_db=snr))
+        held = [v for v in vars(changed).values() if isinstance(v, protocol.EvalPopulation)]
+        assert held == [changed.eval_population]
+        if changed is not state:  # the original keeps its own, still valid population
+            assert [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
+                    for snr in EVAL_SNR] == before
+
+    def test_one_draw_and_encode_for_an_snr_sweep(self, monkeypatch):
+        """Nine SNRs at one (split, n_test) draw, crop and encode once; the
+        cloud runs once per SNR."""
+        state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
+        calls = {}
+        for module, name in ((edge, "encode"), (data, "crop_batch"),
+                             (channel, "sample_channel"), (cloud, "cloud_infer")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        for snr in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
+            protocol.evaluate(state, "val", n_test=6, snr_db=snr)
+        assert calls == {"encode": 1, "crop_batch": 1, "sample_channel": 1, "cloud_infer": 9}
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(snr_db=math.nan), "snr_db"),
+        (dict(snr_db=math.inf), "snr_db"),
+        (dict(n_test=-1), "n_test"),
+        (dict(n_test=2.5), "n_test"),
+        (dict(n_test=0), "n_test"),
+        (dict(n_test=True), "n_test"),
+        (dict(split="train2"), "split"),
+        (dict(n_test=4), "sharing"),
+    ])
+    def test_bad_arguments_fail_before_any_draw(self, kwargs, name, monkeypatch):
+        """A bad argument is a ValueError naming it, raised before any draw or
+        population lookup; the held population stays. Three dedicated
+        encoders serve at most three nodes."""
+        state = protocol.init_state(toy_config(), toy_dataset())
+        protocol.evaluate(state, "val", n_test=2)
+        population = state.eval_population
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("evaluate drew before checking its arguments")
+
+        monkeypatch.setattr(protocol, "stream", no_draw)
+        monkeypatch.setattr(protocol, "_eval_population", no_draw)
+        with pytest.raises(ValueError, match=name):
+            protocol.evaluate(state, **dict(dict(split="val", n_test=2), **kwargs))
+        assert state.eval_population is population
+
+    def test_numpy_integer_population(self):
+        state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
+        assert bits(protocol.evaluate(state, "val", n_test=np.int64(4), snr_db=np.float64(3))) \
+            == bits(reference_evaluate(state, "val", 4, 3.0))
 
 
 class TestBaselineTraining:
