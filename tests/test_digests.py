@@ -63,15 +63,19 @@ def _matrix() -> dict[str, dict]:
 
 
 MODES = _matrix()
-DEFAULT_MODE = "default-config"  # configs/default.txt, shortened
-ALL_MODES = [*MODES, DEFAULT_MODE]
+# modes on configs/default.txt, shortened, with these overrides; "wide"
+# has train-wide's shapes, where BLAS runs its large kernels
+DEFAULT_MODES = {
+    "default-config": {"rounds": 20},
+    "wide": {"n_train": 16, "batch_size": 256, "branches": 12, "async": False,
+             "encoder_sharing": False, "val_cadence": 0, "rounds": 3},
+}
+ALL_MODES = [*MODES, *DEFAULT_MODES]
 
 
 def mode_config(mode: str) -> dict:
-    if mode == DEFAULT_MODE:
-        cfg = config_mod.load_config(DEFAULT_CONFIG)
-        cfg["rounds"] = 20
-        return cfg
+    if mode in DEFAULT_MODES:
+        return {**config_mod.load_config(DEFAULT_CONFIG), **DEFAULT_MODES[mode]}
     text = "".join(f"{k} = {v}\n" for k, v in {**_BASE, **MODES[mode]}.items())
     return config_mod.parse_config_text(text)
 
