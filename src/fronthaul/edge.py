@@ -19,8 +19,8 @@ from . import nn
 Array = np.ndarray
 
 
-# one node's encoder as ``nn.forward`` and ``nn.backward`` read a layer
-# stack, with views of its slice of the set's arrays as ``params``
+# encoders as ``nn.forward`` and ``nn.backward`` read a layer stack, with
+# views of the set's arrays as ``params``: one node's slice, or node-first slices
 NodeEncoder = namedtuple("NodeEncoder", "layers params in_dim version")
 
 
@@ -62,7 +62,15 @@ class EncoderSet:
     def node_encoder(self, node: int) -> NodeEncoder:
         """The encoder node ``node`` encodes with."""
         slot = 0 if self.shared else node
-        return NodeEncoder(self.layers, {name: p[slot] for name, p in self.params.items()},
+        return self._view(lambda p: p[slot])
+
+    def first_nodes(self, n: int) -> NodeEncoder:
+        """The encoders nodes 0 to n-1 encode with, node-first: the first n
+        slices, or the shared slice."""
+        return self._view(lambda p: p if self.shared else p[:n])
+
+    def _view(self, pick) -> NodeEncoder:
+        return NodeEncoder(self.layers, {name: pick(p) for name, p in self.params.items()},
                            self.in_dim, self.version)
 
     def set_params(self, params: Mapping[str, Array]) -> None:
@@ -133,8 +141,7 @@ class EncoderCache:
     """What ``batch_gradient`` reads from one ``encode`` call."""
 
     encoders: EncoderSet
-    version: int  # the set's version at the forward pass
-    caches: list[nn.ForwardCache]  # one per node
+    forward: nn.ForwardCache  # every node's, node-first
 
 
 def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
@@ -143,11 +150,10 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
 
     ``observations`` is (n, B, A); ``cqi`` (n, B, blocks) is present
     exactly when the set takes channel quality input. Dedicated encoders
-    serve nodes 0 to n-1; a shared encoder serves any n. Each node runs its
-    whole stack before the next: products batched over the node axis give
-    the same bits but, at the larger node counts and batches, run slower
-    because their temporaries spill L2. Inference passes ``keep_cache=False``
-    and gets no cache, so it never holds every node's layer inputs at once.
+    serve nodes 0 to n-1; a shared encoder serves any n. One ``nn.forward``
+    runs every node's stack over the node axis, each node's products the
+    same BLAS calls as on its own. Inference passes ``keep_cache=False``
+    and gets no cache back.
     """
     values = np.asarray(observations, dtype=float)
     if values.ndim != 3:
@@ -161,13 +167,8 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     if not encoders.shared and n > encoders.n_encoders:
         raise ValueError(f"{n} nodes requested but only {encoders.n_encoders} trained "
                          "encoders exist (enable encoder sharing to scale up)")
-    messages = np.empty((n, values.shape[1], encoders.message_dim))
-    caches = []
-    for i in range(n):
-        messages[i], cache = nn.forward(encoders.node_encoder(i), values[i])
-        if keep_cache:
-            caches.append(cache)
-    return messages, EncoderCache(encoders, encoders.version, caches) if keep_cache else None
+    messages, cache = nn.forward(encoders.first_nodes(n), values)
+    return messages, EncoderCache(encoders, cache) if keep_cache else None
 
 
 def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
@@ -178,13 +179,10 @@ def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
     the backward pass does not form it."""
     if cache.encoders is not encoders:
         raise ValueError("cache was produced by a different encoder set")
-    if cache.version != encoders.version:
+    if cache.forward.version != encoders.version:
         raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(upstream, dtype=float)
-    if len(g) != len(cache.caches):
-        raise ValueError(f"upstream rows for {len(g)} nodes, cache for {len(cache.caches)}")
-    out = {name: np.empty((len(g), *p.shape[1:])) for name, p in encoders.params.items()}
-    for i, (c, rows) in enumerate(zip(cache.caches, g)):
-        for name, grad in nn.backward(c.stack, c, rows, input_grad=False).param_grads.items():
-            out[name][i] = grad
-    return out
+    if len(g) != len(cache.forward.output):
+        raise ValueError(f"upstream rows for {len(g)} nodes, "
+                         f"cache for {len(cache.forward.output)}")
+    return nn.backward(cache.forward.stack, cache.forward, g, input_grad=False).param_grads

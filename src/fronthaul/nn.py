@@ -7,6 +7,13 @@ Forward passes take a batch of row vectors and keep only what the
 backward pass reads; backward passes return parameter gradients summed
 over the batch and, unless the caller declines it, the gradient with
 respect to the input.
+
+The same two calls run many stacks of one layout at once: node-first
+rows (n, B, in) with node-stacked parameters ((n, out, in) weights and
+(n, out) biases), or with one shared slice ((1, out, in), (1, out)).
+Each node's products are then the same BLAS calls a 2-D call on its
+slice makes, so the bits match, and the parameter gradients come back
+node-first, one slice per node.
 """
 from __future__ import annotations
 
@@ -131,19 +138,30 @@ class GradientSet:
 
 
 def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
-    """Run the stack on a batch of rows ``x`` and keep what backward needs."""
+    """Run the stack on a batch of rows ``x`` and keep what backward needs.
+
+    ``x`` is (B, in), or node-first (n, B, in) when the parameters are
+    node-stacked with n slices or one shared slice.
+    """
     h = np.asarray(x, dtype=float)
-    if h.ndim != 2:
-        raise ValueError("layer 0 input must be a batch of rows")
-    if h.shape[1] != stack.in_dim:
-        raise ValueError(f"layer 0 input has dim {h.shape[1]}, expected {stack.in_dim}")
+    if h.ndim not in (2, 3):
+        raise ValueError("layer 0 input must be a batch of rows, or node-first batches of rows")
+    if h.shape[-1] != stack.in_dim:
+        raise ValueError(f"layer 0 input has dim {h.shape[-1]}, expected {stack.in_dim}")
+    w0 = stack.params["dense0.w"]
+    if h.ndim != w0.ndim:
+        raise ValueError(f"{h.ndim}-D input needs {'node-stacked' if h.ndim == 3 else '2-D'} "
+                         f"weights, got {w0.ndim}-D")
+    if h.ndim == 3 and w0.shape[0] not in (len(h), 1):
+        raise ValueError(f"input for {len(h)} nodes, parameters for {w0.shape[0]} nodes "
+                         "(need the same count, or 1 shared)")
     saved: list[Array] = []
     for idx, layer in enumerate(stack.layers):
         # a ReLU's backward reads only its slope
         saved.append(h > 0.0 if isinstance(layer, Relu) else h)
         if isinstance(layer, Dense):
-            h = h @ stack.params[f"dense{idx}.w"].T
-            h += stack.params[f"dense{idx}.b"]
+            h = np.matmul(h, stack.params[f"dense{idx}.w"].swapaxes(-1, -2))
+            h += stack.params[f"dense{idx}.b"][..., None, :]
         elif isinstance(layer, Relu):
             # h is this call's own temporary, which nothing else keeps
             h = np.maximum(h, 0.0, out=h)
@@ -158,8 +176,10 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,
 
     ``upstream`` must match the shape of the cached forward output.
     Parameter gradients are summed over batch rows; the caller owns any
-    batch-size divisor. With ``input_grad`` false the pass ends at layer
-    0's parameter gradients and returns no input gradient.
+    batch-size divisor. For node-first rows they are node-first, one
+    slice per node, even over a shared slice. With ``input_grad`` false
+    the pass ends at layer 0's parameter gradients and returns no input
+    gradient.
     """
     if cache.stack is not stack:
         raise ValueError("cache was produced by a different stack")
@@ -169,16 +189,16 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,
     if g.shape != cache.output.shape:
         raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape}")
     grads: dict[str, Array] = {}
-    ones = np.ones(g.shape[0])
+    ones = np.ones(g.shape[-2])
     last = len(stack.layers) - 1
     for idx in reversed(range(len(stack.layers))):
         layer = stack.layers[idx]
         saved = cache.saved[idx]
         if isinstance(layer, Dense):
-            grads[f"dense{idx}.w"] = g.T @ saved
-            grads[f"dense{idx}.b"] = ones @ g
+            grads[f"dense{idx}.w"] = np.matmul(g.swapaxes(-1, -2), saved)
+            grads[f"dense{idx}.b"] = np.matmul(ones, g)
             if idx > 0 or input_grad:
-                g = g @ stack.params[f"dense{idx}.w"]
+                g = np.matmul(g, stack.params[f"dense{idx}.w"])
         elif isinstance(layer, Relu):
             # below the last layer g is a temporary of this call, so the
             # slope can be applied in place; the last layer's g is upstream

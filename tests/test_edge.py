@@ -134,6 +134,45 @@ class TestEncode:
         assert all(np.array_equal(row, s[0]) for row in s)
 
 
+class TestStackedEncode:
+    @pytest.mark.parametrize("kind", ["shared", "dedicated", "cqie"])
+    @pytest.mark.parametrize("batch", [1, 9, 300])
+    def test_equals_per_node_calls(self, kind, batch):
+        """encode and batch_gradient give, byte for byte, nn.forward and
+        nn.backward on each node's own encoder: a shared set serving more
+        nodes than it has slices, and dedicated sets serving fewer."""
+        rng = np.random.default_rng(batch)
+        enc = make_set(seeds=(5,) if kind == "shared" else (3, 4, 5, 6),
+                       shared=kind == "shared", cqie=kind == "cqie")
+        enc.set_params({k: p + rng.normal(size=p.shape) if k.endswith(".b") else p
+                        for k, p in enc.params.items()})
+        n = 3
+        a = rng.normal(size=(n, batch, 6)) * 2.0
+        cqi = rng.uniform(size=(n, batch, 2)) if enc.cqie else None
+        d = rng.normal(size=(n, batch, 4))
+        messages, cache = edge.encode(enc, a, cqi)
+        grads = edge.batch_gradient(enc, cache, d)
+        for i in range(n):
+            x = a[i] if cqi is None else np.concatenate([a[i], cqi[i]], axis=-1)
+            want, own = nn.forward(enc.node_encoder(i), x)
+            assert messages[i].tobytes() == want.tobytes()
+            want_grads = nn.backward(own.stack, own, d[i], input_grad=False).param_grads
+            for k, g in want_grads.items():
+                assert grads[k].shape == (n, *g.shape)
+                assert grads[k][i].tobytes() == g.tobytes(), k
+
+    def test_foreign_stale_and_mismatched_caches_rejected(self):
+        enc = make_set(seeds=(3, 4))
+        _, cache = edge.encode(enc, np.zeros((2, 3, 6)))
+        with pytest.raises(ValueError, match="upstream rows for 1 nodes, cache for 2"):
+            edge.batch_gradient(enc, cache, np.zeros((1, 3, 4)))
+        with pytest.raises(ValueError, match="different encoder set"):
+            edge.batch_gradient(make_set(seeds=(3, 4)), cache, np.zeros((2, 3, 4)))
+        enc.set_params(enc.params)
+        with pytest.raises(ValueError, match="stale"):
+            edge.batch_gradient(enc, cache, np.zeros((2, 3, 4)))
+
+
 class TestLocalUpdateExact:
     def test_zero_gradient_rows_leave_params(self):
         enc = make_set()

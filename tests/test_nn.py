@@ -636,6 +636,66 @@ class TestKernelsMatchReferences:
             assert opt.v[name].tobytes() == v[name].tobytes(), name
 
 
+def node_stacked(name, seeds):
+    """The kernel stacks of ``seeds`` as one node-stacked parameter set, in
+    the form ``nn.forward`` reads, and the 2-D stacks it was built from."""
+    lone = [kernel_stack(name, seed) for seed in seeds]
+    stacked = StackedParams({k: np.stack([s.params[k] for s in lone]) for k in lone[0].params})
+    stacked.layers, stacked.in_dim, stacked.version = lone[0].layers, lone[0].in_dim, 0
+    return stacked, lone
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    @pytest.mark.parametrize("seeds", [(5, 6, 7), (5,)], ids=["dedicated", "shared"])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_equal_per_slice_calls(self, name, seeds, input_grad):
+        """One call on node-first rows gives, byte for byte, the output and
+        gradients of one 2-D call per node on its slice (the shared slice
+        for every node when there is one)."""
+        rng = np.random.default_rng(53)
+        stacked, lone = node_stacked(name, seeds)
+        n = 3
+        for rows in (1, 7, 256):
+            x = rng.normal(size=(n, rows, 6)) * 2.0
+            out, cache = nn.forward(stacked, x)
+            upstream = rng.normal(size=out.shape)
+            got = nn.backward(stacked, cache, upstream, input_grad=input_grad)
+            for i in range(n):
+                stack = lone[i % len(lone)]
+                want_out, c = nn.forward(stack, x[i])
+                want = nn.backward(stack, c, upstream[i], input_grad=input_grad)
+                assert out[i].tobytes() == want_out.tobytes()
+                assert (got.input_grad is None) == (not input_grad)
+                if input_grad:
+                    assert got.input_grad[i].tobytes() == want.input_grad.tobytes()
+                for pname, grad in want.param_grads.items():
+                    assert got.param_grads[pname].shape == (n, *grad.shape)
+                    assert got.param_grads[pname][i].tobytes() == grad.tobytes(), pname
+
+    def test_node_count_must_match_or_be_one(self):
+        stacked, _ = node_stacked("relu-inside", (1, 2, 3))
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=f"input for {n} nodes, parameters for 3"):
+                nn.forward(stacked, np.zeros((n, 5, 6)))
+        with pytest.raises(ValueError, match="layer 0 input has dim 5"):
+            nn.forward(stacked, np.zeros((3, 5, 5)))
+
+    def test_rows_and_weights_agree_in_rank(self):
+        stacked, lone = node_stacked("relu-inside", (1,))
+        with pytest.raises(ValueError, match="3-D input needs node-stacked weights"):
+            nn.forward(lone[0], np.zeros((1, 5, 6)))
+        with pytest.raises(ValueError, match="2-D input needs 2-D weights"):
+            nn.forward(stacked, np.zeros((5, 6)))
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 1, 5, 6)])
+    def test_other_ranks_are_not_a_batch_of_rows(self, shape):
+        stacked, lone = node_stacked("relu-inside", (1,))
+        for stack in (stacked, lone[0]):
+            with pytest.raises(ValueError, match="batch of rows"):
+                nn.forward(stack, np.zeros(shape))
+
+
 class TestKernelsLeaveInputsAlone:
     @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
     @pytest.mark.parametrize("rows", [1, 16])

@@ -189,6 +189,22 @@ class TestTrainingRound:
                                     phase_hook=lambda phase, k: seen.append(phase))
         assert tuple(seen) == protocol.PHASES
 
+    @pytest.mark.parametrize("n_train", [1, 3, 7])
+    @pytest.mark.parametrize("sharing", [False, True])
+    def test_one_encoder_forward_and_backward_per_round(self, n_train, sharing, monkeypatch):
+        """Every node's encoder runs in one nn.forward and one nn.backward a
+        round, whatever the node count."""
+        state = protocol.init_state(toy_config(n_train=n_train, encoder_sharing=sharing),
+                                    toy_dataset())
+        calls = []
+        for name in ("forward", "backward"):
+            def counted(stack, *args, _fn=getattr(nn, name), _name=name, **kwargs):
+                calls.append((_name, isinstance(stack, edge.NodeEncoder)))
+                return _fn(stack, *args, **kwargs)
+            monkeypatch.setattr(nn, name, counted)
+        protocol.run_training_round(state, 1)
+        assert calls == [("forward", True), ("backward", True)]
+
     def test_links_faded_to_zero_keep_training_finite(self):
         """Pathloss at distances of 1e200 underflows the fading to exactly
         zero; the wireless downlink still delivers finite rows. Validation
