@@ -98,16 +98,13 @@ def generate_synthetic(seed: int, n_classes: int = 4, grid: int = 16,
 
 
 def crop_batch(states: Array, offsets: Array, window: int) -> Array:
-    """Gather crops for a batch: states (B,H,W), offsets (B,N,2) -> (N,B,w*w)."""
+    """Gather crops for a batch: states (B,H,W), offsets (B,N,2) -> (N,B,w*w),
+    in one gather over the node and batch axes."""
     b, n = offsets.shape[0], offsets.shape[1]
-    view = np.lib.stride_tricks.sliding_window_view(states, (window, window),
-                                                    axis=(1, 2))
-    rows = np.arange(b)
-    out = np.empty((n, b, window * window))
-    for i in range(n):
-        patches = view[rows, offsets[:, i, 0], offsets[:, i, 1]]
-        out[i] = patches.reshape(b, -1)
-    return out
+    view = np.lib.stride_tricks.sliding_window_view(np.asarray(states, dtype=float),
+                                                    (window, window), axis=(1, 2))
+    patches = view[np.arange(b), offsets[:, :, 0].T, offsets[:, :, 1].T]
+    return patches.reshape(n, b, window * window)
 
 
 def logistic_probe(train_x: Array, train_y: Array, test_x: Array, test_y: Array,

@@ -132,6 +132,25 @@ class TestCrops:
                 assert np.array_equal(out[i, b], want)
 
 
+    @pytest.mark.parametrize("grid, window, n, b", [(10, 7, 3, 5), (16, 9, 16, 33),
+                                                    (8, 8, 2, 4), (6, 1, 4, 3)])
+    def test_crop_batch_equals_per_node_gather(self, grid, window, n, b):
+        """The one gather equals a per-node gather byte for byte, offsets 0
+        and grid - window included."""
+        rng = np.random.default_rng(grid + n)
+        states = rng.normal(size=(b, grid, grid))
+        offsets = rng.integers(0, grid - window + 1, size=(b, n, 2))
+        offsets[0] = 0
+        offsets[-1] = grid - window
+        offsets[1 % b, :, 1] = grid - window
+        view = np.lib.stride_tricks.sliding_window_view(states, (window, window), axis=(1, 2))
+        want = np.empty((n, b, window * window))
+        for i in range(n):
+            want[i] = view[np.arange(b), offsets[:, i, 0], offsets[:, i, 1]].reshape(b, -1)
+        got = data.crop_batch(states, offsets, window)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestExternalFormat:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
