@@ -165,6 +165,19 @@ def _prepare_received(model_in_dim: int, received: Array) -> Array:
     return rows
 
 
+def _active_mask(active: Array | None, batch: int, n_nodes: int) -> Array:
+    """The (B, N) float mask of (sample, node) pairs that reached the cloud,
+    all ones when ``active`` is None; every entry must be 0 or 1."""
+    if active is None:
+        return np.ones((batch, n_nodes))
+    mask = np.asarray(active, dtype=float)
+    if mask.shape != (batch, n_nodes):
+        raise ValueError("active mask shape must be (batch, nodes)")
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError("active mask entries must be 0 or 1")
+    return mask
+
+
 def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
                 ) -> tuple[Array, CloudCache]:
     """Pooled multi-branch inference on node-first received rows (N, B, S).
@@ -183,14 +196,7 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
     """
     rows = _prepare_received(model.input_dim, received)
     batch = rows.shape[1]
-    if active is None:
-        mask = np.ones((batch, len(rows)))
-    else:
-        mask = np.asarray(active, dtype=float)
-        if mask.shape != (batch, len(rows)):
-            raise ValueError("active mask shape must be (batch, nodes)")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise ValueError("active mask entries must be 0 or 1")
+    mask = _active_mask(active, batch, len(rows))
     w = model.params
     pooled = np.zeros((batch, w["z_in"].shape[0]))
     pre = np.empty_like(pooled)
@@ -413,12 +419,7 @@ def baseline_infer(model: BaselineModel, received: Array,
     """Logits from node-first received rows (N, B, S)."""
     rows = _prepare_received(model.message_dim, received)
     n_nodes, batch = rows.shape[:2]
-    if active is None:
-        mask = np.ones((batch, n_nodes))
-    else:
-        mask = np.asarray(active, dtype=float)
-        if mask.shape != (batch, n_nodes):
-            raise ValueError("active mask shape must be (batch, nodes)")
+    mask = _active_mask(active, batch, n_nodes)
     if model.kind == SUM_AGG:
         logits = np.zeros((batch, model.n_classes))
         for i in range(n_nodes):

@@ -489,6 +489,18 @@ class TestBaselines:
         with pytest.raises(ValueError, match="built for 3"):
             cloud.baseline_infer(model, [rng.normal(size=(1, 4)) for _ in range(4)])
 
+    @pytest.mark.parametrize("kind", [cloud.MHNET, cloud.SUM_AGG])
+    def test_mask_entries_other_than_0_or_1_rejected(self, kind):
+        """The baselines check the active mask as cloud_infer does."""
+        model = cloud.build_baseline(kind, 4, 4, 2, seed=4, hidden=5)
+        received = np.random.default_rng(16).normal(size=(2, 3, 4))
+        mask = np.ones((3, 2))
+        mask[1, 0] = 0.5
+        with pytest.raises(ValueError, match="0 or 1"):
+            cloud.baseline_infer(model, received, mask)
+        with pytest.raises(ValueError, match="shape"):
+            cloud.baseline_infer(model, received, np.ones((2, 3)))
+
     def test_mhnet_not_permutation_invariant(self):
         """Heads are node-indexed, so swapping inputs changes the output."""
         model = cloud.build_baseline(cloud.MHNET, 6, 3, 2, seed=3, hidden=5)
