@@ -181,8 +181,5 @@ def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
         raise ValueError("cache was produced by a different encoder set")
     if cache.forward.version != encoders.version:
         raise ValueError("stale cache: parameters changed since the forward pass")
-    g = np.asarray(upstream, dtype=float)
-    if len(g) != len(cache.forward.output):
-        raise ValueError(f"upstream rows for {len(g)} nodes, "
-                         f"cache for {len(cache.forward.output)}")
-    return nn.backward(cache.forward.stack, cache.forward, g, input_grad=False).param_grads
+    return nn.backward(cache.forward.stack, cache.forward, upstream,
+                       input_grad=False).param_grads
