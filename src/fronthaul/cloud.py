@@ -101,8 +101,12 @@ class CloudModel:
         """Install per-branch arrays named as ``named_params`` names them."""
         self.set_params(_stacked(named, self.n_branches))
 
-    def infer(self, received: Array, active: Array | None = None) -> tuple[Array, CloudCache]:
-        return cloud_infer(self, received, active)
+    def check_nodes(self, n_nodes: int) -> None:
+        """Every population is served: nothing in the model depends on the node count."""
+
+    def infer(self, received: Array, active: Array | None = None, keep_cache: bool = True
+              ) -> tuple[Array, CloudCache | None]:
+        return cloud_infer(self, received, active, keep_cache)
 
     def backward(self, cache: CloudCache, grad_logits: Array
                  ) -> tuple[dict[str, Array], Array]:
@@ -178,8 +182,8 @@ def _active_mask(active: Array | None, batch: int, n_nodes: int) -> Array:
     return mask
 
 
-def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
-                ) -> tuple[Array, CloudCache]:
+def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
+                keep_cache: bool = True) -> tuple[Array, CloudCache | None]:
     """Pooled multi-branch inference on node-first received rows (N, B, S).
 
     Per branch m: latents z_m(y_i) are summed over nodes, passed through
@@ -193,26 +197,33 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
     sum_i a_i (W h_i + b) = W (sum_i a_i h_i) + (sum_i a_i) b, so it runs
     once per branch on the pooled rows. The outer stacks run batched
     over the branch axis.
+
+    Inference passes ``keep_cache=False`` and gets ``(logits, None)``: no
+    rectifier slopes are kept, and without a mask no mask is built and
+    every sample's active count is the node count, the same bits.
     """
     rows = _prepare_received(model.input_dim, received)
-    batch = rows.shape[1]
-    mask = _active_mask(active, batch, len(rows))
+    n_nodes, batch = rows.shape[:2]
+    mask = None if active is None and not keep_cache else _active_mask(active, batch, n_nodes)
     w = model.params
     pooled = np.zeros((batch, w["z_in"].shape[0]))
     pre = np.empty_like(pooled)
-    inner_slope = np.empty((len(rows), *pooled.shape), dtype=bool)
+    inner_slope = np.empty((n_nodes, *pooled.shape), dtype=bool) if keep_cache else None
     for i, y in enumerate(rows):
         np.matmul(y, w["z_in"].T, out=pre)
         pre += w["z_in_b"]
-        # zeroing an inactive pair's pre-activations zeroes its rectified
-        # activation and its rectifier slope
-        pre[mask[:, i] == 0.0] = 0.0
-        np.greater(pre, 0.0, out=inner_slope[i])
+        if mask is not None:
+            # zeroing an inactive pair's pre-activations zeroes its rectified
+            # activation and its rectifier slope
+            pre[mask[:, i] == 0.0] = 0.0
+        if keep_cache:
+            np.greater(pre, 0.0, out=inner_slope[i])
         pooled += np.maximum(pre, 0.0, out=pre)
     # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
     pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
     latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
-    latent += mask.sum(axis=1)[:, None] * w["z_out_b"][:, None, :]
+    counts = n_nodes if mask is None else mask.sum(axis=1)[:, None]
+    latent += counts * w["z_out_b"][:, None, :]
     outer_act = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
     outer_act += w["u_in_b"][:, None, :]
     np.maximum(outer_act, 0.0, out=outer_act)  # the outer rectifier, in place
@@ -220,7 +231,7 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None
     out += w["u_out_b"][:, None, :]
     logits = out.sum(axis=0)
     cache = CloudCache(model, model.version, rows, mask, inner_slope, pooled,
-                       latent, outer_act)
+                       latent, outer_act) if keep_cache else None
     return logits, cache
 
 
@@ -340,9 +351,17 @@ class BaselineModel:
 
     set_named_params = set_params
 
-    def infer(self, received: Array, active: Array | None = None
-              ) -> tuple[Array, BaselineCache]:
-        return baseline_infer(self, received, active)
+    def check_nodes(self, n_nodes: int) -> None:
+        """Raise unless the model pools ``n_nodes`` nodes: catnet takes exactly
+        ``n_fixed``, mhnet at most one node per head."""
+        if self.kind == CATNET and n_nodes != self.n_fixed:
+            raise ValueError(f"catnet was built for {self.n_fixed} nodes, got {n_nodes}")
+        if self.kind == MHNET and n_nodes > len(self.stacks):
+            raise ValueError(f"mhnet has {len(self.stacks)} heads, got {n_nodes} nodes")
+
+    def infer(self, received: Array, active: Array | None = None, keep_cache: bool = True
+              ) -> tuple[Array, BaselineCache | None]:
+        return baseline_infer(self, received, active, keep_cache)
 
     def backward(self, cache: BaselineCache, grad_logits: Array
                  ) -> tuple[dict[str, Array], Array]:
@@ -414,35 +433,33 @@ class BaselineCache:
     n_nodes: int
 
 
-def baseline_infer(model: BaselineModel, received: Array,
-                   active: Array | None = None) -> tuple[Array, BaselineCache]:
-    """Logits from node-first received rows (N, B, S)."""
+def baseline_infer(model: BaselineModel, received: Array, active: Array | None = None,
+                   keep_cache: bool = True) -> tuple[Array, BaselineCache | None]:
+    """Logits from node-first received rows (N, B, S); with ``keep_cache``
+    false the stacks keep no forward cache and no cache is returned."""
     rows = _prepare_received(model.message_dim, received)
     n_nodes, batch = rows.shape[:2]
     mask = _active_mask(active, batch, n_nodes)
+    model.check_nodes(n_nodes)
+    caches = []
     if model.kind == SUM_AGG:
         logits = np.zeros((batch, model.n_classes))
         for i in range(n_nodes):
             logits = logits + mask[:, i:i + 1] * rows[i]
-        return logits, BaselineCache(model, [], mask, n_nodes)
-    if model.kind == CATNET:
-        if n_nodes != model.n_fixed:
-            raise ValueError(f"catnet was built for {model.n_fixed} nodes, got {n_nodes}")
+    elif model.kind == CATNET:
         if not np.all(mask == 1.0):
             raise ValueError("catnet cannot run with inactive nodes")
         stacked = np.concatenate(rows, axis=-1)
-        logits, fc = nn.forward(model.stacks[0], stacked)
-        return logits, BaselineCache(model, [fc], mask, n_nodes)
-    # mhnet: one head per node index
-    if n_nodes > len(model.stacks):
-        raise ValueError(f"mhnet has {len(model.stacks)} heads, got {n_nodes} nodes")
-    logits = np.zeros((batch, model.n_classes))
-    caches = []
-    for i in range(n_nodes):
-        out, fc = nn.forward(model.stacks[i], rows[i])
+        logits, fc = nn.forward(model.stacks[0], stacked, keep_cache=keep_cache)
         caches.append(fc)
-        logits = logits + mask[:, i:i + 1] * out
-    return logits, BaselineCache(model, caches, mask, n_nodes)
+    else:
+        # mhnet: one head per node index
+        logits = np.zeros((batch, model.n_classes))
+        for i in range(n_nodes):
+            out, fc = nn.forward(model.stacks[i], rows[i], keep_cache=keep_cache)
+            caches.append(fc)
+            logits = logits + mask[:, i:i + 1] * out
+    return logits, BaselineCache(model, caches, mask, n_nodes) if keep_cache else None
 
 
 def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: Array

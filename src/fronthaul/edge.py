@@ -152,8 +152,8 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     exactly when the set takes channel quality input. Dedicated encoders
     serve nodes 0 to n-1; a shared encoder serves any n. One ``nn.forward``
     runs every node's stack over the node axis, each node's products the
-    same BLAS calls as on its own. Inference passes ``keep_cache=False``
-    and gets no cache back.
+    same BLAS calls as on its own. Inference passes ``keep_cache=False``:
+    the forward pass keeps nothing and no cache comes back.
     """
     values = np.asarray(observations, dtype=float)
     if values.ndim != 3:
@@ -167,7 +167,7 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     if not encoders.shared and n > encoders.n_encoders:
         raise ValueError(f"{n} nodes requested but only {encoders.n_encoders} trained "
                          "encoders exist (enable encoder sharing to scale up)")
-    messages, cache = nn.forward(encoders.first_nodes(n), values)
+    messages, cache = nn.forward(encoders.first_nodes(n), values, keep_cache=keep_cache)
     return messages, EncoderCache(encoders, cache) if keep_cache else None
 
 

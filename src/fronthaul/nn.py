@@ -4,9 +4,9 @@ Everything runs in float64 numpy. A stack is a flat list of layer
 descriptors; its parameters live in a named dict so they can be swapped,
 averaged across nodes, and checkpointed without touching layer code.
 Forward passes take a batch of row vectors and keep only what the
-backward pass reads; backward passes return parameter gradients summed
-over the batch and, unless the caller declines it, the gradient with
-respect to the input.
+backward pass reads, or nothing when the caller runs forward only;
+backward passes return parameter gradients summed over the batch and,
+unless the caller declines it, the gradient with respect to the input.
 
 The same two calls run many stacks of one layout at once: node-first
 rows (n, B, in) with node-stacked parameters ((n, out, in) weights and
@@ -137,11 +137,14 @@ class GradientSet:
     input_grad: Array | None
 
 
-def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
+def forward(stack: LayerStack, x: Array, keep_cache: bool = True
+            ) -> tuple[Array, ForwardCache | None]:
     """Run the stack on a batch of rows ``x`` and keep what backward needs.
 
     ``x`` is (B, in), or node-first (n, B, in) when the parameters are
-    node-stacked with n slices or one shared slice.
+    node-stacked with n slices or one shared slice. With ``keep_cache``
+    false nothing is kept (no layer input, no ReLU slope) and the cache
+    returned is None.
     """
     h = np.asarray(x, dtype=float)
     if h.ndim not in (2, 3):
@@ -157,8 +160,9 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
                          "(need the same count, or 1 shared)")
     saved: list[Array] = []
     for idx, layer in enumerate(stack.layers):
-        # a ReLU's backward reads only its slope
-        saved.append(h > 0.0 if isinstance(layer, Relu) else h)
+        if keep_cache:
+            # a ReLU's backward reads only its slope
+            saved.append(h > 0.0 if isinstance(layer, Relu) else h)
         if isinstance(layer, Dense):
             h = np.matmul(h, stack.params[f"dense{idx}.w"].swapaxes(-1, -2))
             h += stack.params[f"dense{idx}.b"][..., None, :]
@@ -167,7 +171,7 @@ def forward(stack: LayerStack, x: Array) -> tuple[Array, ForwardCache]:
             h = np.maximum(h, 0.0, out=h)
         else:
             h = projection_forward(h, layer.power, layer.mode)
-    return h, ForwardCache(stack, stack.version, saved, h)
+    return h, ForwardCache(stack, stack.version, saved, h) if keep_cache else None
 
 
 def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,

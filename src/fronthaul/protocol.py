@@ -499,7 +499,7 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     """
     noise = np.stack([channel.noise(rng, h_node.shape, sigma_c2) for h_node in h])
     received, _ = _encode_and_uplink(encoders, observations, h, noise, pathloss)
-    logits, _ = model.infer(received)
+    logits, _ = model.infer(received, keep_cache=False)
     return logits
 
 
@@ -552,7 +552,10 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     ``snr_db`` of None evaluates over noiseless links (fading still
     applies). Draws are keyed by (split, n_test), so sweeping the SNR
     reuses the same fading and crops and the comparison is paired.
-    Dedicated encoders serve at most n_train nodes, a shared one any number.
+    Dedicated encoders serve at most n_train nodes, a shared one any number;
+    the cloud's own rule (catnet exactly its node count, mhnet at most one
+    node per head) is checked before any draw too. The cloud runs forward
+    only and keeps no cache.
 
     The state keeps the last population in ``state.eval_population``: the
     received rows H s, the unit noise and the labels. Each SNR scales the
@@ -571,6 +574,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     if not state.encoders.shared and n_test > state.encoders.n_encoders:
         raise ValueError(f"n_test = {n_test}, but only {state.encoders.n_encoders} trained "
                          "encoders exist (enable encoder sharing to scale up)")
+    state.cloud_model.check_nodes(int(n_test))
     if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
         raise ValueError(f"snr_db must be None or a finite number, got {snr_db!r}")
     population = _eval_population(state, split, int(n_test))
@@ -581,7 +585,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     for hs, unit, labels in population.chunks:
         received = unit * std
         received += hs
-        logits, _ = state.cloud_model.infer(received)
+        logits, _ = state.cloud_model.infer(received, keep_cache=False)
         losses, _ = nn.softmax_cross_entropy(logits, labels)
         loss_total += float(np.sum(losses))
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))

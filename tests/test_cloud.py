@@ -587,3 +587,61 @@ class TestBaselines:
         assert set(grads) == set(model.params)
         assert all(np.all(grads[k] == 0.0) for k in grads if k.startswith("stack2."))
         assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("stack1."))
+
+
+FORWARD_ONLY_KINDS = ["proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG]
+
+
+def forward_only_model(kind, n_nodes, n_branches, rng):
+    """A model of ``kind`` serving ``n_nodes`` nodes, with nonzero biases so
+    the count-weighted inner output bias moves the logits, and its input length."""
+    dim = 3 if kind == cloud.SUM_AGG else 6  # sum aggregation: message length = classes
+    if kind == "proposed":
+        model = small_model(m=n_branches, s=dim, seed=int(rng.integers(1000)))
+    else:
+        model = cloud.build_baseline(kind, dim, 3, n_nodes, seed=int(rng.integers(1000)),
+                                     hidden=5)
+    model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
+                            for name, p in model.named_params().items()})
+    return model, dim
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("batch", [1, 7, 512])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 12])
+    @pytest.mark.parametrize("kind", FORWARD_ONLY_KINDS)
+    def test_logits_equal_the_cached_pass(self, kind, n_nodes, batch):
+        """``keep_cache=False`` gives the cached pass's logits byte for byte and
+        no cache, without a mask and with one (all ones for catnet, which
+        takes no inactive node), at M = 1, 3 and 12 branches for the pooled
+        cloud."""
+        rng = np.random.default_rng(1000 * n_nodes + batch)
+        for n_branches in ((1, 3, 12) if kind == "proposed" else (None,)):
+            model, dim = forward_only_model(kind, n_nodes, n_branches, rng)
+            received = rng.normal(size=(n_nodes, batch, dim))
+            active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
+            if kind == cloud.CATNET:
+                active[:] = 1.0
+            for mask in (None, active):
+                want, cache = model.infer(received, mask)
+                got, none = model.infer(received, mask, keep_cache=False)
+                assert cache is not None and none is None
+                assert got.tobytes() == want.tobytes(), (n_branches, mask is None)
+
+    def test_no_mask_is_built_without_one(self, monkeypatch):
+        """Without ``active`` the forward-only pass builds no mask; a given
+        mask is still checked."""
+        rng = np.random.default_rng(104)
+        model = small_model(m=3)
+        random_biases(model, rng)
+        received = rng.normal(size=(4, 5, 6))
+        want, _ = cloud.cloud_infer(model, received)
+        with pytest.raises(ValueError, match="0 or 1"):
+            cloud.cloud_infer(model, received, np.full((5, 4), 0.5), keep_cache=False)
+
+        def no_mask(*args):
+            raise AssertionError("a forward-only pass without a mask built one")
+
+        monkeypatch.setattr(cloud, "_active_mask", no_mask)
+        got, none = cloud.cloud_infer(model, received, keep_cache=False)
+        assert none is None and got.tobytes() == want.tobytes()

@@ -673,6 +673,24 @@ class TestStackedCalls:
                     assert got.param_grads[pname].shape == (n, *grad.shape)
                     assert got.param_grads[pname][i].tobytes() == grad.tobytes(), pname
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
+    @pytest.mark.parametrize("seeds", [(5, 6, 7), (5,)], ids=["dedicated", "shared"])
+    def test_forward_only_equals_cached_forward(self, name, seeds):
+        """``keep_cache=False`` gives the cached call's output byte for byte,
+        leaves the rows alone and returns no cache, on node-first rows and
+        on one node's 2-D slice."""
+        rng = np.random.default_rng(59)
+        stacked, lone = node_stacked(name, seeds)
+        for rows in (1, 7, 256):
+            x = rng.normal(size=(3, rows, 6)) * 2.0
+            before = snapshot([x])
+            for stack, batch in ((stacked, x), (lone[0], x[0])):
+                want, cache = nn.forward(stack, batch)
+                got, none = nn.forward(stack, batch, keep_cache=False)
+                assert cache is not None and none is None
+                assert got.tobytes() == want.tobytes()
+            assert unchanged(before, [x])
+
     def test_node_count_must_match_or_be_one(self):
         stacked, _ = node_stacked("relu-inside", (1, 2, 3))
         for n in (2, 4):

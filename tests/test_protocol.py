@@ -2,6 +2,7 @@
 
 
 import copy
+import inspect
 import math
 
 import numpy as np
@@ -892,9 +893,9 @@ class TestEvaluatePopulation:
         infer = state.cloud_model.infer
         seen = []
 
-        def spy(received, active=None):
+        def spy(received, active=None, **kwargs):
             seen.append(received)
-            return infer(received, active)
+            return infer(received, active, **kwargs)
 
         monkeypatch.setattr(state.cloud_model, "infer", spy)
         for split, n_test, snr in EVAL_ORDERS[order]:
@@ -1020,10 +1021,74 @@ class TestEvaluatePopulation:
             protocol.evaluate(state, **dict(dict(split="val", n_test=2), **kwargs))
         assert state.eval_population is population
 
+    @pytest.mark.parametrize("overrides, n_test, message", [
+        (dict(architecture=cloud.CATNET), 2, "catnet was built for 3 nodes, got 2"),
+        (dict(architecture=cloud.MHNET, encoder_sharing=True), 6,
+         "mhnet has 3 heads, got 6 nodes"),
+    ], ids=["catnet", "mhnet-shared"])
+    def test_cloud_population_rule_fails_before_any_draw(self, overrides, n_test, message,
+                                                         monkeypatch):
+        """A population the cloud cannot pool is a ValueError naming both
+        counts, raised before any draw or encode; the held population stays."""
+        state = protocol.init_state(toy_config(**overrides), toy_dataset())
+        protocol.evaluate(state, "val", n_test=3)
+        population = state.eval_population
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("evaluate drew before checking the cloud's population")
+
+        monkeypatch.setattr(protocol, "stream", no_draw)
+        monkeypatch.setattr(protocol, "_eval_population", no_draw)
+        monkeypatch.setattr(edge, "encode", no_draw)
+        with pytest.raises(ValueError, match=message):
+            protocol.evaluate(state, "val", n_test=n_test)
+        assert state.eval_population is population
+
     def test_numpy_integer_population(self):
         state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
         assert bits(protocol.evaluate(state, "val", n_test=np.int64(4), snr_db=np.float64(3))) \
             == bits(reference_evaluate(state, "val", 4, 3.0))
+
+
+def keep_cache_spy(monkeypatch):
+    """Patch the two cloud passes and ``nn.forward`` to record, per call, the
+    function's name and the ``keep_cache`` it ran with (default included)."""
+    seen = []
+    for module, name in ((cloud, "cloud_infer"), (cloud, "baseline_infer"), (nn, "forward")):
+        fn = getattr(module, name)
+
+        def spy(*args, _fn=fn, _sig=inspect.signature(fn), _name=name, **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((_name, bound.arguments["keep_cache"]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+class TestInferenceKeepsNoCache:
+    @pytest.mark.parametrize("architecture", ["proposed", cloud.CATNET, cloud.MHNET,
+                                              cloud.SUM_AGG])
+    def test_only_training_keeps_a_cache(self, architecture, monkeypatch):
+        """``evaluate`` and ``run_inference`` run the cloud and every
+        ``nn.forward`` with ``keep_cache=False``; a training round keeps its caches."""
+        classes = 4 if architecture == cloud.SUM_AGG else 3
+        cfg = toy_config(architecture=architecture, n_classes=classes,
+                         message_dim=4 if architecture == cloud.SUM_AGG else 8)
+        state = protocol.init_state(cfg, toy_dataset(classes=classes))
+        seen = keep_cache_spy(monkeypatch)
+        protocol.evaluate(state, "val", snr_db=10.0)
+        rng = np.random.default_rng(11)
+        h = channel.sample_channel(rng, cfg.n_blocks, shape=(3, 5))
+        protocol.run_inference(state.encoders, state.cloud_model, h, 0.1,
+                               rng.normal(size=(3, 5, 36)), rng)
+        cloud_pass = "cloud_infer" if architecture == "proposed" else "baseline_infer"
+        assert {name for name, _ in seen} == {cloud_pass, "forward"}
+        assert all(keep is False for _, keep in seen), seen
+        seen.clear()
+        protocol.run_training_round(state, 1)
+        assert (cloud_pass, True) in seen and ("forward", True) in seen
 
 
 class TestBaselineTraining:
