@@ -68,7 +68,11 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
         factor = d ** (-alpha)
     full = (*shape, n_blocks)
     std = np.sqrt(np.broadcast_to(np.asarray(factor)[..., None], full) / 2.0)
-    return std * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
+    # the bits of std * (re + 1j * im), without its complex temporaries
+    h = np.empty(full, dtype=complex)
+    np.multiply(std, rng.standard_normal(full), out=h.real)
+    np.multiply(std, rng.standard_normal(full), out=h.imag)
+    return h
 
 
 def noise_std(variance) -> Array:

@@ -40,16 +40,17 @@ _VIEWS = (("z_in", "z{}.dense0.w"), ("z_in_b", "z{}.dense0.b"),
           ("u_out", "u{}.dense2.w"), ("u_out_b", "u{}.dense2.b"))
 
 
-class CloudModel:
+class CloudModel(nn.ParamSet):
     """M branch pairs (inner: S -> H -> R, outer: R -> H_u -> X), each a
     Dense, Relu, Dense stack, held as one stacked parameter set.
 
     ``params`` holds eight arrays with the branch axis first: ``z_in`` is
     every inner first layer on top of each other, (M*H, S), ``z_in_b``
-    its (M*H,) bias, and the rest are (M, out, in) or (M, out). One
-    optimizer steps them all; ``version`` increments on every
-    ``set_params`` so stale caches can be rejected. Construction takes no
-    node count; the same instance serves any population.
+    its (M*H,) bias, and the rest are (M, out, in) or (M, out). They are
+    views of one one-row buffer that one optimizer steps; ``version``
+    increments on every change so stale caches can be rejected.
+    Construction takes no node count; the same instance serves any
+    population.
     """
 
     def __init__(self, params: Mapping[str, Array]):
@@ -66,8 +67,7 @@ class CloudModel:
                 "u_out": (m, *x, *h_u), "u_out_b": (m, *x)}
         if shapes != want:
             raise ValueError("branch dimensions are inconsistent")
-        self.params = {key: np.asarray(params[key], dtype=float) for key, _ in _VIEWS}
-        self.version = 0
+        self._hold({key: params[key] for key, _ in _VIEWS}, slices=1)
 
     @property
     def n_branches(self) -> int:
@@ -80,14 +80,6 @@ class CloudModel:
     @property
     def output_dim(self) -> int:
         return self.params["u_out"].shape[1]
-
-    def set_params(self, params: Mapping[str, Array]) -> None:
-        """Swap in a new stacked parameter set (shapes must match) and bump the version."""
-        if {k: np.shape(p) for k, p in params.items()} != \
-                {k: p.shape for k, p in self.params.items()}:
-            raise ValueError("parameter names or shapes do not match this model")
-        self.params = {key: np.asarray(params[key], dtype=float) for key in self.params}
-        self.version += 1
 
     def named_params(self) -> dict[str, Array]:
         """Per-branch checkpoint names (``z{m}.dense0.w`` and so on) over views
@@ -292,7 +284,7 @@ MHNET = "mhnet"
 
 
 @dataclass
-class BaselineModel:
+class BaselineModel(nn.ParamSet):
     """Comparison cloud models.
 
     ``sum_agg`` has no parameters and emits the plain sum of received
@@ -301,6 +293,10 @@ class BaselineModel:
     perceptron over the concatenation of exactly ``n_fixed`` signals.
     ``mhnet`` owns one head stack per node and sums the active heads'
     outputs.
+
+    ``params`` holds every stack's parameters under ``stack{idx}.{name}``,
+    views of one one-row buffer; each stack's own buffer is its part of
+    that row, so stepping the model steps its stacks.
     """
 
     kind: str
@@ -328,28 +324,34 @@ class BaselineModel:
                     raise ValueError("each head maps a received signal to logits")
         else:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
+        self._hold({f"stack{idx}.{name}": p for idx, stack in enumerate(self.stacks)
+                    for name, p in stack.params.items()}, slices=1)
+
+    def _link(self) -> None:
+        """Derive ``params`` and every stack's buffer from the buffer."""
+        super()._link()
+        start = 0
+        for stack in self.stacks:
+            width = stack.buffer.shape[1]
+            stack.buffer = self.buffer[:, start:start + width]
+            stack._link()
+            start += width
+
+    def bump_version(self) -> None:
+        super().bump_version()
+        for stack in self.stacks:
+            stack.bump_version()
 
     @property
     def output_dim(self) -> int:
         return self.n_classes
 
-    @property
-    def params(self) -> dict[str, Array]:
-        """Every stack's parameters under ``stack{idx}.{name}``."""
-        return {f"stack{idx}.{name}": p for idx, stack in enumerate(self.stacks)
-                for name, p in stack.params.items()}
-
-    def set_params(self, params: Mapping[str, Array]) -> None:
-        if set(params) != set(self.params):
-            raise ValueError("parameter names do not match this model")
-        for idx, stack in enumerate(self.stacks):
-            stack.set_params({name: params[f"stack{idx}.{name}"] for name in stack.params})
-
     def named_params(self) -> dict[str, Array]:
         """The checkpoint names, which are the flat names."""
         return self.params
 
-    set_named_params = set_params
+    def set_named_params(self, named: Mapping[str, Array]) -> None:
+        self.set_params(named)
 
     def check_nodes(self, n_nodes: int) -> None:
         """Raise unless the model pools ``n_nodes`` nodes: catnet takes exactly

@@ -24,14 +24,16 @@ Array = np.ndarray
 NodeEncoder = namedtuple("NodeEncoder", "layers params in_dim version")
 
 
-class EncoderSet:
+class EncoderSet(nn.ParamSet):
     """Every node's encoder as one parameter set with the node axis first.
 
     ``params`` holds (N, out, in) weights and (N, out) biases for N
     dedicated encoders, node i owning slice i, or one slice for a shared
-    encoder, which serves any number of nodes. Each slice starts as the
-    ``nn.LayerStack`` (one layout for all) it was built from; ``version``
-    increments on every ``set_params`` so stale caches are rejected.
+    encoder, which serves any number of nodes. They are views of one
+    (N, P) buffer (one row when shared), row i laid out as an
+    ``nn.LayerStack`` buffer. Each slice starts as the ``nn.LayerStack``
+    (one layout for all) it was built from; ``version`` increments on
+    every change so stale caches are rejected.
     """
 
     def __init__(self, stacks: Sequence[nn.LayerStack], power_mode: str = nn.PER_RB,
@@ -55,9 +57,8 @@ class EncoderSet:
         self.shared = shared
         self.n_encoders = n = len(stacks)
         self.prefixes = ["encoder_shared"] if shared else [f"encoder{i}" for i in range(n)]
-        self.params = {name: np.stack([stack.params[name] for stack in stacks])
-                       for name in stacks[0].params}
-        self.version = 0
+        self._hold({name: np.stack([stack.params[name] for stack in stacks])
+                    for name in stacks[0].params}, slices=n)
 
     def node_encoder(self, node: int) -> NodeEncoder:
         """The encoder node ``node`` encodes with."""
@@ -72,14 +73,6 @@ class EncoderSet:
     def _view(self, pick) -> NodeEncoder:
         return NodeEncoder(self.layers, {name: pick(p) for name, p in self.params.items()},
                            self.in_dim, self.version)
-
-    def set_params(self, params: Mapping[str, Array]) -> None:
-        """Swap in a new stacked parameter set (shapes must match) and bump the version."""
-        if {k: np.shape(p) for k, p in params.items()} != \
-                {k: p.shape for k, p in self.params.items()}:
-            raise ValueError("parameter names or shapes do not match this encoder set")
-        self.params = {name: np.asarray(params[name], dtype=float) for name in self.params}
-        self.version += 1
 
     def named_params(self) -> dict[str, Array]:
         """Checkpoint names (``encoder{i}.dense0.w`` and so on, or

@@ -1,8 +1,9 @@
 """Dense feed-forward stacks with exact reverse-mode gradients.
 
 Everything runs in float64 numpy. A stack is a flat list of layer
-descriptors; its parameters live in a named dict so they can be swapped,
-averaged across nodes, and checkpointed without touching layer code.
+descriptors; its parameters are named views of one buffer
+(``ParamSet``), so they can be swapped, checkpointed and stepped in one
+pass without touching layer code.
 Forward passes take a batch of row vectors and keep only what the
 backward pass reads, or nothing when the caller runs forward only;
 backward passes return parameter gradients summed over the batch and,
@@ -17,6 +18,8 @@ node-first, one slice per node.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,11 +60,76 @@ class Projection:
 LayerSpec = Dense | Relu | Projection
 
 
-class LayerStack:
-    """An ordered stack of layers with named float64 parameters.
+class ParamSet:
+    """Named float64 parameter arrays held in one (slices, P) buffer.
+
+    Row k of ``buffer`` holds slice k of every array, name after name,
+    each flattened in C order: a set with one slice per node puts slice k
+    of each array along its leading axis there, a set with one slice
+    holds the whole arrays. ``params`` maps each name to a view of the
+    buffer, so the optimizers step every array in one pass, in place.
+    The views are live: after a step or ``set_params`` they hold the new
+    values, and a caller that needs the old ones copies them first.
+    ``version`` increments on every change so stale caches are rejected.
+    """
+
+    def _hold(self, arrays: Mapping[str, Array], slices: int) -> None:
+        """Copy ``arrays`` into a new buffer of ``slices`` rows; each array
+        splits into ``slices`` equal parts along its leading axis."""
+        arrays = {name: np.asarray(a, dtype=float) for name, a in arrays.items()}
+        self._shapes = {name: a.shape for name, a in arrays.items()}
+        self._slices = slices
+        self.buffer = self.gather(arrays)
+        self._link()
+        self.version = 0
+
+    def views(self, flat: Array) -> dict[str, Array]:
+        """By-name views of a (slices, P) array laid out like ``buffer``."""
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape) // self._slices
+            out[name] = flat[:, start:start + size].reshape(shape, copy=False)
+            start += size
+        return out
+
+    def gather(self, named: Mapping[str, Array]) -> Array:
+        """Arrays named and shaped as ``params`` as one new (slices, P) array
+        laid out like ``buffer``, in one concatenate."""
+        if {name: a.shape for name, a in named.items()} != self._shapes:
+            raise ValueError("parameter names or shapes do not match this set")
+        # a set with no parameters (sum aggregation) has an empty row
+        return np.concatenate([named[name].reshape(self._slices, -1) for name in self._shapes]
+                              or [np.empty((self._slices, 0))], axis=1)
+
+    def set_params(self, params: Mapping[str, Array]) -> None:
+        """Copy a parameter set of the same names and shapes into the buffer
+        and bump the version."""
+        self.buffer[...] = self.gather(params)
+        self.bump_version()
+
+    def bump_version(self) -> None:
+        """Mark the parameters changed; every in-place write calls this."""
+        self.version += 1
+
+    def _link(self) -> None:
+        """Derive ``params`` from the buffer."""
+        self.params = self.views(self.buffer)
+
+    def __deepcopy__(self, memo):
+        # a deep copy of a view is an array of its own, so the copy's views
+        # are derived again from the copy's buffer
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        clone._link()
+        return clone
+
+
+class LayerStack(ParamSet):
+    """An ordered stack of layers with named float64 parameters, one slice.
 
     Two stacks built from the same descriptors and seed hold bit-identical
-    parameters. ``version`` increments on every parameter swap so stale
+    parameters. ``version`` increments on every parameter change so stale
     forward caches can be rejected.
     """
 
@@ -90,8 +158,7 @@ class LayerStack:
         self.seed = int(seed)
         self.in_dim = layers[0].in_dim
         self.out_dim = dim
-        self.version = 0
-        self.params = self._init_params()
+        self._hold(self._init_params(), slices=1)
 
     def _init_params(self) -> dict[str, Array]:
         rng = np.random.default_rng(self.seed)
@@ -104,16 +171,6 @@ class LayerStack:
                 )
                 params[f"dense{idx}.b"] = np.zeros(layer.out_dim)
         return params
-
-    def set_params(self, params: Mapping[str, Array]) -> None:
-        """Swap in a new parameter set (shapes must match) and bump the version."""
-        if set(params) != set(self.params):
-            raise ValueError("parameter names do not match this stack")
-        for name, value in params.items():
-            if value.shape != self.params[name].shape:
-                raise ValueError(f"shape mismatch for {name}")
-        self.params = {name: np.asarray(params[name], dtype=float) for name in self.params}
-        self.version += 1
 
 
 @dataclass
@@ -319,26 +376,34 @@ def sgd_step(params: Mapping[str, Array], grads: Mapping[str, Array], eta) -> di
     return out
 
 
-# The optimizers step anything with a ``params`` dict and ``set_params``.
-# ``divisor`` is the sample count the summed gradients are averaged over:
-# a number, or one count per slice along every parameter's leading axis;
-# a slice whose count is 0 had no sample and takes no step.
+# The optimizers step a ``ParamSet`` in place, in one pass over its
+# (slices, P) buffer. ``divisor`` is the sample count the summed gradients
+# are averaged over: a number, or one count per slice; a slice whose count
+# is 0 had no sample and takes no step.
 class SgdOptimizer:
     """Stateless SGD; exists so edge and cloud share one update interface."""
 
     def __init__(self, eta: float):
         self.eta = eta
 
-    def step(self, stack, summed_grads: Mapping[str, Array], divisor) -> None:
+    def step(self, stack: ParamSet, summed_grads: Mapping[str, Array], divisor) -> None:
         counts = np.asarray(divisor, dtype=float)
         # rate 0 for a slice with no sample: p - 0 * g is p
         rate = np.divide(self.eta, counts, out=np.zeros_like(counts), where=counts > 0)
-        stack.set_params(sgd_step(stack.params, summed_grads, rate))
+        g = stack.gather(summed_grads)
+        g *= rate[..., None]
+        stack.buffer -= g
+        stack.bump_version()
 
 
 class AdamOptimizer:
     """Adam applied to the averaged gradient, with one step count per slice
-    when the divisor has one count per slice."""
+    when the divisor has one count per slice.
+
+    ``m`` and ``v`` map each parameter name to a view of one (slices, P)
+    moment array laid out like the stepped set's buffer. A dict assigned
+    to either is taken in by name at the next step.
+    """
 
     def __init__(self, eta: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.eta = eta
@@ -348,8 +413,20 @@ class AdamOptimizer:
         self.t: int | Array = 0
         self.m: dict[str, Array] = {}
         self.v: dict[str, Array] = {}
+        self._flat: tuple | None = None  # (m, v) arrays and the dicts that view them
 
-    def step(self, stack, summed_grads: Mapping[str, Array], divisor) -> None:
+    def _moments(self, stack: ParamSet) -> tuple[Array, Array]:
+        """The (slices, P) moment arrays, zero before the first step; the
+        dicts ``m`` and ``v`` are their views, or are gathered into new ones
+        when they were replaced."""
+        if self._flat is None or self._flat[2] is not self.m or self._flat[3] is not self.v:
+            m, v = (stack.gather(named) if named else np.zeros_like(stack.buffer)
+                    for named in (self.m, self.v))
+            self.m, self.v = stack.views(m), stack.views(v)
+            self._flat = (m, v, self.m, self.v)
+        return self._flat[0], self._flat[1]
+
+    def step(self, stack: ParamSet, summed_grads: Mapping[str, Array], divisor) -> None:
         """A slice with count 0 keeps its parameters, moments and step count."""
         counts = np.asarray(divisor, dtype=float)
         live = counts > 0
@@ -358,35 +435,36 @@ class AdamOptimizer:
         # divisor), the powers in Python floats: numpy's power can round differently
         if counts.ndim == 0:
             at = ...
-            per_slice = [float(counts), *(1.0 - b ** int(self.t) for b in (self.beta1, self.beta2))]
+            n, c1, c2 = [float(counts), *(1.0 - b ** int(self.t) for b in (self.beta1, self.beta2))]
         else:
             # every slice, as views, or copies of the live ones
             at = ... if live.all() else np.flatnonzero(live)
-            per_slice = [counts[at], *(np.array([1.0 - b ** k for k in self.t[at].tolist()])
-                                       for b in (self.beta1, self.beta2))]
-        new_params = {}
-        for name, p in stack.params.items():
-            n, c1, c2 = per_slice if counts.ndim == 0 else (
-                x.reshape(-1, *(1,) * (p.ndim - 1)) for x in per_slice)
-            g = summed_grads[name][at] / n
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
-            m, v = self.m[name][at], self.v[name][at]
-            # in place, in the same operation order as beta * m + (1 - beta) * g
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / c1
-            v_hat = v / c2
-            moved = p[at] - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
-            if at is ...:
-                new_params[name] = moved
-            else:
-                self.m[name][at], self.v[name][at] = m, v
-                new_params[name] = p.copy()
-                new_params[name][at] = moved
-        stack.set_params(new_params)
+            n, c1, c2 = (x[:, None] for x in (
+                counts[at], *(np.array([1.0 - b ** k for k in self.t[at].tolist()])
+                              for b in (self.beta1, self.beta2))))
+        m_all, v_all = self._moments(stack)
+        g = stack.gather(summed_grads)[at]
+        m, v, p = m_all[at], v_all[at], stack.buffer[at]
+        # in place, element by element the operations and order of
+        # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+        # p - eta m_hat / (sqrt(v_hat) + eps)
+        g /= n
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        g2 = (1.0 - self.beta2) * g
+        g2 *= g
+        v += g2
+        move = m / c1
+        move *= self.eta
+        v_hat = np.divide(v, c2, out=g2)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        move /= v_hat
+        p -= move
+        if at is not ...:
+            m_all[at], v_all[at], stack.buffer[at] = m, v, p
+        stack.bump_version()
 
 
 def make_optimizer(kind: str, eta: float):

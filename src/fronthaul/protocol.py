@@ -495,8 +495,10 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     The fading ``h`` is node-first, (N, B, blocks), and ``observations`` is
     (N, B, A); node i encodes with encoder i, or with the shared encoder.
     The uplink noise of variance ``sigma_c2`` (a scalar, or one value per
-    sample as (B, 1)) is drawn from ``rng`` node by node.
+    sample as (B, 1)) is drawn from ``rng`` node by node. A population the
+    cloud cannot pool fails before any draw or encoding.
     """
+    model.check_nodes(len(h))
     noise = np.stack([channel.noise(rng, h_node.shape, sigma_c2) for h_node in h])
     received, _ = _encode_and_uplink(encoders, observations, h, noise, pathloss)
     logits, _ = model.infer(received, keep_cache=False)
@@ -512,7 +514,7 @@ def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopul
     """
     cfg = state.config
     # what the draws and the encoding read besides the set and dataset
-    # objects; every parameter change bumps the set's version (set_params)
+    # objects; every parameter change (set_params or a step) bumps the set's version
     key = (split, n_test, state.encoders.version, cfg.master_seed, cfg.n_blocks,
            cfg.pathloss, tuple(cfg.pathloss_d), cfg.pathloss_alpha)
     population = state.eval_population

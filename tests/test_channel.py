@@ -89,6 +89,21 @@ class TestSampleChannel:
         b = channel.sample_channel(np.random.default_rng(7), 6)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(256, 16), (32, 4), ()])
+    @pytest.mark.parametrize("with_pathloss", [False, True])
+    def test_draw_equals_scaled_complex_formula(self, shape, with_pathloss):
+        """Byte for byte the earlier std * (re + 1j * im), real draw first."""
+        rng = np.random.default_rng(len(shape) + 5 * with_pathloss)
+        pathloss = (rng.uniform(1.0, 10.0, size=shape), 2.7) if with_pathloss else None
+        h = channel.sample_channel(np.random.default_rng(11), 8, pathloss, shape)
+        ref_rng = np.random.default_rng(11)
+        factor = pathloss[0] ** -pathloss[1] if with_pathloss else 1.0
+        full = (*shape, 8)
+        std = np.sqrt(np.broadcast_to(np.asarray(factor)[..., None], full) / 2.0)
+        want = std * (ref_rng.standard_normal(full) + 1j * ref_rng.standard_normal(full))
+        assert h.dtype == want.dtype and h.shape == want.shape
+        assert h.tobytes() == want.tobytes()
+
     def test_magnitude_phase_reconstruct(self):
         """The gain's magnitude, rotated by the phase the edge compensates
         with, rebuilds the fading draw."""

@@ -1,5 +1,6 @@
 """Config files, checkpoints, the experiment driver, and the command line."""
 
+import copy
 import dataclasses
 import json
 import struct
@@ -491,6 +492,77 @@ class TestExperimentDriver:
         assert not list(out.rglob("checkpoint.bin"))
         assert not list(out.rglob("metrics.csv"))
         assert not out.exists()
+
+
+def parameter_sets(state):
+    """Every parameter set a state steps or holds: the encoder set, the
+    cloud model, and a baseline's layer stacks."""
+    model = state.cloud_model
+    return [state.encoders, model, *getattr(model, "stacks", [])]
+
+
+def assert_views_of_buffer(pset):
+    """``params`` tiles the set's one C-ordered buffer, slice-major, and a
+    baseline's stacks lie in the baseline's buffer."""
+    buffer = pset.buffer
+    assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+    assert buffer.base is None or isinstance(buffer.base, np.ndarray)
+    assert all(np.shares_memory(p, buffer) for p in pset.params.values())
+    assert sum(p.nbytes for p in pset.params.values()) == buffer.nbytes
+    assert pset.gather(pset.params).tobytes() == buffer.tobytes()
+    for stack in getattr(pset, "stacks", []):
+        assert np.shares_memory(stack.buffer, buffer)
+
+
+BUFFER_CONFIGS = {
+    "dedicated": {},
+    "shared": {"encoder_sharing": "true"},
+    "catnet": {"architecture": "catnet"},
+    "mhnet": {"architecture": "mhnet"},
+    "sum_agg": {"architecture": "sum_agg", "classes": 4, "message_dim": 4},
+}
+
+
+class TestParameterBuffers:
+    @pytest.mark.parametrize("name", sorted(BUFFER_CONFIGS))
+    def test_params_stay_views_of_one_buffer(self, tmp_path, name):
+        """After construction, set_params, set_named_params, restore_state and
+        deepcopy every set's params are views of its one buffer; stepping a
+        deep copy leaves the original alone."""
+        cfg = config_mod.parse_config_text(small_config_text(**BUFFER_CONFIGS[name]))
+        dataset = experiment.build_dataset(cfg)
+        state = protocol.init_state(config_mod.to_training_config(
+            cfg, dataset.obs_dim, dataset.n_classes), dataset)
+
+        def check(s):
+            for pset in parameter_sets(s):
+                assert_views_of_buffer(pset)
+
+        check(state)
+        for pset in parameter_sets(state):
+            version = pset.version
+            pset.set_params({k: p * 0.5 for k, p in pset.params.items()})
+            assert pset.version > version
+        check(state)
+        protocol.load_state_parameters(state, {k: p + 1.0 for k, p in
+                                               protocol.state_parameters(state).items()})
+        check(state)
+        path = tmp_path / "checkpoint.bin"
+        checkpoint.save_checkpoint(path, protocol.state_parameters(state),
+                                   config_mod.render_config(cfg), 0)
+        restored, _ = experiment.restore_state(path)
+        check(restored)
+        for pset, back in zip(parameter_sets(state), parameter_sets(restored)):
+            assert back.buffer.tobytes() == pset.buffer.tobytes()
+        clone = copy.deepcopy(state)
+        check(clone)
+        before = [pset.buffer.copy() for pset in parameter_sets(state)]
+        protocol.run_training_round(clone, 1)
+        for pset, kept, stepped in zip(parameter_sets(state), before, parameter_sets(clone)):
+            assert not np.shares_memory(pset.buffer, stepped.buffer)
+            assert pset.buffer.tobytes() == kept.tobytes()
+        assert clone.encoders.buffer.tobytes() != state.encoders.buffer.tobytes()
+        check(clone)
 
 
 class TestNumericSuites:

@@ -1,5 +1,7 @@
 """Core network engine: forward, backward, projection, loss, updates."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,30 @@ class TestLayerStack:
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4)]
         params = nn.LayerStack(layers, seed=0).params
         assert sum(p.size for p in params.values()) == 6 * 8 + 8 + 8 * 4 + 4
+
+    def test_params_are_views_of_one_buffer(self):
+        """The named arrays tile one (1, P) buffer, name after name, through
+        construction, set_params and deepcopy; stepping a deep copy leaves
+        the original alone."""
+        stack = nn.LayerStack([nn.Dense(3, 4), nn.Relu(), nn.Dense(4, 2)], seed=1)
+
+        def check(s):
+            assert s.buffer.shape == (1, 3 * 4 + 4 + 4 * 2 + 2)
+            assert np.concatenate([p.ravel() for p in s.params.values()]).tobytes() == \
+                s.buffer.tobytes()
+            assert all(np.shares_memory(p, s.buffer) for p in s.params.values())
+
+        check(stack)
+        stack.set_params({k: p + 1.0 for k, p in stack.params.items()})
+        assert stack.version == 1
+        check(stack)
+        clone = copy.deepcopy(stack)
+        check(clone)
+        kept = stack.buffer.copy()
+        nn.AdamOptimizer(0.1).step(clone, {k: np.ones_like(p) for k, p in clone.params.items()},
+                                   1.0)
+        assert stack.buffer.tobytes() == kept.tobytes() != clone.buffer.tobytes()
+        assert (stack.version, clone.version) == (1, 2)
 
     def test_init_range_is_fan_scaled(self):
         stack = nn.LayerStack([nn.Dense(30, 50)], seed=3)
@@ -393,14 +419,12 @@ class TestAdam:
             assert np.allclose(a.params[k], b.params[k], atol=1e-15)
 
 
-class StackedParams:
-    """Parameters with a leading slice axis, as an optimizer steps them."""
+class StackedParams(nn.ParamSet):
+    """Parameters with a leading slice axis, as an optimizer steps them:
+    one buffer row per slice."""
 
     def __init__(self, params):
-        self.params = params
-
-    def set_params(self, params):
-        self.params = params
+        self._hold(params, slices=len(next(iter(params.values()))))
 
 
 class TestPerSliceDivisor:
@@ -745,4 +769,7 @@ class TestKernelsLeaveInputsAlone:
         opt.step(stack, grads, divisor=2.0)
         opt.step(stack, grads, divisor=2.0)
         assert unchanged(before, grads.values())
-        assert unchanged(params_before, old_params.values())
+        # params are live views of the buffer: a dict held across the steps
+        # holds the same arrays, stepped in place
+        assert all(old_params[k] is p for k, p in stack.params.items())
+        assert not unchanged(params_before, old_params.values())

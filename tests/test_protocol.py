@@ -181,6 +181,23 @@ class TestRunInference:
         assert np.max(np.abs(logits - want)) < 1e-12
 
 
+    def test_unservable_population_fails_before_any_work(self, monkeypatch):
+        """A three-node catnet given two nodes raises before it draws noise
+        or encodes: no ``edge.encode`` call, and the caller's stream is where
+        it was."""
+        state = protocol.init_state(toy_config(architecture="catnet"), toy_dataset())
+        encodes = []
+        monkeypatch.setattr(edge, "encode", lambda *args, **kwargs: encodes.append(args))
+        rng = np.random.default_rng(12)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="catnet was built for 3 nodes, got 2"):
+            protocol.run_inference(state.encoders, state.cloud_model,
+                                   np.ones((2, 1, 4), complex), 0.1,
+                                   np.zeros((2, 1, 36)), rng=rng)
+        assert encodes == []
+        assert rng.bit_generator.state == before
+
+
 class TestTrainingRound:
     def test_phases_run_in_order(self):
         cfg = toy_config(rounds=1)
