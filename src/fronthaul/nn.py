@@ -447,7 +447,8 @@ class AdamOptimizer:
         m, v, p = m_all[at], v_all[at], stack.buffer[at]
         # in place, element by element the operations and order of
         # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
-        # p - eta m_hat / (sqrt(v_hat) + eps)
+        # p - eta m_hat / (sqrt(v_hat) + eps); m_hat * eta is eta * m_hat
+        # bit for bit, since a product of two floats does not depend on order
         g /= n
         m *= self.beta1
         m += (1.0 - self.beta1) * g
