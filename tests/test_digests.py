@@ -56,6 +56,8 @@ def _matrix() -> dict[str, dict]:
         "noiseless-downlink": {"noiseless_downlink": "true"},
         "power-sum": {"power_mode": "sum"},
         "mhnet": {"architecture": "mhnet"},
+        # mhnet with the head mask: inactive pairs drop out of the head sum
+        "mhnet-async": {"architecture": "mhnet", "async": "true"},
         "catnet": {"architecture": "catnet"},
         "sum_agg": {"architecture": "sum_agg", "classes": 4, "message_dim": 4},
     })
