@@ -18,7 +18,7 @@ network with one learnable head per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -283,8 +283,7 @@ CATNET = "catnet"
 MHNET = "mhnet"
 
 
-@dataclass
-class BaselineModel(nn.ParamSet):
+class BaselineModel(nn.StackSet):
     """Comparison cloud models.
 
     ``sum_agg`` has no parameters and emits the plain sum of received
@@ -294,72 +293,46 @@ class BaselineModel(nn.ParamSet):
     ``mhnet`` owns one head stack per node and sums the active heads'
     outputs.
 
-    ``params`` holds every stack's parameters under ``stack{idx}.{name}``,
-    views of one one-row buffer; each stack's own buffer is its part of
-    that row, so stepping the model steps its stacks.
+    The stacks are the slices of one stack set, prefixed ``stack{idx}``:
+    none for ``sum_agg``, one for ``catnet``, one per head for ``mhnet``.
     """
 
-    kind: str
-    message_dim: int
-    n_classes: int
-    stacks: list[nn.LayerStack]
-    n_fixed: int | None = None
-
-    def __post_init__(self):
-        if self.kind == SUM_AGG:
-            if self.message_dim != self.n_classes:
+    def __init__(self, kind: str, message_dim: int, n_classes: int,
+                 stacks: Sequence[nn.LayerStack], n_fixed: int | None = None):
+        if kind == SUM_AGG:
+            if message_dim != n_classes:
                 raise ValueError("sum aggregation requires message length == class count")
-            if self.stacks:
+            if stacks:
                 raise ValueError("sum aggregation has no trainable stacks")
-        elif self.kind == CATNET:
-            if self.n_fixed is None or len(self.stacks) != 1:
+        elif kind == CATNET:
+            if n_fixed is None or len(stacks) != 1:
                 raise ValueError("catnet needs n_fixed and exactly one stack")
-            if self.stacks[0].in_dim != self.n_fixed * self.message_dim:
+            if stacks[0].in_dim != n_fixed * message_dim:
                 raise ValueError("catnet input dim must be n_fixed * message length")
-        elif self.kind == MHNET:
-            if not self.stacks:
+        elif kind == MHNET:
+            if not stacks:
                 raise ValueError("mhnet needs at least one head")
-            for head in self.stacks:
-                if head.in_dim != self.message_dim or head.out_dim != self.n_classes:
-                    raise ValueError("each head maps a received signal to logits")
+            if any(head.in_dim != message_dim or head.out_dim != n_classes for head in stacks):
+                raise ValueError("each head maps a received signal to logits")
         else:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        self._hold({f"stack{idx}.{name}": p for idx, stack in enumerate(self.stacks)
-                    for name, p in stack.params.items()}, slices=1)
-
-    def _link(self) -> None:
-        """Derive ``params`` and every stack's buffer from the buffer."""
-        super()._link()
-        start = 0
-        for stack in self.stacks:
-            width = stack.buffer.shape[1]
-            stack.buffer = self.buffer[:, start:start + width]
-            stack._link()
-            start += width
-
-    def bump_version(self) -> None:
-        super().bump_version()
-        for stack in self.stacks:
-            stack.bump_version()
+            raise ValueError(f"unknown baseline kind {kind!r}")
+        super().__init__(stacks, [f"stack{idx}" for idx in range(len(stacks))])
+        self.kind = kind
+        self.message_dim = message_dim
+        self.n_classes = n_classes
+        self.n_fixed = n_fixed
 
     @property
     def output_dim(self) -> int:
         return self.n_classes
-
-    def named_params(self) -> dict[str, Array]:
-        """The checkpoint names, which are the flat names."""
-        return self.params
-
-    def set_named_params(self, named: Mapping[str, Array]) -> None:
-        self.set_params(named)
 
     def check_nodes(self, n_nodes: int) -> None:
         """Raise unless the model pools ``n_nodes`` nodes: catnet takes exactly
         ``n_fixed``, mhnet at most one node per head."""
         if self.kind == CATNET and n_nodes != self.n_fixed:
             raise ValueError(f"catnet was built for {self.n_fixed} nodes, got {n_nodes}")
-        if self.kind == MHNET and n_nodes > len(self.stacks):
-            raise ValueError(f"mhnet has {len(self.stacks)} heads, got {n_nodes} nodes")
+        if self.kind == MHNET and n_nodes > self.n_slices:
+            raise ValueError(f"mhnet has {self.n_slices} heads, got {n_nodes} nodes")
 
     def infer(self, received: Array, active: Array | None = None, keep_cache: bool = True
               ) -> tuple[Array, BaselineCache | None]:
@@ -430,66 +403,65 @@ def build_baseline(kind: str, message_dim: int, n_classes: int, n_nodes: int,
 @dataclass
 class BaselineCache:
     model: BaselineModel
-    caches: list[nn.ForwardCache]
-    active: Array
-    n_nodes: int
+    version: int  # the model's version at the forward pass
+    forward: nn.ForwardCache | None  # catnet's, or every head's node-first; None for sum_agg
+    active: Array  # (B, N) float mask
+
+
+def _masked_node_sum(mask: Array, rows: Array) -> Array:
+    """sum_i mask[:, i] * rows[i] over node-first rows (N, B, X), added in
+    node order onto zeros, as a loop over the nodes adds it."""
+    return (mask.T[:, :, None] * rows).sum(axis=0)
 
 
 def baseline_infer(model: BaselineModel, received: Array, active: Array | None = None,
                    keep_cache: bool = True) -> tuple[Array, BaselineCache | None]:
     """Logits from node-first received rows (N, B, S); with ``keep_cache``
-    false the stacks keep no forward cache and no cache is returned."""
+    false the stacks keep no forward cache and no cache is returned. mhnet
+    runs its first N heads in one node-first forward pass."""
     rows = _prepare_received(model.message_dim, received)
     n_nodes, batch = rows.shape[:2]
     mask = _active_mask(active, batch, n_nodes)
     model.check_nodes(n_nodes)
-    caches = []
+    fc = None
     if model.kind == SUM_AGG:
-        logits = np.zeros((batch, model.n_classes))
-        for i in range(n_nodes):
-            logits = logits + mask[:, i:i + 1] * rows[i]
+        logits = _masked_node_sum(mask, rows)
     elif model.kind == CATNET:
         if not np.all(mask == 1.0):
             raise ValueError("catnet cannot run with inactive nodes")
         stacked = np.concatenate(rows, axis=-1)
-        logits, fc = nn.forward(model.stacks[0], stacked, keep_cache=keep_cache)
-        caches.append(fc)
+        logits, fc = nn.forward(model.slice_view(0), stacked, keep_cache=keep_cache)
     else:
         # mhnet: one head per node index
-        logits = np.zeros((batch, model.n_classes))
-        for i in range(n_nodes):
-            out, fc = nn.forward(model.stacks[i], rows[i], keep_cache=keep_cache)
-            caches.append(fc)
-            logits = logits + mask[:, i:i + 1] * out
-    return logits, BaselineCache(model, caches, mask, n_nodes) if keep_cache else None
+        out, fc = nn.forward(model.first_slices(n_nodes), rows, keep_cache=keep_cache)
+        logits = _masked_node_sum(mask, out)
+    return logits, BaselineCache(model, model.version, fc, mask) if keep_cache else None
 
 
 def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: Array
                       ) -> tuple[dict[str, Array], Array]:
-    """Parameter gradients keyed like ``model.params`` (summed over the
-    batch) and the node-first downlink messages (N, B, S). A head no node
-    used gets a zero gradient."""
+    """Parameter gradients keyed and shaped like ``model.params`` (summed
+    over the batch) and the node-first downlink messages (N, B, S). A head
+    no node used gets a zero gradient."""
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
+    if cache.version != model.version:
+        raise ValueError("stale cache: parameters changed since the forward pass")
     g = np.asarray(grad_logits, dtype=float)
-    batch = cache.active.shape[0]
+    batch, n_nodes = cache.active.shape
     if g.shape != (batch, model.n_classes):
         raise ValueError("gradient shape does not match the cached forward")
-    stack_grads = [{k: np.zeros_like(p) for k, p in s.params.items()} for s in model.stacks]
+    if model.kind == CATNET:
+        grad_set = nn.backward(cache.forward.stack, cache.forward, g)
+        # (B, N*S) -> (N, B, S): node i's message is its block of the input gradient
+        messages = grad_set.input_grad.reshape(batch, n_nodes, -1).transpose(1, 0, 2)
+        return {name: p[None] for name, p in grad_set.param_grads.items()}, messages
+    # node i's rows of the logit gradient, zero where the pair was inactive
+    upstream = cache.active.T[:, :, None] * g
     if model.kind == SUM_AGG:
-        messages = [g * cache.active[:, i:i + 1] for i in range(cache.n_nodes)]
-    elif model.kind == CATNET:
-        grad_set = nn.backward(model.stacks[0], cache.caches[0], g)
-        messages = [grad_set.input_grad[:, i * model.message_dim:(i + 1) * model.message_dim]
-                    for i in range(cache.n_nodes)]
-        stack_grads[0] = grad_set.param_grads
-    else:
-        messages = []
-        for i in range(cache.n_nodes):
-            grad_set = nn.backward(model.stacks[i], cache.caches[i],
-                                   g * cache.active[:, i:i + 1])
-            stack_grads[i] = grad_set.param_grads
-            messages.append(grad_set.input_grad)
-    grads = {f"stack{idx}.{name}": p for idx, sg in enumerate(stack_grads)
-             for name, p in sg.items()}
-    return grads, np.stack(messages)
+        return {}, upstream
+    grad_set = nn.backward(cache.forward.stack, cache.forward, upstream)
+    unused = model.n_slices - n_nodes
+    grads = {name: np.concatenate([p, np.zeros((unused, *p.shape[1:]))]) if unused else p
+             for name, p in grad_set.param_grads.items()}
+    return grads, grad_set.input_grad

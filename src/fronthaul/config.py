@@ -190,10 +190,6 @@ def load_config(path) -> dict[str, Any]:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def default_config() -> dict[str, Any]:
-    return {key: default for key, (_, default) in SCHEMA.items()}
-
-
 def render_config(cfg: dict[str, Any]) -> str:
     """Canonical text form; parsing it reproduces ``cfg`` exactly."""
     unknown = set(cfg) - set(SCHEMA)

@@ -5,7 +5,7 @@ class index is binary-coded into the bump signs. Any single crop of the
 grid can miss sites near the far corners, so one local view recovers
 the label only partially and pooling several views genuinely helps.
 That gap is what makes the task a meaningful stand-in for multi-node
-cooperative inference, and it is checked by the linear probes below.
+cooperative inference; a linear probe in the data tests checks it.
 """
 from __future__ import annotations
 
@@ -105,58 +105,6 @@ def crop_batch(states: Array, offsets: Array, window: int) -> Array:
                                                     (window, window), axis=(1, 2))
     patches = view[np.arange(b), offsets[:, :, 0].T, offsets[:, :, 1].T]
     return patches.reshape(n, b, window * window)
-
-
-def logistic_probe(train_x: Array, train_y: Array, test_x: Array, test_y: Array,
-                   n_classes: int, iters: int = 300, lr: float = 0.5) -> float:
-    """Accuracy of a plain multinomial logistic regression.
-
-    Full-batch gradient descent on standardized features; used as an
-    independent yardstick for how much label information a feature view
-    carries.
-    """
-    mu = train_x.mean(axis=0)
-    sd = train_x.std(axis=0) + 1e-9
-    xs = (train_x - mu) / sd
-    xt = (test_x - mu) / sd
-    n, d = xs.shape
-    w = np.zeros((n_classes, d))
-    bias = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), train_y] = 1.0
-    for _ in range(iters):
-        logits = xs @ w.T + bias
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        err = (p - onehot) / n
-        w -= lr * (err.T @ xs)
-        bias -= lr * err.sum(axis=0)
-    pred = np.argmax(xt @ w.T + bias, axis=1)
-    return float(np.mean(pred == test_y))
-
-
-def probe_gap(dataset: SyntheticDataset, probe_seed: int = 0) -> tuple[float, float]:
-    """(full-state accuracy, single-crop accuracy) under the linear probe.
-
-    The single-crop probe sees one random crop per sample, exactly what
-    one node observes; the full-state probe sees the whole grid.
-    """
-    rng = np.random.default_rng(probe_seed)
-    full_tr = dataset.train_states.reshape(len(dataset.train_labels), -1)
-    full_te = dataset.test_states.reshape(len(dataset.test_labels), -1)
-    full_acc = logistic_probe(full_tr, dataset.train_labels, full_te,
-                              dataset.test_labels, dataset.n_classes)
-
-    def one_crop(states):
-        n = states.shape[0]
-        offsets = rng.integers(0, dataset.grid - dataset.window + 1, size=(n, 1, 2))
-        return crop_batch(states, offsets, dataset.window)[0]
-
-    crop_acc = logistic_probe(one_crop(dataset.train_states), dataset.train_labels,
-                              one_crop(dataset.test_states), dataset.test_labels,
-                              dataset.n_classes)
-    return full_acc, crop_acc
 
 
 # --- external flat-binary datasets ---------------------------------------------

@@ -8,7 +8,6 @@ rows. The round protocol turns the gradients into the encoders' step.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,71 +18,33 @@ from . import nn
 Array = np.ndarray
 
 
-# encoders as ``nn.forward`` and ``nn.backward`` read a layer stack, with
-# views of the set's arrays as ``params``: one node's slice, or node-first slices
-NodeEncoder = namedtuple("NodeEncoder", "layers params in_dim version")
+class EncoderSet(nn.StackSet):
+    """Every node's encoder as one stack set with the node axis first.
 
-
-class EncoderSet(nn.ParamSet):
-    """Every node's encoder as one parameter set with the node axis first.
-
-    ``params`` holds (N, out, in) weights and (N, out) biases for N
-    dedicated encoders, node i owning slice i, or one slice for a shared
-    encoder, which serves any number of nodes. They are views of one
-    (N, P) buffer (one row when shared), row i laid out as an
-    ``nn.LayerStack`` buffer. Each slice starts as the ``nn.LayerStack``
-    (one layout for all) it was built from; ``version`` increments on
-    every change so stale caches are rejected.
+    N dedicated encoders hold one slice each, node i owning slice i and
+    checkpoint prefix ``encoder{i}``; a shared encoder holds one slice,
+    ``encoder_shared``, which serves any number of nodes.
     """
 
     def __init__(self, stacks: Sequence[nn.LayerStack], power_mode: str = nn.PER_RB,
                  p_e: float = 1.0, cqie: bool = False, shared: bool = False):
         if shared and len(stacks) != 1:
             raise ValueError("a shared encoder set holds exactly one encoder")
-        layers = stacks[0].layers
-        if any(stack.layers != layers for stack in stacks):
-            raise ValueError("every encoder of a set needs the same layers")
+        super().__init__(stacks, ["encoder_shared"] if shared
+                         else [f"encoder{i}" for i in range(len(stacks))])
         if stacks[0].out_dim % 2 != 0:
             raise ValueError("encoder output length must be even")
-        last = layers[-1]
+        last = self.layers[-1]
         if not isinstance(last, nn.Projection):
             raise ValueError("encoder must end with the power projection")
         if last.mode != power_mode or last.power != p_e:
             raise ValueError("encoder projection does not match the node's power budget")
-        self.layers = layers
-        self.in_dim = stacks[0].in_dim
-        self.message_dim = stacks[0].out_dim
         self.cqie = cqie
         self.shared = shared
-        self.n_encoders = n = len(stacks)
-        self.prefixes = ["encoder_shared"] if shared else [f"encoder{i}" for i in range(n)]
-        self._hold({name: np.stack([stack.params[name] for stack in stacks])
-                    for name in stacks[0].params}, slices=n)
 
-    def node_encoder(self, node: int) -> NodeEncoder:
+    def node_encoder(self, node: int) -> nn.StackView:
         """The encoder node ``node`` encodes with."""
-        slot = 0 if self.shared else node
-        return self._view(lambda p: p[slot])
-
-    def first_nodes(self, n: int) -> NodeEncoder:
-        """The encoders nodes 0 to n-1 encode with, node-first: the first n
-        slices, or the shared slice."""
-        return self._view(lambda p: p if self.shared else p[:n])
-
-    def _view(self, pick) -> NodeEncoder:
-        return NodeEncoder(self.layers, {name: pick(p) for name, p in self.params.items()},
-                           self.in_dim, self.version)
-
-    def named_params(self) -> dict[str, Array]:
-        """Checkpoint names (``encoder{i}.dense0.w`` and so on, or
-        ``encoder_shared.*``) over views of the slices, slice by slice."""
-        return {f"{prefix}.{name}": p[k] for k, prefix in enumerate(self.prefixes)
-                for name, p in self.params.items()}
-
-    def set_named_params(self, named: Mapping[str, Array]) -> None:
-        """Install arrays named as ``named_params`` names them; others are ignored."""
-        self.set_params({name: np.stack([named[f"{prefix}.{name}"] for prefix in self.prefixes])
-                         for name in self.params})
+        return self.slice_view(0 if self.shared else node)
 
     def step_gradients(self, grads: Mapping[str, Array], counts: Array
                        ) -> tuple[Mapping[str, Array], Array | int]:
@@ -157,10 +118,10 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     if encoders.cqie:
         values = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
     n = len(values)
-    if not encoders.shared and n > encoders.n_encoders:
-        raise ValueError(f"{n} nodes requested but only {encoders.n_encoders} trained "
+    if not encoders.shared and n > encoders.n_slices:
+        raise ValueError(f"{n} nodes requested but only {encoders.n_slices} trained "
                          "encoders exist (enable encoder sharing to scale up)")
-    messages, cache = nn.forward(encoders.first_nodes(n), values, keep_cache=keep_cache)
+    messages, cache = nn.forward(encoders.first_slices(n), values, keep_cache=keep_cache)
     return messages, EncoderCache(encoders, cache) if keep_cache else None
 
 

@@ -283,23 +283,22 @@ def _central_differences(value, pairs, step: float) -> float:
     """Largest relative error of central differences of ``value()`` against
     analytic gradients.
 
-    ``pairs`` holds (array, gradient) of equal size; each array entry is
+    ``pairs`` holds (array, gradient) of equal shape; each array entry is
     moved by +-``step`` in place, ``value()`` is read, and the entry is
-    restored before the next one moves.
+    restored before the next one moves. Entries are indexed in the array
+    itself: a reshape of a strided view would move a copy.
     """
     worst = 0.0
     for p, g in pairs:
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            old = flat[idx]
-            flat[idx] = old + step
+        for idx in np.ndindex(p.shape):
+            old = p[idx]
+            p[idx] = old + step
             up_val = value()
-            flat[idx] = old - step
+            p[idx] = old - step
             dn_val = value()
-            flat[idx] = old
+            p[idx] = old
             fd = (up_val - dn_val) / (2 * step)
-            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(gflat[idx])))
+            worst = max(worst, _rel_err(np.asarray(fd), np.asarray(g[idx])))
     return worst
 
 

@@ -12,14 +12,18 @@ unless the caller declines it, the gradient with respect to the input.
 The same two calls run many stacks of one layout at once: node-first
 rows (n, B, in) with node-stacked parameters ((n, out, in) weights and
 (n, out) biases), or with one shared slice ((1, out, in), (1, out)).
-Each node's products are then the same BLAS calls a 2-D call on its
+A ``StackSet`` holds such stacks and hands out both forms. Each node's
+products are then the same BLAS calls a 2-D call on a view of its
 slice makes, so the bits match, and the parameter gradients come back
-node-first, one slice per node.
+node-first, one slice per node. The match holds for views of the
+slices, not for copies: on a copy of a slice a product can round
+differently in the last bit.
 """
 from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -171,6 +175,60 @@ class LayerStack(ParamSet):
                 )
                 params[f"dense{idx}.b"] = np.zeros(layer.out_dim)
         return params
+
+
+# a stack as ``forward`` and ``backward`` read it, with views of a
+# ``StackSet``'s arrays as ``params``: one slice, or node-first slices
+StackView = namedtuple("StackView", "layers params in_dim version")
+
+
+class StackSet(ParamSet):
+    """Stacks of one layout held node-stacked as one parameter set.
+
+    ``params`` holds (n, out, in) weights and (n, out) biases, slice i
+    being stack i's: views of one (n, P) buffer, row i laid out as stack
+    i's ``LayerStack`` buffer, so each slice starts with the bits of the
+    stack it was built from. ``prefixes[i]`` names slice i in
+    checkpoints. A set of no stacks has no parameters.
+    """
+
+    def __init__(self, stacks: Sequence[LayerStack], prefixes: Sequence[str]):
+        if len(prefixes) != len(stacks):
+            raise ValueError("a stack set needs one checkpoint prefix per stack")
+        self.layers = stacks[0].layers if stacks else ()
+        if any(stack.layers != self.layers for stack in stacks):
+            raise ValueError("every stack of a set needs the same layers")
+        self.prefixes = list(prefixes)
+        self._hold({name: np.stack([stack.params[name] for stack in stacks])
+                    for name in (stacks[0].params if stacks else ())}, slices=len(stacks))
+
+    @property
+    def n_slices(self) -> int:
+        return len(self.prefixes)
+
+    def slice_view(self, i: int) -> StackView:
+        """Slice i as a 2-D stack."""
+        return self._view(lambda p: p[i])
+
+    def first_slices(self, n: int) -> StackView:
+        """Slices 0 to n-1 as a node-first stack; a set of one slice yields
+        that slice for any n, which then serves every node."""
+        return self._view(lambda p: p[:n])
+
+    def _view(self, pick) -> StackView:
+        return StackView(self.layers, {name: pick(p) for name, p in self.params.items()},
+                         self.layers[0].in_dim, self.version)
+
+    def named_params(self) -> dict[str, Array]:
+        """Checkpoint names (``{prefix}.dense0.w`` and so on) over views of
+        the slices, slice by slice."""
+        return {f"{prefix}.{name}": p[k] for k, prefix in enumerate(self.prefixes)
+                for name, p in self.params.items()}
+
+    def set_named_params(self, named: Mapping[str, Array]) -> None:
+        """Install arrays named as ``named_params`` names them; others are ignored."""
+        self.set_params({name: np.stack([named[f"{prefix}.{name}"] for prefix in self.prefixes])
+                         for name in self.params})
 
 
 @dataclass

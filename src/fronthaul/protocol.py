@@ -383,7 +383,7 @@ def _norm(model) -> float:
     params = model.params
     if not params:
         return 0.0
-    # views per stacked array: M for the cloud, one per encoder slice, 1 for a baseline
+    # views per stacked array: M for the cloud, one per encoder or baseline slice
     slices = len(model.named_params()) // len(params)
     per_key = [np.sum(np.square(p.reshape(slices, -1)), axis=1).tolist()
                for p in params.values()]
@@ -573,8 +573,8 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     n_test = state.config.n_train if n_test is None else n_test
     if isinstance(n_test, bool) or not isinstance(n_test, numbers.Integral) or n_test < 1:
         raise ValueError(f"n_test must be an integer of at least 1, got {n_test!r}")
-    if not state.encoders.shared and n_test > state.encoders.n_encoders:
-        raise ValueError(f"n_test = {n_test}, but only {state.encoders.n_encoders} trained "
+    if not state.encoders.shared and n_test > state.encoders.n_slices:
+        raise ValueError(f"n_test = {n_test}, but only {state.encoders.n_slices} trained "
                          "encoders exist (enable encoder sharing to scale up)")
     state.cloud_model.check_nodes(int(n_test))
     if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):

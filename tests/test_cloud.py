@@ -470,7 +470,7 @@ class TestBaselines:
         model = cloud.build_baseline(cloud.MHNET, 6, 3, 1, seed=1, hidden=5)
         y = np.random.default_rng(12).normal(size=(1, 6))
         out, _ = cloud.baseline_infer(model, [y])
-        want, _ = nn.forward(model.stacks[0], y)
+        want, _ = nn.forward(model.slice_view(0), y)
         assert np.allclose(out, want, atol=1e-15)
 
     def test_catnet_matches_forward_on_concatenation(self):
@@ -478,7 +478,7 @@ class TestBaselines:
         rng = np.random.default_rng(13)
         received = [rng.normal(size=(1, 4)) for _ in range(3)]
         out, _ = cloud.baseline_infer(model, received)
-        want, _ = nn.forward(model.stacks[0], np.concatenate(received, axis=1))
+        want, _ = nn.forward(model.slice_view(0), np.concatenate(received, axis=1))
         assert np.allclose(out, want, atol=1e-15)
 
     def test_catnet_rejects_mismatched_population(self):
@@ -532,17 +532,18 @@ class TestBaselines:
             step = 1e-5
             assert set(grads) == set(model.params)
             for key, p in model.params.items():
-                flat = p.reshape(-1)
-                gflat = grads[key].reshape(-1)
-                for idx in range(0, flat.size, 3):  # sampled entries
-                    old = flat[idx]
-                    flat[idx] = old + step
+                # mhnet's heads are strided views of its buffer: entries
+                # move in place, never through a reshaped copy
+                assert np.shares_memory(p, model.buffer)
+                for idx in list(np.ndindex(p.shape))[::3]:  # sampled entries
+                    old = p[idx]
+                    p[idx] = old + step
                     hi = loss()
-                    flat[idx] = old - step
+                    p[idx] = old - step
                     lo = loss()
-                    flat[idx] = old
+                    p[idx] = old
                     fd = (hi - lo) / (2 * step)
-                    assert abs(fd - gflat[idx]) / max(1, abs(fd)) < 1e-5
+                    assert abs(fd - grads[key][idx]) / max(1, abs(fd)) < 1e-5
             for i in range(2):
                 for j in range(4):
                     old = received[i][0, j]
@@ -565,28 +566,93 @@ class TestBaselines:
         for m in messages:
             assert np.allclose(m, gx, atol=1e-15)
 
-    def test_flat_params_over_the_stacks(self):
-        """A baseline's parameters are its stacks' under ``stack{idx}.``;
-        ``set_params`` installs them stack by stack, and a head no node used
-        gets a zero gradient."""
+    def test_named_params_over_the_slices(self):
+        """A baseline's checkpoint names are its stacks' under ``stack{idx}.``,
+        views of the slices; ``set_named_params`` installs them slice by
+        slice, and a head no node used gets a zero gradient."""
         model = cloud.build_baseline(cloud.MHNET, 4, 3, 3, seed=6, hidden=5)
-        assert list(model.params) == [f"stack{i}.dense{j}.{wb}" for i in range(3)
-                                      for j in (0, 2, 4) for wb in "wb"]
-        assert model.named_params() == model.params
-        moved = {k: p + 1.0 for k, p in model.params.items()}
-        model.set_params(moved)
-        for i, stack in enumerate(model.stacks):
-            assert stack.version == 1
-            for name, p in stack.params.items():
+        named = model.named_params()
+        assert list(named) == [f"stack{i}.dense{j}.{wb}" for i in range(3)
+                               for j in (0, 2, 4) for wb in "wb"]
+        assert all(np.shares_memory(p, model.buffer) for p in named.values())
+        moved = {k: p + 1.0 + int(k[5]) for k, p in named.items()}
+        model.set_named_params(moved)
+        assert model.version == 1
+        for i in range(3):
+            for name, p in model.slice_view(i).params.items():
                 assert np.array_equal(p, moved[f"stack{i}.{name}"])
         with pytest.raises(ValueError, match="names"):
-            model.set_params({"stack0.dense0.w": np.zeros((5, 4))})
+            model.set_params({"dense0.w": np.zeros((3, 5, 4))})
         rng = np.random.default_rng(18)
         logits, cache = model.infer([rng.normal(size=(2, 4)) for _ in range(2)])
         grads, _ = model.backward(cache, rng.normal(size=logits.shape))
-        assert set(grads) == set(model.params)
-        assert all(np.all(grads[k] == 0.0) for k in grads if k.startswith("stack2."))
-        assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("stack1."))
+        assert {k: g.shape for k, g in grads.items()} == \
+            {k: p.shape for k, p in model.params.items()}
+        assert all(np.all(g[2] == 0.0) for g in grads.values())
+        assert any(np.any(g[1] != 0.0) for g in grads.values())
+
+    def test_stale_cache_rejected(self):
+        model = cloud.build_baseline(cloud.MHNET, 4, 3, 2, seed=6, hidden=5)
+        received = np.random.default_rng(21).normal(size=(2, 3, 4))
+        _, cache = model.infer(received)
+        model.set_params({k: p + 1.0 for k, p in model.params.items()})
+        with pytest.raises(ValueError, match="stale"):
+            model.backward(cache, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind", [cloud.MHNET, cloud.SUM_AGG])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 4])
+    def test_masked_passes_match_a_loop_over_nodes(self, kind, n_nodes):
+        """The node-first passes give, bit for bit, the logits, gradients and
+        messages of a loop over the nodes, with inactive pairs (a sample
+        no node delivered among them, and signed zeros), and for mhnet on
+        fewer nodes than heads."""
+        rng = np.random.default_rng(20 + n_nodes)
+        dim = 3 if kind == cloud.SUM_AGG else 4
+        model = cloud.build_baseline(kind, dim, 3, 4, seed=7, hidden=5)
+        model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
+                                for name, p in model.named_params().items()})
+        for batch in (1, 7, 64):
+            received = rng.normal(size=(n_nodes, batch, dim))
+            received[:, -1] = -0.0
+            active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
+            active[0] = 0.0
+            grad_logits = rng.normal(size=(batch, 3))
+            logits, cache = model.infer(received, active)
+            grads, messages = model.backward(cache, grad_logits)
+            want_logits, want_grads, want_messages = per_node_baseline_reference(
+                model, received, active, grad_logits)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert grads.keys() == want_grads.keys()
+            for name, g in want_grads.items():
+                assert grads[name].tobytes() == g.tobytes(), name
+            assert messages.tobytes() == want_messages.tobytes()
+
+
+def per_node_baseline_reference(model, received, active, grad_logits):
+    """mhnet or sum_agg as a loop over the nodes: each mhnet head runs 2-D
+    ``nn.forward``/``nn.backward`` on its slice view, and each node's
+    logits add onto zeros in node order. Head i's upstream rows are a view
+    of the node-first masked upstream array, as the node-first pass reads
+    them (a product on a fresh copy can round differently). Returns the
+    logits, the gradients keyed and shaped like ``model.params`` and the
+    node-first messages."""
+    logits = np.zeros((received.shape[1], model.n_classes))
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    messages = np.empty(received.shape)
+    upstream = active.T[:, :, None] * grad_logits
+    for i, rows in enumerate(received):
+        if model.kind == cloud.SUM_AGG:
+            logits = logits + active[:, i:i + 1] * rows
+            messages[i] = upstream[i]
+            continue
+        head = model.slice_view(i)
+        out, fc = nn.forward(head, rows)
+        logits = logits + active[:, i:i + 1] * out
+        grad_set = nn.backward(head, fc, upstream[i])
+        for name, g in grad_set.param_grads.items():
+            grads[name][i] = g
+        messages[i] = grad_set.input_grad
+    return logits, grads, messages
 
 
 FORWARD_ONLY_KINDS = ["proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG]

@@ -31,7 +31,7 @@ _CONFIG_LINES = st.lists(st.tuples(st.sampled_from(sorted(config_mod.SCHEMA)), _
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = config_mod.parse_config_text("")
-        assert cfg == config_mod.default_config()
+        assert cfg == {key: default for key, (_, default) in config_mod.SCHEMA.items()}
         rendered = config_mod.render_config(cfg)
         assert config_mod.parse_config_text(rendered) == cfg
 
@@ -104,7 +104,7 @@ class TestConfigParsing:
         assert "async_coordination" not in str(excinfo.value)
 
     def test_schema_defaults_match_training_config_defaults(self):
-        tc = config_mod.to_training_config(config_mod.default_config(), 81, 4)
+        tc = config_mod.to_training_config(config_mod.parse_config_text(""), 81, 4)
         assert tc == protocol.TrainingConfig(obs_dim=81, n_classes=4)
 
     def test_every_training_config_field_but_the_shapes_has_a_key(self):
@@ -229,7 +229,7 @@ class TestCheckpoint:
     def test_config_echo_with_removed_key_rejected(self, tmp_path):
         """A checkpoint whose config echo names a key the schema no longer
         has (older files echo ``eta_tilde = none``) fails to restore."""
-        text = config_mod.render_config(config_mod.default_config()) + "eta_tilde = none\n"
+        text = config_mod.render_config(config_mod.parse_config_text("")) + "eta_tilde = none\n"
         path = tmp_path / "old.bin"
         checkpoint.save_checkpoint(path, self._params(), text, round_index=1)
         with pytest.raises(config_mod.ConfigError, match="unknown key 'eta_tilde'"):
@@ -371,7 +371,7 @@ class TestExperimentDriver:
         restored, _ = experiment.restore_state(tmp_path / "out" / "checkpoint.bin")
         for state in (built, restored):
             encoders = state.encoders
-            assert encoders.shared and encoders.n_encoders == 1
+            assert encoders.shared and encoders.n_slices == 1
             for i in range(state.config.n_train):
                 for name, p in encoders.node_encoder(i).params.items():
                     assert np.shares_memory(p, encoders.params[name])
@@ -495,23 +495,18 @@ class TestExperimentDriver:
 
 
 def parameter_sets(state):
-    """Every parameter set a state steps or holds: the encoder set, the
-    cloud model, and a baseline's layer stacks."""
-    model = state.cloud_model
-    return [state.encoders, model, *getattr(model, "stacks", [])]
+    """Every parameter set a state steps: the encoder set and the cloud model."""
+    return [state.encoders, state.cloud_model]
 
 
 def assert_views_of_buffer(pset):
-    """``params`` tiles the set's one C-ordered buffer, slice-major, and a
-    baseline's stacks lie in the baseline's buffer."""
+    """``params`` tiles the set's one C-ordered buffer, slice-major."""
     buffer = pset.buffer
     assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
     assert buffer.base is None or isinstance(buffer.base, np.ndarray)
     assert all(np.shares_memory(p, buffer) for p in pset.params.values())
     assert sum(p.nbytes for p in pset.params.values()) == buffer.nbytes
     assert pset.gather(pset.params).tobytes() == buffer.tobytes()
-    for stack in getattr(pset, "stacks", []):
-        assert np.shares_memory(stack.buffer, buffer)
 
 
 BUFFER_CONFIGS = {
@@ -570,6 +565,24 @@ class TestNumericSuites:
         report = experiment.run_gradcheck(seed=1, stack_instances=12, cloud_repeats=2)
         assert report["ok"], report
         assert report["instances"] == 12 + 4 * 2
+
+    def test_central_differences_move_strided_parameters(self):
+        """Entries of a strided view are moved in place, so the differences
+        see them: a linear value's gradient comes back, a wrong gradient is
+        reported, and every entry is restored."""
+        rng = np.random.default_rng(3)
+        buffer = rng.normal(size=(3, 10))
+        p = buffer[:, 2:8].reshape(3, 2, 3)  # a strided view, as a stack set's slices
+        weights = rng.normal(size=p.shape)
+
+        def value():
+            return float(np.sum(weights * buffer[:, 2:8].reshape(3, 2, 3)))
+
+        assert not p.flags.c_contiguous and np.shares_memory(p, buffer)
+        before = buffer.copy()
+        assert experiment._central_differences(value, [(p, weights)], 1e-5) < 1e-8
+        assert experiment._central_differences(value, [(p, weights + 1.0)], 1e-5) > 0.1
+        assert buffer.tobytes() == before.tobytes()
 
     def test_equivalence_passes_quickly(self):
         report = experiment.run_equivalence(seed=1, rounds=6, fedavg_rounds=4)

@@ -217,11 +217,31 @@ class TestTrainingRound:
         calls = []
         for name in ("forward", "backward"):
             def counted(stack, *args, _fn=getattr(nn, name), _name=name, **kwargs):
-                calls.append((_name, isinstance(stack, edge.NodeEncoder)))
+                calls.append((_name, isinstance(stack, nn.StackView)))
                 return _fn(stack, *args, **kwargs)
             monkeypatch.setattr(nn, name, counted)
         protocol.run_training_round(state, 1)
         assert calls == [("forward", True), ("backward", True)]
+
+    @pytest.mark.parametrize("async_coordination", [False, True])
+    def test_mhnet_heads_run_in_one_forward_and_backward(self, async_coordination,
+                                                        monkeypatch):
+        """mhnet runs all its heads in one node-first nn.forward and one
+        nn.backward a round, between the encoders' two calls."""
+        state = protocol.init_state(toy_config(architecture="mhnet", baseline_hidden=5,
+                                               async_coordination=async_coordination),
+                                    toy_dataset())
+        heads = state.cloud_model.layers
+        calls = []
+        for name in ("forward", "backward"):
+            def counted(stack, *args, _fn=getattr(nn, name), _name=name, **kwargs):
+                calls.append((_name, stack.layers == heads,
+                              stack.params["dense0.w"].shape[0]))
+                return _fn(stack, *args, **kwargs)
+            monkeypatch.setattr(nn, name, counted)
+        protocol.run_training_round(state, 1)
+        assert calls == [("forward", False, 3), ("forward", True, 3),
+                         ("backward", True, 3), ("backward", False, 3)]
 
     def test_links_faded_to_zero_keep_training_finite(self):
         """Pathloss at distances of 1e200 underflows the fading to exactly
@@ -288,7 +308,7 @@ class TestTrainingRound:
         cfg = toy_config(encoder_sharing=True, rounds=2)
         state = protocol.init_state(cfg, toy_dataset())
         protocol.run_training_round(state, 1)
-        assert state.encoders.n_encoders == 1
+        assert state.encoders.n_slices == 1
         reference = state.encoders.node_encoder(0).params
         for i in range(1, cfg.n_train):
             for name in reference:
@@ -316,7 +336,7 @@ def node_stacks(encoders, n_nodes):
     """One ``nn.LayerStack`` per node holding a copy of its encoder; under
     encoder sharing every node holds the same stack."""
     stacks = []
-    for i in range(encoders.n_encoders):
+    for i in range(encoders.n_slices):
         stack = nn.LayerStack(encoders.layers, seed=0)
         stack.set_params({k: v.copy() for k, v in encoders.node_encoder(i).params.items()})
         stacks.append(stack)
