@@ -84,7 +84,7 @@ class ParamSet:
         self._shapes = {name: a.shape for name, a in arrays.items()}
         self._slices = slices
         self.buffer = self.gather(arrays)
-        self._link()
+        self.params = self.views(self.buffer)
         self.version = 0
 
     def views(self, flat: Array) -> dict[str, Array]:
@@ -101,7 +101,7 @@ class ParamSet:
         laid out like ``buffer``, in one concatenate."""
         if {name: a.shape for name, a in named.items()} != self._shapes:
             raise ValueError("parameter names or shapes do not match this set")
-        # a set with no parameters (sum aggregation) has an empty row
+        # a set with no parameters (sum aggregation) has no columns
         return np.concatenate([named[name].reshape(self._slices, -1) for name in self._shapes]
                               or [np.empty((self._slices, 0))], axis=1)
 
@@ -115,17 +115,13 @@ class ParamSet:
         """Mark the parameters changed; every in-place write calls this."""
         self.version += 1
 
-    def _link(self) -> None:
-        """Derive ``params`` from the buffer."""
-        self.params = self.views(self.buffer)
-
     def __deepcopy__(self, memo):
         # a deep copy of a view is an array of its own, so the copy's views
         # are derived again from the copy's buffer
         clone = copy.copy(self)
         memo[id(self)] = clone
         clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
-        clone._link()
+        clone.params = clone.views(clone.buffer)
         return clone
 
 
