@@ -575,7 +575,7 @@ class TestBaselines:
         assert list(named) == [f"stack{i}.dense{j}.{wb}" for i in range(3)
                                for j in (0, 2, 4) for wb in "wb"]
         assert all(np.shares_memory(p, model.buffer) for p in named.values())
-        moved = {k: p + 1.0 + int(k[5]) for k, p in named.items()}
+        moved = {k: p + 1.0 + int(k[5]) for k, p in named.items()}  # shift by head
         model.set_named_params(moved)
         assert model.version == 1
         for i in range(3):
@@ -600,15 +600,16 @@ class TestBaselines:
             model.backward(cache, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("kind", [cloud.MHNET, cloud.SUM_AGG])
-    @pytest.mark.parametrize("n_nodes", [1, 3, 4])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 12])
     def test_masked_passes_match_a_loop_over_nodes(self, kind, n_nodes):
         """The node-first passes give, bit for bit, the logits, gradients and
         messages of a loop over the nodes, with inactive pairs (a sample
-        no node delivered among them, and signed zeros), and for mhnet on
+        no node delivered among them, and signed zeros), over enough nodes
+        that a pairwise sum would add in another order, and for mhnet on
         fewer nodes than heads."""
         rng = np.random.default_rng(20 + n_nodes)
         dim = 3 if kind == cloud.SUM_AGG else 4
-        model = cloud.build_baseline(kind, dim, 3, 4, seed=7, hidden=5)
+        model = cloud.build_baseline(kind, dim, 3, 12, seed=7, hidden=5)
         model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
                                 for name, p in model.named_params().items()})
         for batch in (1, 7, 64):
