@@ -4,10 +4,10 @@ Edge nodes encode local observations into power-constrained messages,
 transmit them over simulated fading uplinks to a node-count-agnostic
 multi-branch cloud model, and receive their gradients back over the
 reciprocal downlink. Training runs as five-phase communication rounds;
-a centralized reference path exists purely to cross-check the protocol.
+the reference implementations that cross-check them live in ``oracles``.
 """
 
-from . import channel, checkpoint, cloud, config, data, edge, experiment, nn, protocol
+from . import channel, checkpoint, cloud, config, data, edge, experiment, nn, oracles, protocol
 
 __all__ = [
     "channel",
@@ -18,6 +18,7 @@ __all__ = [
     "edge",
     "experiment",
     "nn",
+    "oracles",
     "protocol",
 ]
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import config as config_mod
-from . import experiment
+from . import experiment, oracles
 from .checkpoint import CheckpointError
 
 EXIT_OK = 0
@@ -85,8 +85,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "gradcheck":
             try:
-                report = experiment.run_gradcheck(seed=args.seed or 0)
-            except experiment.NoSmoothInstanceError as exc:
+                report = oracles.run_gradcheck(seed=args.seed or 0)
+            except oracles.NoSmoothInstanceError as exc:
                 print(f"gradcheck: {exc}", file=sys.stderr)
                 return EXIT_CHECK_FAILED
             print(f"gradcheck: {report['instances']} instances, "
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
                   f"(tolerance {report['tolerance']:.0e}), {report['elapsed_s']:.1f}s")
             return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
         if args.command == "equivalence":
-            report = experiment.run_equivalence(seed=args.seed or 0)
+            report = oracles.run_equivalence(seed=args.seed or 0)
             print(f"equivalence: dedicated max deviation {report['dedicated_max_dev']:.3e}, "
                   f"shared-encoder max deviation {report['fedavg_max_dev']:.3e} "
                   f"(tolerance {report['tolerance']:.0e}), {report['elapsed_s']:.1f}s")

@@ -46,6 +46,14 @@ class EncoderSet(nn.StackSet):
         """The encoder node ``node`` encodes with."""
         return self.slice_view(0 if self.shared else node)
 
+    def check_nodes(self, n_nodes: int) -> None:
+        """Raise ValueError unless the set can encode for ``n_nodes`` nodes:
+        dedicated encoders serve at most one node each, a shared one any
+        number."""
+        if not self.shared and n_nodes > self.n_slices:
+            raise ValueError(f"{n_nodes} nodes requested but only {self.n_slices} trained "
+                             "encoders exist (enable encoder sharing to scale up)")
+
     def step_gradients(self, grads: Mapping[str, Array], counts: Array
                        ) -> tuple[Mapping[str, Array], Array | int]:
         """The optimizer's (gradients, divisor) from node-first gradient sums
@@ -118,9 +126,7 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     if encoders.cqie:
         values = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
     n = len(values)
-    if not encoders.shared and n > encoders.n_slices:
-        raise ValueError(f"{n} nodes requested but only {encoders.n_slices} trained "
-                         "encoders exist (enable encoder sharing to scale up)")
+    encoders.check_nodes(n)
     messages, cache = nn.forward(encoders.first_slices(n), values, keep_cache=keep_cache)
     return messages, EncoderCache(encoders, cache) if keep_cache else None
 

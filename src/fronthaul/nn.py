@@ -412,24 +412,6 @@ def softmax_cross_entropy(logits: Array, labels) -> tuple[Array, Array]:
     return loss, grad
 
 
-def sgd_step(params: Mapping[str, Array], grads: Mapping[str, Array], eta) -> dict[str, Array]:
-    """Plain gradient step p <- p - eta * g, returning a fresh dict.
-
-    ``eta`` is a number, or one rate per slice along every parameter's
-    leading axis.
-    """
-    if set(params) != set(grads):
-        raise ValueError("gradient names do not match parameters")
-    rate = np.asarray(eta, dtype=float)
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if np.shape(g) != np.shape(p):
-            raise ValueError(f"shape mismatch for {name}")
-        out[name] = p - rate.reshape(rate.shape + (1,) * (np.ndim(p) - rate.ndim)) * g
-    return out
-
-
 # The optimizers step a ``ParamSet`` in place, in one pass over its
 # (slices, P) buffer. ``divisor`` is the sample count the summed gradients
 # are averaged over: a number, or one count per slice; a slice whose count

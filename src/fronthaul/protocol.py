@@ -1,4 +1,4 @@
-"""Five-phase communication rounds and the centralized reference path.
+"""Five-phase communication rounds, evaluation and decentralized inference.
 
 One training round runs edge forward-pass, uplink coordination, cloud
 backpropagation, downlink coordination, and edge backpropagation, in
@@ -10,9 +10,10 @@ side ever reads the other's post-round parameters.
 All randomness is drawn from streams keyed by (domain, round), never
 from a shared cursor, so results are independent of evaluation order
 and identical however the per-node work is scheduled. The centralized
-reference round consumes the same streams and must track the protocol
-parameter-for-parameter when the downlink is noiseless; that agreement
-is the main correctness check on the whole protocol.
+reference round in ``fronthaul.oracles`` consumes the same streams and
+must track the protocol parameter-for-parameter when the downlink is
+noiseless; that agreement is the main correctness check on the whole
+protocol.
 """
 from __future__ import annotations
 
@@ -496,8 +497,10 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     (N, B, A); node i encodes with encoder i, or with the shared encoder.
     The uplink noise of variance ``sigma_c2`` (a scalar, or one value per
     sample as (B, 1)) is drawn from ``rng`` node by node. A population the
-    cloud cannot pool fails before any draw or encoding.
+    encoders cannot serve or the cloud cannot pool fails before any draw
+    or encoding.
     """
+    encoders.check_nodes(len(h))
     model.check_nodes(len(h))
     noise = np.stack([channel.noise(rng, h_node.shape, sigma_c2) for h_node in h])
     received, _ = _encode_and_uplink(encoders, observations, h, noise, pathloss)
@@ -573,9 +576,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     n_test = state.config.n_train if n_test is None else n_test
     if isinstance(n_test, bool) or not isinstance(n_test, numbers.Integral) or n_test < 1:
         raise ValueError(f"n_test must be an integer of at least 1, got {n_test!r}")
-    if not state.encoders.shared and n_test > state.encoders.n_slices:
-        raise ValueError(f"n_test = {n_test}, but only {state.encoders.n_slices} trained "
-                         "encoders exist (enable encoder sharing to scale up)")
+    state.encoders.check_nodes(int(n_test))
     state.cloud_model.check_nodes(int(n_test))
     if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
         raise ValueError(f"snr_db must be None or a finite number, got {snr_db!r}")
@@ -610,88 +611,6 @@ def train(config: TrainingConfig, dataset: data.SyntheticDataset,
         if round_callback is not None:
             round_callback(record)
     return state, records
-
-
-# --- centralized reference path ----------------------------------------------
-
-
-@dataclass
-class OracleState:
-    """Mirror of TrainingState updated by end-to-end joint steps."""
-
-    config: TrainingConfig
-    dataset: data.SyntheticDataset
-    encoders: edge.EncoderSet
-    cloud_model: cloud.CloudModel | cloud.BaselineModel
-    schedule: list[Array]
-    round_index: int = 0
-
-
-def init_oracle_state(config: TrainingConfig,
-                      dataset: data.SyntheticDataset) -> OracleState:
-    config.validate()
-    if config.optimizer != "sgd":
-        raise ValueError("the centralized reference is defined for plain SGD")
-    return OracleState(config=config, dataset=dataset, encoders=build_encoders(config),
-                       cloud_model=build_cloud(config),
-                       schedule=schedule_minibatches(config.master_seed,
-                                                     len(dataset.train_labels),
-                                                     config.batch_size, config.rounds))
-
-
-def centralized_oracle_round(state: OracleState, round_index: int) -> None:
-    """One joint SGD step through the full composite graph.
-
-    The fading and noise draws are embedded as fixed affine maps, the
-    loss is backpropagated end to end, and every parameter set is
-    updated in a single commit. Consumes the identical random streams
-    as the protocol round for the same config and round index.
-    """
-    cfg = state.config
-    if round_index != state.round_index + 1:
-        raise ValueError(f"round {round_index} does not follow round {state.round_index}")
-    batch = state.schedule[round_index - 1]
-    env = draw_round_env(cfg, state.dataset, batch, round_index)
-    b = len(batch)
-
-    encoders = state.encoders
-    caches, gains, received = [], [], []
-    for i in range(cfg.n_train):
-        mag = np.abs(env.h[i])
-        x = env.observations[i]
-        if cfg.cqie:
-            x = np.concatenate([x, edge.cqi_side_input(mag, cfg.pathloss)], axis=-1)
-        s, cache = nn.forward(encoders.node_encoder(i), x)
-        caches.append(cache)
-        # the fixed uplink map y = H s + n, H = diag([|h|; |h|])
-        gains.append(np.concatenate([mag, mag], axis=-1))
-        received.append(gains[i] * s + env.up_noise[i])
-
-    logits, cloud_cache = state.cloud_model.infer(received, env.active)
-    _, grad_logits = nn.softmax_cross_entropy(logits, env.labels)
-    cloud_grads, messages = state.cloud_model.backward(cloud_cache, grad_logits)
-
-    # per-node encoder gradients through the fixed channel map: d = H m
-    encoder_grads = [nn.backward(caches[i].stack, caches[i], gains[i] * messages[i]).param_grads
-                     for i in range(cfg.n_train)]
-
-    # single joint commit; without async coordination every node is active
-    # on all b samples
-    state.cloud_model.set_params(nn.sgd_step(state.cloud_model.params, cloud_grads,
-                                             cfg.eta / b))
-    counts = env.active.sum(axis=0)
-    stepped = {name: p.copy() for name, p in encoders.params.items()}
-    for name, p in stepped.items():
-        if cfg.encoder_sharing:
-            total = np.zeros_like(p[0])
-            for i in np.flatnonzero(counts):
-                total = total + encoder_grads[i][name] * (b / counts[i])
-            p[0] = p[0] - cfg.eta / cfg.n_train / b * total
-        else:
-            for i in np.flatnonzero(counts):
-                p[i] = p[i] - cfg.eta / counts[i] * encoder_grads[i][name]
-    encoders.set_params(stepped)
-    state.round_index = round_index
 
 
 # --- named parameter views (checkpointing) ------------------------------------

@@ -11,7 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fronthaul import channel, checkpoint, cloud, data, edge, experiment, nn, protocol
+from fronthaul import (channel, checkpoint, cloud, config as config_mod, data, edge, experiment,
+                       nn, oracles, protocol)
 
 SEEDS = (11, 12, 13, 14, 15)
 
@@ -60,7 +61,7 @@ def trend_models(trend_dataset):
 
 @pytest.fixture(scope="module")
 def equivalence_report():
-    return experiment.run_equivalence(seed=0, rounds=50, fedavg_rounds=20)
+    return oracles.run_equivalence(seed=0, rounds=50, fedavg_rounds=20)
 
 
 class SideInputSpy:
@@ -126,8 +127,8 @@ class TestCriterion1GradientOracle:
         (1 and 3 branches, 1 and 3 nodes, on masked batches with inactive
         pairs) and the per-node downlink messages agree with central finite
         differences to 1e-5 relative."""
-        result = experiment.run_gradcheck(seed=0, stack_instances=140,
-                                          cloud_repeats=16)
+        result = oracles.run_gradcheck(seed=0, stack_instances=140,
+                                       cloud_repeats=16)
         ok = (result["ok"] and result["instances"] >= 200
               and result["elapsed_s"] < 60.0)
         report("1 gradient-oracle", ok,
@@ -455,8 +456,9 @@ class TestCriterion9Determinism:
             "eta = 0.05\nval_cadence = 4\nasync = true\nmaster_seed = 4242\n")
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(cfg_text)
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "first")
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "second")
+        cfg = config_mod.load_config(cfg_path)
+        experiment.run_training(cfg, tmp_path / "first")
+        experiment.run_training(cfg, tmp_path / "second")
         first = (tmp_path / "first" / "metrics.csv").read_bytes()
         second = (tmp_path / "second" / "metrics.csv").read_bytes()
         json_same = (tmp_path / "first" / "result.json").read_bytes() == \

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fronthaul import edge, nn, protocol
+from fronthaul import edge, nn, oracles, protocol
 
 
 def make_set(obs_dim=6, message_dim=4, hidden=(8,), mode=nn.PER_RB, p_e=1.0,
@@ -190,7 +190,7 @@ class TestLocalUpdateExact:
         [new] = stepped(enc, [a[None, :]], [d[None, :]], eta=0.1)
         _, cache2 = nn.forward(stack, a[None, :])
         grads = nn.backward(stack, cache2, d[None, :])
-        want = nn.sgd_step(stack.params, grads.param_grads, 0.1)
+        want = oracles.sgd_step(stack.params, grads.param_grads, 0.1)
         for k in want:
             assert np.allclose(new[k], want[k], atol=1e-15)
 
@@ -279,7 +279,7 @@ class TestLocalUpdateAsync:
         y = rng.normal(size=(4, 4))
         [full] = stepped(enc, [a], [y], active=np.ones((4, 1)), eta=0.1)
         _, cache = edge.encode(enc, a[None])
-        want = nn.sgd_step(enc.params, edge.batch_gradient(enc, cache, y[None]), 0.1 / 4)
+        want = oracles.sgd_step(enc.params, edge.batch_gradient(enc, cache, y[None]), 0.1 / 4)
         for k in full:
             assert np.array_equal(full[k], want[k][0])
 
@@ -304,7 +304,7 @@ class TestLocalUpdateAsync:
         [got] = stepped(enc, [a], [y], active=mask[:, None], eta=0.2)
         _, c1 = nn.forward(stack, a[1:2])
         g1 = nn.backward(stack, c1, y[1:2]).param_grads
-        want = nn.sgd_step(stack.params, g1, 0.2)  # divisor 1, not 3
+        want = oracles.sgd_step(stack.params, g1, 0.2)  # divisor 1, not 3
         for k in want:
             assert np.allclose(got[k], want[k], atol=1e-14)
 

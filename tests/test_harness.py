@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fronthaul import checkpoint, config as config_mod, data, experiment, protocol
+from fronthaul import checkpoint, config as config_mod, data, experiment, oracles, protocol
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.txt"))
@@ -310,11 +310,18 @@ def small_config_text(**overrides):
     return "".join(f"{k} = {v}\n" for k, v in base.items())
 
 
+def train_or_sweep(cfg_path, out_dir):
+    """Load a config file and run it as the train or sweep command would."""
+    cfg = config_mod.load_config(cfg_path)
+    run = experiment.run_training if cfg["sweep"] == "none" else experiment.run_sweep
+    return run(cfg, out_dir)
+
+
 class TestExperimentDriver:
     def test_training_run_writes_all_artifacts(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text())
-        result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        result = experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "out")
         out = tmp_path / "out"
         assert (out / "metrics.csv").exists()
         assert (out / "checkpoint.bin").exists()
@@ -328,15 +335,15 @@ class TestExperimentDriver:
     def test_metrics_row_count_follows_cadence(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(rounds=12, val_cadence=3))
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "out")
         lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + 12 // 3
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text())
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "a")
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "b")
+        experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "a")
+        experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "b")
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
             (tmp_path / "b" / "metrics.csv").read_bytes()
         assert (tmp_path / "a" / "result.json").read_bytes() == \
@@ -345,8 +352,11 @@ class TestExperimentDriver:
     def test_seed_override_changes_results(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text())
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "a")
-        experiment.run_experiment(cfg_path, seed=123, out_dir=tmp_path / "b")
+        from fronthaul import cli
+        for args in ((), ("--seed", "123")):
+            out = tmp_path / ("b" if args else "a")
+            assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out),
+                             *args]) == 0
         assert (tmp_path / "a" / "metrics.csv").read_bytes() != \
             (tmp_path / "b" / "metrics.csv").read_bytes()
 
@@ -354,7 +364,7 @@ class TestExperimentDriver:
         """A four-node shared-encoder checkpoint evaluates at eight nodes."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(encoder_sharing="true", n_train=4))
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "out")
         state, cfg = experiment.restore_state(tmp_path / "out" / "checkpoint.bin")
         assert cfg["n_train"] == 4
         acc, loss = protocol.evaluate(state, "test", n_test=8, snr_db=10.0)
@@ -379,7 +389,7 @@ class TestExperimentDriver:
     def test_eval_command_uses_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text())
-        experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "out")
         eval_cfg = tmp_path / "eval.txt"
         eval_cfg.write_text(small_config_text(
             checkpoint=str(tmp_path / "out" / "checkpoint.bin"),
@@ -392,7 +402,7 @@ class TestExperimentDriver:
     def test_snr_sweep_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(sweep="snr", sweep_values="0,10,20"))
-        result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        result = experiment.run_sweep(config_mod.load_config(cfg_path), tmp_path / "out")
         assert [r["value"] for r in result.rows] == [0.0, 10.0, 20.0]
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[0] == "sweep,value,accuracy,loss,rounds_to_target"
@@ -402,14 +412,14 @@ class TestExperimentDriver:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(sweep="ntest", sweep_values="1,2,3,6",
                                               encoder_sharing="true"))
-        result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        result = experiment.run_sweep(config_mod.load_config(cfg_path), tmp_path / "out")
         assert [r["value"] for r in result.rows] == [1, 2, 3, 6]
 
     def test_batch_sweep_trains_per_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(sweep="batch", sweep_values="4,8",
                                               target_accuracy="0.0"))
-        result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        result = experiment.run_sweep(config_mod.load_config(cfg_path), tmp_path / "out")
         assert len(result.rows) == 2
         assert all(r["rounds_to_target"] is not None for r in result.rows)
 
@@ -425,7 +435,7 @@ class TestExperimentDriver:
             external_val=str(tmp_path / "val.bin"),
             external_test=str(tmp_path / "test.bin"),
             rounds=2, batch_size=4))
-        result = experiment.run_experiment(cfg_path, out_dir=tmp_path / "out")
+        result = experiment.run_training(config_mod.load_config(cfg_path), tmp_path / "out")
         assert result.final_round == 2
 
     @pytest.mark.parametrize("overrides, match", [
@@ -450,7 +460,7 @@ class TestExperimentDriver:
         cfg_path.write_text(small_config_text(**overrides))
         out = tmp_path / "out"
         with pytest.raises(config_mod.ConfigError, match=match):
-            experiment.run_experiment(cfg_path, out_dir=out)
+            train_or_sweep(cfg_path, out)
         assert not out.exists()
 
     def test_eval_takes_the_model_from_the_checkpoint(self, tmp_path):
@@ -488,7 +498,7 @@ class TestExperimentDriver:
         cfg_path.write_text(small_config_text(**overrides))
         out = tmp_path / "out"
         with pytest.raises(config_mod.ConfigError, match=match):
-            experiment.run_experiment(cfg_path, out_dir=out)
+            train_or_sweep(cfg_path, out)
         assert not list(out.rglob("checkpoint.bin"))
         assert not list(out.rglob("metrics.csv"))
         assert not out.exists()
@@ -562,7 +572,7 @@ class TestParameterBuffers:
 
 class TestNumericSuites:
     def test_gradcheck_passes_quickly(self):
-        report = experiment.run_gradcheck(seed=1, stack_instances=12, cloud_repeats=2)
+        report = oracles.run_gradcheck(seed=1, stack_instances=12, cloud_repeats=2)
         assert report["ok"], report
         assert report["instances"] == 12 + 4 * 2
 
@@ -580,12 +590,12 @@ class TestNumericSuites:
 
         assert not p.flags.c_contiguous and np.shares_memory(p, buffer)
         before = buffer.copy()
-        assert experiment._central_differences(value, [(p, weights)], 1e-5) < 1e-8
-        assert experiment._central_differences(value, [(p, weights + 1.0)], 1e-5) > 0.1
+        assert oracles._central_differences(value, [(p, weights)], 1e-5) < 1e-8
+        assert oracles._central_differences(value, [(p, weights + 1.0)], 1e-5) > 0.1
         assert buffer.tobytes() == before.tobytes()
 
     def test_equivalence_passes_quickly(self):
-        report = experiment.run_equivalence(seed=1, rounds=6, fedavg_rounds=4)
+        report = oracles.run_equivalence(seed=1, rounds=6, fedavg_rounds=4)
         assert report["ok"], report
         assert report["dedicated_max_dev"] < 1e-10
         assert report["fedavg_max_dev"] < 1e-10
@@ -594,21 +604,21 @@ class TestNumericSuites:
         """When no draw clears the kink margin the oracle raises after its
         hundred draws and compares no derivative of a kinked instance."""
         from fronthaul import cli
-        monkeypatch.setattr(experiment, "_SMOOTH_MARGIN", np.inf)
+        monkeypatch.setattr(oracles, "_SMOOTH_MARGIN", np.inf)
         compared = []
-        monkeypatch.setattr(experiment, "_rel_err", lambda a, b: compared.append(1) or 0.0)
+        monkeypatch.setattr(oracles, "_rel_err", lambda a, b: compared.append(1) or 0.0)
         forwards = []
-        real_forward = experiment.nn.forward
-        monkeypatch.setattr(experiment.nn, "forward",
+        real_forward = oracles.nn.forward
+        monkeypatch.setattr(oracles.nn, "forward",
                             lambda *args: forwards.append(1) or real_forward(*args))
         rng = np.random.default_rng(0)
-        with pytest.raises(experiment.NoSmoothInstanceError, match="100 draws"):
-            experiment._fd_stack_instance(rng, 1e-5)
+        with pytest.raises(oracles.NoSmoothInstanceError, match="100 draws"):
+            oracles._fd_stack_instance(rng, 1e-5)
         assert len(forwards) == 100
-        with pytest.raises(experiment.NoSmoothInstanceError):
-            experiment._fd_cloud_instance(rng, 3, 1, 1e-5)
-        with pytest.raises(experiment.NoSmoothInstanceError):
-            experiment.run_gradcheck(seed=0, stack_instances=0, cloud_repeats=1)
+        with pytest.raises(oracles.NoSmoothInstanceError):
+            oracles._fd_cloud_instance(rng, 3, 1, 1e-5)
+        with pytest.raises(oracles.NoSmoothInstanceError):
+            oracles.run_gradcheck(seed=0, stack_instances=0, cloud_repeats=1)
         assert compared == []
         assert cli.main(["gradcheck"]) == 2
         assert "100 draws" in capsys.readouterr().err
@@ -732,7 +742,7 @@ class TestCli:
 
     def test_failed_numeric_check_exits_two(self, monkeypatch, capsys):
         from fronthaul import cli
-        monkeypatch.setattr(cli.experiment, "run_gradcheck",
+        monkeypatch.setattr(cli.oracles, "run_gradcheck",
                             lambda seed: {"ok": False, "instances": 1,
                                           "max_rel_err": 1.0, "tolerance": 1e-5,
                                           "elapsed_s": 0.0})

