@@ -10,7 +10,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fronthaul import channel, checkpoint, cloud, data, edge, experiment, nn, oracles, protocol
 
@@ -472,32 +472,45 @@ def oracle_modes(draw):
     return modes
 
 
+def assert_tracks_reference(modes, rounds=8):
+    """``rounds`` protocol rounds stay within 1e-10 of the centralized
+    reference; with channel quality input the encoders' side-input columns
+    train as in the joint step."""
+    cfg = toy_config(rounds=rounds, **modes)
+    ds = toy_dataset(classes=cfg.n_classes)
+    state = protocol.init_state(cfg, ds)
+    oracle = protocol.init_state(cfg, ds)
+    side_columns = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:].copy()
+    worst = 0.0
+    for k in range(1, rounds + 1):
+        protocol.run_training_round(state, k)
+        oracles.centralized_oracle_round(oracle, k)
+        worst = max(worst, oracles._max_param_deviation(state, oracle))
+    assert worst < 1e-10
+    if cfg.cqie:
+        moved = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:]
+        assert side_columns.shape[1:] == (12, cfg.n_blocks)
+        assert not np.array_equal(side_columns, moved)
+
+
 class TestCentralizedAgreement:
     @given(modes=oracle_modes())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @example(modes={})
-    @example(modes=dict(async_coordination=True))
-    @example(modes=dict(encoder_sharing=True))
-    @example(modes=dict(cqie=True, pathloss=True))
     def test_protocol_tracks_reference(self, modes):
-        """Eight protocol rounds stay within 1e-10 of the centralized
-        reference in every drawn mode; with channel quality input the
-        encoders' side-input columns train as in the joint step."""
-        cfg = toy_config(rounds=8, **modes)
-        ds = toy_dataset(classes=cfg.n_classes)
-        state = protocol.init_state(cfg, ds)
-        oracle = protocol.init_state(cfg, ds)
-        side_columns = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:].copy()
-        worst = 0.0
-        for k in range(1, 9):
-            protocol.run_training_round(state, k)
-            oracles.centralized_oracle_round(oracle, k)
-            worst = max(worst, oracles._max_param_deviation(state, oracle))
-        assert worst < 1e-10
-        if cfg.cqie:
-            moved = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:]
-            assert side_columns.shape[1:] == (12, cfg.n_blocks)
-            assert not np.array_equal(side_columns, moved)
+        """Eight protocol rounds track the reference in every drawn mode."""
+        assert_tracks_reference(modes)
+
+    def test_dedicated_encoders_track_reference(self):
+        assert_tracks_reference({}, rounds=10)
+
+    def test_agreement_survives_async_masks(self):
+        assert_tracks_reference(dict(async_coordination=True))
+
+    def test_shared_encoder_scaled_rate_equivalence(self):
+        assert_tracks_reference(dict(encoder_sharing=True))
+
+    def test_channel_quality_input_tracks_reference(self):
+        assert_tracks_reference(dict(cqie=True, pathloss=True))
 
     def test_zero_learning_rate_freezes_reference(self):
         ds = toy_dataset()
