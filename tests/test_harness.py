@@ -310,13 +310,6 @@ def small_config_text(**overrides):
     return "".join(f"{k} = {v}\n" for k, v in base.items())
 
 
-def train_or_sweep(cfg_path, out_dir):
-    """Load a config file and run it as the train or sweep command would."""
-    cfg = config_mod.load_config(cfg_path)
-    run = experiment.run_training if cfg["sweep"] == "none" else experiment.run_sweep
-    return run(cfg, out_dir)
-
-
 class TestExperimentDriver:
     def test_training_run_writes_all_artifacts(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -459,8 +452,9 @@ class TestExperimentDriver:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(**overrides))
         out = tmp_path / "out"
+        run = experiment.run_sweep if "sweep" in overrides else experiment.run_training
         with pytest.raises(config_mod.ConfigError, match=match):
-            train_or_sweep(cfg_path, out)
+            run(config_mod.load_config(cfg_path), out)
         assert not out.exists()
 
     def test_eval_takes_the_model_from_the_checkpoint(self, tmp_path):
@@ -497,8 +491,9 @@ class TestExperimentDriver:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(**overrides))
         out = tmp_path / "out"
+        run = experiment.run_sweep if "sweep" in overrides else experiment.run_training
         with pytest.raises(config_mod.ConfigError, match=match):
-            train_or_sweep(cfg_path, out)
+            run(config_mod.load_config(cfg_path), out)
         assert not list(out.rglob("checkpoint.bin"))
         assert not list(out.rglob("metrics.csv"))
         assert not out.exists()
