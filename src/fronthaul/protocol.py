@@ -175,20 +175,24 @@ class RoundRecord:
 
 @dataclass
 class EvalPopulation:
-    """One evaluation population, drawn and encoded once for every SNR.
+    """One evaluation population at two levels, each rebuilt only on its own key.
 
-    Per chunk of at most ``_EVAL_CHUNK`` samples, ``chunks`` holds the
-    noiseless received rows H s and the unit noise rows, both node-first
-    (n_test, nb, S), and the labels. It is valid for the encoder set and
-    dataset objects it names while ``key`` still matches (see
-    ``_eval_population``).
+    ``draws`` holds what no parameter touches, per chunk of at most
+    ``_EVAL_CHUNK`` samples: the fading magnitudes |h| (n_test, nb, blocks)
+    and the unit noise rows (n_test, nb, S), both node-first, the crop
+    offsets (nb, n_test, 2) and the labels. They are valid for the dataset
+    object named while ``key`` still matches. ``rows`` holds each chunk's
+    noiseless received rows H s (n_test, nb, S), encoded by ``encoders`` at
+    ``version``. See ``_eval_population``.
     """
 
-    encoders: edge.EncoderSet
     dataset: data.SyntheticDataset
     key: tuple
-    chunks: list[tuple[Array, Array, Array]]
+    draws: list[tuple[Array, Array, Array, Array]]
     n_samples: int
+    encoders: edge.EncoderSet | None = None
+    version: int | None = None
+    rows: list[Array] = field(default_factory=list)
 
 
 @dataclass
@@ -396,9 +400,10 @@ def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
                        before_uplink=None) -> tuple[Array, edge.EncoderCache | None]:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
-    ``observations`` (N, B, A), ``h`` (N, B, blocks) and the scaled
-    ``noise`` rows (N, B, S), or None for noiseless rows, are node-first; a
-    channel-aware node reads its own |h| as side input. ``before_uplink`` runs between the two steps.
+    ``observations`` (N, B, A), the fading ``h`` (N, B, blocks), complex or
+    its magnitudes |h|, and the scaled ``noise`` rows (N, B, S), or None for
+    noiseless rows, are node-first; only |h| is read, and a channel-aware
+    node reads its own as side input. ``before_uplink`` runs between the two steps.
     Returns the received rows (N, B, S) and the encoders' forward cache.
     """
     cqi = edge.cqi_side_input(np.abs(h), pathloss) if encoders.cqie else None
@@ -509,26 +514,49 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
 
 
 def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopulation:
-    """The state's population for (split, n_test), drawn and encoded on a miss.
+    """The state's population for (split, n_test), drawn and encoded as needed.
 
-    Per chunk the stream gives the pathloss distances, the fading, the
-    unit noise and the crop offsets, in that order. The old population is
-    dropped before the new one is built, so at most one is ever held.
+    The draws are keyed without the encoders' version: a change of split,
+    n_test, dataset object, ``master_seed``, ``message_dim`` or the pathloss
+    fields drops the old population and draws a new one. Per chunk the
+    stream gives the pathloss distances, the fading, the unit noise and the
+    crop offsets, in that order. The rows H s are keyed on the encoder set
+    object and its ``version``, which every parameter change (a step,
+    ``set_params``, a load) bumps: on a miss the chunks are cropped again
+    from the stored offsets and encoded over the stored |h|, which is all
+    the uplink gain and the channel-quality input read. At most one
+    population is ever held.
     """
     cfg = state.config
-    # what the draws and the encoding read besides the set and dataset
-    # objects; every parameter change (set_params or a step) bumps the set's version
-    key = (split, n_test, state.encoders.version, cfg.master_seed, cfg.n_blocks,
-           cfg.pathloss, tuple(cfg.pathloss_d), cfg.pathloss_alpha)
+    key = (split, n_test, cfg.master_seed, cfg.n_blocks, cfg.pathloss,
+           tuple(cfg.pathloss_d), cfg.pathloss_alpha)
     population = state.eval_population
-    if (population is not None and population.encoders is state.encoders
-            and population.dataset is state.dataset and population.key == key):
-        return population
-    state.eval_population = None
-    states, labels = state.dataset.split(split)
+    if population is None or population.dataset is not state.dataset or population.key != key:
+        state.eval_population = None
+        population = state.eval_population = _draw_population(state, split, n_test, key)
+    encoders = state.encoders
+    if population.encoders is not encoders or population.version != encoders.version:
+        population.rows = []
+        states = state.dataset.split(split)[0]
+        start = 0
+        for magnitude, _, offsets, labels in population.draws:
+            observations = data.crop_batch(states[start:start + len(labels)], offsets,
+                                           state.dataset.window)
+            hs, _ = _encode_and_uplink(encoders, observations, magnitude, None, cfg.pathloss)
+            population.rows.append(hs)
+            start += len(labels)
+        population.encoders, population.version = encoders, encoders.version
+    return population
+
+
+def _draw_population(state: TrainingState, split: str, n_test: int,
+                     key: tuple) -> EvalPopulation:
+    """Draw every chunk's |h|, unit noise and crop offsets; encode nothing."""
+    cfg = state.config
+    labels = state.dataset.split(split)[1]
     blocks = cfg.n_blocks
     rng = stream(cfg.master_seed, _DOM_EVAL, _SPLIT_IDS[split], n_test)
-    chunks = []
+    draws = []
     for start in range(0, len(labels), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(labels))
         nb = stop - start
@@ -541,13 +569,10 @@ def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopul
         unit = channel.noise(rng, (nb, n_test, blocks), 2.0)
         offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
                                size=(nb, n_test, 2))
-        observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        hs, _ = _encode_and_uplink(state.encoders, observations, h.transpose(1, 0, 2),
-                                   None, cfg.pathloss)
-        chunks.append((hs, np.ascontiguousarray(unit.transpose(1, 0, 2)), labels[start:stop]))
-    state.eval_population = EvalPopulation(state.encoders, state.dataset, key, chunks,
-                                           len(labels))
-    return state.eval_population
+        draws.append((np.ascontiguousarray(np.abs(h).transpose(1, 0, 2)),
+                      np.ascontiguousarray(unit.transpose(1, 0, 2)), offsets,
+                      labels[start:stop]))
+    return EvalPopulation(state.dataset, key, draws, len(labels))
 
 
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
@@ -563,13 +588,16 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     only and keeps no cache.
 
     The state keeps the last population in ``state.eval_population``: the
-    received rows H s, the unit noise and the labels. Each SNR scales the
-    unit noise by sqrt(sigma^2 / 2) and adds H s, which gives the bits a
-    fresh draw at that SNR would. A different split or n_test, a parameter
-    change of the encoder set (its ``version``), another encoder set or
-    dataset object, or a change of ``master_seed``, ``message_dim`` or the
-    pathloss fields draws the population again and replaces the old one.
-    The cloud model is not cached and is read on every call.
+    draws (|h|, the unit noise, the crop offsets and the labels) and the
+    received rows H s. Each SNR scales the unit noise by sqrt(sigma^2 / 2)
+    and adds H s, which gives the bits a fresh draw at that SNR would. A
+    parameter change of the encoder set (its ``version``) or another
+    encoder set object re-crops and re-encodes the held draws but does not
+    draw again, so validation between training steps reuses one draw. A
+    different split or n_test, another dataset object, or a change of
+    ``master_seed``, ``message_dim`` or the pathloss fields draws the
+    population again and replaces the old one. The cloud model is not
+    cached and is read on every call.
     """
     if split not in _SPLIT_IDS:
         raise ValueError(f"split must be one of {sorted(_SPLIT_IDS)}, got {split!r}")
@@ -585,7 +613,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
 
     correct = 0
     loss_total = 0.0
-    for hs, unit, labels in population.chunks:
+    for hs, (_, unit, _, labels) in zip(population.rows, population.draws):
         received = unit * std
         received += hs
         logits, _ = state.cloud_model.infer(received, keep_cache=False)

@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import math
 import textwrap
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1023,6 +1024,25 @@ def restored(state):
     return fresh
 
 
+def count_eval_work(monkeypatch):
+    """Patch the population's draw and encode steps to count their calls:
+    ``eval_stream`` counts ``protocol.stream`` calls in the evaluation domain
+    only. Returns the live Counter."""
+    calls = Counter()
+
+    def counted_stream(seed, domain, *key, _fn=protocol.stream):
+        calls["eval_stream"] += domain == protocol._DOM_EVAL
+        return _fn(seed, domain, *key)
+
+    monkeypatch.setattr(protocol, "stream", counted_stream)
+    for module, name in ((channel, "sample_channel"), (data, "crop_batch"), (edge, "encode")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestEvaluatePopulation:
     @pytest.fixture(scope="class")
     def eval_states(self):
@@ -1107,20 +1127,31 @@ class TestEvaluatePopulation:
     @pytest.mark.parametrize("change", ["round", "load", "set_params", "deepcopy",
                                         "deepcopy_set_params", "master_seed", "pathloss",
                                         "pathloss_alpha", "encoder_set", "dataset"])
-    def test_parameter_change_draws_again(self, change):
+    def test_parameter_change_draws_again(self, change, monkeypatch):
         """After each change, every cell equals a freshly restored state's
-        result bit for bit, and the state holds one population only."""
+        result bit for bit, and the state holds one population only. A
+        parameter or encoder set change re-encodes the held draws; a change
+        the draws read draws again; a deep copy keeps its copied population."""
         ds = toy_dataset()
         state = protocol.init_state(toy_config(rounds=3, encoder_sharing=True), ds)
         before = [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
                   for snr in EVAL_SNR]
         changed = self._changes(ds)[change](state)
+        calls = count_eval_work(monkeypatch)
         for snr in EVAL_SNR:
             got = protocol.evaluate(changed, "val", n_test=4, snr_db=snr)
             assert bits(got) == bits(protocol.evaluate(restored(changed), "val",
                                                        n_test=4, snr_db=snr))
         held = [v for v in vars(changed).values() if isinstance(v, protocol.EvalPopulation)]
         assert held == [changed.eval_population]
+        # each restored(...) state is fresh and draws and encodes its one chunk
+        # once; what is left is the changed state's own work
+        rebuilt = {"round": "encode", "load": "encode", "set_params": "encode",
+                   "deepcopy": "nothing", "deepcopy_set_params": "encode",
+                   "master_seed": "draw", "pathloss": "draw", "pathloss_alpha": "draw",
+                   "encoder_set": "encode", "dataset": "draw"}[change]
+        own = (calls["eval_stream"] - len(EVAL_SNR), calls["encode"] - len(EVAL_SNR))
+        assert own == {"draw": (1, 1), "encode": (0, 1), "nothing": (0, 0)}[rebuilt]
         if changed is not state:  # the original keeps its own, still valid population
             assert [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
                     for snr in EVAL_SNR] == before
@@ -1139,6 +1170,42 @@ class TestEvaluatePopulation:
         for snr in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
             protocol.evaluate(state, "val", n_test=6, snr_db=snr)
         assert calls == {"encode": 1, "crop_batch": 1, "sample_channel": 1, "cloud_infer": 9}
+
+    def test_one_draw_across_training_steps(self, monkeypatch):
+        """Validation between training rounds draws the population once and
+        crops and encodes it again after each step."""
+        k = 5
+        state = protocol.init_state(toy_config(rounds=k, encoder_sharing=True), toy_dataset())
+        calls = count_eval_work(monkeypatch)
+        from_evaluate = Counter()
+        for r in range(1, k + 1):
+            protocol.run_training_round(state, r)
+            before = calls.copy()
+            protocol.evaluate(state, "val", n_test=4)
+            from_evaluate += calls - before
+        assert from_evaluate == {"eval_stream": 1, "sample_channel": 1,
+                                 "crop_batch": k, "encode": k}
+
+    def test_train_draws_one_validation_population(self, monkeypatch):
+        calls = count_eval_work(monkeypatch)
+        _, records = protocol.train(toy_config(rounds=30, val_cadence=10,
+                                               encoder_sharing=True), toy_dataset())
+        assert sum(r.val_accuracy is not None for r in records) == 3
+        assert calls["eval_stream"] == 1
+
+    def test_held_population_size(self):
+        """A population of 12 nodes on 768 test samples holds no complex
+        array and no crops, and its arrays total at most the 3.11 MB README
+        states: H s and the unit noise 1.18 MB each, |h| 0.59 MB, the
+        offsets 0.15 MB."""
+        ds = toy_dataset(samples=(64, 24, 768))
+        state = protocol.init_state(toy_config(message_dim=16, encoder_sharing=True), ds)
+        protocol.evaluate(state, "test", n_test=12)
+        population = state.eval_population
+        arrays = [a for chunk in population.draws for a in chunk] + population.rows
+        assert not any(np.iscomplexobj(a) for a in arrays)
+        assert not any(a.shape[-1] == ds.obs_dim for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 3.11e6
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(snr_db=math.nan), "snr_db"),
