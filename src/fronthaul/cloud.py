@@ -135,7 +135,7 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
 
 @dataclass
 class CloudCache:
-    model: CloudModel
+    param_set: CloudModel  # the model the forward pass read
     version: int  # the model's version at the forward pass
     received: Array  # (N, B, S)
     active: Array  # (B, N) float mask
@@ -238,10 +238,7 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     sample, the gradient of that sample's loss with respect to the
     node's received signal; rows for inactive pairs are zero.
     """
-    if cache.model is not model:
-        raise ValueError("cache was produced by a different model")
-    if cache.version != model.version:
-        raise ValueError("stale cache: parameters changed since the forward pass")
+    model.check_cache(cache)
     g = np.asarray(grad_logits, dtype=float)
     batch = cache.active.shape[0]
     if g.shape != (batch, model.output_dim):
@@ -402,7 +399,7 @@ def build_baseline(kind: str, message_dim: int, n_classes: int, n_nodes: int,
 
 @dataclass
 class BaselineCache:
-    model: BaselineModel
+    param_set: BaselineModel  # the model the forward pass read
     version: int  # the model's version at the forward pass
     forward: nn.ForwardCache | None  # catnet's, or every head's node-first; None for sum_agg
     active: Array  # (B, N) float mask
@@ -443,10 +440,7 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
     """Parameter gradients keyed and shaped like ``model.params`` (summed
     over the batch) and the node-first downlink messages (N, B, S). A head
     no node used gets a zero gradient."""
-    if cache.model is not model:
-        raise ValueError("cache was produced by a different model")
-    if cache.version != model.version:
-        raise ValueError("stale cache: parameters changed since the forward pass")
+    model.check_cache(cache)
     g = np.asarray(grad_logits, dtype=float)
     batch, n_nodes = cache.active.shape
     if g.shape != (batch, model.n_classes):

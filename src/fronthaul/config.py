@@ -15,7 +15,7 @@ import math
 import re
 from typing import Any, Callable
 
-from . import cloud, protocol
+from . import cloud, nn, protocol
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,7 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "external_val": (str, ""),
     "external_test": (str, ""),
     # architecture
-    "architecture": (_choice("proposed", "catnet", "mhnet", "sum_agg"), _TC.architecture),
+    "architecture": (_choice(*protocol.ARCHITECTURES), _TC.architecture),
     "message_dim": (_int, _TC.message_dim),
     "branches": (_int, _TC.n_branches),
     "latent_dim": (_int, _TC.latent_dim),
@@ -124,13 +124,13 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "rounds": (_int, _TC.rounds),
     "batch_size": (_int, _TC.batch_size),
     "eta": (_float, _TC.eta),
-    "optimizer": (_choice("sgd", "adam"), _TC.optimizer),
+    "optimizer": (_choice(*nn.OPTIMIZERS), _TC.optimizer),
     # fronthaul
     "snr_up_db": (_float_pair, _TC.snr_up_db),
     "snr_dn_db": (_float_pair, _TC.snr_dn_db),
     "noiseless_downlink": (_bool, _TC.noiseless_downlink),
-    "downlink": (_choice("wireless", "exact"), _TC.downlink),
-    "power_mode": (_choice("per-rb", "sum"), _TC.power_mode),
+    "downlink": (_choice(*protocol.DOWNLINKS), _TC.downlink),
+    "power_mode": (_choice(*nn.POWER_MODES), _TC.power_mode),
     "p_e": (_float, _TC.p_e),
     "p_c": (_float, _TC.p_c),
     "freeze_snr_per_round": (_bool, _TC.freeze_snr_per_round),

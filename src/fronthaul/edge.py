@@ -8,7 +8,6 @@ rows. The round protocol turns the gradients into the encoders' step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -98,16 +97,8 @@ def cqi_side_input(magnitude: Array, pathloss: bool) -> Array:
     return mag
 
 
-@dataclass
-class EncoderCache:
-    """What ``batch_gradient`` reads from one ``encode`` call."""
-
-    encoders: EncoderSet
-    forward: nn.ForwardCache  # every node's, node-first
-
-
 def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
-           keep_cache: bool = True) -> tuple[Array, EncoderCache | None]:
+           keep_cache: bool = True) -> tuple[Array, nn.ForwardCache | None]:
     """Every node's messages s_i = projection(encoder_i(a_i [, cqi_i])), (n, B, S).
 
     ``observations`` is (n, B, A); ``cqi`` (n, B, blocks) is present
@@ -127,19 +118,14 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
         values = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
     n = len(values)
     encoders.check_nodes(n)
-    messages, cache = nn.forward(encoders.first_slices(n), values, keep_cache=keep_cache)
-    return messages, EncoderCache(encoders, cache) if keep_cache else None
+    return nn.forward(encoders.first_slices(n), values, keep_cache=keep_cache)
 
 
-def batch_gradient(encoders: EncoderSet, cache: EncoderCache, upstream: Array
+def batch_gradient(encoders: EncoderSet, cache: nn.ForwardCache, upstream: Array
                    ) -> dict[str, Array]:
     """Per node, the sum over its batch of (ds_i/dpsi_i) u_ib for upstream
     rows u_ib, node-first (n, ...): slice i reads only node i's cache and
     rows. No node reads the gradient with respect to its observations, so
     the backward pass does not form it."""
-    if cache.encoders is not encoders:
-        raise ValueError("cache was produced by a different encoder set")
-    if cache.forward.version != encoders.version:
-        raise ValueError("stale cache: parameters changed since the forward pass")
-    return nn.backward(cache.forward.stack, cache.forward, upstream,
-                       input_grad=False).param_grads
+    encoders.check_cache(cache)
+    return nn.backward(cache.stack, cache, upstream, input_grad=False).param_grads

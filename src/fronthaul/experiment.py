@@ -194,18 +194,15 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
         state, _ = restore_state(os.path.join(out_dir, "checkpoint.bin"))
         if axis == "snr":
             values = cfg["sweep_values"] or (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-            for snr in values:
-                acc, loss = protocol.evaluate(state, "test", n_test=cfg["n_train"],
-                                              snr_db=float(snr))
-                rows.append({"sweep": "snr", "value": float(snr),
-                             "accuracy": acc, "loss": loss, "rounds_to_target": None})
+            grids = {"eval_ntest_grid": (cfg["n_train"],),
+                     "eval_snr_grid": tuple(float(v) for v in values)}
         else:
             values = cfg["sweep_values"] or config_mod.NTEST_SWEEP
-            for n_test in values:
-                acc, loss = protocol.evaluate(state, "test", n_test=int(n_test),
-                                              snr_db=cfg["eval_snr_db"])
-                rows.append({"sweep": "ntest", "value": int(n_test),
-                             "accuracy": acc, "loss": loss, "rounds_to_target": None})
+            grids = {"eval_ntest_grid": tuple(int(v) for v in values),
+                     "eval_snr_grid": (cfg["eval_snr_db"],)}
+        rows = [{"sweep": axis, "value": cell["snr_db" if axis == "snr" else "n_test"],
+                 "accuracy": cell["accuracy"], "loss": cell["loss"], "rounds_to_target": None}
+                for cell in _eval_grid(state, dict(cfg, **grids))]
         final_round = base.final_round
     else:
         key = "batch_size" if axis == "batch" else "branches"

@@ -33,6 +33,7 @@ Array = np.ndarray
 
 PER_RB = "per-rb"
 SUM = "sum"
+POWER_MODES = (PER_RB, SUM)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class ParamSet:
     buffer, so the optimizers step every array in one pass, in place.
     The views are live: after a step or ``set_params`` they hold the new
     values, and a caller that needs the old ones copies them first.
-    ``version`` increments on every change so stale caches are rejected.
+    ``version`` increments on every change, so ``check_cache`` rejects stale caches.
     """
 
     def _hold(self, arrays: Mapping[str, Array], slices: int) -> None:
@@ -115,6 +116,19 @@ class ParamSet:
         """Mark the parameters changed; every in-place write calls this."""
         self.version += 1
 
+    @property
+    def param_set(self) -> ParamSet:
+        """The set a forward pass over this stack reads: itself."""
+        return self
+
+    def check_cache(self, cache) -> None:
+        """Raise ValueError unless ``cache`` (with ``param_set`` and ``version``)
+        comes from a forward pass over this set at its current version."""
+        if cache.param_set is not self:
+            raise ValueError("cache was produced by a different parameter set")
+        if cache.version != self.version:
+            raise ValueError("stale cache: parameters changed since the forward pass")
+
     def __deepcopy__(self, memo):
         # a deep copy of a view is an array of its own, so the copy's views
         # are derived again from the copy's buffer
@@ -129,8 +143,7 @@ class LayerStack(ParamSet):
     """An ordered stack of layers with named float64 parameters, one slice.
 
     Two stacks built from the same descriptors and seed hold bit-identical
-    parameters. ``version`` increments on every parameter change so stale
-    forward caches can be rejected.
+    parameters.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], seed: int):
@@ -152,7 +165,7 @@ class LayerStack(ParamSet):
                     raise ValueError(f"layer {idx}: projection needs an even dim, got {dim}")
                 if layer.power < 0:
                     raise ValueError(f"layer {idx}: negative power budget")
-                if layer.mode not in (PER_RB, SUM):
+                if layer.mode not in POWER_MODES:
                     raise ValueError(f"layer {idx}: unknown projection mode {layer.mode!r}")
         self.layers = layers
         self.seed = int(seed)
@@ -173,9 +186,9 @@ class LayerStack(ParamSet):
         return params
 
 
-# a stack as ``forward`` and ``backward`` read it, with views of a
-# ``StackSet``'s arrays as ``params``: one slice, or node-first slices
-StackView = namedtuple("StackView", "layers params in_dim version")
+# a stack as ``forward`` and ``backward`` read it, with views of its
+# ``StackSet`` ``param_set``'s arrays as ``params``: one slice, or node-first slices
+StackView = namedtuple("StackView", "layers params in_dim param_set")
 
 
 class StackSet(ParamSet):
@@ -213,7 +226,7 @@ class StackSet(ParamSet):
 
     def _view(self, pick) -> StackView:
         return StackView(self.layers, {name: pick(p) for name, p in self.params.items()},
-                         self.layers[0].in_dim, self.version)
+                         self.layers[0].in_dim, self)
 
     def named_params(self) -> dict[str, Array]:
         """Checkpoint names (``{prefix}.dense0.w`` and so on) over views of
@@ -233,8 +246,9 @@ class ForwardCache:
     input of a Dense or Projection layer, and a ReLU's slope, its input
     > 0, as a bool array."""
 
-    stack: LayerStack
-    version: int
+    stack: LayerStack | StackView
+    param_set: ParamSet  # the set the forward pass read
+    version: int  # that set's version then
     saved: list[Array]
     output: Array
 
@@ -248,7 +262,7 @@ class GradientSet:
     input_grad: Array | None
 
 
-def forward(stack: LayerStack, x: Array, keep_cache: bool = True
+def forward(stack: LayerStack | StackView, x: Array, keep_cache: bool = True
             ) -> tuple[Array, ForwardCache | None]:
     """Run the stack on a batch of rows ``x`` and keep what backward needs.
 
@@ -282,10 +296,12 @@ def forward(stack: LayerStack, x: Array, keep_cache: bool = True
             h = np.maximum(h, 0.0, out=h)
         else:
             h = projection_forward(h, layer.power, layer.mode)
-    return h, ForwardCache(stack, stack.version, saved, h) if keep_cache else None
+    if not keep_cache:
+        return h, None
+    return h, ForwardCache(stack, stack.param_set, stack.param_set.version, saved, h)
 
 
-def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,
+def backward(stack: LayerStack | StackView, cache: ForwardCache, upstream: Array,
              input_grad: bool = True) -> GradientSet:
     """Exact vector-Jacobian product through the stack.
 
@@ -294,12 +310,9 @@ def backward(stack: LayerStack, cache: ForwardCache, upstream: Array,
     batch-size divisor. For node-first rows they are node-first, one
     slice per node, even over a shared slice. With ``input_grad`` false
     the pass ends at layer 0's parameter gradients and returns no input
-    gradient.
+    gradient. A cache of another set or of an older version is rejected.
     """
-    if cache.stack is not stack:
-        raise ValueError("cache was produced by a different stack")
-    if cache.version != stack.version:
-        raise ValueError("stale cache: parameters changed since the forward pass")
+    stack.param_set.check_cache(cache)
     g = np.asarray(upstream, dtype=float)
     if g.shape != cache.output.shape:
         raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape}")
@@ -504,9 +517,10 @@ class AdamOptimizer:
         stack.bump_version()
 
 
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
+
+
 def make_optimizer(kind: str, eta: float):
-    if kind == "sgd":
-        return SgdOptimizer(eta)
-    if kind == "adam":
-        return AdamOptimizer(eta)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](eta)

@@ -42,6 +42,9 @@ _DOM_EVAL = 10
 
 PHASES = ("edge-forward", "uplink", "cloud-backprop", "downlink", "edge-backprop")
 
+ARCHITECTURES = ("proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG)
+DOWNLINKS = ("wireless", "exact")
+
 _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
 _EVAL_CHUNK = 512  # evaluation samples per encode-and-uplink pass
 
@@ -62,19 +65,19 @@ class TrainingConfig:
     encoder_hidden: tuple = (48,)
     n_classes: int = 4
     obs_dim: int = 144
-    architecture: str = "proposed"  # proposed | catnet | mhnet | sum_agg
+    architecture: str = "proposed"  # one of ARCHITECTURES
     baseline_hidden: int | None = None  # None means match the proposed budget
     # optimization
     rounds: int = 400
     batch_size: int = 64
     eta: float = 0.05
-    optimizer: str = "sgd"
+    optimizer: str = "sgd"  # one of nn.OPTIMIZERS
     # fronthaul
     snr_up_db: tuple = (0.0, 30.0)
     snr_dn_db: tuple = (0.0, 30.0)
     noiseless_downlink: bool = False
-    downlink: str = "wireless"  # wireless | exact
-    power_mode: str = nn.PER_RB
+    downlink: str = "wireless"  # one of DOWNLINKS
+    power_mode: str = nn.PER_RB  # one of nn.POWER_MODES
     p_e: float = 1.0
     p_c: float = 1.0
     freeze_snr_per_round: bool = False
@@ -116,12 +119,14 @@ class TrainingConfig:
             lo, hi = pair
             if hi < lo:
                 raise ValueError(f"{name} range is reversed")
-        if self.power_mode not in (nn.PER_RB, nn.SUM):
+        if self.power_mode not in nn.POWER_MODES:
             raise ValueError(f"unknown power mode {self.power_mode!r}")
-        if self.downlink not in ("wireless", "exact"):
+        if self.downlink not in DOWNLINKS:
             raise ValueError(f"unknown downlink mode {self.downlink!r}")
-        if self.architecture not in ("proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        if self.optimizer not in nn.OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.architecture == cloud.CATNET and self.async_coordination:
             raise ValueError("architecture = catnet needs async_coordination = false: the "
                              "concatenation baseline needs every node on every sample")
@@ -397,7 +402,7 @@ def _norm(model) -> float:
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
                        noise: Array | None, pathloss: bool, keep_cache: bool = False,
-                       before_uplink=None) -> tuple[Array, edge.EncoderCache | None]:
+                       before_uplink=None) -> tuple[Array, nn.ForwardCache | None]:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
     ``observations`` (N, B, A), the fading ``h`` (N, B, blocks), complex or
@@ -476,7 +481,7 @@ def _downlink_phase(config: TrainingConfig, env: RoundEnv, dn_messages: Array) -
     return channel.downlink_decode(received, env.h, alpha)
 
 
-def _edge_backprop_phase(state: TrainingState, env: RoundEnv, cache: edge.EncoderCache,
+def _edge_backprop_phase(state: TrainingState, env: RoundEnv, cache: nn.ForwardCache,
                          gradient_rows: Array) -> None:
     """One local step per node on its delivered gradient rows.
 

@@ -599,6 +599,16 @@ class TestBaselines:
         with pytest.raises(ValueError, match="stale"):
             model.backward(cache, np.zeros((3, 3)))
 
+    def test_backward_rejects_a_stale_head_view_cache(self):
+        """``nn.backward`` on mhnet's node-first head view checks the model's
+        current version: the view names the model, not a frozen version."""
+        model = cloud.build_baseline(cloud.MHNET, 4, 3, 2, seed=6, hidden=5)
+        received = np.random.default_rng(22).normal(size=(2, 3, 4))
+        _, fc = nn.forward(model.first_slices(2), received)
+        model.set_params({k: p + 1.0 for k, p in model.params.items()})
+        with pytest.raises(ValueError, match="stale"):
+            nn.backward(fc.stack, fc, np.zeros((2, 3, 3)))
+
     @pytest.mark.parametrize("kind", [cloud.MHNET, cloud.SUM_AGG])
     @pytest.mark.parametrize("n_nodes", [1, 3, 12])
     def test_masked_passes_match_a_loop_over_nodes(self, kind, n_nodes):

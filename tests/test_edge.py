@@ -166,11 +166,21 @@ class TestStackedEncode:
         _, cache = edge.encode(enc, np.zeros((2, 3, 6)))
         with pytest.raises(ValueError, match=r"upstream shape \(1, 3, 4\) != output shape \(2, 3, 4\)"):
             edge.batch_gradient(enc, cache, np.zeros((1, 3, 4)))
-        with pytest.raises(ValueError, match="different encoder set"):
+        with pytest.raises(ValueError, match="different parameter set"):
             edge.batch_gradient(make_set(seeds=(3, 4)), cache, np.zeros((2, 3, 4)))
         enc.set_params(enc.params)
         with pytest.raises(ValueError, match="stale"):
             edge.batch_gradient(enc, cache, np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_backward_rejects_a_stale_view_cache(self, shared):
+        """The cache's own view names the encoder set, so ``nn.backward``
+        on it checks the set's current version, not one frozen with the view."""
+        enc = make_set(seeds=(3,) if shared else (3, 4), shared=shared)
+        _, cache = edge.encode(enc, np.zeros((2, 3, 6)))
+        enc.set_params(enc.params)
+        with pytest.raises(ValueError, match="stale"):
+            nn.backward(cache.stack, cache, np.zeros((2, 3, 4)), input_grad=False)
 
 
 class TestLocalUpdateExact:

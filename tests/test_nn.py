@@ -165,7 +165,7 @@ class TestBackward:
         a = nn.LayerStack([nn.Dense(3, 4)], seed=1)
         b = nn.LayerStack([nn.Dense(3, 4)], seed=1)
         _, cache = nn.forward(a, np.zeros((1, 3)))
-        with pytest.raises(ValueError, match="different stack"):
+        with pytest.raises(ValueError, match="different parameter set"):
             nn.backward(b, cache, np.zeros((1, 4)))
 
     def test_batched_param_grads_sum_over_rows(self):
@@ -706,6 +706,28 @@ class TestStackSet:
                         ["a", "b"])
         with pytest.raises(ValueError, match="one checkpoint prefix per stack"):
             nn.StackSet([kernel_stack("relu-inside", 1)], ["a", "b"])
+
+    def test_backward_checks_the_set_a_view_names(self):
+        """A view cache answers to the set its forward pass read: any view of
+        that set at the same version serves, with the same bits; a view of
+        another set, or a lone stack, is a different set; a change of the
+        set makes the cache stale."""
+        stack_set = nn.StackSet([kernel_stack("relu-inside", s) for s in (1, 2)], ["a", "b"])
+        other = copy.deepcopy(stack_set)
+        rng = np.random.default_rng(7)
+        x, upstream = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 5, 4))
+        _, cache = nn.forward(stack_set.first_slices(2), x)
+        want = nn.backward(cache.stack, cache, upstream)
+        got = nn.backward(stack_set.first_slices(2), cache, upstream)
+        assert got.input_grad.tobytes() == want.input_grad.tobytes()
+        for k, g in want.param_grads.items():
+            assert got.param_grads[k].tobytes() == g.tobytes(), k
+        for foreign in (other.first_slices(2), kernel_stack("relu-inside", 1)):
+            with pytest.raises(ValueError, match="different parameter set"):
+                nn.backward(foreign, cache, upstream)
+        stack_set.set_params(stack_set.params)
+        with pytest.raises(ValueError, match="stale"):
+            nn.backward(cache.stack, cache, upstream)
 
     def test_a_set_of_no_stacks_has_no_parameters(self):
         empty = nn.StackSet([], [])

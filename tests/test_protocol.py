@@ -305,6 +305,26 @@ class TestTrainingRound:
             assert 0 < active < 3 * 8
             assert record.downlink_values == active * 8
 
+    def test_frozen_snr_takes_one_draw_per_link(self):
+        """With ``freeze_snr_per_round`` every sample of round k gets the first
+        uplink draw and the second downlink draw of the round's SNR stream;
+        the fading comes from its own stream and keeps its bits."""
+        cfg = toy_config(snr_up_db=(0.0, 30.0), snr_dn_db=(5.0, 25.0),
+                         freeze_snr_per_round=True)
+        ds = toy_dataset()
+        k = 3
+        batch = protocol.schedule_minibatches(cfg.master_seed, len(ds.train_labels),
+                                              cfg.batch_size, cfg.rounds)[k - 1]
+        frozen = protocol.draw_round_env(cfg, ds, batch, k)
+        snr = protocol.stream(cfg.master_seed, protocol._DOM_SNR, k)
+        up, dn = snr.uniform(*cfg.snr_up_db), snr.uniform(*cfg.snr_dn_db)
+        assert frozen.snr_up_db.tolist() == [up] * cfg.batch_size
+        assert frozen.snr_dn_db.tolist() == [dn] * cfg.batch_size
+        free = protocol.draw_round_env(dataclasses.replace(cfg, freeze_snr_per_round=False),
+                                       ds, batch, k)
+        assert len(set(free.snr_up_db.tolist())) == cfg.batch_size
+        assert frozen.h.tobytes() == free.h.tobytes()
+
     def test_rounds_must_be_sequential(self):
         cfg = toy_config()
         state = protocol.init_state(cfg, toy_dataset())
@@ -1334,8 +1354,8 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         bad = [dict(message_dim=7), dict(batch_size=0), dict(snr_up_db=(5.0, 1.0)),
                dict(power_mode="peak"), dict(downlink="carrier"),
-               dict(architecture="resnet"), dict(drop_probability=1.5),
-               dict(p_c=0.0)]
+               dict(architecture="resnet"), dict(optimizer="rmsprop"),
+               dict(drop_probability=1.5), dict(p_c=0.0)]
         for overrides in bad:
             with pytest.raises(ValueError):
                 toy_config(**overrides).validate()
