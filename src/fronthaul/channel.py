@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import nn
+
 Array = np.ndarray
 
 ALPHA_FLOOR = 1e-12  # denominator floor for the power scaling factor
@@ -130,10 +132,10 @@ def compute_alpha(m: Array, p_c: float, mode: str) -> Array:
     if p_c <= 0:
         raise ValueError("transmit power budget must be positive")
     power = np.abs(_pack(m)) ** 2
-    if mode == "per-rb":
+    if mode == nn.PER_RB:
         peak = np.max(power, axis=-1)
         return np.sqrt(p_c / np.maximum(peak, ALPHA_FLOOR))
-    if mode == "sum":
+    if mode == nn.SUM:
         total = np.sum(np.sum(power, axis=-1), axis=0)
         return np.sqrt(p_c / np.maximum(total, ALPHA_FLOOR))
     raise ValueError(f"unknown power mode {mode!r}")

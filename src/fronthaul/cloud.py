@@ -127,8 +127,7 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
         for prefix, out_dim, in_dim, stack_seed in (
                 ("z", latent_dim, message_dim, seeds[2 * m]),
                 ("u", n_classes, latent_dim, seeds[2 * m + 1])):
-            stack = nn.LayerStack([nn.Dense(in_dim, hidden), nn.Relu(),
-                                   nn.Dense(hidden, out_dim)], stack_seed)
+            stack = nn.LayerStack(nn.perceptron(in_dim, hidden, out_dim), stack_seed)
             named.update({f"{prefix}{m}.{name}": p for name, p in stack.params.items()})
     return CloudModel(_stacked(named, n_branches))
 
@@ -340,42 +339,34 @@ class BaselineModel(nn.StackSet):
         return baseline_backward(self, cache, grad_logits)
 
 
-def _mlp3(in_dim: int, hidden: int, out_dim: int, seed: int) -> nn.LayerStack:
-    return nn.LayerStack(
-        [nn.Dense(in_dim, hidden), nn.Relu(),
-         nn.Dense(hidden, hidden), nn.Relu(),
-         nn.Dense(hidden, out_dim)], seed)
-
-
-def _mlp3_params(in_dim: int, hidden: int, out_dim: int) -> int:
-    return (in_dim * hidden + hidden) + (hidden * hidden + hidden) + (hidden * out_dim + out_dim)
+def _baseline_layouts(kind: str, message_dim: int, n_classes: int, n_nodes: int,
+                      hidden: int) -> list[list[nn.LayerSpec]]:
+    """The layer list of each stack of a catnet or mhnet, all one head layout:
+    a perceptron with two hidden layers of one width, over the concatenated
+    signals for catnet's one stack and over one signal for each mhnet head."""
+    if kind == CATNET:
+        return [nn.perceptron(n_nodes * message_dim, hidden, hidden, n_classes)]
+    if kind == MHNET:
+        return [nn.perceptron(message_dim, hidden, hidden, n_classes)] * n_nodes
+    raise ValueError(f"only catnet and mhnet have stacks, not {kind!r}")
 
 
 def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: int,
                          target_params: int) -> int:
-    """Hidden width whose three-layer perceptron budget lands nearest the target.
+    """Hidden width whose parameter count lands nearest the target, the
+    narrower of two equally near widths.
 
     Keeps architecture comparisons honest: sweeps never hand a baseline
     more or fewer parameters than the model it is compared against.
     """
-    if kind == CATNET:
-        def count(w):
-            return _mlp3_params(n_nodes * message_dim, w, n_classes)
-    elif kind == MHNET:
-        def count(w):
-            return n_nodes * _mlp3_params(message_dim, w, n_classes)
-    else:
-        raise ValueError("only catnet and mhnet take a width")
-    best, best_gap = 1, abs(count(1) - target_params)
-    w = 2
-    while True:
-        gap = abs(count(w) - target_params)
-        if gap < best_gap:
-            best, best_gap = w, gap
-        if count(w) > target_params and w > best + 2:
-            break
+    def count(w):
+        return sum(map(nn.param_count, _baseline_layouts(kind, message_dim, n_classes,
+                                                          n_nodes, w)))
+    # the count grows with the width: step up to the first width at or past the target
+    w = 1
+    while count(w) < target_params:
         w += 1
-    return best
+    return w - 1 if w > 1 and target_params - count(w - 1) <= count(w) - target_params else w
 
 
 def build_baseline(kind: str, message_dim: int, n_classes: int, n_nodes: int,
@@ -387,14 +378,13 @@ def build_baseline(kind: str, message_dim: int, n_classes: int, n_nodes: int,
         if target_params is None:
             raise ValueError("need a hidden width or a parameter budget")
         hidden = matched_hidden_width(kind, message_dim, n_classes, n_nodes, target_params)
+    layouts = _baseline_layouts(kind, message_dim, n_classes, n_nodes, hidden)
     if kind == CATNET:
-        stack = _mlp3(n_nodes * message_dim, hidden, n_classes, seed)
-        return BaselineModel(CATNET, message_dim, n_classes, [stack], n_fixed=n_nodes)
-    if kind == MHNET:
-        seeds = _child_seeds(seed, n_nodes)
-        heads = [_mlp3(message_dim, hidden, n_classes, s) for s in seeds]
-        return BaselineModel(MHNET, message_dim, n_classes, heads)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+        return BaselineModel(CATNET, message_dim, n_classes,
+                             [nn.LayerStack(layouts[0], seed)], n_fixed=n_nodes)
+    heads = [nn.LayerStack(layers, s)
+             for layers, s in zip(layouts, _child_seeds(seed, n_nodes))]
+    return BaselineModel(MHNET, message_dim, n_classes, heads)
 
 
 @dataclass

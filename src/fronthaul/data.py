@@ -36,7 +36,6 @@ class SyntheticDataset:
     n_classes: int
     grid: int
     window: int
-    seed: int
 
     def split(self, name: str) -> tuple[Array, Array]:
         if name == "train":
@@ -101,7 +100,7 @@ def generate_synthetic(seed: int, n_classes: int = 4, grid: int = 16,
     val = make_split(samples[1])
     test = make_split(samples[2])
     return SyntheticDataset(train[0], train[1], val[0], val[1], test[0], test[1],
-                            n_classes=n_classes, grid=grid, window=window, seed=seed)
+                            n_classes=n_classes, grid=grid, window=window)
 
 
 def crop_batch(states: Array, offsets: Array, window: int) -> Array:
@@ -165,8 +164,7 @@ def load_external(path) -> tuple[Array, Array, int]:
     return states, labels, n_classes
 
 
-def load_external_dataset(train_path, val_path, test_path, window: int,
-                          seed: int = 0) -> SyntheticDataset:
+def load_external_dataset(train_path, val_path, test_path, window: int) -> SyntheticDataset:
     """Assemble a dataset from three flat-binary split files."""
     tr_s, tr_l, k1 = load_external(train_path)
     va_s, va_l, k2 = load_external(val_path)
@@ -180,4 +178,4 @@ def load_external_dataset(train_path, val_path, test_path, window: int,
     if window > tr_s.shape[1]:
         raise DataError("crop window exceeds the grid")
     return SyntheticDataset(tr_s, tr_l, va_s, va_l, te_s, te_l,
-                            n_classes=k1, grid=tr_s.shape[1], window=window, seed=seed)
+                            n_classes=k1, grid=tr_s.shape[1], window=window)

@@ -76,13 +76,8 @@ def build_encoder(obs_dim: int, message_dim: int, hidden: tuple[int, ...],
     if message_dim % 2 != 0:
         raise ValueError("message length must be even")
     in_dim = obs_dim + message_dim // 2 if cqie else obs_dim
-    layers: list[nn.LayerSpec] = []
-    dim = in_dim
-    for width in hidden:
-        layers += [nn.Dense(dim, width), nn.Relu()]
-        dim = width
-    layers += [nn.Dense(dim, message_dim), nn.Projection(p_e, power_mode)]
-    return nn.LayerStack(layers, seed)
+    return nn.LayerStack([*nn.perceptron(in_dim, *hidden, message_dim),
+                          nn.Projection(p_e, power_mode)], seed)
 
 
 def cqi_side_input(magnitude: Array, pathloss: bool) -> Array:

@@ -33,7 +33,6 @@ _EVAL_KEYS = ("checkpoint", "eval_snr_grid", "eval_ntest_grid")  # what eval rea
 class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     grid: list[dict[str, Any]] = field(default_factory=list)
-    out_dir: str = "."
     final_round: int = 0
 
 
@@ -134,7 +133,7 @@ def run_training(cfg: dict[str, Any], out_dir) -> ExperimentResult:
                                protocol.state_parameters(state),
                                config_mod.render_config(cfg), tc.rounds)
     grid = _eval_grid(state, cfg)
-    result = ExperimentResult(grid=grid, out_dir=str(out_dir), final_round=tc.rounds)
+    result = ExperimentResult(grid=grid, final_round=tc.rounds)
     result.rows = [{"round": r.round_index, "train_loss": r.train_loss,
                     "val_accuracy": r.val_accuracy} for r in records
                    if r.val_accuracy is not None]
@@ -170,8 +169,7 @@ def run_eval(cfg: dict[str, Any], out_dir) -> ExperimentResult:
     _write_json(os.path.join(out_dir, "result.json"),
                 {"config": config_mod.render_config(cfg), "grid": grid,
                  "final_round": state.round_index})
-    return ExperimentResult(grid=grid, out_dir=str(out_dir),
-                            final_round=state.round_index)
+    return ExperimentResult(grid=grid, final_round=state.round_index)
 
 
 def _rounds_to_target(records_rows: list[dict[str, Any]], target: float | None):
@@ -226,4 +224,4 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
                               ("sweep", "value", "accuracy", "loss",
                                "rounds_to_target")) + "\n")
     _write_json(os.path.join(out_dir, "sweep.json"), rows)
-    return ExperimentResult(rows=rows, out_dir=str(out_dir), final_round=final_round)
+    return ExperimentResult(rows=rows, final_round=final_round)

@@ -65,6 +65,21 @@ class Projection:
 LayerSpec = Dense | Relu | Projection
 
 
+def perceptron(*widths: int) -> list[LayerSpec]:
+    """Dense layers through ``widths``, a Relu between each two:
+    ``perceptron(6, 8, 4)`` is Dense(6, 8), Relu, Dense(8, 4)."""
+    layers: list[LayerSpec] = []
+    for in_dim, out_dim in zip(widths, widths[1:]):
+        layers += [Dense(in_dim, out_dim), Relu()]
+    return layers[:-1]
+
+
+def param_count(layers: Sequence[LayerSpec]) -> int:
+    """The parameter count of a layer list: out * (in + 1) per Dense layer."""
+    return sum(layer.out_dim * (layer.in_dim + 1) for layer in layers
+               if isinstance(layer, Dense))
+
+
 class ParamSet:
     """Named float64 parameter arrays held in one (slices, P) buffer.
 

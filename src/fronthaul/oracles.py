@@ -182,12 +182,12 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
     mode = nn.PER_RB if rng.random() < 0.5 else nn.SUM
     layout = rng.integers(0, 3)
     if layout == 0:
-        layers = [nn.Dense(in_dim, out_dim)]
+        layers = nn.perceptron(in_dim, out_dim)
     elif layout == 1:
-        layers = [nn.Dense(in_dim, hidden), nn.Relu(), nn.Dense(hidden, out_dim)]
+        layers = nn.perceptron(in_dim, hidden, out_dim)
     else:
         # keep clipped and pass-through entries both present under the budget
-        layers = [nn.Dense(in_dim, hidden), nn.Relu(), nn.Dense(hidden, out_dim),
+        layers = [*nn.perceptron(in_dim, hidden, out_dim),
                   nn.Projection(float(rng.uniform(0.2, 1.5)), mode)]
     stack = nn.LayerStack(layers, seed=int(rng.integers(0, 2 ** 31)))
 

@@ -339,20 +339,21 @@ def _cloud_seed(config: TrainingConfig) -> int:
         config.master_seed, spawn_key=(_DOM_INIT, 0)).generate_state(1)[0])
 
 
+def _proposed_cloud(config: TrainingConfig) -> cloud.CloudModel:
+    return cloud.build_cloud_model(config.n_branches, config.message_dim,
+                                   config.latent_dim, config.n_classes,
+                                   config.cloud_hidden, _cloud_seed(config))
+
+
 def proposed_param_count(config: TrainingConfig) -> int:
-    cfg = config
-    z = (cfg.message_dim * cfg.cloud_hidden + cfg.cloud_hidden
-         + cfg.cloud_hidden * cfg.latent_dim + cfg.latent_dim)
-    u = (cfg.latent_dim * cfg.cloud_hidden + cfg.cloud_hidden
-         + cfg.cloud_hidden * cfg.n_classes + cfg.n_classes)
-    return cfg.n_branches * (z + u)
+    """The parameter budget the baselines are matched to, read from the
+    proposed cloud the config builds."""
+    return _proposed_cloud(config).buffer.size
 
 
 def build_cloud(config: TrainingConfig):
     if config.architecture == "proposed":
-        return cloud.build_cloud_model(config.n_branches, config.message_dim,
-                                       config.latent_dim, config.n_classes,
-                                       config.cloud_hidden, _cloud_seed(config))
+        return _proposed_cloud(config)
     target = None if config.baseline_hidden is not None else proposed_param_count(config)
     return cloud.build_baseline(config.architecture, config.message_dim,
                                 config.n_classes, config.n_train, _cloud_seed(config),

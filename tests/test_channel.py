@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronthaul import channel
+from fronthaul import channel, nn
 
 
 class TestNoiseVariance:
@@ -214,6 +214,10 @@ class TestAlpha:
         with pytest.raises(ValueError):
             channel.compute_alpha([np.ones(4)], 0.0, "per-rb")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown power mode"):
+            channel.compute_alpha([np.ones(4)], 1.0, "peak")
+
     @pytest.mark.parametrize("nodes", [1, 2, 3, 7, 16])
     def test_node_first_equals_per_node_loop(self, nodes):
         """On node-first message rows (N, B, S) per-RB mode gives each node's
@@ -298,19 +302,18 @@ class TestDownlink:
         with pytest.raises(ValueError, match="scaling"):
             channel.downlink_decode(np.zeros(4), np.ones(2, complex), 0.0)
 
-    @pytest.mark.parametrize("mode", ["per-rb", "sum"])
+    @pytest.mark.parametrize("mode", nn.POWER_MODES)
     def test_power_feasibility(self, mode):
         """Scaled transmissions never exceed the budget beyond 1e-12."""
         rng = np.random.default_rng(11)
         for _ in range(100):
             msgs = [rng.normal(size=8) * rng.uniform(0.1, 10) for _ in range(3)]
-            if mode == "per-rb":
-                alpha = channel.compute_alpha(msgs, 1.0, "per-rb")
+            alpha = channel.compute_alpha(msgs, 1.0, mode)
+            if mode == nn.PER_RB:
                 assert alpha.shape == (3,)
                 for i in range(3):
                     assert np.max(np.abs(alpha[i] * complex_view(msgs[i])) ** 2) <= 1.0 + 1e-12
             else:
-                alpha = channel.compute_alpha(msgs, 1.0, "sum")
                 total = sum(np.sum(np.abs(alpha * complex_view(m)) ** 2) for m in msgs)
                 assert total <= 1.0 + 1e-12
 

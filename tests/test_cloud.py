@@ -516,6 +516,22 @@ class TestBaselines:
             model = cloud.build_baseline(kind, 16, 4, n, seed=4, target_params=target)
             assert abs(sum(p.size for p in model.params.values()) - target) / target < 0.05
 
+    @pytest.mark.parametrize("kind", [cloud.CATNET, cloud.MHNET])
+    def test_matched_width_is_nearest_narrower_on_tie(self, kind):
+        """Over every target up to width 12's count, the matched width is the
+        brute-force nearest, the narrower of two equally near; the counts are
+        the built models' buffer sizes."""
+        ties = 0
+        for message_dim, n_classes, n_nodes in ((2, 2, 1), (4, 3, 3), (8, 4, 2)):
+            counts = {w: cloud.build_baseline(kind, message_dim, n_classes, n_nodes, seed=0,
+                                              hidden=w).buffer.size for w in range(1, 13)}
+            for target in range(counts[12]):
+                gaps = sorted((abs(c - target), w) for w, c in counts.items())
+                ties += gaps[0][0] == gaps[1][0]
+                assert cloud.matched_hidden_width(kind, message_dim, n_classes, n_nodes,
+                                                  target) == gaps[0][1]
+        assert ties > 0
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
         for kind in (cloud.CATNET, cloud.MHNET):

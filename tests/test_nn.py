@@ -93,6 +93,12 @@ class TestLayerStack:
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4)]
         params = nn.LayerStack(layers, seed=0).params
         assert sum(p.size for p in params.values()) == 6 * 8 + 8 + 8 * 4 + 4
+        assert nn.perceptron(6, 8, 4) == layers
+        assert nn.param_count(layers) == 6 * 8 + 8 + 8 * 4 + 4
+        # an encoder with its projection, a cloud branch and a baseline head
+        for layout in ([*nn.perceptron(38, 32, 32, 8), nn.Projection(1.0, nn.SUM)],
+                       nn.perceptron(8, 10, 6), nn.perceptron(16, 5, 5, 4)):
+            assert nn.param_count(layout) == nn.LayerStack(layout, seed=3).buffer.size
 
     def test_params_are_views_of_one_buffer(self):
         """The named arrays tile one (1, P) buffer, name after name, through

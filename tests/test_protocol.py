@@ -1335,6 +1335,20 @@ class TestBaselineTraining:
         with pytest.raises(ValueError, match="async"):
             toy_config(architecture="catnet", async_coordination=True).validate()
 
+    @pytest.mark.parametrize("architecture", ["catnet", "mhnet"])
+    def test_width_matched_to_the_proposed_clouds_size(self, architecture):
+        """Without ``baseline_hidden`` a baseline gets the width matched to the
+        buffer size of the proposed cloud the same config builds."""
+        cfg = toy_config(architecture=architecture)
+        size = protocol.build_cloud(dataclasses.replace(cfg, architecture="proposed")).buffer.size
+        assert protocol.proposed_param_count(cfg) == size
+        width = cloud.matched_hidden_width(architecture, cfg.message_dim, cfg.n_classes,
+                                           cfg.n_train, size)
+        model = protocol.build_cloud(cfg)
+        assert model.layers[0].out_dim == width
+        assert np.array_equal(model.buffer, protocol.build_cloud(
+            dataclasses.replace(cfg, baseline_hidden=width)).buffer)
+
     def test_mhnet_trains(self):
         cfg = toy_config(architecture="mhnet", rounds=2)
         state, records = protocol.train(cfg, toy_dataset())
