@@ -183,7 +183,16 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
     their latents are excluded from the pool.
 
     The branches run fused. All inner stacks read the same signal, so
-    one product per node computes every branch's first layer. The inner
+    one product per node computes every branch's first layer, its bias
+    included: the node's rows gain a last column of ones and the stacked
+    weights a last column holding the bias, so no separate pass adds it.
+    That gives the bits of a product followed by a bias add when the
+    BLAS kernel accumulates each dot product in input order with one
+    fused multiply-add per term, as OpenBLAS's SkylakeX double-precision
+    GEMM does: the last term 1.0 * b rounds acc + b once, as the add
+    did. Other kernels, and the matrix-vector product a one-row batch
+    runs as, may split the sum and differ in the last bit;
+    ``tests/digests.json`` names the kernel its bits were made with. The inner
     output layer is affine and commutes with the masked node sum,
     sum_i a_i (W h_i + b) = W (sum_i a_i h_i) + (sum_i a_i) b, so it runs
     once per branch on the pooled rows. The outer stacks run batched
@@ -197,12 +206,16 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
     n_nodes, batch = rows.shape[:2]
     mask = None if active is None and not keep_cache else _active_mask(active, batch, n_nodes)
     w = model.params
-    pooled = np.zeros((batch, w["z_in"].shape[0]))
+    # the first layers with their bias as a last input column, (M*H, S+1),
+    # and one node's rows with a last column of ones
+    w1 = np.concatenate([w["z_in"], w["z_in_b"][:, None]], axis=1)
+    y1 = np.ones((batch, w1.shape[1]))
+    pooled = np.zeros((batch, w1.shape[0]))
     pre = np.empty_like(pooled)
     inner_slope = np.empty((n_nodes, *pooled.shape), dtype=bool) if keep_cache else None
     for i, y in enumerate(rows):
-        np.matmul(y, w["z_in"].T, out=pre)
-        pre += w["z_in_b"]
+        y1[:, :-1] = y
+        np.matmul(y1, w1.T, out=pre)
         if mask is not None:
             # zeroing an inactive pair's pre-activations zeroes its rectified
             # activation and its rectifier slope
@@ -235,7 +248,8 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     inner-stack gradients only accumulate contributions from each
     sample's active nodes. The messages (N, B, S) hold, per node and
     sample, the gradient of that sample's loss with respect to the
-    node's received signal; rows for inactive pairs are zero.
+    node's received signal; rows for inactive pairs are zero. A cache from
+    another model or an older version is rejected before any work.
     """
     model.check_cache(cache)
     g = np.asarray(grad_logits, dtype=float)
@@ -429,7 +443,9 @@ def baseline_backward(model: BaselineModel, cache: BaselineCache, grad_logits: A
                       ) -> tuple[dict[str, Array], Array]:
     """Parameter gradients keyed and shaped like ``model.params`` (summed
     over the batch) and the node-first downlink messages (N, B, S). A head
-    no node used gets a zero gradient."""
+    no node used gets a zero gradient. A cache from another model or an
+    older version is rejected first, for every kind: sum_agg keeps no
+    forward cache of its own to check."""
     model.check_cache(cache)
     g = np.asarray(grad_logits, dtype=float)
     batch, n_nodes = cache.active.shape

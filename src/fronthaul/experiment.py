@@ -31,9 +31,10 @@ _EVAL_KEYS = ("checkpoint", "eval_snr_grid", "eval_ntest_grid")  # what eval rea
 
 @dataclass
 class ExperimentResult:
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    rows: list[dict[str, Any]] = field(default_factory=list)  # a sweep's rows
     grid: list[dict[str, Any]] = field(default_factory=list)
     final_round: int = 0
+    records: list[protocol.RoundRecord] = field(default_factory=list)  # a training run's
 
 
 def build_dataset(cfg: dict[str, Any]) -> data.SyntheticDataset:
@@ -133,10 +134,7 @@ def run_training(cfg: dict[str, Any], out_dir) -> ExperimentResult:
                                protocol.state_parameters(state),
                                config_mod.render_config(cfg), tc.rounds)
     grid = _eval_grid(state, cfg)
-    result = ExperimentResult(grid=grid, final_round=tc.rounds)
-    result.rows = [{"round": r.round_index, "train_loss": r.train_loss,
-                    "val_accuracy": r.val_accuracy} for r in records
-                   if r.val_accuracy is not None]
+    result = ExperimentResult(grid=grid, final_round=tc.rounds, records=records)
     _write_json(os.path.join(out_dir, "result.json"),
                 {"config": config_mod.render_config(cfg), "grid": grid,
                  "final_round": tc.rounds})
@@ -172,15 +170,6 @@ def run_eval(cfg: dict[str, Any], out_dir) -> ExperimentResult:
     return ExperimentResult(grid=grid, final_round=state.round_index)
 
 
-def _rounds_to_target(records_rows: list[dict[str, Any]], target: float | None):
-    if target is None:
-        return None
-    for row in records_rows:
-        if row["val_accuracy"] is not None and row["val_accuracy"] >= target:
-            return row["round"]
-    return None
-
-
 def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
     axis = cfg["sweep"]
     if axis == "none":
@@ -209,13 +198,14 @@ def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
         dataset = build_dataset(cfg)
         for _, sub in subs:  # every sub-run is checked before the first one trains
             _training_config(sub, dataset)
+        target = cfg["target_accuracy"]
         for value, sub in subs:
             res = run_training(sub, os.path.join(out_dir, f"{axis}_{value}"))
             last = res.grid[0] if res.grid else {"accuracy": None, "loss": None}
             rows.append({"sweep": axis, "value": value,
                          "accuracy": last["accuracy"], "loss": last["loss"],
-                         "rounds_to_target": _rounds_to_target(res.rows,
-                                                               cfg["target_accuracy"])})
+                         "rounds_to_target": None if target is None
+                         else protocol.rounds_to_target(res.records, target)})
         final_round = cfg["rounds"]
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("sweep,value,accuracy,loss,rounds_to_target\n")

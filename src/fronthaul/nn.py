@@ -91,6 +91,8 @@ class ParamSet:
     The views are live: after a step or ``set_params`` they hold the new
     values, and a caller that needs the old ones copies them first.
     ``version`` increments on every change, so ``check_cache`` rejects stale caches.
+    Every stepped set is one: ``LayerStack``, ``StackSet`` (``edge.EncoderSet``,
+    ``cloud.BaselineModel``) and ``cloud.CloudModel``.
     """
 
     def _hold(self, arrays: Mapping[str, Array], slices: int) -> None:
@@ -282,7 +284,8 @@ def forward(stack: LayerStack | StackView, x: Array, keep_cache: bool = True
     """Run the stack on a batch of rows ``x`` and keep what backward needs.
 
     ``x`` is (B, in), or node-first (n, B, in) when the parameters are
-    node-stacked with n slices or one shared slice. With ``keep_cache``
+    node-stacked with n slices or one shared slice; any other node count
+    is a ValueError naming both counts. With ``keep_cache``
     false nothing is kept (no layer input, no ReLU slope) and the cache
     returned is None.
     """
@@ -370,10 +373,18 @@ def _budget_scale(sq: Array, power: float) -> tuple[Array, Array]:
     return np.sqrt(power / denom), denom
 
 
+def _halves(v: Array) -> Array:
+    """The last axis as (2, half): ``[..., 0, :]`` the real half and
+    ``[..., 1, :]`` the imaginary half, a view of a contiguous ``v``."""
+    return v.reshape(*v.shape[:-1], 2, v.shape[-1] // 2)
+
+
 def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
     """Cap transmit power, preserving direction of every clipped entry.
 
     Points exactly on the budget boundary take the pass-through branch.
+    In per-RB mode both halves are scaled in one pass over a (..., 2, half)
+    view, into one output array.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] % 2 != 0:
@@ -381,10 +392,14 @@ def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
     if power < 0:
         raise ValueError("power budget must be nonnegative")
     if mode == PER_RB:
-        half = v.shape[-1] // 2
-        vr, vi = v[..., :half], v[..., half:]
-        scale, _ = _budget_scale(vr * vr + vi * vi, power)
-        return np.concatenate([vr * scale, vi * scale], axis=-1)
+        pair = _halves(v)
+        vr, vi = pair[..., 0, :], pair[..., 1, :]
+        sq = vr * vr
+        sq += vi * vi
+        scale, _ = _budget_scale(sq, power)
+        out = np.empty(pair.shape)
+        np.multiply(pair, scale[..., None, :], out=out)
+        return out.reshape(v.shape)
     if mode == SUM:
         scale, _ = _budget_scale(np.sum(v * v, axis=-1, keepdims=True), power)
         return v * scale
@@ -393,7 +408,12 @@ def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
 
 def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> Array:
     """Exact Jacobian of the projection: identity on pass-through entries,
-    the normalization-branch Jacobian sqrt(P)/|w| (I - ww^T/|w|^2) on clipped ones."""
+    the normalization-branch Jacobian sqrt(P)/|w| (I - ww^T/|w|^2) on clipped ones.
+
+    In per-RB mode ``v`` and ``upstream`` are read as (..., 2, half) views,
+    so each step after the per-RB dot product runs once over both halves,
+    in place on one output array.
+    """
     v = np.asarray(v, dtype=float)
     g = np.asarray(upstream, dtype=float)
     if v.shape[-1] % 2 != 0:
@@ -402,22 +422,28 @@ def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> A
         raise ValueError("power budget must be nonnegative")
     if g.shape != v.shape:
         raise ValueError("upstream shape must match the projection input")
+    shape = v.shape
     if mode == PER_RB:
-        half = v.shape[-1] // 2
-        vr, vi = v[..., :half], v[..., half:]
-        gr, gi = g[..., :half], g[..., half:]
-        p = vr * vr + vi * vi
-        coef, denom = _budget_scale(p, power)
-        dot = (gr * vr + gi * vi) / denom * (p > power)
-        out_r = coef * (gr - vr * dot)
-        out_i = coef * (gi - vi * dot)
-        return np.concatenate([out_r, out_i], axis=-1)
-    if mode == SUM:
-        total = np.sum(v * v, axis=-1, keepdims=True)
-        coef, denom = _budget_scale(total, power)
-        dot = np.sum(g * v, axis=-1, keepdims=True) / denom * (total > power)
-        return coef * (g - v * dot)
-    raise ValueError(f"unknown projection mode {mode!r}")
+        v, g = _halves(v), _halves(g)
+        vr, vi = v[..., 0, :], v[..., 1, :]
+        sq = vr * vr
+        sq += vi * vi
+        dot = g[..., 0, :] * vr
+        dot += g[..., 1, :] * vi
+    elif mode == SUM:
+        sq = np.sum(v * v, axis=-1, keepdims=True)
+        dot = np.sum(g * v, axis=-1, keepdims=True)
+    else:
+        raise ValueError(f"unknown projection mode {mode!r}")
+    coef, denom = _budget_scale(sq, power)
+    dot /= denom
+    dot *= sq > power
+    if mode == PER_RB:  # one factor per RB, for both its halves
+        coef, dot = coef[..., None, :], dot[..., None, :]
+    out = v * dot
+    np.subtract(g, out, out=out)
+    out *= coef
+    return out.reshape(shape)
 
 
 def softmax_cross_entropy(logits: Array, labels) -> tuple[Array, Array]:

@@ -631,7 +631,12 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
 
 def train(config: TrainingConfig, dataset: data.SyntheticDataset,
           round_callback=None) -> tuple[TrainingState, list[RoundRecord]]:
-    """Run the configured number of rounds with periodic validation."""
+    """Run the configured number of rounds with periodic validation.
+
+    ``round_callback``, if given, receives each round's record once the
+    round and its validation are done; training ends after the first
+    round for which it returns true.
+    """
     state = init_state(config, dataset)
     records: list[RoundRecord] = []
     for k in range(1, config.rounds + 1):
@@ -642,9 +647,16 @@ def train(config: TrainingConfig, dataset: data.SyntheticDataset,
             record.val_accuracy = acc
             record.val_loss = loss
         records.append(record)
-        if round_callback is not None:
-            round_callback(record)
+        if round_callback is not None and round_callback(record):
+            break
     return state, records
+
+
+def rounds_to_target(records: list[RoundRecord], target: float) -> int | None:
+    """The round of the first validation at or above ``target``, None if
+    no validation in ``records`` reaches it."""
+    return next((r.round_index for r in records
+                 if r.val_accuracy is not None and r.val_accuracy >= target), None)
 
 
 # --- named parameter views (checkpointing) ------------------------------------

@@ -377,6 +377,66 @@ class TestFusedCloud:
             assert not np.shares_memory(other.params[key], p)
 
 
+def unfused_infer(model, received, mask):
+    """``cloud_infer`` with its first layers' bias added after their product,
+    a pass of its own: the logits and cache fields whose bits the fold keeps."""
+    w = model.params
+    n_nodes, batch = received.shape[:2]
+    pooled = np.zeros((batch, w["z_in"].shape[0]))
+    slopes = []
+    for i, y in enumerate(received):
+        pre = y @ w["z_in"].T
+        pre = pre + w["z_in_b"]
+        if mask is not None:
+            pre[mask[:, i] == 0.0] = 0.0
+        slopes.append(pre > 0.0)
+        pooled += np.maximum(pre, 0.0)
+    pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
+    latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
+    latent += (n_nodes if mask is None else mask.sum(axis=1)[:, None]) * w["z_out_b"][:, None, :]
+    outer_act = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
+    outer_act = np.maximum(outer_act + w["u_in_b"][:, None, :], 0.0)
+    out = np.matmul(outer_act, w["u_out"].transpose(0, 2, 1)) + w["u_out_b"][:, None, :]
+    return out.sum(axis=0), {"inner_slope": np.stack(slopes), "pooled": pooled,
+                             "latent": latent, "outer_act": outer_act}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64 if a.dtype == float else np.uint8)
+
+
+# (nodes, batch, branches) with S = 16 and H = 32, the configs/default.txt
+# widths: its training round, train-wide's round (M*H = 384) and the two
+# evaluation chunks of a 12-node population (M*H = 96)
+FOLD_SHAPES = {"default": (4, 32, 3), "train-wide": (16, 256, 12),
+               "eval-chunk-512": (12, 512, 3), "eval-chunk-256": (12, 256, 3)}
+
+
+class TestFirstLayerBiasFold:
+    @pytest.mark.parametrize("keep_cache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all-active", "masked"])
+    @pytest.mark.parametrize("shape", sorted(FOLD_SHAPES))
+    def test_bits_of_a_separate_bias_add(self, shape, masked, keep_cache):
+        """The bias folded into the first layers' product gives the logits and
+        every cache field of a product followed by a bias add, bit for bit."""
+        n_nodes, batch, n_branches = FOLD_SHAPES[shape]
+        rng = np.random.default_rng(sum(FOLD_SHAPES[shape]) + 2 * masked + keep_cache)
+        model = cloud.build_cloud_model(n_branches, 16, 16, 4, 32, seed=int(rng.integers(1000)))
+        random_biases(model, rng)
+        received = rng.normal(size=(n_nodes, batch, 16)) * 2.0
+        mask = (rng.random((batch, n_nodes)) < 0.7).astype(float) if masked else None
+        logits, cache = cloud.cloud_infer(model, received, mask, keep_cache=keep_cache)
+        want_logits, want_cache = unfused_infer(model, received, mask)
+        assert np.array_equal(bits(logits), bits(want_logits))
+        if not keep_cache:
+            assert cache is None
+            return
+        assert np.array_equal(bits(cache.received), bits(received))
+        assert np.array_equal(cache.active, np.ones((batch, n_nodes)) if mask is None else mask)
+        for name, want in want_cache.items():
+            assert np.array_equal(bits(getattr(cache, name)), bits(want)), name
+
+
 def random_gradients(model, rng):
     return {k: rng.normal(size=v.shape) for k, v in model.params.items()}
 

@@ -4,9 +4,10 @@ Each mode trains a few rounds at tiny sizes and digests, with SHA-256,
 its final parameters, its per-round training losses, and the bytes of
 the ``metrics.csv``, ``result.json`` and ``checkpoint.bin`` that
 ``experiment.run_training`` writes. ``digests.json`` holds the digests
-and the numpy and BLAS build they were made with; on another build the
-test fails and names both, because float results there may differ in
-the last bit without anything being wrong.
+and the numpy and BLAS build they were made with, and the kernel family
+OpenBLAS picked for the CPU at run time; on another build or kernel the
+test fails before any digest and names both, because float results
+there may differ in the last bit without anything being wrong.
 
 A change that moves bits on purpose regenerates the file and lists every
 digest that moved:
@@ -15,8 +16,10 @@ digest that moved:
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -82,10 +85,32 @@ def mode_config(mode: str) -> dict:
     return config_mod.parse_config_text(text)
 
 
+def openblas_core() -> str:
+    """The kernel family (``SkylakeX``, ``Haswell``, ...) that numpy's bundled
+    64-bit-integer OpenBLAS picked for this CPU, or that ``OPENBLAS_CORETYPE``
+    forced; "unknown" without that library."""
+    lib = next(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*"), None)
+    if lib is None:
+        return "unknown"
+    corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict[str, str]:
-    """The numpy build and the BLAS it links, which fix the float bits."""
+    """The numpy build, the BLAS it links and the BLAS kernel, which fix the float bits."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "blas_core": openblas_core()}
+
+
+def check_environment(stored: dict) -> None:
+    """Fail, naming both, unless this is the build and kernel the digests were made with."""
+    here = environment()
+    if stored["environment"] != here:
+        pytest.fail(f"tests/digests.json was made with {stored['environment']}, this is "
+                    f"{here}; float bits can differ between builds and BLAS kernels, so "
+                    "regenerate the digests here from a trusted commit before comparing")
 
 
 def _sha(data: bytes) -> str:
@@ -122,13 +147,20 @@ def test_matrix_matches_stored_modes(stored):
         "the mode matrix changed; regenerate tests/digests.json"
 
 
+def test_kernel_change_fails_naming_both_kernels(stored, monkeypatch):
+    """Only the kernel differs: the check names the stamped kernel and this one."""
+    assert stored["environment"]["blas_core"] == openblas_core() != "unknown"
+    monkeypatch.setattr(sys.modules[__name__], "openblas_core", lambda: "OtherCore")
+    with pytest.raises(pytest.fail.Exception) as failed:
+        check_environment(stored)
+    message = str(failed.value)
+    assert f"'blas_core': '{stored['environment']['blas_core']}'" in message
+    assert "'blas_core': 'OtherCore'" in message
+
+
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_mode_is_bit_identical(mode, stored, tmp_path):
-    here = environment()
-    if stored["environment"] != here:
-        pytest.fail(f"tests/digests.json was made with {stored['environment']}, this is "
-                    f"{here}; float bits can differ between builds, so regenerate the "
-                    "digests here from a trusted commit before comparing")
+    check_environment(stored)
     got = mode_digests(mode, tmp_path)
     want = stored["modes"][mode]
     moved = [key for key in want if got.get(key) != want[key]]

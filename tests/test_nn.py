@@ -540,6 +540,42 @@ def ref_projection_backward(v, power, mode, g):
     return coef * (g - v * dot)
 
 
+def concat_budget_scale(sq, power):
+    denom = np.maximum(sq, power)
+    if power == 0.0:
+        boundary = denom == 0.0
+        denom[boundary] = 1.0
+        return boundary.astype(float), denom
+    return np.sqrt(power / denom), denom
+
+
+def concat_projection_forward(v, power, mode):
+    """The projection as it was written with separate halves and
+    ``np.concatenate``, the bits the in-place passes keep."""
+    if mode == nn.PER_RB:
+        half = v.shape[-1] // 2
+        vr, vi = v[..., :half], v[..., half:]
+        scale, _ = concat_budget_scale(vr * vr + vi * vi, power)
+        return np.concatenate([vr * scale, vi * scale], axis=-1)
+    scale, _ = concat_budget_scale(np.sum(v * v, axis=-1, keepdims=True), power)
+    return v * scale
+
+
+def concat_projection_backward(v, power, mode, g):
+    if mode == nn.PER_RB:
+        half = v.shape[-1] // 2
+        vr, vi = v[..., :half], v[..., half:]
+        gr, gi = g[..., :half], g[..., half:]
+        p = vr * vr + vi * vi
+        coef, denom = concat_budget_scale(p, power)
+        dot = (gr * vr + gi * vi) / denom * (p > power)
+        return np.concatenate([coef * (gr - vr * dot), coef * (gi - vi * dot)], axis=-1)
+    total = np.sum(v * v, axis=-1, keepdims=True)
+    coef, denom = concat_budget_scale(total, power)
+    dot = np.sum(g * v, axis=-1, keepdims=True) / denom * (total > power)
+    return coef * (g - v * dot)
+
+
 def ref_adam(params, grad_steps, divisor, eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -649,6 +685,35 @@ class TestKernelsMatchReferences:
             ref_projection_forward(v, power, mode).tobytes()
         assert nn.projection_backward(v, power, mode, g).tobytes() == \
             ref_projection_backward(v, power, mode, g).tobytes()
+
+    @pytest.mark.parametrize("shape", [(300, 8), (16, 256, 16), (5, 40, 6)])
+    @pytest.mark.parametrize("mode", [nn.PER_RB, nn.SUM])
+    @pytest.mark.parametrize("power", [0.0, 0.25, 1.0, 4.0])
+    def test_projection_matches_concatenate_formulas(self, mode, power, shape):
+        """Both directions, bit for bit, against the per-half formulas joined
+        by ``np.concatenate``: on batches of rows and node-first batches,
+        over clipped, inside, zero and on-budget entries."""
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1] + int(power * 8)
+                                    + (mode == nn.SUM))
+        v = rng.normal(size=shape) * rng.uniform(0.0, 3.0, size=(*shape[:-1], 1))
+        flat = v.reshape(-1, shape[-1])
+        half = shape[-1] // 2
+        r = np.sqrt(power)
+        flat[:10] = 0.0  # zero power: the boundary of a zero budget
+        flat[10:13] = 0.0
+        flat[10, 0] = r  # per-RB entries exactly on the budget, p == P
+        flat[11, [1, half + 1]] = r / np.sqrt(2.0), r / np.sqrt(2.0)
+        flat[12, -1] = -r
+        flat[13] = r / np.sqrt(shape[-1])  # sum mode's boundary, up to rounding
+        flat[14] = 0.0
+        flat[14, [0, half]] = r  # a row whose sum is 2P and whose RB 0 holds it all
+        g = rng.normal(size=shape)
+        for got, want in ((nn.projection_forward(v, power, mode),
+                           concat_projection_forward(v, power, mode)),
+                          (nn.projection_backward(v, power, mode, g),
+                           concat_projection_backward(v, power, mode, g))):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_adam_steps_match_reference(self):
         rng = np.random.default_rng(41)

@@ -8,12 +8,16 @@ import inspect
 import math
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronthaul import channel, checkpoint, cloud, data, edge, experiment, nn, oracles, protocol
+from fronthaul import (channel, checkpoint, cloud, config as config_mod, data, edge, experiment,
+                       nn, oracles, protocol)
+
+DEFAULT_CONFIG = Path(__file__).parents[1] / "configs" / "default.txt"
 
 
 def toy_dataset(seed=7, classes=3, grid=8, window=6, samples=(64, 24, 24)):
@@ -29,6 +33,20 @@ def toy_config(**overrides):
         noiseless_downlink=True, val_cadence=0, master_seed=99)
     base.update(overrides)
     return protocol.TrainingConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def default_dataset():
+    return experiment.build_dataset(config_mod.load_config(DEFAULT_CONFIG))
+
+
+def default_config(dataset, async_, **overrides):
+    """``configs/default.txt`` with ``overrides``, trained for 6 rounds with
+    plain SGD and a noiseless downlink, the reference's modes."""
+    cfg = dict(config_mod.load_config(DEFAULT_CONFIG), **overrides, optimizer="sgd",
+               eta=0.05, noiseless_downlink=True, rounds=6, val_cadence=0)
+    cfg["async"] = async_
+    return config_mod.to_training_config(cfg, dataset.obs_dim, dataset.n_classes)
 
 
 def max_param_deviation(a, b):
@@ -503,22 +521,31 @@ def oracle_modes(draw):
     return modes
 
 
+def track_reference(cfg, ds):
+    """Train ``cfg.rounds`` protocol rounds beside the centralized reference
+    on the same draws; every round's parameters stay within 1e-10 of it.
+    Returns the protocol's state and a copy of its encoder parameters
+    before the first round."""
+    state = protocol.init_state(cfg, ds)
+    oracle = protocol.init_state(cfg, ds)
+    initial = copy.deepcopy(state.encoders.params)
+    worst = 0.0
+    for k in range(1, cfg.rounds + 1):
+        protocol.run_training_round(state, k)
+        oracles.centralized_oracle_round(oracle, k)
+        worst = max(worst, max_param_deviation(state, oracle))
+    assert worst < 1e-10
+    return state, initial
+
+
 def assert_tracks_reference(modes, rounds=8):
     """``rounds`` protocol rounds stay within 1e-10 of the centralized
     reference; with channel quality input the encoders' side-input columns
     train as in the joint step: every slice's when every node is active
     every round (sync), some slice's when a node may sit out (async)."""
     cfg = toy_config(rounds=rounds, **modes)
-    ds = toy_dataset(classes=cfg.n_classes)
-    state = protocol.init_state(cfg, ds)
-    oracle = protocol.init_state(cfg, ds)
-    side_columns = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:].copy()
-    worst = 0.0
-    for k in range(1, rounds + 1):
-        protocol.run_training_round(state, k)
-        oracles.centralized_oracle_round(oracle, k)
-        worst = max(worst, max_param_deviation(state, oracle))
-    assert worst < 1e-10
+    state, initial = track_reference(cfg, toy_dataset(classes=cfg.n_classes))
+    side_columns = initial["dense0.w"][:, :, cfg.obs_dim:]
     if cfg.cqie:
         trained = state.encoders.params["dense0.w"][:, :, cfg.obs_dim:]
         assert side_columns.shape[1:] == (12, cfg.n_blocks)
@@ -545,6 +572,24 @@ class TestCentralizedAgreement:
 
     def test_channel_quality_input_tracks_reference(self):
         assert_tracks_reference(dict(cqie=True, pathloss=True))
+
+    # the benchmark's shapes on configs/default.txt, where BLAS runs its large kernels
+    def test_train_wide_shapes_track_reference(self, default_dataset):
+        """N=16 dedicated encoders, B=256, M=12, synchronous: train-wide's round."""
+        track_reference(default_config(default_dataset, n_train=16, batch_size=256,
+                                       branches=12, encoder_sharing=False, async_=False),
+                        default_dataset)
+
+    def test_train_wide_shapes_async_track_reference(self, default_dataset):
+        track_reference(default_config(default_dataset, n_train=16, batch_size=256,
+                                       branches=12, encoder_sharing=False, async_=True),
+                        default_dataset)
+
+    def test_large_shared_population_tracks_reference(self, default_dataset):
+        """N=12 nodes on one shared encoder, B=512, asynchronous."""
+        track_reference(default_config(default_dataset, n_train=12, batch_size=512,
+                                       encoder_sharing=True, async_=True),
+                        default_dataset)
 
     def test_zero_learning_rate_freezes_reference(self):
         ds = toy_dataset()
@@ -665,6 +710,31 @@ class TestTrain:
         _, records = protocol.train(cfg, toy_dataset())
         evaluated = [r.round_index for r in records if r.val_accuracy is not None]
         assert evaluated == [3, 6]
+
+    def test_callback_returning_true_ends_training(self):
+        """Training ends after the first round whose callback returns true,
+        in the state a run of that many rounds reaches; a callback that
+        returns nothing never stops it."""
+        cfg, ds = toy_config(rounds=6, val_cadence=2), toy_dataset()
+        seen = []
+        state, records = protocol.train(
+            cfg, ds, round_callback=lambda r: seen.append(r.round_index) or r.round_index == 4)
+        assert seen == [r.round_index for r in records] == [1, 2, 3, 4]
+        assert state.round_index == 4
+        short, _ = protocol.train(dataclasses.replace(cfg, rounds=4), ds)
+        pa, pb = protocol.state_parameters(state), protocol.state_parameters(short)
+        assert all(np.array_equal(pa[name], pb[name]) for name in pa)
+        _, records = protocol.train(cfg, ds, round_callback=seen.append)
+        assert len(records) == 6
+
+    def test_rounds_to_target_is_the_first_validation_at_or_above(self):
+        _, trained = protocol.train(toy_config(rounds=4), toy_dataset())
+        records = [dataclasses.replace(r, val_accuracy=acc)
+                   for r, acc in zip(trained, [None, 0.5, 0.8, 0.9])]
+        assert protocol.rounds_to_target(records, 0.0) == 2  # a round without validation never counts
+        assert protocol.rounds_to_target(records, 0.8) == 3
+        assert protocol.rounds_to_target(records, 0.85) == 4
+        assert protocol.rounds_to_target(records, 0.95) is None
 
 
 def per_node_reference_phase(stacks, optimizers):
