@@ -128,7 +128,6 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     # fronthaul
     "snr_up_db": (_float_pair, _TC.snr_up_db),
     "snr_dn_db": (_float_pair, _TC.snr_dn_db),
-    "noiseless_downlink": (_bool, _TC.noiseless_downlink),
     "downlink": (_choice(*protocol.DOWNLINKS), _TC.downlink),
     "power_mode": (_choice(*nn.POWER_MODES), _TC.power_mode),
     "p_e": (_float, _TC.p_e),

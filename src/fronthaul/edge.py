@@ -22,7 +22,9 @@ class EncoderSet(nn.StackSet):
 
     N dedicated encoders hold one slice each, node i owning slice i and
     checkpoint prefix ``encoder{i}``; a shared encoder holds one slice,
-    ``encoder_shared``, which serves any number of nodes.
+    ``encoder_shared``, which serves any number of nodes. Every encoder
+    must emit an even message length and end in the power projection at
+    the node's mode and budget.
     """
 
     def __init__(self, stacks: Sequence[nn.LayerStack], power_mode: str = nn.PER_RB,
@@ -48,7 +50,9 @@ class EncoderSet(nn.StackSet):
     def check_nodes(self, n_nodes: int) -> None:
         """Raise ValueError unless the set can encode for ``n_nodes`` nodes:
         dedicated encoders serve at most one node each, a shared one any
-        number."""
+        number. This is the one population rule for encoders: ``encode``,
+        ``protocol.evaluate`` and ``protocol.run_inference`` call it before
+        any draw."""
         if not self.shared and n_nodes > self.n_slices:
             raise ValueError(f"{n_nodes} nodes requested but only {self.n_slices} trained "
                              "encoders exist (enable encoder sharing to scale up)")
@@ -100,8 +104,10 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
     exactly when the set takes channel quality input. Dedicated encoders
     serve nodes 0 to n-1; a shared encoder serves any n. One ``nn.forward``
     runs every node's stack over the node axis, each node's products the
-    same BLAS calls as on its own. Inference passes ``keep_cache=False``:
-    the forward pass keeps nothing and no cache comes back.
+    same BLAS calls as on its own. Returns the messages and that call's
+    ``nn.ForwardCache``, which names the set and its version. Inference
+    passes ``keep_cache=False``: the forward pass keeps nothing and no
+    cache comes back.
     """
     values = np.asarray(observations, dtype=float)
     if values.ndim != 3:
@@ -121,6 +127,7 @@ def batch_gradient(encoders: EncoderSet, cache: nn.ForwardCache, upstream: Array
     """Per node, the sum over its batch of (ds_i/dpsi_i) u_ib for upstream
     rows u_ib, node-first (n, ...): slice i reads only node i's cache and
     rows. No node reads the gradient with respect to its observations, so
-    the backward pass does not form it."""
+    the backward pass does not form it. A cache of another set, or of an
+    older version of this one, is rejected through ``check_cache``."""
     encoders.check_cache(cache)
     return nn.backward(cache.stack, cache, upstream, input_grad=False).param_grads

@@ -316,7 +316,7 @@ def _track_oracle(seed: int, sharing: bool, rounds: int) -> float:
         n_train=3, message_dim=8, n_branches=2, latent_dim=6, cloud_hidden=10,
         encoder_hidden=(12,), n_classes=3, obs_dim=36, rounds=rounds, batch_size=8,
         eta=0.05, snr_up_db=(10.0, 10.0), snr_dn_db=(10.0, 10.0),
-        noiseless_downlink=True, encoder_sharing=sharing, val_cadence=0,
+        downlink="noiseless", encoder_sharing=sharing, val_cadence=0,
         master_seed=seed)
     state = protocol.init_state(cfg, dataset)
     oracle = protocol.init_state(cfg, dataset)

@@ -43,7 +43,9 @@ _DOM_EVAL = 10
 PHASES = ("edge-forward", "uplink", "cloud-backprop", "downlink", "edge-backprop")
 
 ARCHITECTURES = ("proposed", cloud.CATNET, cloud.MHNET, cloud.SUM_AGG)
-DOWNLINKS = ("wireless", "exact")
+# the gradient downlink: the paper's noisy wireless links; the same links with
+# zero noise, which the centralized reference tracks; or ideal delivery of H m
+DOWNLINKS = ("wireless", "noiseless", "exact")
 
 _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
 _EVAL_CHUNK = 512  # evaluation samples per encode-and-uplink pass
@@ -75,7 +77,6 @@ class TrainingConfig:
     # fronthaul
     snr_up_db: tuple = (0.0, 30.0)
     snr_dn_db: tuple = (0.0, 30.0)
-    noiseless_downlink: bool = False
     downlink: str = "wireless"  # one of DOWNLINKS
     power_mode: str = nn.PER_RB  # one of nn.POWER_MODES
     p_e: float = 1.0
@@ -134,7 +135,7 @@ class TrainingConfig:
             raise ValueError("sum aggregation requires message_dim == n_classes")
         if self.drop_probability is not None and not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.p_e < 0 or self.p_c <= 0:
+        if self.p_e <= 0 or self.p_c <= 0:
             raise ValueError("power budgets must be positive")
         lo, hi = self.pathloss_d
         if self.pathloss and (lo <= 0 or hi < lo):
@@ -188,7 +189,9 @@ class EvalPopulation:
     offsets (nb, n_test, 2) and the labels. They are valid for the dataset
     object named while ``key`` still matches. ``rows`` holds each chunk's
     noiseless received rows H s (n_test, nb, S), encoded by ``encoders`` at
-    ``version``. See ``_eval_population``.
+    ``version``. See ``_eval_population``. It holds no complex array and
+    no crops: at 12 nodes on 768 samples with S = 16 it is 3.11 MB (H s
+    and the unit noise 1.18 MB each, |h| 0.59 MB, the offsets 0.15 MB).
     """
 
     dataset: data.SyntheticDataset
@@ -293,7 +296,7 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
         snr_up = snr_rng.uniform(cfg.snr_up_db[0], cfg.snr_up_db[1], size=b)
         snr_dn = snr_rng.uniform(cfg.snr_dn_db[0], cfg.snr_dn_db[1], size=b)
     sigma_c2 = channel.snr_to_noise_var(snr_up)
-    sigma_e2 = np.zeros(b) if cfg.noiseless_downlink else channel.snr_to_noise_var(snr_dn)
+    sigma_e2 = np.zeros(b) if cfg.downlink == "noiseless" else channel.snr_to_noise_var(snr_dn)
 
     if cfg.pathloss:
         d = stream(seed, _DOM_PATHLOSS, k).uniform(
@@ -473,7 +476,10 @@ def run_training_round(state: TrainingState, round_index: int,
 
 
 def _downlink_phase(config: TrainingConfig, env: RoundEnv, dn_messages: Array) -> Array:
-    """Deliver the node-first gradient messages (N, B, S); returns the decoded rows."""
+    """Deliver the node-first gradient messages (N, B, S); returns the decoded rows.
+
+    A noiseless downlink runs the wireless legs on the zero noise that
+    ``draw_round_env`` drew for it."""
     if config.downlink == "exact":
         # reliable links with channel knowledge at the cloud: d = H m
         return channel.gain(env.h) * dn_messages
@@ -490,7 +496,8 @@ def _edge_backprop_phase(state: TrainingState, env: RoundEnv, cache: nn.ForwardC
     divides by their count; a node with no active sample does not step.
     A shared encoder takes one step on the mean over nodes of those
     averaged gradients, which for SGD equals averaging the nodes' stepped
-    parameters.
+    parameters. Under Adam a node that does not step keeps its step count
+    and moments.
     """
     # rows of inactive samples carry downlink noise only
     rows = gradient_rows * env.active.T[:, :, None]
@@ -509,7 +516,8 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     The uplink noise of variance ``sigma_c2`` (a scalar, or one value per
     sample as (B, 1)) is drawn from ``rng`` node by node. A population the
     encoders cannot serve or the cloud cannot pool fails before any draw
-    or encoding.
+    or encoding. The encoders and the cloud run forward only and keep no
+    backward cache.
     """
     encoders.check_nodes(len(h))
     model.check_nodes(len(h))
@@ -603,7 +611,9 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     different split or n_test, another dataset object, or a change of
     ``master_seed``, ``message_dim`` or the pathloss fields draws the
     population again and replaces the old one. The cloud model is not
-    cached and is read on every call.
+    cached and is read on every call. A bad ``split``, ``n_test`` or
+    ``snr_db`` raises ValueError before any draw and leaves the held
+    population as it was.
     """
     if split not in _SPLIT_IDS:
         raise ValueError(f"split must be one of {sorted(_SPLIT_IDS)}, got {split!r}")

@@ -56,7 +56,7 @@ def _matrix() -> dict[str, dict]:
         "cqie": {"cqie": "true"},
         "pathloss": {"pathloss": "true"},
         "downlink-exact": {"downlink": "exact"},
-        "noiseless-downlink": {"noiseless_downlink": "true"},
+        "noiseless-downlink": {"downlink": "noiseless"},
         "power-sum": {"power_mode": "sum"},
         "mhnet": {"architecture": "mhnet"},
         # mhnet with the head mask: inactive pairs drop out of the head sum

@@ -241,19 +241,18 @@ class TestLocalUpdateWireless:
             dn_noise=np.zeros((nodes, batch, 4)))
         messages = rng.normal(size=(nodes, batch, 4))
         rows = {}
-        for mode in ("exact", "wireless"):
-            cfg = protocol.TrainingConfig(n_train=nodes, message_dim=4, downlink=mode,
-                                          noiseless_downlink=True)
+        for mode in ("exact", "noiseless"):
+            cfg = protocol.TrainingConfig(n_train=nodes, message_dim=4, downlink=mode)
             rows[mode] = protocol._downlink_phase(cfg, env, messages)
         for i in range(nodes):
             mag = np.abs(env.h[i])
             assert np.array_equal(rows["exact"][i], np.concatenate([mag, mag], 1) * messages[i])
-            np.testing.assert_allclose(rows["wireless"][i], rows["exact"][i], rtol=1e-12)
+            np.testing.assert_allclose(rows["noiseless"][i], rows["exact"][i], rtol=1e-12)
         enc = make_set(seeds=(3,) * nodes)
         a = [rng.normal(size=(batch, 6))] * nodes
         exact = stepped(enc, a, rows["exact"], eta=0.3)
-        wireless = stepped(enc, a, rows["wireless"], eta=0.3)
-        for got, want in zip(wireless, exact):
+        noiseless = stepped(enc, a, rows["noiseless"], eta=0.3)
+        for got, want in zip(noiseless, exact):
             for k in want:
                 np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-15)
 

@@ -226,13 +226,16 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError, match="trailing"):
             checkpoint.load_checkpoint(path)
 
-    def test_config_echo_with_removed_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("eta_tilde", "none"),
+                                            ("noiseless_downlink", "false")])
+    def test_config_echo_with_removed_key_rejected(self, tmp_path, key, value):
         """A checkpoint whose config echo names a key the schema no longer
-        has (older files echo ``eta_tilde = none``) fails to restore."""
-        text = config_mod.render_config(config_mod.parse_config_text("")) + "eta_tilde = none\n"
+        has (older files echo ``eta_tilde = none`` or ``noiseless_downlink =
+        false``) fails to restore."""
+        text = config_mod.render_config(config_mod.parse_config_text("")) + f"{key} = {value}\n"
         path = tmp_path / "old.bin"
         checkpoint.save_checkpoint(path, self._params(), text, round_index=1)
-        with pytest.raises(config_mod.ConfigError, match="unknown key 'eta_tilde'"):
+        with pytest.raises(config_mod.ConfigError, match=f"unknown key '{key}'"):
             experiment.restore_state(path)
 
     def test_loading_into_mismatched_state_rejected(self):

@@ -30,7 +30,7 @@ def toy_config(**overrides):
         n_train=3, message_dim=8, n_branches=2, latent_dim=6, cloud_hidden=10,
         encoder_hidden=(12,), n_classes=3, obs_dim=36, rounds=6, batch_size=8,
         eta=0.05, snr_up_db=(10.0, 10.0), snr_dn_db=(10.0, 10.0),
-        noiseless_downlink=True, val_cadence=0, master_seed=99)
+        downlink="noiseless", val_cadence=0, master_seed=99)
     base.update(overrides)
     return protocol.TrainingConfig(**base)
 
@@ -44,7 +44,7 @@ def default_config(dataset, async_, **overrides):
     """``configs/default.txt`` with ``overrides``, trained for 6 rounds with
     plain SGD and a noiseless downlink, the reference's modes."""
     cfg = dict(config_mod.load_config(DEFAULT_CONFIG), **overrides, optimizer="sgd",
-               eta=0.05, noiseless_downlink=True, rounds=6, val_cadence=0)
+               eta=0.05, downlink="noiseless", rounds=6, val_cadence=0)
     cfg["async"] = async_
     return config_mod.to_training_config(cfg, dataset.obs_dim, dataset.n_classes)
 
@@ -286,7 +286,7 @@ class TestTrainingRound:
         zero; the wireless downlink still delivers finite rows. Validation
         rejects such distances, so they are set after it, to reach the
         links themselves."""
-        cfg = toy_config(pathloss=True, noiseless_downlink=False)
+        cfg = toy_config(pathloss=True, downlink="wireless")
         state = protocol.init_state(cfg, toy_dataset())
         cfg.pathloss_d = (1e200, 1e200)
         assert not np.any(protocol.draw_round_env(cfg, state.dataset, state.schedule[0], 1).h)
@@ -375,7 +375,7 @@ class TestTrainingRound:
 
     def test_empty_active_set_skips_node_update(self):
         cfg = toy_config(async_coordination=True, drop_probability=0.0, rounds=1,
-                         noiseless_downlink=True)
+                         downlink="noiseless")
         state = protocol.init_state(cfg, toy_dataset())
         # force node 2 inactive on every sample via a drop probability of 1
         # for that node alone: emulate by patching the drawn mask
@@ -503,17 +503,16 @@ class TestEdgeUpdateRule:
 @st.composite
 def oracle_modes(draw):
     """TrainingConfig overrides for one protocol mode the reference covers:
-    SGD and a downlink that delivers H m exactly (noiseless wireless, or
-    ``exact`` over a noisy link, whose noise it never reads)."""
+    SGD and a downlink that delivers H m exactly (``noiseless``, the wireless
+    links at zero noise, or ``exact``, whose drawn noise it never reads)."""
     asynchronous = draw(st.booleans())
     architecture = draw(st.sampled_from(
         ["proposed", cloud.MHNET, cloud.SUM_AGG] + ([] if asynchronous else [cloud.CATNET])))
-    exact = draw(st.booleans())
     modes = dict(architecture=architecture, async_coordination=asynchronous,
                  encoder_sharing=draw(st.booleans()),
                  power_mode=draw(st.sampled_from([nn.PER_RB, nn.SUM])),
                  cqie=draw(st.booleans()), pathloss=draw(st.booleans()),
-                 downlink="exact" if exact else "wireless", noiseless_downlink=not exact,
+                 downlink=draw(st.sampled_from(["noiseless", "exact"])),
                  n_train=draw(st.integers(1, 5)), n_branches=draw(st.integers(1, 5)),
                  batch_size=draw(st.integers(1, 16)))
     if architecture == cloud.SUM_AGG:  # its messages are the class logits
@@ -774,7 +773,7 @@ class TestOptimizers:
         """One optimizer steps the stacked encoders; 12 rounds land where
         per-node stacks with one optimizer per encoder land, bit for bit."""
         cfg = toy_config(encoder_sharing=sharing, optimizer=optimizer, rounds=12,
-                         async_coordination=True, noiseless_downlink=False)
+                         async_coordination=True, downlink="wireless")
         ds = toy_dataset()
         state = protocol.init_state(cfg, ds)
         per_node = protocol.init_state(cfg, ds)
@@ -846,7 +845,7 @@ class TestOptimizers:
         Round 2 leaves its parameters, moments and step count as round 1
         left them; its round-3 step is a lone Adam step with step count 2
         from the round-1 moments."""
-        cfg = toy_config(optimizer="adam", async_coordination=True, noiseless_downlink=False,
+        cfg = toy_config(optimizer="adam", async_coordination=True, downlink="wireless",
                          rounds=3)
         state = protocol.init_state(cfg, toy_dataset())
         draw = protocol.draw_round_env
@@ -1439,7 +1438,7 @@ class TestConfigValidation:
         bad = [dict(message_dim=7), dict(batch_size=0), dict(snr_up_db=(5.0, 1.0)),
                dict(power_mode="peak"), dict(downlink="carrier"),
                dict(architecture="resnet"), dict(optimizer="rmsprop"),
-               dict(drop_probability=1.5), dict(p_c=0.0)]
+               dict(drop_probability=1.5), dict(p_e=0.0), dict(p_c=0.0)]
         for overrides in bad:
             with pytest.raises(ValueError):
                 toy_config(**overrides).validate()
