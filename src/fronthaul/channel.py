@@ -10,7 +10,9 @@ the cloud receives H s + n with the real gain H = diag([|h|; |h|]). The
 downlink reuses the same fading draw (TDD reciprocity) with conjugate
 precoding at the cloud and phase compensation at the edge, which
 delivers H m plus noise scaled by 1/alpha. The downlink legs compute in
-the complex view, which stays private to this module.
+the complex view, which stays private to this module. The links are
+elementwise maps over node-first (N, B, S) rows, so one call carries
+every node.
 """
 from __future__ import annotations
 
@@ -162,7 +164,7 @@ def downlink_transmit(m: Array, h: Array, alpha, noise: Array) -> Array:
 
 
 def downlink_decode(y: Array, h: Array, alpha) -> Array:
-    """Edge-side phase compensation and power unscaling.
+    """Edge-side phase compensation (a product with h/|h|) and power unscaling.
 
     With the matching fading draw this recovers H m + n_eff, where the
     effective noise variance is sigma_e2 / alpha^2 per complex entry.

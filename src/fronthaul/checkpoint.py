@@ -18,7 +18,7 @@ import numpy as np
 Array = np.ndarray
 
 MAGIC = b"FHCK"
-VERSION = 1
+VERSION = 2  # 2: one "{set}.{key}" array per stacked array; 1 named every slice
 _FIXED = struct.Struct("<4sIQ")
 
 

@@ -32,12 +32,9 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-# The cloud's parameter keys, each paired with the checkpoint name of
-# branch m's slice: H rows of ``z_in``/``z_in_b``, index m of the rest.
-_VIEWS = (("z_in", "z{}.dense0.w"), ("z_in_b", "z{}.dense0.b"),
-          ("z_out", "z{}.dense2.w"), ("z_out_b", "z{}.dense2.b"),
-          ("u_in", "u{}.dense0.w"), ("u_in_b", "u{}.dense0.b"),
-          ("u_out", "u{}.dense2.w"), ("u_out_b", "u{}.dense2.b"))
+# The cloud's parameter keys: each branch's inner stack, then its outer
+# stack, layer by layer, weight before bias, as a ``LayerStack`` orders them.
+_KEYS = ("z_in", "z_in_b", "z_out", "z_out_b", "u_in", "u_in_b", "u_out", "u_out_b")
 
 
 class CloudModel(nn.ParamSet):
@@ -54,9 +51,8 @@ class CloudModel(nn.ParamSet):
     """
 
     def __init__(self, params: Mapping[str, Array]):
-        if set(params) != {key for key, _ in _VIEWS}:
-            raise ValueError("cloud parameters need exactly the keys "
-                             + ", ".join(key for key, _ in _VIEWS))
+        if set(params) != set(_KEYS):
+            raise ValueError("cloud parameters need exactly the keys " + ", ".join(_KEYS))
         shapes = {key: np.shape(p) for key, p in params.items()}
         if len(shapes["z_out"]) != 3 or shapes["z_out"][0] < 1:
             raise ValueError("need at least one branch")
@@ -67,7 +63,7 @@ class CloudModel(nn.ParamSet):
                 "u_out": (m, *x, *h_u), "u_out_b": (m, *x)}
         if shapes != want:
             raise ValueError("branch dimensions are inconsistent")
-        self._hold({key: params[key] for key, _ in _VIEWS}, slices=1)
+        self._hold({key: params[key] for key in _KEYS}, slices=1)
 
     @property
     def n_branches(self) -> int:
@@ -81,18 +77,6 @@ class CloudModel(nn.ParamSet):
     def output_dim(self) -> int:
         return self.params["u_out"].shape[1]
 
-    def named_params(self) -> dict[str, Array]:
-        """Per-branch checkpoint names (``z{m}.dense0.w`` and so on) over views
-        of the stacked arrays, branch by branch, inner stack first."""
-        count = self.n_branches
-        by_branch = {key: p.reshape(count, -1, *p.shape[1:]) if key.startswith("z_in") else p
-                     for key, p in self.params.items()}
-        return {name.format(m): by_branch[key][m] for m in range(count) for key, name in _VIEWS}
-
-    def set_named_params(self, named: Mapping[str, Array]) -> None:
-        """Install per-branch arrays named as ``named_params`` names them."""
-        self.set_params(_stacked(named, self.n_branches))
-
     def check_nodes(self, n_nodes: int) -> None:
         """Every population is served: nothing in the model depends on the node count."""
 
@@ -105,13 +89,6 @@ class CloudModel(nn.ParamSet):
         return cloud_backward(self, cache, grad_logits)
 
 
-def _stacked(named: Mapping[str, Array], n_branches: int) -> dict[str, Array]:
-    """The stacked parameter set from per-branch arrays named as in ``_VIEWS``."""
-    return {key: (np.concatenate if key.startswith("z_in") else np.stack)(
-                [named[name.format(m)] for m in range(n_branches)])
-            for key, name in _VIEWS}
-
-
 def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
                       n_classes: int, hidden: int, seed: int) -> CloudModel:
     """Branch stacks are small two-layer perceptrons around one hidden width.
@@ -122,14 +99,13 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
     if n_branches < 1:
         raise ValueError("need at least one branch")
     seeds = _child_seeds(seed, 2 * n_branches)
-    named = {}
-    for m in range(n_branches):
-        for prefix, out_dim, in_dim, stack_seed in (
-                ("z", latent_dim, message_dim, seeds[2 * m]),
-                ("u", n_classes, latent_dim, seeds[2 * m + 1])):
-            stack = nn.LayerStack(nn.perceptron(in_dim, hidden, out_dim), stack_seed)
-            named.update({f"{prefix}{m}.{name}": p for name, p in stack.params.items()})
-    return CloudModel(_stacked(named, n_branches))
+    # branch m's inner stack from seed 2m, its outer stack from seed 2m+1;
+    # the eight arrays of one branch come in ``_KEYS`` order
+    branches = [[*nn.LayerStack(nn.perceptron(message_dim, hidden, latent_dim), z).params.values(),
+                 *nn.LayerStack(nn.perceptron(latent_dim, hidden, n_classes), u).params.values()]
+                for z, u in zip(seeds[::2], seeds[1::2])]
+    return CloudModel({key: (np.concatenate if key.startswith("z_in") else np.stack)(arrays)
+                       for key, arrays in zip(_KEYS, zip(*branches))})
 
 
 @dataclass
@@ -303,8 +279,8 @@ class BaselineModel(nn.StackSet):
     ``mhnet`` owns one head stack per node and sums the active heads'
     outputs.
 
-    The stacks are the slices of one stack set, prefixed ``stack{idx}``:
-    none for ``sum_agg``, one for ``catnet``, one per head for ``mhnet``.
+    The stacks are the slices of one stack set: none for ``sum_agg``, one
+    for ``catnet``, one per head for ``mhnet``.
     """
 
     def __init__(self, kind: str, message_dim: int, n_classes: int,
@@ -326,7 +302,7 @@ class BaselineModel(nn.StackSet):
                 raise ValueError("each head maps a received signal to logits")
         else:
             raise ValueError(f"unknown baseline kind {kind!r}")
-        super().__init__(stacks, [f"stack{idx}" for idx in range(len(stacks))])
+        super().__init__(stacks)
         self.kind = kind
         self.message_dim = message_dim
         self.n_classes = n_classes

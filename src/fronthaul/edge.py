@@ -20,9 +20,9 @@ Array = np.ndarray
 class EncoderSet(nn.StackSet):
     """Every node's encoder as one stack set with the node axis first.
 
-    N dedicated encoders hold one slice each, node i owning slice i and
-    checkpoint prefix ``encoder{i}``; a shared encoder holds one slice,
-    ``encoder_shared``, which serves any number of nodes. Every encoder
+    N dedicated encoders hold one slice each, node i owning slice i; a
+    shared encoder holds one slice, which serves any number of nodes and
+    is saved with its leading axis of 1. Every encoder
     must emit an even message length and end in the power projection at
     the node's mode and budget.
     """
@@ -31,8 +31,7 @@ class EncoderSet(nn.StackSet):
                  p_e: float = 1.0, cqie: bool = False, shared: bool = False):
         if shared and len(stacks) != 1:
             raise ValueError("a shared encoder set holds exactly one encoder")
-        super().__init__(stacks, ["encoder_shared"] if shared
-                         else [f"encoder{i}" for i in range(len(stacks))])
+        super().__init__(stacks)
         if stacks[0].out_dim % 2 != 0:
             raise ValueError("encoder output length must be even")
         last = self.layers[-1]

@@ -171,6 +171,8 @@ def run_eval(cfg: dict[str, Any], out_dir) -> ExperimentResult:
 
 
 def run_sweep(cfg: dict[str, Any], out_dir) -> ExperimentResult:
+    """One row per sweep value in ``sweep.csv`` and ``sweep.json``; the snr and
+    ntest sweeps evaluate one run through the grid loop of ``train`` and ``eval``."""
     axis = cfg["sweep"]
     if axis == "none":
         raise config_mod.ConfigError("sweep mode needs the sweep key")

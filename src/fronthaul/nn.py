@@ -214,23 +214,20 @@ class StackSet(ParamSet):
     ``params`` holds (n, out, in) weights and (n, out) biases, slice i
     being stack i's: views of one (n, P) buffer, row i laid out as stack
     i's ``LayerStack`` buffer, so each slice starts with the bits of the
-    stack it was built from. ``prefixes[i]`` names slice i in
-    checkpoints. A set of no stacks has no parameters.
+    stack it was built from. Checkpoints save the stacked arrays as they
+    are. A set of no stacks has no parameters.
     """
 
-    def __init__(self, stacks: Sequence[LayerStack], prefixes: Sequence[str]):
-        if len(prefixes) != len(stacks):
-            raise ValueError("a stack set needs one checkpoint prefix per stack")
+    def __init__(self, stacks: Sequence[LayerStack]):
         self.layers = stacks[0].layers if stacks else ()
         if any(stack.layers != self.layers for stack in stacks):
             raise ValueError("every stack of a set needs the same layers")
-        self.prefixes = list(prefixes)
         self._hold({name: np.stack([stack.params[name] for stack in stacks])
                     for name in (stacks[0].params if stacks else ())}, slices=len(stacks))
 
     @property
     def n_slices(self) -> int:
-        return len(self.prefixes)
+        return self.buffer.shape[0]
 
     def slice_view(self, i: int) -> StackView:
         """Slice i as a 2-D stack."""
@@ -244,17 +241,6 @@ class StackSet(ParamSet):
     def _view(self, pick) -> StackView:
         return StackView(self.layers, {name: pick(p) for name, p in self.params.items()},
                          self.layers[0].in_dim, self)
-
-    def named_params(self) -> dict[str, Array]:
-        """Checkpoint names (``{prefix}.dense0.w`` and so on) over views of
-        the slices, slice by slice."""
-        return {f"{prefix}.{name}": p[k] for k, prefix in enumerate(self.prefixes)
-                for name, p in self.params.items()}
-
-    def set_named_params(self, named: Mapping[str, Array]) -> None:
-        """Install arrays named as ``named_params`` names them; others are ignored."""
-        self.set_params({name: np.stack([named[f"{prefix}.{name}"] for prefix in self.prefixes])
-                         for name in self.params})
 
 
 @dataclass

@@ -252,11 +252,9 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
     def draw():
         # nonzero biases: the count-weighted inner output bias moves the
         # logits; a row with no active node has outer pre-activations set by
-        # the biases alone, so they are redrawn with the mask and the inputs,
-        # branch by branch in the per-branch stacks' order
-        model.set_named_params({name: rng.normal(scale=0.5, size=p.shape)
-                                if name.endswith(".b") else p
-                                for name, p in model.named_params().items()})
+        # the biases alone, so they are redrawn with the mask and the inputs
+        model.set_params({key: rng.normal(scale=0.5, size=p.shape) if key.endswith("_b") else p
+                          for key, p in model.params.items()})
         active = (rng.random((batch, n_nodes)) < 0.6).astype(float)
         active[0, 0] = 0.0
         active[-1] = 1.0
@@ -280,7 +278,8 @@ def _fd_cloud_instance(rng: np.random.Generator, n_branches: int, n_nodes: int,
 def run_gradcheck(seed: int = 0, stack_instances: int = 140,
                   cloud_repeats: int = 16, tolerance: float = 1e-5,
                   step: float = 1e-5) -> dict[str, Any]:
-    """Finite-difference oracle over every layer type and the full cloud path."""
+    """Finite-difference oracle over every layer type and the full cloud path
+    on masked batches; ``NoSmoothInstanceError`` if an instance stays kinked."""
     rng = np.random.default_rng(seed)
     t0 = time.time()
     worst = 0.0

@@ -272,7 +272,7 @@ class RoundEnv:
     observations: Array  # (N, B, A)
     h: Array  # (N, B, blocks) complex fading
     up_noise: Array  # (N, B, S) real rows, already scaled
-    dn_noise: Array  # (N, B, S) real rows, already scaled
+    dn_noise: Array | None  # (N, B, S) real rows, already scaled; None under exact
     snr_up_db: Array  # (B,)
     snr_dn_db: Array  # (B,)
     active: Array  # (B, N) bool
@@ -296,7 +296,6 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
         snr_up = snr_rng.uniform(cfg.snr_up_db[0], cfg.snr_up_db[1], size=b)
         snr_dn = snr_rng.uniform(cfg.snr_dn_db[0], cfg.snr_dn_db[1], size=b)
     sigma_c2 = channel.snr_to_noise_var(snr_up)
-    sigma_e2 = np.zeros(b) if cfg.downlink == "noiseless" else channel.snr_to_noise_var(snr_dn)
 
     if cfg.pathloss:
         d = stream(seed, _DOM_PATHLOSS, k).uniform(
@@ -309,8 +308,11 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
 
     up_noise = channel.noise(stream(seed, _DOM_UP_NOISE, k), (b, n, blocks),
                              sigma_c2[:, None, None])
-    dn_noise = channel.noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
-                             sigma_e2[:, None, None])
+    dn_noise = None  # exact delivery reads no downlink noise, so none is drawn
+    if cfg.downlink != "exact":
+        sigma_e2 = np.zeros(b) if cfg.downlink == "noiseless" else channel.snr_to_noise_var(snr_dn)
+        dn_noise = channel.noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
+                                 sigma_e2[:, None, None]).transpose(1, 0, 2)
 
     if cfg.async_coordination:
         active, redraws = sample_active_sets(
@@ -327,7 +329,7 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
                     labels=dataset.train_labels[batch_indices],
                     observations=observations, h=h.transpose(1, 0, 2),
                     up_noise=up_noise.transpose(1, 0, 2),
-                    dn_noise=dn_noise.transpose(1, 0, 2),
+                    dn_noise=dn_noise,
                     snr_up_db=snr_up, snr_dn_db=snr_dn,
                     active=active, redraws=redraws)
 
@@ -390,18 +392,8 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
 
 
 def _norm(model) -> float:
-    """The L2 norm over a model's parameters. Each stacked array is reduced
-    once, one sum per leading-axis slice, and the sums are added in the
-    order of the checkpoint views (slice-major, key-minor), which keeps
-    the rounding of the norm over separate stacks."""
-    params = model.params
-    if not params:
-        return 0.0
-    # views per stacked array: M for the cloud, one per encoder or baseline slice
-    slices = len(model.named_params()) // len(params)
-    per_key = [np.sum(np.square(p.reshape(slices, -1)), axis=1).tolist()
-               for p in params.values()]
-    return math.sqrt(sum(total for per_view in zip(*per_key) for total in per_view))
+    """The L2 norm over a model's parameters: one dot product of its buffer."""
+    return math.sqrt(float(np.vdot(model.buffer, model.buffer)))
 
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
@@ -669,18 +661,23 @@ def rounds_to_target(records: list[RoundRecord], target: float) -> int | None:
                  if r.val_accuracy is not None and r.val_accuracy >= target), None)
 
 
-# --- named parameter views (checkpointing) ------------------------------------
+# --- parameter sets (checkpointing) -------------------------------------------
+
+
+def _param_sets(state) -> dict[str, nn.ParamSet]:
+    return {"cloud": state.cloud_model, "encoders": state.encoders}
 
 
 def state_parameters(state) -> dict[str, Array]:
-    """Flat named view over every trainable array in the state."""
-    out = {f"cloud.{name}": p for name, p in state.cloud_model.named_params().items()}
-    out.update(state.encoders.named_params())
-    return out
+    """Every trainable array in the state, named ``{set}.{key}``: views of
+    the ``cloud`` set's and the ``encoders`` set's own stacked arrays."""
+    return {f"{set_name}.{key}": p for set_name, model in _param_sets(state).items()
+            for key, p in model.params.items()}
 
 
 def load_state_parameters(state, params: dict[str, Array]) -> None:
-    """Install a named parameter dict saved by ``state_parameters``."""
+    """Install a named parameter dict saved by ``state_parameters``, one
+    ``set_params`` per set."""
     expected = state_parameters(state)
     if set(params) != set(expected):
         diff = sorted(set(expected) ^ set(params))
@@ -688,6 +685,5 @@ def load_state_parameters(state, params: dict[str, Array]) -> None:
     for name, p in params.items():
         if p.shape != expected[name].shape:
             raise ValueError(f"shape mismatch for {name}")
-    state.cloud_model.set_named_params({name[len("cloud."):]: p for name, p in params.items()
-                                        if name.startswith("cloud.")})
-    state.encoders.set_named_params(params)
+    for set_name, model in _param_sets(state).items():
+        model.set_params({key: params[f"{set_name}.{key}"] for key in model.params})

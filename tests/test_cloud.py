@@ -13,10 +13,31 @@ def small_model(m=2, s=6, r=4, x=3, hidden=5, seed=7):
     return cloud.build_cloud_model(m, s, r, x, hidden, seed)
 
 
+# each stacked cloud key as (branch stack, the name a separate nn.LayerStack
+# gives that array): "z" is a branch's inner stack, "u" its outer stack
+BRANCH_NAMES = {"z_in": ("z", "dense0.w"), "z_in_b": ("z", "dense0.b"),
+                "z_out": ("z", "dense2.w"), "z_out_b": ("z", "dense2.b"),
+                "u_in": ("u", "dense0.w"), "u_in_b": ("u", "dense0.b"),
+                "u_out": ("u", "dense2.w"), "u_out_b": ("u", "dense2.b")}
+
+
+def by_branch(stacked):
+    """Per-branch views, named ``z{m}.dense0.w`` and so on, of a dict shaped
+    like a cloud model's ``params`` (its gradients, say): branch m's block
+    of rows of the inner first layer, index m of the other arrays."""
+    count = stacked["z_out"].shape[0]
+    views = {}
+    for key, p in stacked.items():
+        blocks = p.reshape(count, -1, *p.shape[1:]) if key.startswith("z_in") else p
+        stack, name = BRANCH_NAMES[key]
+        views.update({f"{stack}{m}.{name}": blocks[m] for m in range(count)})
+    return views
+
+
 def branch_stacks(model):
     """Per-branch (inner, outer) layer stacks holding copies of the model's
     branch slices, for references that run the unfused nn passes."""
-    named = model.named_params()
+    named = by_branch(model.params)
     pairs = []
     for m in range(model.n_branches):
         pair = []
@@ -31,10 +52,11 @@ def branch_stacks(model):
     return pairs
 
 
-def by_branch(stacked):
-    """Per-branch views, under checkpoint names, of a dict shaped like a
-    cloud model's ``params`` (its gradients, say)."""
-    return cloud.CloudModel(stacked).named_params()
+def random_biases(model, rng):
+    """Nonzero biases (keys ``*_b`` in the cloud, ``*.b`` in a baseline), so
+    the count-weighted inner output bias moves the logits."""
+    model.set_params({key: rng.normal(size=p.shape) if key.endswith(("_b", ".b")) else p
+                      for key, p in model.params.items()})
 
 
 def straight_line_eval(model, received):
@@ -208,12 +230,6 @@ class TestCloudBackward:
         assert np.any(messages[1][1] != 0.0)
 
 
-def random_biases(model, rng):
-    """Nonzero biases, so the count-weighted inner output bias moves the logits."""
-    model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
-                            for name, p in model.named_params().items()})
-
-
 def per_branch_node_reference(model, received, active, grad_logits):
     """The unfused composition: per-(branch, node) nn.forward/nn.backward calls.
 
@@ -320,8 +336,11 @@ class TestFusedCloud:
         received = [rng.normal(size=(4, 6)) for _ in range(2)]
         _, cache = cloud.cloud_infer(model, received)
         prefix = f"{'zu'[which % 2]}{which // 2}."
-        model.set_named_params({name: p + 1.0 if name.startswith(prefix) else p
-                                for name, p in model.named_params().items()})
+        moved = {key: p.copy() for key, p in model.params.items()}
+        for name, view in by_branch(moved).items():
+            if name.startswith(prefix):
+                view += 1.0
+        model.set_params(moved)
         with pytest.raises(ValueError, match="stale"):
             cloud.cloud_backward(model, cache, np.zeros((4, 3)))
 
@@ -358,23 +377,19 @@ class TestFusedCloud:
         with pytest.raises(ValueError):
             cloud.CloudModel(params)
 
-    def test_named_views_are_branch_slices(self):
-        """Checkpoint names index into the stacked arrays: row blocks of the
-        inner first layer, branch m of the rest. Installing them back gives
-        the same stacks bit for bit."""
-        model = small_model(m=3, hidden=5)
-        named = model.named_params()
-        assert list(named)[:8] == ["z0.dense0.w", "z0.dense0.b", "z0.dense2.w", "z0.dense2.b",
-                                   "u0.dense0.w", "u0.dense0.b", "u0.dense2.w", "u0.dense2.b"]
-        assert len(named) == 3 * 8
-        assert np.shares_memory(named["z1.dense0.w"], model.params["z_in"])
-        assert np.array_equal(named["z1.dense0.w"], model.params["z_in"][5:10])
-        assert np.array_equal(named["u2.dense2.b"], model.params["u_out_b"][2])
-        other = small_model(m=3, hidden=5, seed=8)
-        other.set_named_params(named)
-        for key, p in model.params.items():
-            assert np.array_equal(other.params[key], p)
-            assert not np.shares_memory(other.params[key], p)
+    def test_branches_keep_their_child_seed_draws(self):
+        """Each branch's slices hold, bit for bit, the parameters of a separate
+        ``nn.LayerStack`` built from its own child seed: inner stack m from
+        child 2m, outer stack m from child 2m+1."""
+        model = small_model(m=3, hidden=5, seed=8)
+        seeds = cloud._child_seeds(8, 6)
+        named = by_branch(model.params)
+        for m in range(3):
+            for prefix, widths, stack_seed in (("z", (6, 5, 4), seeds[2 * m]),
+                                               ("u", (4, 5, 3), seeds[2 * m + 1])):
+                stack = nn.LayerStack(nn.perceptron(*widths), stack_seed)
+                for name, p in stack.params.items():
+                    assert named[f"{prefix}{m}.{name}"].tobytes() == p.tobytes()
 
 
 def unfused_infer(model, received, mask):
@@ -461,9 +476,9 @@ class TestCloudUpdate:
         _, cache = cloud.cloud_infer(model, received, rng.random((6, 2)) < 0.7)
         grads, _ = cloud.cloud_backward(model, cache, rng.normal(size=(6, 3)))
         nn.SgdOptimizer(0.3).step(model, grads, 6)
-        got = model.named_params()
+        got = by_branch(model.params)
         per_branch = by_branch(grads)
-        for name, p in ref.named_params().items():
+        for name, p in by_branch(ref.params).items():
             assert np.array_equal(got[name], p - (0.3 / 6) * per_branch[name])
 
     def test_two_half_batches_average_to_full_batch(self):
@@ -497,7 +512,7 @@ class TestCloudUpdate:
             per_branch = by_branch(grads)
             for prefix, stack, opt in zip(names, stacks, slice_opts):
                 opt.step(stack, {n: per_branch[f"{prefix}.{n}"] for n in stack.params}, 7)
-        got = model.named_params()
+        got = by_branch(model.params)
         for prefix, stack in zip(names, stacks):
             for name, p in stack.params.items():
                 assert np.array_equal(got[f"{prefix}.{name}"], p)
@@ -642,21 +657,22 @@ class TestBaselines:
         for m in messages:
             assert np.allclose(m, gx, atol=1e-15)
 
-    def test_named_params_over_the_slices(self):
-        """A baseline's checkpoint names are its stacks' under ``stack{idx}.``,
-        views of the slices; ``set_named_params`` installs them slice by
-        slice, and a head no node used gets a zero gradient."""
+    def test_params_are_the_stacked_heads(self):
+        """A baseline's arrays are its stacks' stacked along a leading head
+        axis, views of its buffer; ``set_params`` installs them head by head,
+        and a head no node used gets a zero gradient."""
         model = cloud.build_baseline(cloud.MHNET, 4, 3, 3, seed=6, hidden=5)
-        named = model.named_params()
-        assert list(named) == [f"stack{i}.dense{j}.{wb}" for i in range(3)
-                               for j in (0, 2, 4) for wb in "wb"]
-        assert all(np.shares_memory(p, model.buffer) for p in named.values())
-        moved = {k: p + 1.0 + int(k[5]) for k, p in named.items()}  # shift by head
-        model.set_named_params(moved)
+        assert list(model.params) == [f"dense{j}.{wb}" for j in (0, 2, 4) for wb in "wb"]
+        assert all(p.shape[0] == 3 and np.shares_memory(p, model.buffer)
+                   for p in model.params.values())
+        # shift head i by 1 + i
+        moved = {k: p + 1.0 + np.arange(3).reshape(-1, *(1,) * (p.ndim - 1))
+                 for k, p in model.params.items()}
+        model.set_params(moved)
         assert model.version == 1
         for i in range(3):
             for name, p in model.slice_view(i).params.items():
-                assert np.array_equal(p, moved[f"stack{i}.{name}"])
+                assert np.array_equal(p, moved[name][i])
         with pytest.raises(ValueError, match="names"):
             model.set_params({"dense0.w": np.zeros((3, 5, 4))})
         rng = np.random.default_rng(18)
@@ -696,8 +712,7 @@ class TestBaselines:
         rng = np.random.default_rng(20 + n_nodes)
         dim = 3 if kind == cloud.SUM_AGG else 4
         model = cloud.build_baseline(kind, dim, 3, 12, seed=7, hidden=5)
-        model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
-                                for name, p in model.named_params().items()})
+        random_biases(model, rng)
         for batch in (1, 7, 64):
             received = rng.normal(size=(n_nodes, batch, dim))
             received[:, -1] = -0.0
@@ -754,8 +769,7 @@ def forward_only_model(kind, n_nodes, n_branches, rng):
     else:
         model = cloud.build_baseline(kind, dim, 3, n_nodes, seed=int(rng.integers(1000)),
                                      hidden=5)
-    model.set_named_params({name: rng.normal(size=p.shape) if name.endswith(".b") else p
-                            for name, p in model.named_params().items()})
+    random_biases(model, rng)
     return model, dim
 
 

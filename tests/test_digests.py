@@ -63,6 +63,9 @@ def _matrix() -> dict[str, dict]:
         "mhnet-async": {"architecture": "mhnet", "async": "true"},
         "catnet": {"architecture": "catnet"},
         "sum_agg": {"architecture": "sum_agg", "classes": 4, "message_dim": 4},
+        # one-row batches: the cloud's folded first layer runs as a
+        # matrix-vector product, whose kernel may split the sum
+        "batch-one": {"batch_size": 1},
     })
     return modes
 

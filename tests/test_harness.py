@@ -2,7 +2,10 @@
 
 import copy
 import dataclasses
+import importlib
+import inspect
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -202,13 +205,17 @@ class TestCheckpoint:
             checkpoint.load_checkpoint(path)
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
+        """An unknown version, and version 1 with its per-slice names, fail
+        naming the file's version and the one this library reads."""
         path = tmp_path / "state.bin"
         checkpoint.save_checkpoint(path, self._params(), "", 0)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(checkpoint.CheckpointError, match="99.*1"):
-            checkpoint.load_checkpoint(path)
+        for version in (99, 1):
+            raw[4:8] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(checkpoint.CheckpointError,
+                               match=f"version {version}, this library reads version 2"):
+                checkpoint.load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "state.bin"
@@ -529,7 +536,7 @@ BUFFER_CONFIGS = {
 class TestParameterBuffers:
     @pytest.mark.parametrize("name", sorted(BUFFER_CONFIGS))
     def test_params_stay_views_of_one_buffer(self, tmp_path, name):
-        """After construction, set_params, set_named_params, restore_state and
+        """After construction, set_params, load_state_parameters, restore_state and
         deepcopy every set's params are views of its one buffer; stepping a
         deep copy leaves the original alone."""
         cfg = config_mod.parse_config_text(small_config_text(**BUFFER_CONFIGS[name]))
@@ -701,6 +708,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_eval_of_a_version_one_checkpoint_exits_one(self, tmp_path):
+        """A checkpoint of format version 1 fails with one error line naming
+        versions 1 and 2."""
+        experiment.run_training(config_mod.parse_config_text(small_config_text()),
+                                tmp_path / "trained")
+        path = tmp_path / "trained" / "checkpoint.bin"
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        cfg = tmp_path / "eval.txt"
+        cfg.write_text(f"checkpoint = {path}\n")
+        proc = self._run("eval", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "format version 1, this library reads version 2" in lines[0]
+
     def test_train_and_eval_commands(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config_text())
@@ -745,3 +769,66 @@ class TestCli:
                                           "max_rel_err": 1.0, "tolerance": 1e-5,
                                           "elapsed_s": 0.0})
         assert cli.main(["gradcheck"]) == 2
+
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# backticked words in the Layout table that name no attribute: a symbol of
+# the model's equations
+LAYOUT_WORDS = {"h"}
+
+
+def layout_rows(text):
+    """(module names, contents) of each module row of README's Layout table;
+    a row's first cell names one module or several: `fronthaul.config` / `cli`."""
+    section = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split(" | ")]
+        if len(cells) == 2 and cells[0].startswith("`fronthaul."):
+            rows.append(([n.strip().strip("`").removeprefix("fronthaul.")
+                          for n in cells[0].split("/")], cells[1]))
+    return rows
+
+
+def _resolve(owners, dotted):
+    """The object ``dotted`` names: its first part a ``fronthaul`` module or
+    an attribute of the first owner that has one, the rest attributes; None
+    if any part is missing."""
+    first, *rest = dotted.split(".")
+    try:
+        found = importlib.import_module(f"fronthaul.{first}")
+    except ImportError:
+        found = next((getattr(o, first) for o in owners if hasattr(o, first)), None)
+    for part in rest:
+        found = getattr(found, part, None)
+    return found
+
+
+def unknown_layout_names(text):
+    """Backticked identifiers in a Layout row that are not attributes of the
+    row's modules or of a class they define, nor, dotted, of the
+    ``fronthaul`` module named first; a call ``name(args)`` is checked by
+    its name, and other spans (formulas, config lines) are skipped."""
+    unknown = []
+    for names, contents in layout_rows(text):
+        modules = [importlib.import_module(f"fronthaul.{n}") for n in names]
+        owners = modules + [cls for m in modules
+                            for _, cls in inspect.getmembers(m, inspect.isclass)
+                            if cls.__module__ == m.__name__]
+        for span in re.findall(r"`([^`]+)`", contents):
+            name = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", span)
+            if name and name[1] not in LAYOUT_WORDS and _resolve(owners, name[1]) is None:
+                unknown.append(f"{' / '.join(names)}: {span}")
+    return unknown
+
+
+def test_readme_layout_names_exist():
+    """Every module has a row in README's Layout table, and every Python
+    name a row gives in backticks exists where the row says, so the map
+    names no deleted helper."""
+    text = README.read_text()
+    package = Path(protocol.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("__"))
+    assert sorted(n for names, _ in layout_rows(text) for n in names) == modules
+    assert unknown_layout_names(text) == []

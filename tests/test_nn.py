@@ -735,25 +735,24 @@ def node_stacked(name, seeds):
     """The kernel stacks of ``seeds`` as the node-first view of one stack
     set, the form ``nn.forward`` reads, and the 2-D stacks it was built from."""
     lone = [kernel_stack(name, seed) for seed in seeds]
-    stack_set = nn.StackSet(lone, [f"stack{i}" for i in range(len(lone))])
+    stack_set = nn.StackSet(lone)
     return stack_set.first_slices(len(lone)), lone
 
 
 class TestStackSet:
     def test_slices_hold_the_stacks_bits(self):
         """Slice i holds stack i's parameters bit for bit; the 2-D slice
-        views, the node-first view and the checkpoint names are views of the
+        views, the node-first view and the stacked arrays are views of the
         set's one buffer."""
         lone = [kernel_stack("relu-inside", seed) for seed in (1, 2, 3)]
-        stack_set = nn.StackSet(lone, ["a", "b", "c"])
+        stack_set = nn.StackSet(lone)
         assert stack_set.n_slices == 3 and stack_set.layers == lone[0].layers
-        named = stack_set.named_params()
-        assert list(named) == [f"{prefix}.{k}" for prefix in "abc" for k in lone[0].params]
-        for i, (prefix, stack) in enumerate(zip("abc", lone)):
+        assert list(stack_set.params) == list(lone[0].params)
+        for i, stack in enumerate(lone):
             view = stack_set.slice_view(i)
             for k, p in stack.params.items():
                 assert view.params[k].tobytes() == p.tobytes()
-                assert named[f"{prefix}.{k}"].tobytes() == p.tobytes()
+                assert stack_set.params[k][i].tobytes() == p.tobytes()
                 assert np.shares_memory(view.params[k], stack_set.buffer)
         first = stack_set.first_slices(2)
         assert first.layers == stack_set.layers and first.in_dim == 6
@@ -761,29 +760,16 @@ class TestStackSet:
             assert p.shape == (2, *lone[0].params[k].shape)
             assert np.shares_memory(p, stack_set.buffer)
 
-    def test_named_params_install_slice_by_slice(self):
-        lone = [kernel_stack("relu-inside", seed) for seed in (1, 2)]
-        stack_set = nn.StackSet(lone, ["a", "b"])
-        moved = {k: p + (1.0 if k.startswith("a.") else 2.0)
-                 for k, p in stack_set.named_params().items()}
-        stack_set.set_named_params({**moved, "other.dense0.w": np.zeros(1)})
-        assert stack_set.version == 1
-        for k, p in stack_set.named_params().items():
-            assert np.array_equal(p, moved[k])
-
-    def test_layouts_and_prefixes_must_match(self):
+    def test_layouts_must_match(self):
         with pytest.raises(ValueError, match="same layers"):
-            nn.StackSet([kernel_stack("relu-inside", 1), kernel_stack("ends-in-relu", 1)],
-                        ["a", "b"])
-        with pytest.raises(ValueError, match="one checkpoint prefix per stack"):
-            nn.StackSet([kernel_stack("relu-inside", 1)], ["a", "b"])
+            nn.StackSet([kernel_stack("relu-inside", 1), kernel_stack("ends-in-relu", 1)])
 
     def test_backward_checks_the_set_a_view_names(self):
         """A view cache answers to the set its forward pass read: any view of
         that set at the same version serves, with the same bits; a view of
         another set, or a lone stack, is a different set; a change of the
         set makes the cache stale."""
-        stack_set = nn.StackSet([kernel_stack("relu-inside", s) for s in (1, 2)], ["a", "b"])
+        stack_set = nn.StackSet([kernel_stack("relu-inside", s) for s in (1, 2)])
         other = copy.deepcopy(stack_set)
         rng = np.random.default_rng(7)
         x, upstream = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 5, 4))
@@ -801,9 +787,9 @@ class TestStackSet:
             nn.backward(cache.stack, cache, upstream)
 
     def test_a_set_of_no_stacks_has_no_parameters(self):
-        empty = nn.StackSet([], [])
-        assert empty.params == {} and empty.named_params() == {} and empty.n_slices == 0
-        empty.set_named_params({})
+        empty = nn.StackSet([])
+        assert empty.params == {} and empty.n_slices == 0
+        empty.set_params({})
         assert empty.version == 1
 
 

@@ -343,6 +343,34 @@ class TestTrainingRound:
         assert len(set(free.snr_up_db.tolist())) == cfg.batch_size
         assert frozen.h.tobytes() == free.h.tobytes()
 
+    @pytest.mark.parametrize("async_", [False, True], ids=["sync", "async"])
+    def test_exact_downlink_draws_no_downlink_noise(self, monkeypatch, async_):
+        """Under ``downlink = exact`` no downlink-noise stream is built and the
+        env holds no downlink noise; every other array keeps the bits the
+        wireless config draws, since each stream is keyed by (domain, round)."""
+        ds = toy_dataset()
+        cfg = toy_config(downlink="wireless", snr_dn_db=(0.0, 20.0), async_coordination=async_,
+                         pathloss=True)
+        batch = protocol.schedule_minibatches(cfg.master_seed, len(ds.train_labels),
+                                              cfg.batch_size, cfg.rounds)[1]
+        built = []
+
+        def spy(master_seed, domain, *key):
+            built.append(domain)
+            return stream(master_seed, domain, *key)
+
+        stream = protocol.stream
+        monkeypatch.setattr(protocol, "stream", spy)
+        wireless = protocol.draw_round_env(cfg, ds, batch, 2)
+        assert protocol._DOM_DN_NOISE in built and wireless.dn_noise is not None
+        built.clear()
+        exact = protocol.draw_round_env(dataclasses.replace(cfg, downlink="exact"), ds, batch, 2)
+        assert protocol._DOM_DN_NOISE not in built and exact.dn_noise is None
+        for field in dataclasses.fields(protocol.RoundEnv):
+            if field.name != "dn_noise":
+                want, got = getattr(wireless, field.name), getattr(exact, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
     def test_rounds_must_be_sequential(self):
         cfg = toy_config()
         state = protocol.init_state(cfg, toy_dataset())
@@ -623,15 +651,15 @@ class TestCentralizedAgreement:
         cfg, ds = toy_config(), toy_dataset()
         state, other = protocol.init_state(cfg, ds), protocol.init_state(cfg, ds)
         assert oracles._max_param_deviation(state, other) == 0.0
-        small = protocol.state_parameters(other)["cloud.z0.dense0.w"]
+        small = protocol.state_parameters(other)["cloud.z_in"]
         small[0, 0] += 1e-9
         assert oracles._max_param_deviation(state, other) == pytest.approx(1e-9, rel=1e-6)
         assert oracles._max_param_deviation(other, state) == pytest.approx(1e-9, rel=1e-6)
         small[0, 0] -= 1e-9
-        large_here = protocol.state_parameters(state)["encoder2.dense0.w"]
-        large_there = protocol.state_parameters(other)["encoder2.dense0.w"]
-        large_here[0, 0] = 100.0
-        large_there[0, 0] = 100.0 + 1e-7
+        large_here = protocol.state_parameters(state)["encoders.dense0.w"]
+        large_there = protocol.state_parameters(other)["encoders.dense0.w"]
+        large_here[2, 0, 0] = 100.0
+        large_there[2, 0, 0] = 100.0 + 1e-7
         assert oracles._max_param_deviation(state, other) == pytest.approx(1e-9, rel=1e-6)
 
 
@@ -904,9 +932,9 @@ class TestParamNorms:
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     @pytest.mark.parametrize("architecture", ["proposed", "mhnet"])
     def test_norms_only_on_cadence_rounds(self, architecture, cadence):
-        """Norms are computed on the rounds metrics.csv prints and equal the
-        norm over every parameter, per-branch slice by slice; off cadence
-        they are None."""
+        """Norms are computed on the rounds metrics.csv prints, the cloud's
+        over its set and the edges' over the encoder set, which with
+        encoder sharing is the one shared encoder; off cadence they are None."""
         cfg = toy_config(architecture=architecture, val_cadence=cadence,
                          encoder_sharing=True, rounds=6)
         state = protocol.init_state(cfg, toy_dataset())
@@ -915,18 +943,16 @@ class TestParamNorms:
             if k % max(1, cadence) != 0:
                 assert record.param_norm_cloud is None and record.param_norm_edges is None
                 continue
-            params = protocol.state_parameters(state)
-            assert record.param_norm_cloud == full_norm(
-                p for name, p in params.items() if name.startswith("cloud."))
-            assert record.param_norm_edges == full_norm(
-                p for name, p in params.items() if name.startswith("encoder"))
+            assert record.param_norm_cloud == protocol._norm(state.cloud_model)
+            assert record.param_norm_edges == protocol._norm(state.encoders)
 
 
 class TestNorm:
     @pytest.mark.parametrize("which", ["cloud", "dedicated", "shared", "mhnet", "sum_agg"])
-    def test_one_reduction_per_array_matches_per_view_sums(self, which):
-        """One reduction per stacked array gives the norm summed view by view,
-        bit for bit; a model with no parameters has norm 0.0."""
+    def test_norm_over_every_array(self, which):
+        """The norm over every array of the set, to within the rounding of
+        summing its squares in another order (n * eps relative for n
+        squares); a model with no parameters has norm 0.0."""
         rng = np.random.default_rng(17)
         architecture = which if which in ("mhnet", "sum_agg") else "proposed"
         cfg = toy_config(architecture=architecture, encoder_sharing=which == "shared",
@@ -935,39 +961,40 @@ class TestNorm:
         model = (protocol.build_encoders(cfg) if which in ("dedicated", "shared")
                  else protocol.build_cloud(cfg))
         for _ in range(4):
-            # entries over six decades, so the summation order shows in the bits
+            # entries over six decades
             model.set_params({k: rng.normal(size=p.shape) * 10 ** rng.uniform(-3, 3, p.shape)
                               for k, p in model.params.items()})
-            assert protocol._norm(model) == full_norm(model.named_params().values())
+            assert protocol._norm(model) == pytest.approx(
+                full_norm(model.params.values()), rel=model.buffer.size * np.finfo(float).eps)
         if which == "sum_agg":
             assert protocol._norm(model) == 0.0
 
 
 def expected_parameter_shapes(cfg, architecture):
-    """The checkpoint layout, written out: per-branch stacks for the proposed
-    cloud, ``stack{i}`` three-layer perceptrons for the baselines."""
-    s, h, r, x = cfg.message_dim, cfg.cloud_hidden, cfg.latent_dim, cfg.n_classes
+    """The checkpoint layout, written out: the cloud's eight arrays stacked
+    over M branches for the proposed cloud, three-layer perceptrons stacked
+    over their heads for the baselines, and the encoders stacked over the
+    nodes, one slice when shared."""
+    s, h, r, x, m = (cfg.message_dim, cfg.cloud_hidden, cfg.latent_dim, cfg.n_classes,
+                     cfg.n_branches)
     shapes = {}
     if architecture == "proposed":
-        for m in range(cfg.n_branches):
-            for prefix, dims in (("z", (s, h, r)), ("u", (r, h, x))):
-                shapes.update({f"cloud.{prefix}{m}.dense0.w": (dims[1], dims[0]),
-                               f"cloud.{prefix}{m}.dense0.b": (dims[1],),
-                               f"cloud.{prefix}{m}.dense2.w": (dims[2], dims[1]),
-                               f"cloud.{prefix}{m}.dense2.b": (dims[2],)})
+        shapes.update({"cloud.z_in": (m * h, s), "cloud.z_in_b": (m * h,),
+                       "cloud.z_out": (m, r, h), "cloud.z_out_b": (m, r),
+                       "cloud.u_in": (m, h, r), "cloud.u_in_b": (m, h),
+                       "cloud.u_out": (m, x, h), "cloud.u_out_b": (m, x)})
     elif architecture != "sum_agg":
         width = cfg.baseline_hidden
-        heads = [(cfg.n_train * s,)] if architecture == "catnet" else [(s,)] * cfg.n_train
-        for i, (in_dim,) in enumerate(heads):
-            for j, (a, b) in enumerate(((in_dim, width), (width, width), (width, x))):
-                shapes[f"cloud.stack{i}.dense{2 * j}.w"] = (b, a)
-                shapes[f"cloud.stack{i}.dense{2 * j}.b"] = (b,)
+        heads, in_dim = (1, cfg.n_train * s) if architecture == "catnet" else (cfg.n_train, s)
+        for j, (a, b) in enumerate(((in_dim, width), (width, width), (width, x))):
+            shapes[f"cloud.dense{2 * j}.w"] = (heads, b, a)
+            shapes[f"cloud.dense{2 * j}.b"] = (heads, b)
     hidden = cfg.encoder_hidden[0]
-    for i in range(cfg.n_train):
-        shapes.update({f"encoder{i}.dense0.w": (hidden, cfg.obs_dim),
-                       f"encoder{i}.dense0.b": (hidden,),
-                       f"encoder{i}.dense2.w": (s, hidden),
-                       f"encoder{i}.dense2.b": (s,)})
+    n = 1 if cfg.encoder_sharing else cfg.n_train
+    shapes.update({"encoders.dense0.w": (n, hidden, cfg.obs_dim),
+                   "encoders.dense0.b": (n, hidden),
+                   "encoders.dense2.w": (n, s, hidden),
+                   "encoders.dense2.b": (n, s)})
     return shapes
 
 
@@ -979,11 +1006,18 @@ class TestStateParameters:
     @pytest.mark.parametrize("architecture, overrides", ARCHITECTURES,
                              ids=[a for a, _ in ARCHITECTURES])
     def test_names_and_shapes(self, architecture, overrides):
-        cfg = toy_config(architecture=architecture, baseline_hidden=7, **overrides)
-        state = protocol.init_state(cfg, toy_dataset(classes=cfg.n_classes))
-        params = protocol.state_parameters(state)
-        assert {k: p.shape for k, p in params.items()} == \
-            expected_parameter_shapes(cfg, architecture)
+        """One ``{set}.{key}`` name per stacked array, each a view of its set's
+        buffer, with dedicated and with shared encoders."""
+        for sharing in (False, True):
+            cfg = toy_config(architecture=architecture, baseline_hidden=7,
+                             encoder_sharing=sharing, **overrides)
+            state = protocol.init_state(cfg, toy_dataset(classes=cfg.n_classes))
+            params = protocol.state_parameters(state)
+            assert {k: p.shape for k, p in params.items()} == \
+                expected_parameter_shapes(cfg, architecture)
+            for name, p in params.items():
+                model = state.cloud_model if name.startswith("cloud.") else state.encoders
+                assert np.shares_memory(p, model.buffer), name
 
     @pytest.mark.parametrize("architecture, overrides", ARCHITECTURES,
                              ids=[a for a, _ in ARCHITECTURES])
