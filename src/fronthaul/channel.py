@@ -71,7 +71,8 @@ def sample_channel(rng: np.random.Generator, n_blocks: int,
             raise ValueError("pathloss distance must be positive")
         factor = d ** (-alpha)
     full = (*shape, n_blocks)
-    std = np.sqrt(np.broadcast_to(np.asarray(factor)[..., None], full) / 2.0)
+    # one std per entry of ``factor``, broadcast by the products below
+    std = np.sqrt(np.asarray(factor) / 2.0)[..., None]
     # the bits of std * (re + 1j * im), without its complex temporaries
     h = np.empty(full, dtype=complex)
     np.multiply(std, rng.standard_normal(full), out=h.real)

@@ -410,7 +410,7 @@ def baseline_infer(model: BaselineModel, received: Array, active: Array | None =
         logits, fc = nn.forward(model.slice_view(0), stacked, keep_cache=keep_cache)
     else:
         # mhnet: one head per node index
-        out, fc = nn.forward(model.first_slices(n_nodes), rows, keep_cache=keep_cache)
+        out, fc = nn.forward(model.node_range(0, n_nodes), rows, keep_cache=keep_cache)
         logits = _masked_node_sum(mask, out)
     return logits, BaselineCache(model, model.version, fc, mask) if keep_cache else None
 

@@ -96,12 +96,14 @@ def cqi_side_input(magnitude: Array, pathloss: bool) -> Array:
 
 
 def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
-           keep_cache: bool = True) -> tuple[Array, nn.ForwardCache | None]:
+           keep_cache: bool = True, first_node: int = 0
+           ) -> tuple[Array, nn.ForwardCache | None]:
     """Every node's messages s_i = projection(encoder_i(a_i [, cqi_i])), (n, B, S).
 
-    ``observations`` is (n, B, A); ``cqi`` (n, B, blocks) is present
-    exactly when the set takes channel quality input. Dedicated encoders
-    serve nodes 0 to n-1; a shared encoder serves any n. One ``nn.forward``
+    ``observations`` is (n, B, A), the rows of nodes ``first_node`` to
+    ``first_node + n - 1``; ``cqi`` (n, B, blocks) is present exactly when
+    the set takes channel quality input. Dedicated encoders serve those
+    nodes with their own slices; a shared encoder serves any. One ``nn.forward``
     runs every node's stack over the node axis, each node's products the
     same BLAS calls as on its own. Returns the messages and that call's
     ``nn.ForwardCache``, which names the set and its version. Inference
@@ -116,9 +118,9 @@ def encode(encoders: EncoderSet, observations: Array, cqi: Array | None = None,
                          "quality side input")
     if encoders.cqie:
         values = np.concatenate([values, np.asarray(cqi, dtype=float)], axis=-1)
-    n = len(values)
-    encoders.check_nodes(n)
-    return nn.forward(encoders.first_slices(n), values, keep_cache=keep_cache)
+    stop = first_node + len(values)
+    encoders.check_nodes(stop)
+    return nn.forward(encoders.node_range(first_node, stop), values, keep_cache=keep_cache)
 
 
 def batch_gradient(encoders: EncoderSet, cache: nn.ForwardCache, upstream: Array

@@ -233,10 +233,13 @@ class StackSet(ParamSet):
         """Slice i as a 2-D stack."""
         return self._view(lambda p: p[i])
 
-    def first_slices(self, n: int) -> StackView:
-        """Slices 0 to n-1 as a node-first stack; a set of one slice yields
-        that slice for any n, which then serves every node."""
-        return self._view(lambda p: p[:n])
+    def node_range(self, start: int, stop: int) -> StackView:
+        """Slices start to stop-1 as a node-first stack, node i reading slice
+        i; a set of one slice yields that slice for any range, which then
+        serves every node."""
+        if self.n_slices == 1:
+            start, stop = 0, 1
+        return self._view(lambda p: p[start:stop])
 
     def _view(self, pick) -> StackView:
         return StackView(self.layers, {name: pick(p) for name, p in self.params.items()},

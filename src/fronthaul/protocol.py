@@ -181,14 +181,15 @@ class RoundRecord:
 
 @dataclass
 class EvalPopulation:
-    """One evaluation population at two levels, each rebuilt only on its own key.
+    """One split's evaluation nodes at two levels, each grown or rebuilt on its own key.
 
-    ``draws`` holds what no parameter touches, per chunk of at most
-    ``_EVAL_CHUNK`` samples: the fading magnitudes |h| (n_test, nb, blocks)
-    and the unit noise rows (n_test, nb, S), both node-first, the crop
-    offsets (nb, n_test, 2) and the labels. They are valid for the dataset
-    object named while ``key`` still matches. ``rows`` holds each chunk's
-    noiseless received rows H s (n_test, nb, S), encoded by ``encoders`` at
+    What no parameter touches is held node-first over the whole split:
+    the fading magnitudes |h| (n, n_samples, blocks), the unit noise rows
+    (n, n_samples, S) and the crop offsets (n, n_samples, 2), one node per
+    stream, with the split's labels. They are valid for the dataset object
+    named while ``key`` still matches, and the first m of them are the
+    population of m nodes. ``rows`` holds the noiseless received rows H s
+    (k, n_samples, S) of the first k <= n nodes, encoded by ``encoders`` at
     ``version``. See ``_eval_population``. It holds no complex array and
     no crops: at 12 nodes on 768 samples with S = 16 it is 3.11 MB (H s
     and the unit noise 1.18 MB each, |h| 0.59 MB, the offsets 0.15 MB).
@@ -196,11 +197,13 @@ class EvalPopulation:
 
     dataset: data.SyntheticDataset
     key: tuple
-    draws: list[tuple[Array, Array, Array, Array]]
-    n_samples: int
+    labels: Array
+    magnitude: Array
+    unit: Array
+    offsets: Array
+    rows: Array
     encoders: edge.EncoderSet | None = None
     version: int | None = None
-    rows: list[Array] = field(default_factory=list)
 
 
 @dataclass
@@ -398,17 +401,20 @@ def _norm(model) -> float:
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
                        noise: Array | None, pathloss: bool, keep_cache: bool = False,
-                       before_uplink=None) -> tuple[Array, nn.ForwardCache | None]:
+                       before_uplink=None, first_node: int = 0
+                       ) -> tuple[Array, nn.ForwardCache | None]:
     """Encode every node's rows, then carry all messages over the uplink at once.
 
     ``observations`` (N, B, A), the fading ``h`` (N, B, blocks), complex or
     its magnitudes |h|, and the scaled ``noise`` rows (N, B, S), or None for
-    noiseless rows, are node-first; only |h| is read, and a channel-aware
-    node reads its own as side input. ``before_uplink`` runs between the two steps.
-    Returns the received rows (N, B, S) and the encoders' forward cache.
+    noiseless rows, are node-first, for nodes ``first_node`` onward; only
+    |h| is read, and a channel-aware node reads its own as side input.
+    ``before_uplink`` runs between the two steps. Returns the received rows
+    (N, B, S) and the encoders' forward cache.
     """
     cqi = edge.cqi_side_input(np.abs(h), pathloss) if encoders.cqie else None
-    messages, cache = edge.encode(encoders, observations, cqi, keep_cache=keep_cache)
+    messages, cache = edge.encode(encoders, observations, cqi, keep_cache=keep_cache,
+                                  first_node=first_node)
     if before_uplink is not None:
         before_uplink()
     return channel.uplink_transmit(messages, h, noise), cache
@@ -520,65 +526,93 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
 
 
 def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopulation:
-    """The state's population for (split, n_test), drawn and encoded as needed.
+    """The state's population for ``split``, its first ``n_test`` nodes drawn
+    and encoded, drawing and encoding only the nodes it lacks.
 
+    Node i draws from its own stream, keyed by (split, i), over the whole
+    split: the pathloss distances, the fading, the unit noise and the crop
+    offsets, in that order. So the first m nodes of a larger population
+    are the population of m, and a sweep over n_test draws each node once.
     The draws are keyed without the encoders' version: a change of split,
-    n_test, dataset object, ``master_seed``, ``message_dim`` or the pathloss
-    fields drops the old population and draws a new one. Per chunk the
-    stream gives the pathloss distances, the fading, the unit noise and the
-    crop offsets, in that order. The rows H s are keyed on the encoder set
-    object and its ``version``, which every parameter change (a step,
-    ``set_params``, a load) bumps: on a miss the chunks are cropped again
-    from the stored offsets and encoded over the stored |h|, which is all
-    the uplink gain and the channel-quality input read. At most one
-    population is ever held.
+    dataset object, ``master_seed``, ``message_dim`` or the pathloss fields
+    drops the old population and draws a new one. The rows H s are keyed
+    on the encoder set object and its ``version``, which every parameter
+    change (a step, ``set_params``, a load) bumps: on a miss the first
+    n_test nodes are cropped again from the stored offsets and encoded
+    over the stored |h|, which is all the uplink gain and the
+    channel-quality input read. Nodes beyond the held rows are encoded
+    and appended, each by its own encoder. At most one population is
+    ever held.
     """
     cfg = state.config
-    key = (split, n_test, cfg.master_seed, cfg.n_blocks, cfg.pathloss,
-           tuple(cfg.pathloss_d), cfg.pathloss_alpha)
+    key = (split, cfg.master_seed, cfg.n_blocks, cfg.pathloss, tuple(cfg.pathloss_d),
+           cfg.pathloss_alpha)
     population = state.eval_population
     if population is None or population.dataset is not state.dataset or population.key != key:
         state.eval_population = None
-        population = state.eval_population = _draw_population(state, split, n_test, key)
+        labels = state.dataset.split(split)[1]
+        shape = (0, len(labels))
+        population = state.eval_population = EvalPopulation(
+            state.dataset, key, labels, np.empty((*shape, cfg.n_blocks)),
+            np.empty((*shape, cfg.message_dim)), np.empty((*shape, 2), dtype=np.int64),
+            np.empty((*shape, cfg.message_dim)))
+    if len(population.magnitude) < n_test:
+        _draw_nodes(state, population, split, n_test)
     encoders = state.encoders
+    held = len(population.rows)
     if population.encoders is not encoders or population.version != encoders.version:
-        population.rows = []
-        states = state.dataset.split(split)[0]
-        start = 0
-        for magnitude, _, offsets, labels in population.draws:
-            observations = data.crop_batch(states[start:start + len(labels)], offsets,
-                                           state.dataset.window)
-            hs, _ = _encode_and_uplink(encoders, observations, magnitude, None, cfg.pathloss)
-            population.rows.append(hs)
-            start += len(labels)
+        held = 0
+    if held < n_test:
+        _encode_nodes(state, population, split, held, n_test)
         population.encoders, population.version = encoders, encoders.version
     return population
 
 
-def _draw_population(state: TrainingState, split: str, n_test: int,
-                     key: tuple) -> EvalPopulation:
-    """Draw every chunk's |h|, unit noise and crop offsets; encode nothing."""
+def _grown(held: Array, n: int) -> Array:
+    """A new array of ``n`` nodes along the leading axis, the first
+    ``len(held)`` copied from ``held``: one transient copy while it grows."""
+    out = np.empty((n, *held.shape[1:]), dtype=held.dtype)
+    out[:len(held)] = held
+    return out
+
+
+def _draw_nodes(state: TrainingState, population: EvalPopulation, split: str,
+                n_test: int) -> None:
+    """Draw |h|, the unit noise and the crop offsets of the nodes after the
+    held ones, up to ``n_test``, each from its own stream; encode nothing."""
     cfg = state.config
-    labels = state.dataset.split(split)[1]
-    blocks = cfg.n_blocks
-    rng = stream(cfg.master_seed, _DOM_EVAL, _SPLIT_IDS[split], n_test)
-    draws = []
-    for start in range(0, len(labels), _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, len(labels))
-        nb = stop - start
+    n_samples = len(population.labels)
+    magnitude, unit, offsets = (_grown(a, n_test) for a in
+                                (population.magnitude, population.unit, population.offsets))
+    for i in range(len(population.magnitude), n_test):
+        rng = stream(cfg.master_seed, _DOM_EVAL, _SPLIT_IDS[split], i)
+        pathloss = None
         if cfg.pathloss:
-            d = rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test))
-            pathloss = (d, cfg.pathloss_alpha)
-        else:
-            pathloss = None
-        h = channel.sample_channel(rng, blocks, pathloss=pathloss, shape=(nb, n_test))
-        unit = channel.noise(rng, (nb, n_test, blocks), 2.0)
-        offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
-                               size=(nb, n_test, 2))
-        draws.append((np.ascontiguousarray(np.abs(h).transpose(1, 0, 2)),
-                      np.ascontiguousarray(unit.transpose(1, 0, 2)), offsets,
-                      labels[start:stop]))
-    return EvalPopulation(state.dataset, key, draws, len(labels))
+            pathloss = (rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=n_samples),
+                        cfg.pathloss_alpha)
+        h = channel.sample_channel(rng, cfg.n_blocks, pathloss=pathloss, shape=(n_samples,))
+        np.abs(h, out=magnitude[i])
+        unit[i] = channel.noise(rng, (n_samples, cfg.n_blocks), 2.0)
+        offsets[i] = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
+                                  size=(n_samples, 2))
+    population.magnitude, population.unit, population.offsets = magnitude, unit, offsets
+
+
+def _encode_nodes(state: TrainingState, population: EvalPopulation, split: str,
+                  first: int, n_test: int) -> None:
+    """Keep the rows of nodes before ``first``; crop and encode nodes
+    ``first`` to ``n_test - 1`` from their held draws, chunk by chunk."""
+    states = state.dataset.split(split)[0]
+    rows = _grown(population.rows[:first], n_test)
+    for start in range(0, len(population.labels), _EVAL_CHUNK):
+        chunk = slice(start, start + _EVAL_CHUNK)
+        offsets = population.offsets[first:n_test, chunk].transpose(1, 0, 2)
+        observations = data.crop_batch(states[chunk], offsets, state.dataset.window)
+        hs, _ = _encode_and_uplink(state.encoders, observations,
+                                   population.magnitude[first:n_test, chunk], None,
+                                   state.config.pathloss, first_node=first)
+        rows[first:, chunk] = hs
+    population.rows = rows
 
 
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
@@ -586,49 +620,56 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     """Accuracy and mean loss on a split under fixed evaluation channels.
 
     ``snr_db`` of None evaluates over noiseless links (fading still
-    applies). Draws are keyed by (split, n_test), so sweeping the SNR
-    reuses the same fading and crops and the comparison is paired.
+    applies). Each node's draws are keyed by (split, node), so both
+    sweeps are paired: every SNR reuses the same fading and crops, and
+    the population of n nodes is the first n nodes of any larger one.
     Dedicated encoders serve at most n_train nodes, a shared one any number;
     the cloud's own rule (catnet exactly its node count, mhnet at most one
     node per head) is checked before any draw too. The cloud runs forward
     only and keeps no cache.
 
-    The state keeps the last population in ``state.eval_population``: the
-    draws (|h|, the unit noise, the crop offsets and the labels) and the
-    received rows H s. Each SNR scales the unit noise by sqrt(sigma^2 / 2)
-    and adds H s, which gives the bits a fresh draw at that SNR would. A
-    parameter change of the encoder set (its ``version``) or another
-    encoder set object re-crops and re-encodes the held draws but does not
-    draw again, so validation between training steps reuses one draw. A
-    different split or n_test, another dataset object, or a change of
-    ``master_seed``, ``message_dim`` or the pathloss fields draws the
-    population again and replaces the old one. The cloud model is not
-    cached and is read on every call. A bad ``split``, ``n_test`` or
-    ``snr_db`` raises ValueError before any draw and leaves the held
-    population as it was.
+    The state keeps the last split's population in
+    ``state.eval_population``: per node the draws (|h|, the unit noise and
+    the crop offsets), the labels, and the received rows H s. A call draws
+    only the nodes it lacks and encodes only the nodes whose rows it
+    lacks, then hands the cloud the first n_test. Each SNR scales the unit
+    noise by sqrt(sigma^2 / 2) and adds H s, which gives the bits a fresh
+    draw at that SNR would. A parameter change of the encoder set (its
+    ``version``) or another encoder set object re-crops and re-encodes the
+    first n_test held nodes but does not draw again, so validation between
+    training steps reuses one draw. A different split, another dataset
+    object, or a change of ``master_seed``, ``message_dim`` or the pathloss
+    fields draws the population again and replaces the old one. The cloud
+    model is not cached and is read on every call. A bad ``split``,
+    ``n_test`` or ``snr_db`` raises ValueError before any draw and leaves
+    the held population as it was.
     """
     if split not in _SPLIT_IDS:
         raise ValueError(f"split must be one of {sorted(_SPLIT_IDS)}, got {split!r}")
     n_test = state.config.n_train if n_test is None else n_test
     if isinstance(n_test, bool) or not isinstance(n_test, numbers.Integral) or n_test < 1:
         raise ValueError(f"n_test must be an integer of at least 1, got {n_test!r}")
-    state.encoders.check_nodes(int(n_test))
-    state.cloud_model.check_nodes(int(n_test))
+    n_test = int(n_test)
+    state.encoders.check_nodes(n_test)
+    state.cloud_model.check_nodes(n_test)
     if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
         raise ValueError(f"snr_db must be None or a finite number, got {snr_db!r}")
-    population = _eval_population(state, split, int(n_test))
+    population = _eval_population(state, split, n_test)
     std = channel.noise_std(0.0 if snr_db is None else channel.snr_to_noise_var(snr_db))
 
     correct = 0
     loss_total = 0.0
-    for hs, (_, unit, _, labels) in zip(population.rows, population.draws):
-        received = unit * std
-        received += hs
+    n_samples = len(population.labels)
+    for start in range(0, n_samples, _EVAL_CHUNK):
+        chunk = slice(start, start + _EVAL_CHUNK)
+        received = population.unit[:n_test, chunk] * std
+        received += population.rows[:n_test, chunk]
         logits, _ = state.cloud_model.infer(received, keep_cache=False)
+        labels = population.labels[chunk]
         losses, _ = nn.softmax_cross_entropy(logits, labels)
         loss_total += float(np.sum(losses))
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))
-    return correct / population.n_samples, loss_total / population.n_samples
+    return correct / n_samples, loss_total / n_samples
 
 
 def train(config: TrainingConfig, dataset: data.SyntheticDataset,

@@ -86,8 +86,8 @@ class SideInputSpy:
         self.matched = Counter()
         encode, uplink = edge.encode, channel.uplink_transmit
 
-        def spy_encode(encoders, observations, cqi=None, keep_cache=True):
-            s, cache = encode(encoders, observations, cqi, keep_cache)
+        def spy_encode(encoders, observations, cqi=None, keep_cache=True, first_node=0):
+            s, cache = encode(encoders, observations, cqi, keep_cache, first_node)
             if encoders.cqie:
                 self.pending += [(np.array(c, dtype=float), np.array(m)) for c, m in zip(cqi, s)]
             return s, cache

@@ -696,7 +696,7 @@ class TestBaselines:
         current version: the view names the model, not a frozen version."""
         model = cloud.build_baseline(cloud.MHNET, 4, 3, 2, seed=6, hidden=5)
         received = np.random.default_rng(22).normal(size=(2, 3, 4))
-        _, fc = nn.forward(model.first_slices(2), received)
+        _, fc = nn.forward(model.node_range(0, 2), received)
         model.set_params({k: p + 1.0 for k, p in model.params.items()})
         with pytest.raises(ValueError, match="stale"):
             nn.backward(fc.stack, fc, np.zeros((2, 3, 3)))

@@ -119,11 +119,14 @@ class TestEncode:
         assert all(p.shape[0] == 1 for p in shared.params.values())
 
     def test_dedicated_encoders_cap_the_population(self):
-        """Dedicated encoders serve as many nodes as there are encoders; one
-        shared encoder serves any number, each node with the same map."""
+        """Dedicated encoders serve as many nodes as there are encoders, node
+        indices counted from ``first_node``; one shared encoder serves any
+        number, each node with the same map."""
         dedicated = make_set(seeds=(3, 4))
         with pytest.raises(ValueError, match="sharing"):
             edge.encode(dedicated, np.zeros((3, 1, 6)))
+        with pytest.raises(ValueError, match="sharing"):
+            edge.encode(dedicated, np.zeros((1, 1, 6)), first_node=2)
         a = np.random.default_rng(4).normal(size=(1, 2, 6))
         shared = make_set(shared=True)
         s, _ = edge.encode(shared, np.repeat(a, 5, axis=0))
@@ -137,7 +140,8 @@ class TestStackedEncode:
     def test_equals_per_node_calls(self, kind, batch):
         """encode and batch_gradient give, byte for byte, nn.forward and
         nn.backward on each node's own encoder: a shared set serving more
-        nodes than it has slices, and dedicated sets serving fewer."""
+        nodes than it has slices, and dedicated sets serving fewer. Encoding
+        nodes 1 onward alone gives their rows of the whole call."""
         rng = np.random.default_rng(batch)
         enc = make_set(seeds=(5,) if kind == "shared" else (3, 4, 5, 6),
                        shared=kind == "shared", cqie=kind == "cqie")
@@ -149,6 +153,8 @@ class TestStackedEncode:
         d = rng.normal(size=(n, batch, 4))
         messages, cache = edge.encode(enc, a, cqi)
         grads = edge.batch_gradient(enc, cache, d)
+        later, _ = edge.encode(enc, a[1:], None if cqi is None else cqi[1:], first_node=1)
+        assert later.tobytes() == messages[1:].tobytes()
         for i in range(n):
             x = a[i] if cqi is None else np.concatenate([a[i], cqi[i]], axis=-1)
             want, own = nn.forward(enc.node_encoder(i), x)

@@ -418,6 +418,29 @@ class TestExperimentDriver:
         result = experiment.run_sweep(config_mod.load_config(cfg_path), tmp_path / "out")
         assert [r["value"] for r in result.rows] == [1, 2, 3, 6]
 
+    def test_ntest_sweep_draws_each_test_node_once(self, tmp_path, monkeypatch):
+        """The sweep's grid draws max(sweep_values) test-split node streams,
+        whatever the order of its values. Training draws none, and the
+        training run's own grid draws its n_train = 3."""
+        test_streams = [0]  # before the first grid, then one count per grid
+        test_id = protocol._SPLIT_IDS["test"]
+
+        def counted(seed, domain, *key, _fn=protocol.stream):
+            test_streams[-1] += domain == protocol._DOM_EVAL and key[0] == test_id
+            return _fn(seed, domain, *key)
+
+        def grid(state, cfg, _fn=experiment._eval_grid):
+            test_streams.append(0)
+            return _fn(state, cfg)
+
+        monkeypatch.setattr(protocol, "stream", counted)
+        monkeypatch.setattr(experiment, "_eval_grid", grid)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(small_config_text(sweep="ntest", sweep_values="2,6,1,4",
+                                              encoder_sharing="true"))
+        experiment.run_sweep(config_mod.load_config(cfg_path), tmp_path / "out")
+        assert test_streams == [0, 3, 6]
+
     def test_batch_sweep_trains_per_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(small_config_text(sweep="batch", sweep_values="4,8",

@@ -736,7 +736,7 @@ def node_stacked(name, seeds):
     set, the form ``nn.forward`` reads, and the 2-D stacks it was built from."""
     lone = [kernel_stack(name, seed) for seed in seeds]
     stack_set = nn.StackSet(lone)
-    return stack_set.first_slices(len(lone)), lone
+    return stack_set.node_range(0, len(lone)), lone
 
 
 class TestStackSet:
@@ -754,11 +754,21 @@ class TestStackSet:
                 assert view.params[k].tobytes() == p.tobytes()
                 assert stack_set.params[k][i].tobytes() == p.tobytes()
                 assert np.shares_memory(view.params[k], stack_set.buffer)
-        first = stack_set.first_slices(2)
+        first = stack_set.node_range(0, 2)
         assert first.layers == stack_set.layers and first.in_dim == 6
         for k, p in first.params.items():
             assert p.shape == (2, *lone[0].params[k].shape)
             assert np.shares_memory(p, stack_set.buffer)
+
+    def test_node_range_reads_its_own_slices(self):
+        """Nodes 1 and 2 read slices 1 and 2; a set of one slice yields that
+        slice for any range."""
+        lone = [kernel_stack("relu-inside", seed) for seed in (1, 2, 3)]
+        later = nn.StackSet(lone).node_range(1, 3)
+        single = nn.StackSet(lone[:1]).node_range(4, 7)
+        for k, p in later.params.items():
+            assert p.tobytes() == np.stack([lone[1].params[k], lone[2].params[k]]).tobytes()
+            assert single.params[k].tobytes() == lone[0].params[k][None].tobytes()
 
     def test_layouts_must_match(self):
         with pytest.raises(ValueError, match="same layers"):
@@ -773,13 +783,13 @@ class TestStackSet:
         other = copy.deepcopy(stack_set)
         rng = np.random.default_rng(7)
         x, upstream = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 5, 4))
-        _, cache = nn.forward(stack_set.first_slices(2), x)
+        _, cache = nn.forward(stack_set.node_range(0, 2), x)
         want = nn.backward(cache.stack, cache, upstream)
-        got = nn.backward(stack_set.first_slices(2), cache, upstream)
+        got = nn.backward(stack_set.node_range(0, 2), cache, upstream)
         assert got.input_grad.tobytes() == want.input_grad.tobytes()
         for k, g in want.param_grads.items():
             assert got.param_grads[k].tobytes() == g.tobytes(), k
-        for foreign in (other.first_slices(2), kernel_stack("relu-inside", 1)):
+        for foreign in (other.node_range(0, 2), kernel_stack("relu-inside", 1)):
             with pytest.raises(ValueError, match="different parameter set"):
                 nn.backward(foreign, cache, upstream)
         stack_set.set_params(stack_set.params)

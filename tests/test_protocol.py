@@ -1072,40 +1072,43 @@ class TestEvaluate:
 
 
 def reference_evaluate(state, split, n_test, snr_db, rows=None):
-    """The per-cell evaluation that the cached population replaced, kept as its
-    reference: every call draws the fading, the noise at this SNR and the
-    crops, encodes, and carries the messages over a noisy uplink. Appends
-    each chunk's received rows to ``rows`` when given."""
+    """The per-cell evaluation that the held population replaced, kept as its
+    reference: every call draws each node's fading, noise at this SNR and
+    crops from that node's stream, encodes, and carries the messages over a
+    noisy uplink. Appends each chunk's received rows to ``rows`` when given."""
     cfg = state.config
     states, labels = state.dataset.split(split)
     n_samples = len(labels)
-    rng = protocol.stream(cfg.master_seed, protocol._DOM_EVAL, protocol._SPLIT_IDS[split],
-                          n_test)
     sigma2 = 0.0 if snr_db is None else float(channel.snr_to_noise_var(snr_db))
+    h, noise, offsets = [], [], []
+    for i in range(n_test):
+        rng = protocol.stream(cfg.master_seed, protocol._DOM_EVAL,
+                              protocol._SPLIT_IDS[split], i)
+        pathloss = None
+        if cfg.pathloss:
+            pathloss = (rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=n_samples),
+                        cfg.pathloss_alpha)
+        h.append(channel.sample_channel(rng, cfg.n_blocks, pathloss=pathloss,
+                                        shape=(n_samples,)))
+        noise.append(channel.noise(rng, (n_samples, cfg.n_blocks), sigma2))
+        offsets.append(rng.integers(0, state.dataset.grid - state.dataset.window + 1,
+                                    size=(n_samples, 2)))
+    h, noise, offsets = np.stack(h), np.stack(noise), np.stack(offsets)
     correct = 0
     loss_total = 0.0
     for start in range(0, n_samples, protocol._EVAL_CHUNK):
-        stop = min(start + protocol._EVAL_CHUNK, n_samples)
-        nb = stop - start
-        pathloss = None
-        if cfg.pathloss:
-            pathloss = (rng.uniform(cfg.pathloss_d[0], cfg.pathloss_d[1], size=(nb, n_test)),
-                        cfg.pathloss_alpha)
-        h = channel.sample_channel(rng, cfg.n_blocks, pathloss=pathloss, shape=(nb, n_test))
-        noise = channel.noise(rng, (nb, n_test, cfg.n_blocks), sigma2)
-        offsets = rng.integers(0, state.dataset.grid - state.dataset.window + 1,
-                               size=(nb, n_test, 2))
-        observations = data.crop_batch(states[start:stop], offsets, state.dataset.window)
-        h = h.transpose(1, 0, 2)
-        cqi = edge.cqi_side_input(np.abs(h), cfg.pathloss) if cfg.cqie else None
+        chunk = slice(start, start + protocol._EVAL_CHUNK)
+        observations = data.crop_batch(states[chunk], offsets[:, chunk].transpose(1, 0, 2),
+                                       state.dataset.window)
+        cqi = edge.cqi_side_input(np.abs(h[:, chunk]), cfg.pathloss) if cfg.cqie else None
         messages, _ = edge.encode(state.encoders, observations, cqi, keep_cache=False)
-        received = channel.uplink_transmit(messages, h, noise.transpose(1, 0, 2))
+        received = channel.uplink_transmit(messages, h[:, chunk], noise[:, chunk])
         if rows is not None:
             rows.append(received)
         logits, _ = state.cloud_model.infer(received)
-        losses, _ = nn.softmax_cross_entropy(logits, labels[start:stop])
+        losses, _ = nn.softmax_cross_entropy(logits, labels[chunk])
         loss_total += float(np.sum(losses))
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:stop]))
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[chunk]))
     return correct / n_samples, loss_total / n_samples
 
 
@@ -1127,6 +1130,10 @@ EVAL_ORDERS = {
     "snr-major": [("test", n, snr) for snr in EVAL_SNR for n in EVAL_NTEST],
     "interleaved": [(split, n, snr) for n in EVAL_NTEST for snr in EVAL_SNR
                     for split in ("val", "test")],
+    # populations that grow one node at a time, shrink, and jump both ways
+    "n-ascending": [("test", n, snr) for n in (1, 2, 3, 4, 5) for snr in (None, 17.5)],
+    "n-descending": [("test", n, snr) for n in (5, 4, 3, 2, 1) for snr in (None, 17.5)],
+    "n-shuffled": [("test", n, snr) for n in (3, 1, 5, 2, 4) for snr in (None, 17.5)],
 }
 
 
@@ -1198,6 +1205,22 @@ class TestEvaluatePopulation:
             for g, w in zip(got_rows, want_rows):
                 assert g.tobytes() == w.tobytes(), (split, n_test, snr)
 
+    @pytest.mark.parametrize("mode", sorted(EVAL_MODES))
+    def test_first_nodes_are_the_smaller_population(self, eval_states, mode):
+        """After ``evaluate(5)``, the held draws and rows of the first n < 5
+        nodes equal those a fresh ``evaluate(n)`` holds, byte for byte."""
+        large = restored(eval_states[mode])
+        protocol.evaluate(large, "test", n_test=5)
+        held = large.eval_population
+        for n in range(1, 5):
+            small = restored(eval_states[mode])
+            protocol.evaluate(small, "test", n_test=n)
+            fresh = small.eval_population
+            assert fresh.labels.tobytes() == held.labels.tobytes()
+            for name in ("magnitude", "unit", "offsets", "rows"):
+                got, want = getattr(fresh, name), getattr(held, name)[:n]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, name)
+
     def _changes(self, ds):
         """Changes by name, each returning the state to evaluate next."""
         other = protocol.init_state(toy_config(rounds=3, master_seed=5,
@@ -1254,34 +1277,37 @@ class TestEvaluatePopulation:
         """After each change, every cell equals a freshly restored state's
         result bit for bit, and the state holds one population only. A
         parameter or encoder set change re-encodes the held draws; a change
-        the draws read draws again; a deep copy keeps its copied population."""
+        the draws read draws again, one stream per node; a deep copy keeps
+        its copied population."""
         ds = toy_dataset()
+        n_test = 4
         state = protocol.init_state(toy_config(rounds=3, encoder_sharing=True), ds)
-        before = [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
+        before = [bits(protocol.evaluate(state, "val", n_test=n_test, snr_db=snr))
                   for snr in EVAL_SNR]
         changed = self._changes(ds)[change](state)
         calls = count_eval_work(monkeypatch)
         for snr in EVAL_SNR:
-            got = protocol.evaluate(changed, "val", n_test=4, snr_db=snr)
+            got = protocol.evaluate(changed, "val", n_test=n_test, snr_db=snr)
             assert bits(got) == bits(protocol.evaluate(restored(changed), "val",
-                                                       n_test=4, snr_db=snr))
+                                                       n_test=n_test, snr_db=snr))
         held = [v for v in vars(changed).values() if isinstance(v, protocol.EvalPopulation)]
         assert held == [changed.eval_population]
-        # each restored(...) state is fresh and draws and encodes its one chunk
-        # once; what is left is the changed state's own work
+        # each restored(...) state is fresh: it draws its n_test node streams
+        # and encodes its one chunk once; what is left is the changed state's
+        # own work
         rebuilt = {"round": "encode", "load": "encode", "set_params": "encode",
                    "deepcopy": "nothing", "deepcopy_set_params": "encode",
                    "master_seed": "draw", "pathloss": "draw", "pathloss_alpha": "draw",
                    "encoder_set": "encode", "dataset": "draw"}[change]
-        own = (calls["eval_stream"] - len(EVAL_SNR), calls["encode"] - len(EVAL_SNR))
-        assert own == {"draw": (1, 1), "encode": (0, 1), "nothing": (0, 0)}[rebuilt]
+        own = (calls["eval_stream"] - n_test * len(EVAL_SNR), calls["encode"] - len(EVAL_SNR))
+        assert own == {"draw": (n_test, 1), "encode": (0, 1), "nothing": (0, 0)}[rebuilt]
         if changed is not state:  # the original keeps its own, still valid population
-            assert [bits(protocol.evaluate(state, "val", n_test=4, snr_db=snr))
+            assert [bits(protocol.evaluate(state, "val", n_test=n_test, snr_db=snr))
                     for snr in EVAL_SNR] == before
 
     def test_one_draw_and_encode_for_an_snr_sweep(self, monkeypatch):
-        """Nine SNRs at one (split, n_test) draw, crop and encode once; the
-        cloud runs once per SNR."""
+        """Nine SNRs at one (split, n_test) draw each of the six nodes once
+        and crop and encode once; the cloud runs once per SNR."""
         state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
         calls = {}
         for module, name in ((edge, "encode"), (data, "crop_batch"),
@@ -1292,11 +1318,11 @@ class TestEvaluatePopulation:
             monkeypatch.setattr(module, name, counted)
         for snr in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
             protocol.evaluate(state, "val", n_test=6, snr_db=snr)
-        assert calls == {"encode": 1, "crop_batch": 1, "sample_channel": 1, "cloud_infer": 9}
+        assert calls == {"encode": 1, "crop_batch": 1, "sample_channel": 6, "cloud_infer": 9}
 
     def test_one_draw_across_training_steps(self, monkeypatch):
-        """Validation between training rounds draws the population once and
-        crops and encodes it again after each step."""
+        """Validation between training rounds draws each of its four nodes
+        once and crops and encodes them again after each step."""
         k = 5
         state = protocol.init_state(toy_config(rounds=k, encoder_sharing=True), toy_dataset())
         calls = count_eval_work(monkeypatch)
@@ -1306,15 +1332,32 @@ class TestEvaluatePopulation:
             before = calls.copy()
             protocol.evaluate(state, "val", n_test=4)
             from_evaluate += calls - before
-        assert from_evaluate == {"eval_stream": 1, "sample_channel": 1,
+        assert from_evaluate == {"eval_stream": 4, "sample_channel": 4,
                                  "crop_batch": k, "encode": k}
 
     def test_train_draws_one_validation_population(self, monkeypatch):
+        """Three validations at n_train = 3 draw each node's stream once."""
         calls = count_eval_work(monkeypatch)
-        _, records = protocol.train(toy_config(rounds=30, val_cadence=10,
-                                               encoder_sharing=True), toy_dataset())
+        cfg = toy_config(rounds=30, val_cadence=10, encoder_sharing=True)
+        _, records = protocol.train(cfg, toy_dataset())
         assert sum(r.val_accuracy is not None for r in records) == 3
-        assert calls["eval_stream"] == 1
+        assert calls["eval_stream"] == cfg.n_train == 3
+
+    def test_two_population_sweeps_draw_each_node_once(self, monkeypatch):
+        """Two passes of n_test 1 to 12 at three SNRs build 12 node streams:
+        the first pass draws, crops and encodes one new node per population,
+        and the second draws, crops and encodes nothing."""
+        state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
+        calls = count_eval_work(monkeypatch)
+        passes = []
+        for _ in range(2):
+            before = calls.copy()
+            for n_test in range(1, 13):
+                for snr in (None, 0.0, 20.0):
+                    protocol.evaluate(state, "val", n_test=n_test, snr_db=snr)
+            passes.append(calls - before)
+        assert passes == [{"eval_stream": 12, "sample_channel": 12, "crop_batch": 12,
+                           "encode": 12}, Counter()]
 
     def test_held_population_size(self):
         """A population of 12 nodes on 768 test samples holds no complex
@@ -1325,7 +1368,8 @@ class TestEvaluatePopulation:
         state = protocol.init_state(toy_config(message_dim=16, encoder_sharing=True), ds)
         protocol.evaluate(state, "test", n_test=12)
         population = state.eval_population
-        arrays = [a for chunk in population.draws for a in chunk] + population.rows
+        arrays = [population.labels, population.magnitude, population.unit,
+                  population.offsets, population.rows]
         assert not any(np.iscomplexobj(a) for a in arrays)
         assert not any(a.shape[-1] == ds.obs_dim for a in arrays)
         assert sum(a.nbytes for a in arrays) <= 3.11e6
