@@ -18,7 +18,7 @@ network with one learnable head per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +33,7 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 
 
 # The cloud's parameter keys: each branch's inner stack, then its outer
-# stack, layer by layer, weight before bias, as a ``LayerStack`` orders them.
+# stack, layer by layer, weight before bias, as ``nn.init_params`` orders them.
 _KEYS = ("z_in", "z_in_b", "z_out", "z_out_b", "u_in", "u_in_b", "u_out", "u_out_b")
 
 
@@ -94,15 +94,16 @@ def build_cloud_model(n_branches: int, message_dim: int, latent_dim: int,
     """Branch stacks are small two-layer perceptrons around one hidden width.
 
     Each branch stack draws its initial parameters from its own child
-    seed, exactly as a separate ``nn.LayerStack``; the draws are stacked.
+    seed with ``nn.init_params``; the draws are stacked.
     """
     if n_branches < 1:
         raise ValueError("need at least one branch")
     seeds = _child_seeds(seed, 2 * n_branches)
+    inner = nn.perceptron(message_dim, hidden, latent_dim)
+    outer = nn.perceptron(latent_dim, hidden, n_classes)
     # branch m's inner stack from seed 2m, its outer stack from seed 2m+1;
     # the eight arrays of one branch come in ``_KEYS`` order
-    branches = [[*nn.LayerStack(nn.perceptron(message_dim, hidden, latent_dim), z).params.values(),
-                 *nn.LayerStack(nn.perceptron(latent_dim, hidden, n_classes), u).params.values()]
+    branches = [[*nn.init_params(inner, z).values(), *nn.init_params(outer, u).values()]
                 for z, u in zip(seeds[::2], seeds[1::2])]
     return CloudModel({key: (np.concatenate if key.startswith("z_in") else np.stack)(arrays)
                        for key, arrays in zip(_KEYS, zip(*branches))})
@@ -275,38 +276,32 @@ class BaselineModel(nn.StackSet):
     ``sum_agg`` has no parameters and emits the plain sum of received
     signals as logits (softmax lives in the loss), which forces the
     message length to equal the class count. ``catnet`` is one
-    perceptron over the concatenation of exactly ``n_fixed`` signals.
+    perceptron over the concatenation of exactly ``n_nodes`` signals.
     ``mhnet`` owns one head stack per node and sums the active heads'
     outputs.
 
-    The stacks are the slices of one stack set: none for ``sum_agg``, one
-    for ``catnet``, one per head for ``mhnet``.
+    The stacks are the slices of one stack set, each with two hidden
+    layers of width ``hidden``: none for ``sum_agg``, one for ``catnet``
+    drawn from ``seed``, and for ``mhnet`` one per head, head i drawn from
+    child seed i of ``seed``.
     """
 
-    def __init__(self, kind: str, message_dim: int, n_classes: int,
-                 stacks: Sequence[nn.LayerStack], n_fixed: int | None = None):
+    def __init__(self, kind: str, message_dim: int, n_classes: int, n_nodes: int,
+                 hidden: int | None, seed: int):
         if kind == SUM_AGG:
             if message_dim != n_classes:
                 raise ValueError("sum aggregation requires message length == class count")
-            if stacks:
-                raise ValueError("sum aggregation has no trainable stacks")
-        elif kind == CATNET:
-            if n_fixed is None or len(stacks) != 1:
-                raise ValueError("catnet needs n_fixed and exactly one stack")
-            if stacks[0].in_dim != n_fixed * message_dim:
-                raise ValueError("catnet input dim must be n_fixed * message length")
-        elif kind == MHNET:
-            if not stacks:
-                raise ValueError("mhnet needs at least one head")
-            if any(head.in_dim != message_dim or head.out_dim != n_classes for head in stacks):
-                raise ValueError("each head maps a received signal to logits")
+            layers, seeds = (), []
+        elif kind in (CATNET, MHNET):
+            layers = _baseline_layout(kind, message_dim, n_classes, n_nodes, hidden)
+            seeds = [seed] if kind == CATNET else _child_seeds(seed, n_nodes)
         else:
             raise ValueError(f"unknown baseline kind {kind!r}")
-        super().__init__(stacks)
+        super().__init__(layers, seeds)
         self.kind = kind
         self.message_dim = message_dim
         self.n_classes = n_classes
-        self.n_fixed = n_fixed
+        self.n_nodes = n_nodes
 
     @property
     def output_dim(self) -> int:
@@ -314,9 +309,9 @@ class BaselineModel(nn.StackSet):
 
     def check_nodes(self, n_nodes: int) -> None:
         """Raise unless the model pools ``n_nodes`` nodes: catnet takes exactly
-        ``n_fixed``, mhnet at most one node per head."""
-        if self.kind == CATNET and n_nodes != self.n_fixed:
-            raise ValueError(f"catnet was built for {self.n_fixed} nodes, got {n_nodes}")
+        the count it was built for, mhnet at most one node per head."""
+        if self.kind == CATNET and n_nodes != self.n_nodes:
+            raise ValueError(f"catnet was built for {self.n_nodes} nodes, got {n_nodes}")
         if self.kind == MHNET and n_nodes > self.n_slices:
             raise ValueError(f"mhnet has {self.n_slices} heads, got {n_nodes} nodes")
 
@@ -329,15 +324,15 @@ class BaselineModel(nn.StackSet):
         return baseline_backward(self, cache, grad_logits)
 
 
-def _baseline_layouts(kind: str, message_dim: int, n_classes: int, n_nodes: int,
-                      hidden: int) -> list[list[nn.LayerSpec]]:
-    """The layer list of each stack of a catnet or mhnet, all one head layout:
-    a perceptron with two hidden layers of one width, over the concatenated
-    signals for catnet's one stack and over one signal for each mhnet head."""
+def _baseline_layout(kind: str, message_dim: int, n_classes: int, n_nodes: int,
+                     hidden: int) -> list[nn.LayerSpec]:
+    """The layer list of every stack of a catnet or mhnet: a perceptron with
+    two hidden layers of one width, over the concatenated signals for
+    catnet's one stack and over one signal for each mhnet head."""
     if kind == CATNET:
-        return [nn.perceptron(n_nodes * message_dim, hidden, hidden, n_classes)]
+        return nn.perceptron(n_nodes * message_dim, hidden, hidden, n_classes)
     if kind == MHNET:
-        return [nn.perceptron(message_dim, hidden, hidden, n_classes)] * n_nodes
+        return nn.perceptron(message_dim, hidden, hidden, n_classes)
     raise ValueError(f"only catnet and mhnet have stacks, not {kind!r}")
 
 
@@ -350,8 +345,8 @@ def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: i
     more or fewer parameters than the model it is compared against.
     """
     def count(w):
-        return sum(map(nn.param_count, _baseline_layouts(kind, message_dim, n_classes,
-                                                          n_nodes, w)))
+        return ((n_nodes if kind == MHNET else 1)
+                * nn.param_count(_baseline_layout(kind, message_dim, n_classes, n_nodes, w)))
     # the count grows with the width: step up to the first width at or past the target
     w = 1
     while count(w) < target_params:
@@ -362,19 +357,11 @@ def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: i
 def build_baseline(kind: str, message_dim: int, n_classes: int, n_nodes: int,
                    seed: int, hidden: int | None = None,
                    target_params: int | None = None) -> BaselineModel:
-    if kind == SUM_AGG:
-        return BaselineModel(SUM_AGG, message_dim, n_classes, [])
-    if hidden is None:
+    if kind != SUM_AGG and hidden is None:
         if target_params is None:
             raise ValueError("need a hidden width or a parameter budget")
         hidden = matched_hidden_width(kind, message_dim, n_classes, n_nodes, target_params)
-    layouts = _baseline_layouts(kind, message_dim, n_classes, n_nodes, hidden)
-    if kind == CATNET:
-        return BaselineModel(CATNET, message_dim, n_classes,
-                             [nn.LayerStack(layouts[0], seed)], n_fixed=n_nodes)
-    heads = [nn.LayerStack(layers, s)
-             for layers, s in zip(layouts, _child_seeds(seed, n_nodes))]
-    return BaselineModel(MHNET, message_dim, n_classes, heads)
+    return BaselineModel(kind, message_dim, n_classes, n_nodes, hidden, seed)
 
 
 @dataclass

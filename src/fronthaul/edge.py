@@ -20,25 +20,20 @@ Array = np.ndarray
 class EncoderSet(nn.StackSet):
     """Every node's encoder as one stack set with the node axis first.
 
-    N dedicated encoders hold one slice each, node i owning slice i; a
-    shared encoder holds one slice, which serves any number of nodes and
-    is saved with its leading axis of 1. Every encoder
-    must emit an even message length and end in the power projection at
-    the node's mode and budget.
+    N dedicated encoders hold one slice each, node i owning slice i and
+    drawn from ``seeds[i]``; a shared encoder holds one slice, which serves
+    any number of nodes and is saved with its leading axis of 1. The
+    layers must end in the power projection, which ``nn.check_layers``
+    holds to an even message length.
     """
 
-    def __init__(self, stacks: Sequence[nn.LayerStack], power_mode: str = nn.PER_RB,
-                 p_e: float = 1.0, cqie: bool = False, shared: bool = False):
-        if shared and len(stacks) != 1:
+    def __init__(self, layers: Sequence[nn.LayerSpec], seeds: Sequence[int],
+                 cqie: bool = False, shared: bool = False):
+        if shared and len(seeds) != 1:
             raise ValueError("a shared encoder set holds exactly one encoder")
-        super().__init__(stacks)
-        if stacks[0].out_dim % 2 != 0:
-            raise ValueError("encoder output length must be even")
-        last = self.layers[-1]
-        if not isinstance(last, nn.Projection):
+        if not layers or not isinstance(layers[-1], nn.Projection):
             raise ValueError("encoder must end with the power projection")
-        if last.mode != power_mode or last.power != p_e:
-            raise ValueError("encoder projection does not match the node's power budget")
+        super().__init__(layers, seeds)
         self.cqie = cqie
         self.shared = shared
 
@@ -69,9 +64,9 @@ class EncoderSet(nn.StackSet):
                  for name, g in grads.items()}, len(counts))
 
 
-def build_encoder(obs_dim: int, message_dim: int, hidden: tuple[int, ...],
-                  p_e: float, power_mode: str, seed: int, cqie: bool = False) -> nn.LayerStack:
-    """Multilayer perceptron encoder ending in the power projection.
+def encoder_layers(obs_dim: int, message_dim: int, hidden: tuple[int, ...],
+                   p_e: float, power_mode: str, cqie: bool = False) -> list[nn.LayerSpec]:
+    """The layers of a multilayer perceptron encoder ending in the power projection.
 
     With channel quality at the node, the magnitude vector (one entry per
     resource block) is concatenated to the observation at the input.
@@ -79,8 +74,7 @@ def build_encoder(obs_dim: int, message_dim: int, hidden: tuple[int, ...],
     if message_dim % 2 != 0:
         raise ValueError("message length must be even")
     in_dim = obs_dim + message_dim // 2 if cqie else obs_dim
-    return nn.LayerStack([*nn.perceptron(in_dim, *hidden, message_dim),
-                          nn.Projection(p_e, power_mode)], seed)
+    return [*nn.perceptron(in_dim, *hidden, message_dim), nn.Projection(p_e, power_mode)]
 
 
 def cqi_side_input(magnitude: Array, pathloss: bool) -> Array:

@@ -91,7 +91,7 @@ class ParamSet:
     The views are live: after a step or ``set_params`` they hold the new
     values, and a caller that needs the old ones copies them first.
     ``version`` increments on every change, so ``check_cache`` rejects stale caches.
-    Every stepped set is one: ``LayerStack``, ``StackSet`` (``edge.EncoderSet``,
+    Every stepped set is one: ``StackSet`` (``edge.EncoderSet``,
     ``cloud.BaselineModel``) and ``cloud.CloudModel``.
     """
 
@@ -133,11 +133,6 @@ class ParamSet:
         """Mark the parameters changed; every in-place write calls this."""
         self.version += 1
 
-    @property
-    def param_set(self) -> ParamSet:
-        """The set a forward pass over this stack reads: itself."""
-        return self
-
     def check_cache(self, cache) -> None:
         """Raise ValueError unless ``cache`` (with ``param_set`` and ``version``)
         comes from a forward pass over this set at its current version."""
@@ -156,51 +151,47 @@ class ParamSet:
         return clone
 
 
-class LayerStack(ParamSet):
-    """An ordered stack of layers with named float64 parameters, one slice.
-
-    Two stacks built from the same descriptors and seed hold bit-identical
-    parameters.
-    """
-
-    def __init__(self, layers: Sequence[LayerSpec], seed: int):
-        layers = tuple(layers)
-        if not layers:
-            raise ValueError("a stack needs at least one layer")
-        if not isinstance(layers[0], Dense):
-            raise ValueError("layer 0 must be dense (defines the input dimension)")
-        dim = layers[0].in_dim
-        for idx, layer in enumerate(layers):
-            if isinstance(layer, Dense):
-                if layer.in_dim != dim:
-                    raise ValueError(
-                        f"layer {idx}: expects input dim {layer.in_dim}, got {dim}"
-                    )
-                dim = layer.out_dim
-            elif isinstance(layer, Projection):
-                if dim % 2 != 0:
-                    raise ValueError(f"layer {idx}: projection needs an even dim, got {dim}")
-                if layer.power < 0:
-                    raise ValueError(f"layer {idx}: negative power budget")
-                if layer.mode not in POWER_MODES:
-                    raise ValueError(f"layer {idx}: unknown projection mode {layer.mode!r}")
-        self.layers = layers
-        self.seed = int(seed)
-        self.in_dim = layers[0].in_dim
-        self.out_dim = dim
-        self._hold(self._init_params(), slices=1)
-
-    def _init_params(self) -> dict[str, Array]:
-        rng = np.random.default_rng(self.seed)
-        params: dict[str, Array] = {}
-        for idx, layer in enumerate(self.layers):
-            if isinstance(layer, Dense):
-                limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
-                params[f"dense{idx}.w"] = rng.uniform(
-                    -limit, limit, size=(layer.out_dim, layer.in_dim)
+def check_layers(layers: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
+    """The layer list as a tuple, after checking that it starts with a
+    Dense layer, that each Dense layer takes the width before it, and that
+    each projection has an even width, a nonnegative budget and a known mode."""
+    layers = tuple(layers)
+    if not layers:
+        raise ValueError("a stack needs at least one layer")
+    if not isinstance(layers[0], Dense):
+        raise ValueError("layer 0 must be dense (defines the input dimension)")
+    dim = layers[0].in_dim
+    for idx, layer in enumerate(layers):
+        if isinstance(layer, Dense):
+            if layer.in_dim != dim:
+                raise ValueError(
+                    f"layer {idx}: expects input dim {layer.in_dim}, got {dim}"
                 )
-                params[f"dense{idx}.b"] = np.zeros(layer.out_dim)
-        return params
+            dim = layer.out_dim
+        elif isinstance(layer, Projection):
+            if dim % 2 != 0:
+                raise ValueError(f"layer {idx}: projection needs an even dim, got {dim}")
+            if layer.power < 0:
+                raise ValueError(f"layer {idx}: negative power budget")
+            if layer.mode not in POWER_MODES:
+                raise ValueError(f"layer {idx}: unknown projection mode {layer.mode!r}")
+    return layers
+
+
+def init_params(layers: Sequence[LayerSpec], seed: int) -> dict[str, Array]:
+    """One stack's initial parameters drawn from ``seed``: per Dense layer a
+    Glorot-uniform (out, in) weight ``dense{idx}.w`` and a zero bias
+    ``dense{idx}.b``. The same layers and seed give the same bits."""
+    rng = np.random.default_rng(int(seed))
+    params: dict[str, Array] = {}
+    for idx, layer in enumerate(layers):
+        if isinstance(layer, Dense):
+            limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
+            params[f"dense{idx}.w"] = rng.uniform(
+                -limit, limit, size=(layer.out_dim, layer.in_dim)
+            )
+            params[f"dense{idx}.b"] = np.zeros(layer.out_dim)
+    return params
 
 
 # a stack as ``forward`` and ``backward`` read it, with views of its
@@ -209,21 +200,19 @@ StackView = namedtuple("StackView", "layers params in_dim param_set")
 
 
 class StackSet(ParamSet):
-    """Stacks of one layout held node-stacked as one parameter set.
+    """Stacks of one layer list held node-stacked as one parameter set.
 
-    ``params`` holds (n, out, in) weights and (n, out) biases, slice i
-    being stack i's: views of one (n, P) buffer, row i laid out as stack
-    i's ``LayerStack`` buffer, so each slice starts with the bits of the
-    stack it was built from. Checkpoints save the stacked arrays as they
-    are. A set of no stacks has no parameters.
+    ``params`` holds (n, out, in) weights and (n, out) biases, slice k
+    being stack k's: views of one (n, P) buffer, slice k starting with
+    the bits of ``init_params(layers, seeds[k])``. Checkpoints save the
+    stacked arrays as they are. A set of no seeds has no parameters.
     """
 
-    def __init__(self, stacks: Sequence[LayerStack]):
-        self.layers = stacks[0].layers if stacks else ()
-        if any(stack.layers != self.layers for stack in stacks):
-            raise ValueError("every stack of a set needs the same layers")
-        self._hold({name: np.stack([stack.params[name] for stack in stacks])
-                    for name in (stacks[0].params if stacks else ())}, slices=len(stacks))
+    def __init__(self, layers: Sequence[LayerSpec], seeds: Sequence[int]):
+        self.layers = check_layers(layers) if seeds else tuple(layers)
+        draws = [init_params(self.layers, seed) for seed in seeds]
+        self._hold({name: np.stack([draw[name] for draw in draws])
+                    for name in (draws[0] if draws else ())}, slices=len(draws))
 
     @property
     def n_slices(self) -> int:
@@ -252,7 +241,7 @@ class ForwardCache:
     input of a Dense or Projection layer, and a ReLU's slope, its input
     > 0, as a bool array."""
 
-    stack: LayerStack | StackView
+    stack: StackView
     param_set: ParamSet  # the set the forward pass read
     version: int  # that set's version then
     saved: list[Array]
@@ -268,7 +257,7 @@ class GradientSet:
     input_grad: Array | None
 
 
-def forward(stack: LayerStack | StackView, x: Array, keep_cache: bool = True
+def forward(stack: StackView, x: Array, keep_cache: bool = True
             ) -> tuple[Array, ForwardCache | None]:
     """Run the stack on a batch of rows ``x`` and keep what backward needs.
 
@@ -308,7 +297,7 @@ def forward(stack: LayerStack | StackView, x: Array, keep_cache: bool = True
     return h, ForwardCache(stack, stack.param_set, stack.param_set.version, saved, h)
 
 
-def backward(stack: LayerStack | StackView, cache: ForwardCache, upstream: Array,
+def backward(stack: StackView, cache: ForwardCache, upstream: Array,
              input_grad: bool = True) -> GradientSet:
     """Exact vector-Jacobian product through the stack.
 

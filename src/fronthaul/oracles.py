@@ -146,7 +146,7 @@ def _central_differences(value, pairs, step: float) -> float:
     return worst
 
 
-def _kink_margin(stack: nn.LayerStack, x: Array) -> float:
+def _kink_margin(stack: nn.StackView, x: Array) -> float:
     """Distance of the forward pass on ``x`` to the nearest non-smooth point.
 
     Central differences are only meaningful inside one smooth piece, so
@@ -189,7 +189,7 @@ def _fd_stack_instance(rng: np.random.Generator, step: float) -> float:
         # keep clipped and pass-through entries both present under the budget
         layers = [*nn.perceptron(in_dim, hidden, out_dim),
                   nn.Projection(float(rng.uniform(0.2, 1.5)), mode)]
-    stack = nn.LayerStack(layers, seed=int(rng.integers(0, 2 ** 31)))
+    stack = nn.StackSet(layers, [int(rng.integers(0, 2 ** 31))]).slice_view(0)
 
     def draw():
         x = rng.normal(size=(1, in_dim)) * 2.0

@@ -368,16 +368,14 @@ def build_cloud(config: TrainingConfig):
                                 hidden=config.baseline_hidden, target_params=target)
 
 
-def build_encoders(config: TrainingConfig) -> edge.EncoderSet:
+def init_encoders(config: TrainingConfig) -> edge.EncoderSet:
     """One encoder per node, each from its node's seed, or with encoder
     sharing one encoder (node 0's) that serves every node."""
     count = 1 if config.encoder_sharing else config.n_train
-    stacks = [edge.build_encoder(config.obs_dim, config.message_dim, config.encoder_hidden,
-                                 config.p_e, config.power_mode, _encoder_seed(config, i),
-                                 cqie=config.cqie)
-              for i in range(count)]
-    return edge.EncoderSet(stacks, config.power_mode, config.p_e, config.cqie,
-                           shared=config.encoder_sharing)
+    layers = edge.encoder_layers(config.obs_dim, config.message_dim, config.encoder_hidden,
+                                 config.p_e, config.power_mode, cqie=config.cqie)
+    return edge.EncoderSet(layers, [_encoder_seed(config, i) for i in range(count)],
+                           config.cqie, shared=config.encoder_sharing)
 
 
 def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> TrainingState:
@@ -388,7 +386,7 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
         raise ValueError("config obs_dim does not match the dataset window")
     schedule = schedule_minibatches(config.master_seed, len(dataset.train_labels),
                                     config.batch_size, config.rounds)
-    return TrainingState(config=config, dataset=dataset, encoders=build_encoders(config),
+    return TrainingState(config=config, dataset=dataset, encoders=init_encoders(config),
                          cloud_model=build_cloud(config), schedule=schedule,
                          edge_optimizer=nn.make_optimizer(config.optimizer, config.eta),
                          cloud_optimizer=nn.make_optimizer(config.optimizer, config.eta))

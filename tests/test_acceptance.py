@@ -167,8 +167,7 @@ class TestCriterion4WirelessUnbiasedness:
         rng = np.random.default_rng(5)
         batch, obs_dim, s_dim = 8, 12, 8
         blocks = s_dim // 2
-        enc = edge.build_encoder(obs_dim, s_dim, (16,), 1.0, nn.PER_RB, seed=2)
-        node = edge.EncoderSet([enc], nn.PER_RB, 1.0)
+        node = edge.EncoderSet(edge.encoder_layers(obs_dim, s_dim, (16,), 1.0, nn.PER_RB), [2])
         _, cache = edge.encode(node, rng.normal(size=(1, batch, obs_dim)))
         h = channel.sample_channel(rng, blocks, shape=(batch,))
         messages = rng.normal(size=(batch, s_dim)) * 0.5
@@ -252,9 +251,8 @@ class TestCriterion6PowerFeasibility:
         rows_per_encoder = 10_000
         for mode in (nn.PER_RB, nn.SUM):
             for trial in range(5):
-                enc = edge.build_encoder(10, 8, (12,), 1.0, mode,
-                                         seed=trial + 50 * (mode == nn.SUM))
-                node = edge.EncoderSet([enc], mode, 1.0)
+                node = edge.EncoderSet(edge.encoder_layers(10, 8, (12,), 1.0, mode),
+                                       [trial + 50 * (mode == nn.SUM)])
                 [s], _ = edge.encode(node, rng.normal(size=(1, rows_per_encoder, 10)) * 4)
                 if mode == nn.PER_RB:
                     power = s[:, :4] ** 2 + s[:, 4:] ** 2

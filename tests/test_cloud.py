@@ -13,8 +13,8 @@ def small_model(m=2, s=6, r=4, x=3, hidden=5, seed=7):
     return cloud.build_cloud_model(m, s, r, x, hidden, seed)
 
 
-# each stacked cloud key as (branch stack, the name a separate nn.LayerStack
-# gives that array): "z" is a branch's inner stack, "u" its outer stack
+# each stacked cloud key as (branch stack, the name nn.init_params gives
+# that array): "z" is a branch's inner stack, "u" its outer stack
 BRANCH_NAMES = {"z_in": ("z", "dense0.w"), "z_in_b": ("z", "dense0.b"),
                 "z_out": ("z", "dense2.w"), "z_out_b": ("z", "dense2.b"),
                 "u_in": ("u", "dense0.w"), "u_in_b": ("u", "dense0.b"),
@@ -35,19 +35,19 @@ def by_branch(stacked):
 
 
 def branch_stacks(model):
-    """Per-branch (inner, outer) layer stacks holding copies of the model's
-    branch slices, for references that run the unfused nn passes."""
+    """Per-branch (inner, outer) 2-D stacks holding copies of the model's
+    branch slices, each the one slice of a set of its own, for references
+    that run the unfused nn passes."""
     named = by_branch(model.params)
     pairs = []
     for m in range(model.n_branches):
         pair = []
         for prefix in ("z", "u"):
             w0, w2 = named[f"{prefix}{m}.dense0.w"], named[f"{prefix}{m}.dense2.w"]
-            stack = nn.LayerStack([nn.Dense(w0.shape[1], w0.shape[0]), nn.Relu(),
-                                   nn.Dense(w2.shape[1], w2.shape[0])], 0)
-            stack.set_params({name: named[f"{prefix}{m}.{name}"].copy()
-                              for name in stack.params})
-            pair.append(stack)
+            stack_set = nn.StackSet(nn.perceptron(w0.shape[1], w0.shape[0], w2.shape[0]), [0])
+            stack_set.set_params({name: named[f"{prefix}{m}.{name}"][None]
+                                  for name in stack_set.params})
+            pair.append(stack_set.slice_view(0))
         pairs.append(tuple(pair))
     return pairs
 
@@ -64,7 +64,7 @@ def straight_line_eval(model, received):
     one sample, each node's signal given as a (1, S) row."""
     logits = np.zeros(model.output_dim)
     for z_stack, u_stack in branch_stacks(model):
-        pooled = np.zeros(z_stack.out_dim)
+        pooled = np.zeros(z_stack.layers[-1].out_dim)
         for y in received:
             h = y[0]
             for idx, layer in enumerate(z_stack.layers):
@@ -378,8 +378,8 @@ class TestFusedCloud:
             cloud.CloudModel(params)
 
     def test_branches_keep_their_child_seed_draws(self):
-        """Each branch's slices hold, bit for bit, the parameters of a separate
-        ``nn.LayerStack`` built from its own child seed: inner stack m from
+        """Each branch's slices hold, bit for bit, the parameters
+        ``nn.init_params`` draws from its own child seed: inner stack m from
         child 2m, outer stack m from child 2m+1."""
         model = small_model(m=3, hidden=5, seed=8)
         seeds = cloud._child_seeds(8, 6)
@@ -387,8 +387,7 @@ class TestFusedCloud:
         for m in range(3):
             for prefix, widths, stack_seed in (("z", (6, 5, 4), seeds[2 * m]),
                                                ("u", (4, 5, 3), seeds[2 * m + 1])):
-                stack = nn.LayerStack(nn.perceptron(*widths), stack_seed)
-                for name, p in stack.params.items():
+                for name, p in nn.init_params(nn.perceptron(*widths), stack_seed).items():
                     assert named[f"{prefix}{m}.{name}"].tobytes() == p.tobytes()
 
 
@@ -498,7 +497,7 @@ class TestCloudUpdate:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_stacked_step_equals_per_slice_steps(self, optimizer):
         """One optimizer over the stacked set lands bit for bit where 2*M
-        optimizers, one per branch stack, land on the slices: both
+        optimizers, one per branch stack's set, land on the slices: both
         optimizers are elementwise."""
         rng = np.random.default_rng(11)
         model = small_model(m=4)
@@ -511,7 +510,8 @@ class TestCloudUpdate:
             stacked_opt.step(model, grads, 7)
             per_branch = by_branch(grads)
             for prefix, stack, opt in zip(names, stacks, slice_opts):
-                opt.step(stack, {n: per_branch[f"{prefix}.{n}"] for n in stack.params}, 7)
+                opt.step(stack.param_set, {n: per_branch[f"{prefix}.{n}"][None]
+                                           for n in stack.params}, 7)
         got = by_branch(model.params)
         for prefix, stack in zip(names, stacks):
             for name, p in stack.params.items():

@@ -12,16 +12,16 @@ from fronthaul import edge, nn, oracles, protocol
 def make_set(obs_dim=6, message_dim=4, hidden=(8,), mode=nn.PER_RB, p_e=1.0,
               seeds=(3,), cqie=False, shared=False):
     """An encoder set with one encoder per seed (one shared encoder with ``shared``)."""
-    stacks = [edge.build_encoder(obs_dim, message_dim, hidden, p_e, mode, seed, cqie=cqie)
-              for seed in seeds]
-    return edge.EncoderSet(stacks, mode, p_e, cqie, shared=shared)
+    layers = edge.encoder_layers(obs_dim, message_dim, hidden, p_e, mode, cqie=cqie)
+    return edge.EncoderSet(layers, list(seeds), cqie, shared=shared)
 
 
 def lone_stack(encoders, node):
-    """A layer stack holding a copy of the parameters node ``node`` encodes with."""
-    stack = nn.LayerStack(encoders.layers, seed=0)
-    stack.set_params({k: v.copy() for k, v in encoders.node_encoder(node).params.items()})
-    return stack
+    """A 2-D stack holding a copy of the parameters node ``node`` encodes
+    with, the one slice of a set of its own."""
+    stack_set = nn.StackSet(encoders.layers, [0])
+    stack_set.set_params({k: v[None] for k, v in encoders.node_encoder(node).params.items()})
+    return stack_set.slice_view(0)
 
 
 def stepped(encoders, observations, rows, active=None, optimizer="sgd", eta=0.1):
@@ -86,33 +86,25 @@ class TestEncode:
         assert np.allclose(edge.cqi_side_input(mag, pathloss=True), [0.0, -2.0])
 
     def test_encoder_must_end_with_projection(self):
-        bare = nn.LayerStack([nn.Dense(6, 4)], seed=0)
         with pytest.raises(ValueError, match="projection"):
-            edge.EncoderSet([bare], nn.PER_RB, 1.0)
+            edge.EncoderSet([nn.Dense(6, 4)], [0])
 
-    def test_constructor_checks_budget_length_and_layout(self):
-        """The set rejects encoders whose projection differs from the power
-        budget, an odd output length, encoders of different layouts, and a
-        shared set of more than one encoder."""
-        stack = edge.build_encoder(6, 4, (8,), 1.0, nn.PER_RB, seed=3)
-        with pytest.raises(ValueError, match="power budget"):
-            edge.EncoderSet([stack], nn.PER_RB, 0.5)
-        with pytest.raises(ValueError, match="power budget"):
-            edge.EncoderSet([stack], nn.SUM, 1.0)
+    def test_constructor_checks_length_and_sharing(self):
+        """The set rejects an odd output length and a shared set of more
+        than one encoder."""
         with pytest.raises(ValueError, match="even"):
-            edge.EncoderSet([nn.LayerStack([nn.Dense(6, 3)], seed=0)], nn.PER_RB, 1.0)
-        with pytest.raises(ValueError, match="same layers"):
-            edge.EncoderSet([stack, edge.build_encoder(6, 4, (5,), 1.0, nn.PER_RB, seed=3)])
+            edge.EncoderSet([nn.Dense(6, 3), nn.Projection(1.0)], [0])
         with pytest.raises(ValueError, match="shared"):
-            edge.EncoderSet([stack, stack], shared=True)
+            edge.EncoderSet(edge.encoder_layers(6, 4, (8,), 1.0, nn.PER_RB), [3, 3],
+                            shared=True)
 
     def test_slices_start_from_each_nodes_seed(self):
-        """Slice i of the stacked set holds, bit for bit, the stack its seed
-        builds; a shared set holds its one encoder with a leading axis of 1."""
+        """Slice i of the stacked set holds, bit for bit, the parameters its
+        seed draws; a shared set holds its one encoder with a leading axis of 1."""
         enc = make_set(seeds=(3, 8, 5))
         for i, seed in enumerate((3, 8, 5)):
-            want = edge.build_encoder(6, 4, (8,), 1.0, nn.PER_RB, seed)
-            for name, p in want.params.items():
+            want = nn.init_params(edge.encoder_layers(6, 4, (8,), 1.0, nn.PER_RB), seed)
+            for name, p in want.items():
                 assert np.array_equal(enc.params[name][i], p)
         shared = make_set(shared=True)
         assert list(shared.params) == ["dense0.w", "dense0.b", "dense2.w", "dense2.b"]
@@ -344,16 +336,12 @@ class TestLocalUpdateShared:
             for k in alone:
                 assert np.array_equal(out[k], alone[k])
 
-    def test_shape_mismatch_rejected(self):
-        """Encoders of different layouts cannot form one set, and a shared
-        set holds exactly one encoder, so every sharing node encodes with
-        the same parameters."""
-        stacks = [edge.build_encoder(6, 4, hidden, 1.0, nn.PER_RB, seed=3)
-                  for hidden in ((8,), (5,))]
-        with pytest.raises(ValueError, match="same layers"):
-            edge.EncoderSet(stacks)
+    def test_shared_set_holds_one_encoder(self):
+        """A shared set holds exactly one encoder, so every sharing node
+        encodes with the same parameters."""
         with pytest.raises(ValueError, match="exactly one encoder"):
-            edge.EncoderSet([stacks[0], stacks[0]], shared=True)
+            edge.EncoderSet(edge.encoder_layers(6, 4, (8,), 1.0, nn.PER_RB), [3, 3],
+                            shared=True)
         shared = make_set(shared=True)
         for i in range(4):
             for k, p in shared.node_encoder(i).params.items():

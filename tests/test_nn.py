@@ -49,23 +49,29 @@ def fd_check(stack, x, upstream, step=1e-5, tol=1e-5):
         assert rel_err(fd, grads.input_grad[0, j]) < tol, f"input[{j}]"
 
 
-class TestLayerStack:
+def one_stack(layers, seed):
+    """A one-slice stack set drawn from ``seed`` and its slice as a 2-D stack."""
+    stack_set = nn.StackSet(layers, [seed])
+    return stack_set, stack_set.slice_view(0)
+
+
+class TestOneStack:
     def test_identity_dense(self):
         """A dense layer with identity weights and zero bias passes input through."""
-        stack = nn.LayerStack([nn.Dense(2, 2)], seed=0)
-        stack.set_params({"dense0.w": np.eye(2), "dense0.b": np.zeros(2)})
+        stack_set, stack = one_stack([nn.Dense(2, 2)], seed=0)
+        stack_set.set_params({"dense0.w": np.eye(2)[None], "dense0.b": np.zeros((1, 2))})
         out, _ = nn.forward(stack, np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_relu_definition(self):
-        stack = nn.LayerStack([nn.Dense(3, 3), nn.Relu()], seed=0)
-        stack.set_params({"dense0.w": np.eye(3), "dense0.b": np.zeros(3)})
+        stack_set, stack = one_stack([nn.Dense(3, 3), nn.Relu()], seed=0)
+        stack_set.set_params({"dense0.w": np.eye(3)[None], "dense0.b": np.zeros((1, 3))})
         out, _ = nn.forward(stack, np.array([[-1.0, 2.0, 0.0]]))
         assert np.array_equal(out, [[0.0, 2.0, 0.0]])
 
     def test_two_layer_matches_hand_composition(self):
         """Straight-line re-evaluation of the same weights agrees to 1e-12."""
-        stack = nn.LayerStack([nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)], seed=7)
+        _, stack = one_stack([nn.Dense(4, 5), nn.Relu(), nn.Dense(5, 3)], seed=7)
         x = np.random.default_rng(1).normal(size=4)
         out, _ = nn.forward(stack, x[None, :])
         w0, b0 = stack.params["dense0.w"], stack.params["dense0.b"]
@@ -75,8 +81,8 @@ class TestLayerStack:
 
     def test_dimension_mismatch_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):
-            nn.LayerStack([nn.Dense(3, 4), nn.Dense(5, 2)], seed=0)
-        stack = nn.LayerStack([nn.Dense(3, 4)], seed=0)
+            nn.StackSet([nn.Dense(3, 4), nn.Dense(5, 2)], [0])
+        _, stack = one_stack([nn.Dense(3, 4)], seed=0)
         with pytest.raises(ValueError, match="layer 0"):
             nn.forward(stack, np.zeros((1, 5)))
         with pytest.raises(ValueError, match="batch of rows"):
@@ -84,27 +90,27 @@ class TestLayerStack:
 
     def test_same_seed_bit_identical(self):
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4), nn.Projection(1.0)]
-        a = nn.LayerStack(layers, seed=42)
-        b = nn.LayerStack(layers, seed=42)
+        a = nn.StackSet(layers, [42])
+        b = nn.StackSet(layers, [42])
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
     def test_param_count_pure_function_of_layers(self):
         layers = [nn.Dense(6, 8), nn.Relu(), nn.Dense(8, 4)]
-        params = nn.LayerStack(layers, seed=0).params
+        params = nn.StackSet(layers, [0]).params
         assert sum(p.size for p in params.values()) == 6 * 8 + 8 + 8 * 4 + 4
         assert nn.perceptron(6, 8, 4) == layers
         assert nn.param_count(layers) == 6 * 8 + 8 + 8 * 4 + 4
         # an encoder with its projection, a cloud branch and a baseline head
         for layout in ([*nn.perceptron(38, 32, 32, 8), nn.Projection(1.0, nn.SUM)],
                        nn.perceptron(8, 10, 6), nn.perceptron(16, 5, 5, 4)):
-            assert nn.param_count(layout) == nn.LayerStack(layout, seed=3).buffer.size
+            assert nn.param_count(layout) == nn.StackSet(layout, [3]).buffer.size
 
     def test_params_are_views_of_one_buffer(self):
         """The named arrays tile one (1, P) buffer, name after name, through
         construction, set_params and deepcopy; stepping a deep copy leaves
         the original alone."""
-        stack = nn.LayerStack([nn.Dense(3, 4), nn.Relu(), nn.Dense(4, 2)], seed=1)
+        stack = nn.StackSet([nn.Dense(3, 4), nn.Relu(), nn.Dense(4, 2)], [1])
 
         def check(s):
             assert s.buffer.shape == (1, 3 * 4 + 4 + 4 * 2 + 2)
@@ -125,7 +131,7 @@ class TestLayerStack:
         assert (stack.version, clone.version) == (1, 2)
 
     def test_init_range_is_fan_scaled(self):
-        stack = nn.LayerStack([nn.Dense(30, 50)], seed=3)
+        stack = nn.StackSet([nn.Dense(30, 50)], [3])
         limit = np.sqrt(6.0 / 80.0)
         w = stack.params["dense0.w"]
         assert np.all(np.abs(w) <= limit)
@@ -135,9 +141,9 @@ class TestLayerStack:
 class TestBackward:
     def test_linear_map_adjoint(self):
         """For y = Wx the input gradient of upstream g is W^T g."""
-        stack = nn.LayerStack([nn.Dense(4, 3)], seed=5)
-        stack.set_params({"dense0.w": stack.params["dense0.w"],
-                          "dense0.b": np.zeros(3)})
+        stack_set, stack = one_stack([nn.Dense(4, 3)], seed=5)
+        stack_set.set_params({"dense0.w": stack_set.params["dense0.w"],
+                              "dense0.b": np.zeros((1, 3))})
         x = np.arange(4.0)
         g = np.array([1.0, -2.0, 0.5])
         _, cache = nn.forward(stack, x[None, :])
@@ -146,8 +152,8 @@ class TestBackward:
         assert np.allclose(got.param_grads["dense0.w"], np.outer(g, x), atol=1e-15)
 
     def test_zero_upstream_zero_gradients(self):
-        stack = nn.LayerStack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
-                               nn.Projection(0.5)], seed=5)
+        _, stack = one_stack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
+                              nn.Projection(0.5)], seed=5)
         _, cache = nn.forward(stack, np.random.default_rng(0).normal(size=(1, 4)))
         got = nn.backward(stack, cache, np.zeros((1, 4)))
         assert np.all(got.input_grad == 0.0)
@@ -155,27 +161,27 @@ class TestBackward:
 
     def test_three_layer_finite_differences(self):
         rng = np.random.default_rng(11)
-        stack = nn.LayerStack([nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 6),
-                               nn.Projection(0.8)], seed=13)
+        _, stack = one_stack([nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 6),
+                              nn.Projection(0.8)], seed=13)
         fd_check(stack, rng.normal(size=5), rng.normal(size=6))
 
     def test_stale_cache_rejected(self):
-        stack = nn.LayerStack([nn.Dense(3, 4)], seed=1)
+        stack_set, stack = one_stack([nn.Dense(3, 4)], seed=1)
         _, cache = nn.forward(stack, np.zeros((1, 3)))
-        nn.SgdOptimizer(0.1).step(stack, {k: np.ones_like(v) for k, v in stack.params.items()},
-                                  divisor=1)
+        nn.SgdOptimizer(0.1).step(stack_set, {k: np.ones_like(v)
+                                              for k, v in stack_set.params.items()}, divisor=1)
         with pytest.raises(ValueError, match="stale"):
             nn.backward(stack, cache, np.zeros((1, 4)))
 
     def test_foreign_cache_rejected(self):
-        a = nn.LayerStack([nn.Dense(3, 4)], seed=1)
-        b = nn.LayerStack([nn.Dense(3, 4)], seed=1)
+        _, a = one_stack([nn.Dense(3, 4)], seed=1)
+        _, b = one_stack([nn.Dense(3, 4)], seed=1)
         _, cache = nn.forward(a, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="different parameter set"):
             nn.backward(b, cache, np.zeros((1, 4)))
 
     def test_batched_param_grads_sum_over_rows(self):
-        stack = nn.LayerStack([nn.Dense(3, 2)], seed=2)
+        _, stack = one_stack([nn.Dense(3, 2)], seed=2)
         xs = np.random.default_rng(3).normal(size=(4, 3))
         up = np.random.default_rng(4).normal(size=(4, 2))
         _, cache = nn.forward(stack, xs)
@@ -360,7 +366,7 @@ class TestGradientProperty:
             mid = int(rng.integers(2, 7))
             out_dim = 2 * int(rng.integers(1, 4))
             mode = nn.PER_RB if rng.random() < 0.5 else nn.SUM
-            stack = nn.LayerStack(
+            _, stack = one_stack(
                 [nn.Dense(in_dim, mid), nn.Relu(), nn.Dense(mid, out_dim),
                  nn.Projection(float(rng.uniform(0.3, 1.5)), mode)],
                 seed=int(rng.integers(0, 1000)))
@@ -371,7 +377,7 @@ class TestGradientProperty:
         x = np.random.default_rng(1).normal(size=(1, 5))
         outs = []
         for _ in range(2):
-            stack = nn.LayerStack(layers, seed=77)
+            _, stack = one_stack(layers, seed=77)
             out, cache = nn.forward(stack, x)
             grads = nn.backward(stack, cache, np.ones((1, 4)))
             outs.append((out, grads.input_grad))
@@ -382,8 +388,8 @@ class TestGradientProperty:
         """Re-running each Dense and Projection layer on its cached input
         reproduces the output, and each ReLU's cached slope is its replayed
         input > 0."""
-        stack = nn.LayerStack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
-                               nn.Projection(0.7)], seed=9)
+        _, stack = one_stack([nn.Dense(4, 6), nn.Relu(), nn.Dense(6, 4),
+                              nn.Projection(0.7)], seed=9)
         x = np.random.default_rng(2).normal(size=(5, 4))
         out, cache = nn.forward(stack, x)
         h = x
@@ -404,11 +410,11 @@ class TestGradientProperty:
 
 class TestAdam:
     def test_first_step_direction_is_signed_gradient(self):
-        stack = nn.LayerStack([nn.Dense(2, 2)], seed=0)
+        stack = nn.StackSet([nn.Dense(2, 2)], [0])
         before = {k: v.copy() for k, v in stack.params.items()}
         opt = nn.AdamOptimizer(eta=0.1)
-        grads = {"dense0.w": np.array([[1.0, -2.0], [0.0, 3.0]]),
-                 "dense0.b": np.array([1.0, -1.0])}
+        grads = {"dense0.w": np.array([[[1.0, -2.0], [0.0, 3.0]]]),
+                 "dense0.b": np.array([[1.0, -1.0]])}
         opt.step(stack, grads, divisor=1.0)
         delta = stack.params["dense0.w"] - before["dense0.w"]
         expect = -0.1 * np.sign(grads["dense0.w"])
@@ -416,9 +422,9 @@ class TestAdam:
         assert np.allclose(delta[nonzero], expect[nonzero], rtol=1e-6)
 
     def test_divisor_scales_like_mean(self):
-        a = nn.LayerStack([nn.Dense(2, 2)], seed=0)
-        b = nn.LayerStack([nn.Dense(2, 2)], seed=0)
-        g = {"dense0.w": np.ones((2, 2)), "dense0.b": np.ones(2)}
+        a = nn.StackSet([nn.Dense(2, 2)], [0])
+        b = nn.StackSet([nn.Dense(2, 2)], [0])
+        g = {"dense0.w": np.ones((1, 2, 2)), "dense0.b": np.ones((1, 2))}
         nn.AdamOptimizer(eta=0.05).step(a, {k: 4 * v for k, v in g.items()}, divisor=4.0)
         nn.AdamOptimizer(eta=0.05).step(b, g, divisor=1.0)
         for k in a.params:
@@ -442,8 +448,8 @@ class TestPerSliceDivisor:
         with divisor 0 keeps its parameters, moments and step count."""
         rng = np.random.default_rng(47)
         layers = [nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 3)]
-        lone = [nn.LayerStack(layers, seed=s) for s in (1, 2, 3)]
-        stacked = StackedParams({k: np.stack([s.params[k] for s in lone])
+        lone = [nn.StackSet(layers, [s]) for s in (1, 2, 3)]
+        stacked = StackedParams({k: np.concatenate([s.params[k] for s in lone])
                                  for k in lone[0].params})
         opt = nn.make_optimizer(optimizer, 0.01)
         lone_opts = [nn.make_optimizer(optimizer, 0.01) for _ in lone]
@@ -453,17 +459,17 @@ class TestPerSliceDivisor:
             opt.step(stacked, grads, np.array(counts))
             for i, count in enumerate(counts):
                 if count:
-                    lone_opts[i].step(lone[i], {k: g[i] for k, g in grads.items()}, count)
+                    lone_opts[i].step(lone[i], {k: g[i:i + 1] for k, g in grads.items()}, count)
                 for k, p in stacked.params.items():
-                    assert np.array_equal(p[i], lone[i].params[k]), (counts, i, k)
+                    assert np.array_equal(p[i], lone[i].params[k][0]), (counts, i, k)
                     if not count:
                         assert np.array_equal(p[i], before[k][i])
         if optimizer == "adam":
             assert opt.t.tolist() == [lone_opts[i].t for i in range(3)] == [4, 3, 4]
             for i in range(3):
                 for k in opt.m:
-                    assert np.array_equal(opt.m[k][i], lone_opts[i].m[k])
-                    assert np.array_equal(opt.v[k][i], lone_opts[i].v[k])
+                    assert np.array_equal(opt.m[k][i], lone_opts[i].m[k][0])
+                    assert np.array_equal(opt.v[k][i], lone_opts[i].v[k][0])
 
 
 # --- the kernels' earlier formulas, kept as references -------------------
@@ -620,13 +626,21 @@ KERNEL_STACKS = {
 }
 
 
+def kernel_set(name, seeds):
+    """The KERNEL_STACKS stacks of ``seeds`` as one stack set, with nonzero
+    biases (they start at zero): slice k's drawn from ``seeds[k]``."""
+    stack_set = nn.StackSet(KERNEL_STACKS[name], seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stack_set.set_params({k: np.stack([v[i] + rng.normal(size=v.shape[1:])
+                                       for i, rng in enumerate(rngs)])
+                          if k.endswith(".b") else v for k, v in stack_set.params.items()})
+    return stack_set
+
+
 def kernel_stack(name, seed):
-    """A stack from KERNEL_STACKS with nonzero biases (they start at zero)."""
-    stack = nn.LayerStack(KERNEL_STACKS[name], seed=seed)
-    rng = np.random.default_rng(seed)
-    stack.set_params({k: v + rng.normal(size=v.shape) if k.endswith(".b") else v
-                      for k, v in stack.params.items()})
-    return stack
+    """A stack from KERNEL_STACKS with nonzero biases, as the 2-D slice of
+    a set of its own."""
+    return kernel_set(name, [seed]).slice_view(0)
 
 
 class TestKernelsMatchReferences:
@@ -717,7 +731,7 @@ class TestKernelsMatchReferences:
 
     def test_adam_steps_match_reference(self):
         rng = np.random.default_rng(41)
-        stack = nn.LayerStack([nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 3)], seed=2)
+        stack = nn.StackSet([nn.Dense(5, 7), nn.Relu(), nn.Dense(7, 3)], [2])
         start = {k: v.copy() for k, v in stack.params.items()}
         steps = [{k: rng.normal(size=v.shape) * 10 ** rng.uniform(-3, 1)
                   for k, v in start.items()} for _ in range(6)]
@@ -733,19 +747,31 @@ class TestKernelsMatchReferences:
 
 def node_stacked(name, seeds):
     """The kernel stacks of ``seeds`` as the node-first view of one stack
-    set, the form ``nn.forward`` reads, and the 2-D stacks it was built from."""
-    lone = [kernel_stack(name, seed) for seed in seeds]
-    stack_set = nn.StackSet(lone)
-    return stack_set.node_range(0, len(lone)), lone
+    set, the form ``nn.forward`` reads, and each as a 2-D stack of a set of
+    its own."""
+    return (kernel_set(name, seeds).node_range(0, len(seeds)),
+            [kernel_stack(name, seed) for seed in seeds])
 
 
 class TestStackSet:
+    def test_slices_are_the_seeds_draws(self):
+        """Slice k of ``StackSet(layers, seeds)`` is ``init_params(layers,
+        seeds[k])`` bit for bit; a seed may serve two slices."""
+        layers = KERNEL_STACKS["per-rb-projection"]
+        stack_set = nn.StackSet(layers, [4, 9, 4])
+        for k, seed in enumerate([4, 9, 4]):
+            draw = nn.init_params(layers, seed)
+            assert list(stack_set.params) == list(draw)
+            for name, p in draw.items():
+                assert stack_set.params[name][k].tobytes() == p.tobytes(), (k, name)
+        assert nn.check_layers(layers) == stack_set.layers == tuple(layers)
+
     def test_slices_hold_the_stacks_bits(self):
         """Slice i holds stack i's parameters bit for bit; the 2-D slice
         views, the node-first view and the stacked arrays are views of the
         set's one buffer."""
         lone = [kernel_stack("relu-inside", seed) for seed in (1, 2, 3)]
-        stack_set = nn.StackSet(lone)
+        stack_set = kernel_set("relu-inside", (1, 2, 3))
         assert stack_set.n_slices == 3 and stack_set.layers == lone[0].layers
         assert list(stack_set.params) == list(lone[0].params)
         for i, stack in enumerate(lone):
@@ -764,22 +790,18 @@ class TestStackSet:
         """Nodes 1 and 2 read slices 1 and 2; a set of one slice yields that
         slice for any range."""
         lone = [kernel_stack("relu-inside", seed) for seed in (1, 2, 3)]
-        later = nn.StackSet(lone).node_range(1, 3)
-        single = nn.StackSet(lone[:1]).node_range(4, 7)
+        later = kernel_set("relu-inside", (1, 2, 3)).node_range(1, 3)
+        single = kernel_set("relu-inside", (1,)).node_range(4, 7)
         for k, p in later.params.items():
             assert p.tobytes() == np.stack([lone[1].params[k], lone[2].params[k]]).tobytes()
             assert single.params[k].tobytes() == lone[0].params[k][None].tobytes()
 
-    def test_layouts_must_match(self):
-        with pytest.raises(ValueError, match="same layers"):
-            nn.StackSet([kernel_stack("relu-inside", 1), kernel_stack("ends-in-relu", 1)])
-
     def test_backward_checks_the_set_a_view_names(self):
         """A view cache answers to the set its forward pass read: any view of
         that set at the same version serves, with the same bits; a view of
-        another set, or a lone stack, is a different set; a change of the
-        set makes the cache stale."""
-        stack_set = nn.StackSet([kernel_stack("relu-inside", s) for s in (1, 2)])
+        another set, of its slices or of one slice of its own, is a different
+        set; a change of the set makes the cache stale."""
+        stack_set = kernel_set("relu-inside", (1, 2))
         other = copy.deepcopy(stack_set)
         rng = np.random.default_rng(7)
         x, upstream = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 5, 4))
@@ -797,7 +819,7 @@ class TestStackSet:
             nn.backward(cache.stack, cache, upstream)
 
     def test_a_set_of_no_stacks_has_no_parameters(self):
-        empty = nn.StackSet([])
+        empty = nn.StackSet(KERNEL_STACKS["relu-inside"], [])
         assert empty.params == {} and empty.n_slices == 0
         empty.set_params({})
         assert empty.version == 1
@@ -894,7 +916,7 @@ class TestKernelsLeaveInputsAlone:
         assert list(stack.params) == names_before
 
     def test_adam_leaves_gradients_alone(self):
-        stack = nn.LayerStack([nn.Dense(3, 2)], seed=0)
+        stack = nn.StackSet([nn.Dense(3, 2)], [0])
         grads = {k: np.full(v.shape, 0.5) for k, v in stack.params.items()}
         before = snapshot(grads.values())
         old_params = dict(stack.params)

@@ -419,22 +419,28 @@ class TestTrainingRound:
 
 
 def node_stacks(encoders, n_nodes):
-    """One ``nn.LayerStack`` per node holding a copy of its encoder; under
-    encoder sharing every node holds the same stack."""
+    """One 2-D stack per node holding a copy of its encoder, the one slice
+    of a ``nn.StackSet`` of its own (its ``param_set``); under encoder
+    sharing every node holds the same stack."""
     stacks = []
     for i in range(encoders.n_slices):
-        stack = nn.LayerStack(encoders.layers, seed=0)
-        stack.set_params({k: v.copy() for k, v in encoders.node_encoder(i).params.items()})
-        stacks.append(stack)
+        stack_set = nn.StackSet(encoders.layers, [0])
+        stack_set.set_params(lifted(encoders.node_encoder(i).params))
+        stacks.append(stack_set.slice_view(0))
     return stacks * n_nodes if encoders.shared else stacks
+
+
+def lifted(arrays):
+    """Arrays shaped like a 2-D stack's, as its one-slice set holds them."""
+    return {k: a[None] for k, a in arrays.items()}
 
 
 def reference_edge_step(cfg, stacks, optimizers, env, rows):
     """The per-mode edge formulas the single rule replaced, kept as its reference.
 
-    ``stacks`` holds each node's ``nn.LayerStack`` (one stack that every
-    node holds under encoder sharing) and ``optimizers`` one optimizer per
-    distinct stack. Shared SGD averaged the nodes' stepped parameters
+    ``stacks`` holds each node's 2-D stack (one stack that every node
+    holds under encoder sharing) and ``optimizers`` one optimizer per
+    distinct stack, which steps the stack's one-slice set. Shared SGD averaged the nodes' stepped parameters
     (FedAvg, with a node that has no active sample contributing its
     unchanged parameters); shared Adam stepped once on the mean of the
     nodes' averaged gradients; dedicated encoders stepped on their own.
@@ -463,22 +469,23 @@ def reference_edge_step(cfg, stacks, optimizers, env, rows):
             for cand in candidates[1:]:
                 total = total + cand[name]
             shared[name] = total / float(len(candidates))
-        shared_stack.set_params(shared)
+        shared_stack.param_set.set_params(lifted(shared))
     elif cfg.encoder_sharing:
         total = {k: np.zeros_like(p) for k, p in stacks[0].params.items()}
         for grads, count in steps:
             if grads is not None:
                 for name in total:
                     total[name] = total[name] + grads[name] / count
-        optimizers[0].step(stacks[0], total, cfg.n_train)
+        optimizers[0].step(stacks[0].param_set, lifted(total), cfg.n_train)
     else:
         for i, (grads, count) in enumerate(steps):
             if grads is None:
                 continue
             if cfg.optimizer == "sgd":
-                stacks[i].set_params(oracles.sgd_step(stacks[i].params, grads, cfg.eta / count))
+                stacks[i].param_set.set_params(
+                    lifted(oracles.sgd_step(stacks[i].params, grads, cfg.eta / count)))
             else:
-                optimizers[i].step(stacks[i], grads, count)
+                optimizers[i].step(stacks[i].param_set, lifted(grads), count)
 
 
 class TestEdgeUpdateRule:
@@ -765,8 +772,8 @@ class TestTrain:
 
 
 def per_node_reference_phase(stacks, optimizers):
-    """An edge-backprop phase written out with one ``nn.LayerStack`` and one
-    optimizer per encoder: each node runs its own stack, averages its
+    """An edge-backprop phase written out with one 2-D stack (of a one-slice
+    set, as ``node_stacks`` builds) and one optimizer per encoder: each node runs its own stack, averages its
     gradient over its active samples and, with dedicated encoders, steps
     its own optimizer; a shared encoder steps once on the mean of the
     nodes' averages. The results are written back into ``state.encoders``.
@@ -786,9 +793,9 @@ def per_node_reference_phase(stacks, optimizers):
                 for name in total:
                     total[name] = total[name] + grads[name] / count
             else:
-                optimizers[i].step(stack, grads, count)
+                optimizers[i].step(stack.param_set, lifted(grads), count)
         if cfg.encoder_sharing:
-            optimizers[0].step(stacks[0], total, cfg.n_train)
+            optimizers[0].step(stacks[0].param_set, lifted(total), cfg.n_train)
         state.encoders.set_params({name: np.stack([s.params[name] for s in stacks])
                                    for name in state.encoders.params})
     return phase
@@ -913,14 +920,14 @@ class TestOptimizers:
             assert np.array_equal(m2[k], m1[k]) and np.array_equal(v2[k], v1[k])
         protocol.run_training_round(state, 3)
         assert opt.t.tolist() == [3, 3, 2]
-        lone = nn.LayerStack(state.encoders.layers, seed=0)
-        lone.set_params(params1)
+        lone = nn.StackSet(state.encoders.layers, [0])
+        lone.set_params(lifted(params1))
         written = nn.AdamOptimizer(cfg.eta)
-        written.t, written.m, written.v = 1, m1, v1
+        written.t, written.m, written.v = 1, lifted(m1), lifted(v1)
         grads, counts = steps[2]
-        written.step(lone, {k: g[2] for k, g in grads.items()}, int(counts[2]))
+        written.step(lone, {k: g[2:3] for k, g in grads.items()}, int(counts[2]))
         for k, p in state.encoders.node_encoder(2).params.items():
-            assert np.array_equal(p, lone.params[k])
+            assert np.array_equal(p, lone.params[k][0])
             assert not np.array_equal(p, params1[k])
 
 
@@ -958,7 +965,7 @@ class TestNorm:
         cfg = toy_config(architecture=architecture, encoder_sharing=which == "shared",
                          n_train=4, n_branches=5,
                          **({"message_dim": 4, "n_classes": 4} if which == "sum_agg" else {}))
-        model = (protocol.build_encoders(cfg) if which in ("dedicated", "shared")
+        model = (protocol.init_encoders(cfg) if which in ("dedicated", "shared")
                  else protocol.build_cloud(cfg))
         for _ in range(4):
             # entries over six decades
@@ -1258,7 +1265,7 @@ class TestEvaluatePopulation:
 
         # another set at the same version (0) as the state's own
         def swap_encoders(state):
-            state.encoders = protocol.build_encoders(other.config)
+            state.encoders = protocol.init_encoders(other.config)
             return state
 
         def swap_dataset(state):
