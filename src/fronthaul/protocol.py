@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class TrainingConfig:
     master_seed: int = 1234
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.message_dim % 2 != 0 or self.message_dim < 2:
             raise ValueError("message_dim must be even and positive")
         if self.n_train < 1:

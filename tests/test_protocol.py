@@ -1527,6 +1527,12 @@ class TestConfigValidation:
         for overrides in bad:
             with pytest.raises(ValueError):
                 toy_config(**overrides).validate()
+        # non-finite numbers, in a scalar or in a pair, name their field
+        nonfinite = [dict(eta=math.nan), dict(p_e=math.nan), dict(snr_up_db=(math.nan, 1.0)),
+                     dict(eval_snr_db=math.inf), dict(pathloss_alpha=math.nan)]
+        for overrides in nonfinite:
+            with pytest.raises(ValueError, match=f"{next(iter(overrides))} must be finite"):
+                toy_config(**overrides).validate()
 
     def test_sum_agg_dimension_rule(self):
         with pytest.raises(ValueError, match="sum aggregation"):
