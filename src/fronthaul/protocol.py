@@ -398,8 +398,11 @@ def init_state(config: TrainingConfig, dataset: data.SyntheticDataset) -> Traini
 
 
 def _norm(model) -> float:
-    """The L2 norm over a model's parameters: one dot product of its buffer."""
-    return math.sqrt(float(np.vdot(model.buffer, model.buffer)))
+    """The L2 norm over a model's parameters, its buffer's squares summed by
+    numpy's pairwise add, not by BLAS, whose sum splits across threads:
+    the bits do not depend on the BLAS thread count."""
+    b = model.buffer.reshape(-1)
+    return math.sqrt(float(np.add.reduce(b * b)))
 
 
 def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,

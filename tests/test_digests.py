@@ -19,6 +19,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -168,6 +170,28 @@ def test_mode_is_bit_identical(mode, stored, tmp_path):
     want = stored["modes"][mode]
     moved = [key for key in want if got.get(key) != want[key]]
     assert not moved, f"{mode}: {', '.join(moved)} moved"
+
+
+def test_wide_holds_at_one_blas_thread(stored, tmp_path):
+    """``wide`` gives its stored digests in a child process whose BLAS runs
+    one thread (``OPENBLAS_NUM_THREADS=1`` in the child's environment
+    only, the count the benchmark pins), while this process runs at the
+    default count: its buffers are long enough for OpenBLAS to split a
+    sum across threads. On a one-core host the default is one thread, so
+    there this checks nothing new."""
+    check_environment(stored)
+    paths = [str(Path(protocol.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = ("import json, sys; from pathlib import Path; from test_digests import mode_digests; "
+            "print(json.dumps(mode_digests('wide', Path(sys.argv[1]))))")
+    child = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout.splitlines()[-1])
+    moved = [key for key, want in stored["modes"]["wide"].items() if got.get(key) != want]
+    assert not moved, f"wide at one BLAS thread: {', '.join(moved)} moved"
 
 
 def regenerate() -> None:
