@@ -329,11 +329,12 @@ def _baseline_layout(kind: str, message_dim: int, n_classes: int, n_nodes: int,
     """The layer list of every stack of a catnet or mhnet: a perceptron with
     two hidden layers of one width, over the concatenated signals for
     catnet's one stack and over one signal for each mhnet head."""
-    if kind == CATNET:
-        return nn.perceptron(n_nodes * message_dim, hidden, hidden, n_classes)
-    if kind == MHNET:
-        return nn.perceptron(message_dim, hidden, hidden, n_classes)
-    raise ValueError(f"only catnet and mhnet have stacks, not {kind!r}")
+    if kind not in (CATNET, MHNET):
+        raise ValueError(f"only catnet and mhnet have stacks, not {kind!r}")
+    if n_nodes < 1:
+        raise ValueError(f"{kind} needs at least one node")
+    width = n_nodes * message_dim if kind == CATNET else message_dim
+    return nn.perceptron(width, hidden, hidden, n_classes)
 
 
 def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: int,

@@ -541,6 +541,14 @@ class TestBaselines:
         with pytest.raises(ValueError, match="message length"):
             cloud.build_baseline(cloud.SUM_AGG, 4, 3, 2, seed=0)
 
+    @pytest.mark.parametrize("kind", [cloud.CATNET, cloud.MHNET])
+    def test_needs_at_least_one_node(self, kind):
+        """With a width or with a budget to match (whose search would
+        otherwise never end for mhnet, every width counting 0)."""
+        for budget in ({"hidden": 5}, {"target_params": 100}):
+            with pytest.raises(ValueError, match="at least one node"):
+                cloud.build_baseline(kind, 4, 3, 0, seed=1, **budget)
+
     def test_single_head_single_node_is_plain_stack(self):
         model = cloud.build_baseline(cloud.MHNET, 6, 3, 1, seed=1, hidden=5)
         y = np.random.default_rng(12).normal(size=(1, 6))
