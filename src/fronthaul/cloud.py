@@ -123,10 +123,11 @@ class CloudCache:
     outer_act: Array  # (M, B, H_u) rectified outer activations; > 0 is their slope
 
 
-def _prepare_received(model_in_dim: int, received: Array) -> Array:
+def _prepare_received(model_in_dim: int, received: Array, allow_empty: bool = False) -> Array:
     """Node-first received rows (N, B, S) as one float array; a sequence of
-    per-node (B, S) arrays is stacked."""
-    if len(received) == 0:
+    per-node (B, S) arrays is stacked. N = 0 is allowed only when
+    ``allow_empty`` is set, and then only as a (0, B, S) array."""
+    if len(received) == 0 and not allow_empty:
         raise ValueError("no received signals")
     rows = np.asarray(received, dtype=float)
     if rows.ndim != 3:
@@ -151,7 +152,8 @@ def _active_mask(active: Array | None, batch: int, n_nodes: int) -> Array:
 
 
 def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
-                keep_cache: bool = True) -> tuple[Array, CloudCache | None]:
+                keep_cache: bool = True, held: tuple[Array, int] | None = None
+                ) -> tuple[Array, CloudCache | None]:
     """Pooled multi-branch inference on node-first received rows (N, B, S).
 
     Per branch m: latents z_m(y_i) are summed over nodes, passed through
@@ -178,16 +180,31 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
     Inference passes ``keep_cache=False`` and gets ``(logits, None)``: no
     rectifier slopes are kept, and without a mask no mask is built and
     every sample's active count is the node count, the same bits.
+
+    ``held``, for inference only (no mask, no cache), is ``(pooled, k)``:
+    a float (B, M*H) array holding the rectified first-layer sum of k
+    earlier nodes, as this loop leaves it. The given rows' nodes are
+    added onto it in place, in node order, so it ends holding the sum of
+    k + N nodes, bit for bit the sum one call over all k + N nodes pools,
+    and the inner output bias enters k + N times. N may then be 0: the
+    call runs only the layers after the pool.
     """
-    rows = _prepare_received(model.input_dim, received)
+    rows = _prepare_received(model.input_dim, received, allow_empty=held is not None)
     n_nodes, batch = rows.shape[:2]
-    mask = None if active is None and not keep_cache else _active_mask(active, batch, n_nodes)
     w = model.params
     # the first layers with their bias as a last input column, (M*H, S+1),
     # and one node's rows with a last column of ones
     w1 = np.concatenate([w["z_in"], w["z_in_b"][:, None]], axis=1)
+    if held is None:
+        pooled, earlier = np.zeros((batch, w1.shape[0])), 0
+    else:
+        pooled, earlier = held
+        if active is not None or keep_cache:
+            raise ValueError("a held pool is for inference only: no mask, no cache")
+        if pooled.shape != (batch, w1.shape[0]) or pooled.dtype != float:
+            raise ValueError(f"held pool must be a float ({batch}, {w1.shape[0]}) array")
+    mask = None if active is None and not keep_cache else _active_mask(active, batch, n_nodes)
     y1 = np.ones((batch, w1.shape[1]))
-    pooled = np.zeros((batch, w1.shape[0]))
     pre = np.empty_like(pooled)
     inner_slope = np.empty((n_nodes, *pooled.shape), dtype=bool) if keep_cache else None
     for i, y in enumerate(rows):
@@ -203,7 +220,7 @@ def cloud_infer(model: CloudModel, received: Array, active: Array | None = None,
     # (B, M*H) -> (M, B, H): a strided view, one (B, H) block per branch
     pooled = pooled.reshape(batch, model.n_branches, -1).transpose(1, 0, 2)
     latent = np.matmul(pooled, w["z_out"].transpose(0, 2, 1))
-    counts = n_nodes if mask is None else mask.sum(axis=1)[:, None]
+    counts = earlier + n_nodes if mask is None else mask.sum(axis=1)[:, None]
     latent += counts * w["z_out_b"][:, None, :]
     outer_act = np.matmul(latent, w["u_in"].transpose(0, 2, 1))
     outer_act += w["u_in_b"][:, None, :]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -49,6 +50,9 @@ DOWNLINKS = ("wireless", "noiseless", "exact")
 
 _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
 _EVAL_CHUNK = 512  # evaluation samples per encode-and-uplink pass
+# the pool table's bytes: 8 MiB holds the benchmark grid's 9 noise levels of
+# 768 samples at M*H = 96 (5.31 MB)
+_POOL_CAP = 8 << 20
 
 
 def stream(master_seed: int, domain: int, *key: int) -> np.random.Generator:
@@ -184,6 +188,30 @@ class RoundRecord:
     val_loss: float | None = None
 
 
+class PoolTable:
+    """Pooled first-layer sums of a population's first nodes, one entry per noise std.
+
+    ``entries`` maps an uplink noise std to ``(pooled, k)``: the cloud's
+    rectified first-layer sum over the first k nodes' received rows at
+    that std, (n_samples, M*H), as ``cloud.cloud_infer`` leaves it. The
+    table is valid for ``key``: the cloud model object and its
+    ``version``, and the encoder set object and ``version`` that encoded
+    the population's rows. Entries run from least to most recently used.
+    A deep copy holds no table, so a process holds at most one.
+    """
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.entries: dict[float, tuple[Array, int]] = {}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(pooled.nbytes for pooled, _ in self.entries.values())
+
+    def __deepcopy__(self, memo):
+        return None
+
+
 @dataclass
 class EvalPopulation:
     """One split's evaluation nodes at two levels, each grown or rebuilt on its own key.
@@ -198,6 +226,11 @@ class EvalPopulation:
     ``version``. See ``_eval_population``. It holds no complex array and
     no crops: at 12 nodes on 768 samples with S = 16 it is 3.11 MB (H s
     and the unit noise 1.18 MB each, |h| 0.59 MB, the offsets 0.15 MB).
+
+    ``pools`` is the proposed cloud's ``PoolTable`` over these rows, or
+    None. At most one population in the process holds one (see
+    ``_take_pool``), and its entries total at most ``_POOL_CAP`` bytes: 9
+    noise levels at 768 samples with M*H = 96 hold 5.31 MB.
     """
 
     dataset: data.SyntheticDataset
@@ -209,6 +242,7 @@ class EvalPopulation:
     rows: Array
     encoders: edge.EncoderSet | None = None
     version: int | None = None
+    pools: PoolTable | None = None
 
 
 @dataclass
@@ -428,7 +462,13 @@ def _encode_and_uplink(encoders: edge.EncoderSet, observations: Array, h: Array,
 
 def run_training_round(state: TrainingState, round_index: int,
                        phase_hook=None) -> RoundRecord:
-    """Execute one five-phase round and commit the staged updates."""
+    """Execute one five-phase round and commit the staged updates.
+
+    The process's pool table is dropped first, whichever state holds it:
+    the round makes a table on this state stale, and one on another state
+    would stay resident while training runs.
+    """
+    _drop_pool_table()
     cfg = state.config
     if round_index != state.round_index + 1:
         raise ValueError(f"round {round_index} does not follow round {state.round_index}")
@@ -621,6 +661,52 @@ def _encode_nodes(state: TrainingState, population: EvalPopulation, split: str,
     population.rows = rows
 
 
+# the one population that holds a pool table, as a weak reference
+_pool_owner = lambda: None  # noqa: E731
+
+
+def _drop_pool_table() -> None:
+    """Free the process's pool table, whichever population holds it."""
+    owner = _pool_owner()
+    if owner is not None:
+        owner.pools = None
+
+
+def _take_pool(model: cloud.CloudModel, population: EvalPopulation, std: float,
+               n_test: int) -> tuple[Array, int]:
+    """The pooled sums (n_samples, M*H) held for ``std`` and their node count
+    k <= ``n_test``, taken out of the population's table until ``evaluate``
+    puts them back as the most recently used entry, so a pass that fails
+    leaves no half-pooled entry.
+
+    A table built for another cloud or encoder set, or another version of
+    either, is replaced; building one on this population drops the table
+    of any other. On a miss, or when the entry holds k > n_test nodes,
+    the sums restart from zero (k = 0) in the entry's array, or in the
+    least recently used entry's array when the table has no room for one
+    more, or else in a new one.
+    """
+    global _pool_owner
+    key = (model, model.version, population.encoders, population.version)
+    table = population.pools
+    if table is None or table.key != key:
+        if _pool_owner() is not population:
+            _drop_pool_table()
+            _pool_owner = weakref.ref(population)
+        table = population.pools = PoolTable(key)
+    pooled, count = table.entries.pop(std, (None, 0))
+    if pooled is not None and count <= n_test:
+        return pooled, count
+    if pooled is None:
+        shape = (len(population.labels), model.params["z_in"].shape[0])
+        while table.entries and table.nbytes + math.prod(shape) * 8 > _POOL_CAP:
+            pooled, _ = table.entries.pop(next(iter(table.entries)))
+        if pooled is None:
+            return np.zeros(shape), 0
+    pooled.fill(0.0)
+    return pooled, 0
+
+
 def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None,
              snr_db: float | None = None) -> tuple[float, float]:
     """Accuracy and mean loss on a split under fixed evaluation channels.
@@ -645,10 +731,26 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     first n_test held nodes but does not draw again, so validation between
     training steps reuses one draw. A different split, another dataset
     object, or a change of ``master_seed``, ``message_dim`` or the pathloss
-    fields draws the population again and replaces the old one. The cloud
-    model is not cached and is read on every call. A bad ``split``,
-    ``n_test`` or ``snr_db`` raises ValueError before any draw and leaves
-    the held population as it was.
+    fields draws the population again and replaces the old one.
+
+    The proposed cloud sums each node's rectified first layer over nodes
+    before any layer that mixes them, so the population also holds a
+    ``PoolTable``: per uplink noise std (equal stds give equal rows), the
+    cloud's first-layer sum over the first k nodes. A call at that std
+    and n_test >= k hands the cloud only nodes k to n_test - 1 to add onto
+    the sum, in node order as a pass over all n_test nodes adds them, so
+    no bit moves; a repeated cell runs only the layers after the pool. A
+    miss, or k > n_test, pools again from the first node. The table is
+    valid for the cloud object and its ``version`` and for the rows'
+    encoder set and its version; it keeps at most ``_POOL_CAP`` bytes,
+    evicting the least recently used std, and the process keeps one
+    table: evaluating another population, or any training round, drops
+    it. The baselines pool no table and get all n_test nodes each call.
+    The loss is summed per chunk of ``_EVAL_CHUNK`` samples in every case.
+
+    A bad ``split``, ``n_test`` or ``snr_db`` (a bool, a non-finite value,
+    or one whose noise variance overflows) raises ValueError before any
+    draw and leaves the held population as it was.
     """
     if split not in _SPLIT_IDS:
         raise ValueError(f"split must be one of {sorted(_SPLIT_IDS)}, got {split!r}")
@@ -656,25 +758,40 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     if isinstance(n_test, bool) or not isinstance(n_test, numbers.Integral) or n_test < 1:
         raise ValueError(f"n_test must be an integer of at least 1, got {n_test!r}")
     n_test = int(n_test)
+    model = state.cloud_model
     state.encoders.check_nodes(n_test)
-    state.cloud_model.check_nodes(n_test)
-    if snr_db is not None and not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
+    model.check_nodes(n_test)
+    if snr_db is not None and (isinstance(snr_db, bool) or not (
+            isinstance(snr_db, numbers.Real) and math.isfinite(snr_db))):
         raise ValueError(f"snr_db must be None or a finite number, got {snr_db!r}")
+    with np.errstate(over="ignore"):
+        std = float(channel.noise_std(0.0 if snr_db is None else
+                                      channel.snr_to_noise_var(snr_db)))
+    if not math.isfinite(std):
+        raise ValueError(f"snr_db = {snr_db!r} dB overflows the noise variance")
     population = _eval_population(state, split, n_test)
-    std = channel.noise_std(0.0 if snr_db is None else channel.snr_to_noise_var(snr_db))
+    pooled, first = None, 0
+    if isinstance(model, cloud.CloudModel):
+        pooled, first = _take_pool(model, population, std, n_test)
 
     correct = 0
     loss_total = 0.0
     n_samples = len(population.labels)
     for start in range(0, n_samples, _EVAL_CHUNK):
         chunk = slice(start, start + _EVAL_CHUNK)
-        received = population.unit[:n_test, chunk] * std
-        received += population.rows[:n_test, chunk]
-        logits, _ = state.cloud_model.infer(received, keep_cache=False)
+        received = population.unit[first:n_test, chunk] * std
+        received += population.rows[first:n_test, chunk]
+        if pooled is None:
+            logits, _ = model.infer(received, keep_cache=False)
+        else:
+            logits, _ = cloud.cloud_infer(model, received, keep_cache=False,
+                                          held=(pooled[chunk], first))
         labels = population.labels[chunk]
         losses, _ = nn.softmax_cross_entropy(logits, labels)
         loss_total += float(np.sum(losses))
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))
+    if pooled is not None and pooled.nbytes <= _POOL_CAP:
+        population.pools.entries[std] = pooled, n_test
     return correct / n_samples, loss_total / n_samples
 
 

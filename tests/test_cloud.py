@@ -121,6 +121,43 @@ class TestCloudInfer:
         with pytest.raises(ValueError, match="0 or 1"):
             cloud.cloud_infer(model, [np.zeros((2, 6))], np.full((2, 1), 0.5))
 
+    @pytest.mark.parametrize("split", [0, 1, 3, 5])
+    def test_held_sum_continues_the_pool_bit_for_bit(self, split):
+        """Pooling the first ``split`` nodes into a held sum and then the rest
+        onto it gives the bits of one pass over all five nodes, the held sum
+        ends as that pass's pool, and a call with no new node repeats them."""
+        rng = np.random.default_rng(4)
+        model = small_model(m=3)
+        random_biases(model, rng)
+        received = rng.normal(size=(5, 7, 6))
+        want, _ = cloud.cloud_infer(model, received, keep_cache=False)
+        pooled = np.zeros((7, model.params["z_in"].shape[0]))
+        first, _ = cloud.cloud_infer(model, received[:split], keep_cache=False,
+                                     held=(pooled, 0))
+        if split:
+            alone, _ = cloud.cloud_infer(model, received[:split], keep_cache=False)
+            assert np.array_equal(bits(first), bits(alone))
+        got, _ = cloud.cloud_infer(model, received[split:], keep_cache=False,
+                                   held=(pooled, split))
+        again, _ = cloud.cloud_infer(model, received[5:], keep_cache=False, held=(pooled, 5))
+        assert np.array_equal(bits(got), bits(want)) and np.array_equal(bits(again), bits(want))
+        _, cache = cloud.cloud_infer(model, received)
+        assert np.array_equal(bits(pooled), bits(cache.pooled.transpose(1, 0, 2).reshape(7, -1)))
+
+    def test_held_sum_is_for_inference_only(self):
+        model = small_model()
+        received = np.zeros((2, 4, 6))
+        pooled = np.zeros((4, 10))
+        with pytest.raises(ValueError, match="inference only"):
+            cloud.cloud_infer(model, received, held=(pooled, 1))
+        with pytest.raises(ValueError, match="inference only"):
+            cloud.cloud_infer(model, received, np.ones((4, 2)), keep_cache=False,
+                              held=(pooled, 1))
+        with pytest.raises(ValueError, match="held pool"):
+            cloud.cloud_infer(model, received, keep_cache=False, held=(pooled[:3], 1))
+        with pytest.raises(ValueError, match="no received"):
+            cloud.cloud_infer(model, received[:0], keep_cache=False)
+
     def test_construction_independent_of_node_count(self):
         """One instance serves any population without parameter change."""
         model = small_model()

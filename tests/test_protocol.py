@@ -4,6 +4,7 @@
 import ast
 import copy
 import dataclasses
+import gc
 import inspect
 import math
 import textwrap
@@ -1129,6 +1130,8 @@ EVAL_MODES = {
     "dedicated": dict(n_train=5),
     "cqie": dict(encoder_sharing=True, cqie=True),
     "pathloss": dict(encoder_sharing=True, pathloss=True, cqie=True),
+    # train-wide's shape: dedicated encoders, M = 12 branches
+    "wide": dict(n_train=5, n_branches=12),
 }
 EVAL_NTEST = (1, 3, 5)
 EVAL_SNR = (None, 0.0, 17.5, 40.0)
@@ -1141,6 +1144,14 @@ EVAL_ORDERS = {
     "n-ascending": [("test", n, snr) for n in (1, 2, 3, 4, 5) for snr in (None, 17.5)],
     "n-descending": [("test", n, snr) for n in (5, 4, 3, 2, 1) for snr in (None, 17.5)],
     "n-shuffled": [("test", n, snr) for n in (3, 1, 5, 2, 4) for snr in (None, 17.5)],
+    # only the cloud's parameters, or only the encoders', change at the named
+    # set: held and repeated cells pool again from the first node
+    "cloud-change": [("test", 5, 17.5), ("test", 3, None), "cloud", ("test", 5, 17.5),
+                     ("test", 3, None), ("test", 5, None), "cloud", ("test", 5, None),
+                     ("test", 5, None)],
+    "encoder-change": [("test", 5, 17.5), ("test", 3, None), "encoders", ("test", 5, 17.5),
+                       ("test", 3, None), ("test", 5, None), "encoders", ("test", 5, None),
+                       ("test", 5, None)],
 }
 
 
@@ -1190,27 +1201,48 @@ class TestEvaluatePopulation:
     @pytest.mark.parametrize("mode", sorted(EVAL_MODES))
     def test_matches_per_cell_reference(self, eval_states, mode, order, monkeypatch):
         """Every cell, in every call order, gives the reference's accuracy and
-        loss and hands the cloud the reference's received rows, byte for byte
-        (so the noiseless cells match to the sign of zero)."""
+        loss, and every node row the cloud pools equals the reference's row
+        for that node, byte for byte (so the noiseless cells match to the
+        sign of zero): the rows pooled into a held sum across calls, first
+        node to last, are the reference's received rows of the cell that
+        reads the sum. After a change of the cloud alone, or of the
+        encoders alone, every held sum is pooled again from the first node."""
         state = copy.deepcopy(eval_states[mode])
-        infer = state.cloud_model.infer
-        seen = []
+        infer = cloud.cloud_infer
+        seen = []  # per cloud pass: the held sum's address and node count
+        pooled_rows = {}  # a held sum's address -> the node rows pooled into it, in order
 
-        def spy(received, active=None, **kwargs):
-            seen.append(received)
-            return infer(received, active, **kwargs)
+        def spy(model, received, active=None, keep_cache=True, held=None):
+            if held is None:  # the reference's own cloud passes
+                return infer(model, received, active, keep_cache)
+            address, first = held[0].ctypes.data, held[1]
+            if first == 0:
+                pooled_rows[address] = []
+            assert len(pooled_rows[address]) == first
+            pooled_rows[address].extend(received)
+            seen.append((address, first))
+            return infer(model, received, active, keep_cache, held)
 
-        monkeypatch.setattr(state.cloud_model, "infer", spy)
-        for split, n_test, snr in EVAL_ORDERS[order]:
+        monkeypatch.setattr(cloud, "cloud_infer", spy)
+        repool = False
+        for cell in EVAL_ORDERS[order]:
+            if cell in ("cloud", "encoders"):
+                # a shift, not a scale: the encoders' power projection undoes a scale
+                changed = state.cloud_model if cell == "cloud" else state.encoders
+                changed.set_params({k: p + 0.05 for k, p in changed.params.items()})
+                repool = True
+                continue
+            split, n_test, snr = cell
             seen.clear()
             got = protocol.evaluate(state, split, n_test=n_test, snr_db=snr)
-            got_rows = list(seen)
             want_rows = []
             want = reference_evaluate(state, split, n_test, snr, rows=want_rows)
-            assert bits(got) == bits(want), (split, n_test, snr)
-            assert len(got_rows) == len(want_rows) == (2 if split == "test" else 1)
-            for g, w in zip(got_rows, want_rows):
-                assert g.tobytes() == w.tobytes(), (split, n_test, snr)
+            assert bits(got) == bits(want), cell
+            assert len(seen) == len(want_rows) == (2 if split == "test" else 1)
+            for (address, first), w in zip(seen, want_rows):
+                assert np.stack(pooled_rows[address]).tobytes() == w.tobytes(), cell
+                assert first == 0 or not repool, cell
+            repool = False
 
     @pytest.mark.parametrize("mode", sorted(EVAL_MODES))
     def test_first_nodes_are_the_smaller_population(self, eval_states, mode):
@@ -1381,9 +1413,128 @@ class TestEvaluatePopulation:
         assert not any(a.shape[-1] == ds.obs_dim for a in arrays)
         assert sum(a.nbytes for a in arrays) <= 3.11e6
 
+    def test_one_pass_pools_each_node_once_per_level(self, monkeypatch):
+        """Two passes of n_test 1 to 12 at three SNRs pool 12 nodes per level
+        each, not 1 + 2 + ... + 12 = 78: a cell adds its new nodes onto the
+        sum held for its noise level, and a pass that starts below the held
+        count pools again from the first node. A repeated cell pools no node."""
+        state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
+        pooled = []
+
+        def counted(model, received, *args, _fn=cloud.cloud_infer, **kwargs):
+            pooled.append(len(received))
+            return _fn(model, received, *args, **kwargs)
+
+        monkeypatch.setattr(cloud, "cloud_infer", counted)
+        passes = []
+        for _ in range(2):
+            pooled.clear()
+            for n_test in range(1, 13):
+                for snr in (None, 0.0, 20.0):
+                    protocol.evaluate(state, "val", n_test=n_test, snr_db=snr)
+            passes.append(sum(pooled))
+        assert passes == [12 * 3, 12 * 3]
+        pooled.clear()
+        again = protocol.evaluate(state, "val", n_test=12, snr_db=20.0)
+        assert pooled == [0]
+        assert bits(again) == bits(reference_evaluate(state, "val", 12, 20.0))
+
+    @pytest.mark.parametrize("architecture, n_tests", [
+        (cloud.SUM_AGG, (1, 2, 3)), (cloud.CATNET, (3,)), (cloud.MHNET, (1, 2, 3))])
+    def test_baselines_pool_every_node(self, architecture, n_tests, monkeypatch):
+        """The baselines hold no pool table: every cell hands the cloud all
+        n_test nodes, however often the cell repeats."""
+        cfg = toy_config(architecture=architecture, n_classes=4,
+                         message_dim=4 if architecture == cloud.SUM_AGG else 8)
+        state = protocol.init_state(cfg, toy_dataset(classes=4))
+        pooled = []
+
+        def counted(model, received, *args, _fn=cloud.baseline_infer, **kwargs):
+            pooled.append(len(received))
+            return _fn(model, received, *args, **kwargs)
+
+        monkeypatch.setattr(cloud, "baseline_infer", counted)
+        cells = [(n, snr) for _ in range(2) for n in n_tests for snr in (None, 20.0)]
+        for n_test, snr in cells:
+            protocol.evaluate(state, "val", n_test=n_test, snr_db=snr)
+        assert pooled == [n for n, _ in cells]
+        assert state.eval_population.pools is None
+
+    def test_one_pool_table_per_process(self):
+        """The pool table lives on the last population evaluated, and only
+        until the next training round on any state: evaluating state B
+        drops A's table, a round on A drops B's, and a deep copy holds none.
+        No drop changes a result."""
+        ds = toy_dataset()
+        a, b = (protocol.init_state(toy_config(rounds=3, encoder_sharing=True, master_seed=s), ds)
+                for s in (1, 2))
+
+        def tables():
+            gc.collect()
+            return sum(isinstance(o, protocol.PoolTable) for o in gc.get_objects())
+
+        first = bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0))
+        assert a.eval_population.pools is not None and tables() == 1
+        protocol.evaluate(b, "val", n_test=4)
+        assert a.eval_population.pools is None and b.eval_population.pools is not None
+        assert tables() == 1
+        copied = copy.deepcopy(b)
+        assert copied.eval_population.pools is None and tables() == 1
+        assert bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0)) == first
+        assert b.eval_population.pools is None
+        protocol.run_training_round(b, 1)
+        assert a.eval_population.pools is None and tables() == 0
+        protocol.evaluate(a, "val", n_test=4)
+        protocol.run_training_round(a, 1)
+        assert a.eval_population.pools is None and tables() == 0
+
+    def test_pool_table_stays_under_its_cap(self, monkeypatch):
+        """A sweep over 40 noise levels never holds more than ``_POOL_CAP``
+        bytes: each new level evicts the least recently used one once the
+        table is full. The most recent level is still held; the first was
+        evicted and pools again from the first node."""
+        ds = toy_dataset(samples=(64, 24, 768))
+        state = protocol.init_state(toy_config(message_dim=16, n_branches=3, cloud_hidden=32,
+                                               encoder_sharing=True), ds)
+        entry = 768 * 96 * 8
+        levels = [float(snr) for snr in range(40)]
+        for i, snr in enumerate(levels):
+            protocol.evaluate(state, "test", n_test=2, snr_db=snr)
+            table = state.eval_population.pools
+            assert table.nbytes <= protocol._POOL_CAP
+            assert len(table.entries) == min(i + 1, protocol._POOL_CAP // entry)
+        want = [bits(reference_evaluate(state, "test", 2, snr)) for snr in (levels[-1], levels[0])]
+        held = []
+
+        def counted(model, received, *args, _fn=cloud.cloud_infer, **kwargs):
+            held.append(kwargs["held"][1])
+            return _fn(model, received, *args, **kwargs)
+
+        monkeypatch.setattr(cloud, "cloud_infer", counted)
+        assert [bits(protocol.evaluate(state, "test", n_test=2, snr_db=snr))
+                for snr in (levels[-1], levels[0])] == want
+        assert held == [2, 2, 0, 0]  # two chunks per cell
+        assert state.eval_population.pools.nbytes <= protocol._POOL_CAP
+
+    def test_held_pool_table_size(self):
+        """The benchmark grid's 9 noise levels at 12 nodes on 768 test samples,
+        with M*H = 96, hold 9 float (768, 96) sums: 5.31 MB."""
+        ds = toy_dataset(samples=(64, 24, 768))
+        state = protocol.init_state(toy_config(message_dim=16, n_branches=3, cloud_hidden=32,
+                                               encoder_sharing=True), ds)
+        for n_test in range(1, 13):
+            for snr in range(0, 41, 5):
+                protocol.evaluate(state, "test", n_test=n_test, snr_db=float(snr))
+        table = state.eval_population.pools
+        assert [(pooled.shape, k) for pooled, k in table.entries.values()] \
+            == [((768, 96), 12)] * 9
+        assert table.nbytes <= 5.31e6
+
     @pytest.mark.parametrize("kwargs, name", [
         (dict(snr_db=math.nan), "snr_db"),
         (dict(snr_db=math.inf), "snr_db"),
+        (dict(snr_db=True), "snr_db"),
+        (dict(snr_db=-4000.0), "snr_db"),
         (dict(n_test=-1), "n_test"),
         (dict(n_test=2.5), "n_test"),
         (dict(n_test=0), "n_test"),
@@ -1391,10 +1542,12 @@ class TestEvaluatePopulation:
         (dict(split="train2"), "split"),
         (dict(n_test=4), "sharing"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_arguments_fail_before_any_draw(self, kwargs, name, monkeypatch):
         """A bad argument is a ValueError naming it, raised before any draw or
-        population lookup; the held population stays. Three dedicated
-        encoders serve at most three nodes."""
+        population lookup and without a warning; the held population stays.
+        A bool is no SNR, an SNR whose noise variance overflows is rejected,
+        and three dedicated encoders serve at most three nodes."""
         state = protocol.init_state(toy_config(), toy_dataset())
         protocol.evaluate(state, "val", n_test=2)
         population = state.eval_population
