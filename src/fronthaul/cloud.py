@@ -320,10 +320,6 @@ class BaselineModel(nn.StackSet):
         self.n_classes = n_classes
         self.n_nodes = n_nodes
 
-    @property
-    def output_dim(self) -> int:
-        return self.n_classes
-
     def check_nodes(self, n_nodes: int) -> None:
         """Raise unless the model pools ``n_nodes`` nodes: catnet takes exactly
         the count it was built for, mhnet at most one node per head."""

@@ -50,7 +50,7 @@ DOWNLINKS = ("wireless", "noiseless", "exact")
 
 _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
 _EVAL_CHUNK = 512  # evaluation samples per encode-and-uplink pass
-# the pool table's bytes: 8 MiB holds the benchmark grid's 9 noise levels of
+# the pools' bytes: 8 MiB holds the benchmark grid's 9 noise levels of
 # 768 samples at M*H = 96 (5.31 MB)
 _POOL_CAP = 8 << 20
 
@@ -185,52 +185,32 @@ class RoundRecord:
     downlink_values: int
     redraw_count: int
     val_accuracy: float | None = None
-    val_loss: float | None = None
-
-
-class PoolTable:
-    """Pooled first-layer sums of a population's first nodes, one entry per noise std.
-
-    ``entries`` maps an uplink noise std to ``(pooled, k)``: the cloud's
-    rectified first-layer sum over the first k nodes' received rows at
-    that std, (n_samples, M*H), as ``cloud.cloud_infer`` leaves it. The
-    table is valid for ``key``: the cloud model object and its
-    ``version``, and the encoder set object and ``version`` that encoded
-    the population's rows. Entries run from least to most recently used.
-    A deep copy holds no table, so a process holds at most one.
-    """
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.entries: dict[float, tuple[Array, int]] = {}
-
-    @property
-    def nbytes(self) -> int:
-        return sum(pooled.nbytes for pooled, _ in self.entries.values())
-
-    def __deepcopy__(self, memo):
-        return None
 
 
 @dataclass
 class EvalPopulation:
-    """One split's evaluation nodes at two levels, each grown or rebuilt on its own key.
+    """One split's evaluation nodes: their draws, and what the parameters make of them.
 
-    What no parameter touches is held node-first over the whole split:
-    the fading magnitudes |h| (n, n_samples, blocks), the unit noise rows
-    (n, n_samples, S) and the crop offsets (n, n_samples, 2), one node per
-    stream, with the split's labels. They are valid for the dataset object
-    named while ``key`` still matches, and the first m of them are the
-    population of m nodes. ``rows`` holds the noiseless received rows H s
-    (k, n_samples, S) of the first k <= n nodes, encoded by ``encoders`` at
-    ``version``. See ``_eval_population``. It holds no complex array and
-    no crops: at 12 nodes on 768 samples with S = 16 it is 3.11 MB (H s
-    and the unit noise 1.18 MB each, |h| 0.59 MB, the offsets 0.15 MB).
+    The draws are held node-first over the whole split: the fading
+    magnitudes |h| (n, n_samples, blocks), the unit noise rows (n,
+    n_samples, S) and the crop offsets (n, n_samples, 2), one node per
+    stream, with the split's labels. No parameter touches them; they are
+    valid for the dataset object named while ``key`` still matches, and
+    the first m of them are the population of m nodes.
 
-    ``pools`` is the proposed cloud's ``PoolTable`` over these rows, or
-    None. At most one population in the process holds one (see
-    ``_take_pool``), and its entries total at most ``_POOL_CAP`` bytes: 9
-    noise levels at 768 samples with M*H = 96 hold 5.31 MB.
+    ``rows`` (the noiseless received rows H s of the first k <= n nodes,
+    (k, n_samples, S)) and ``pools`` were made for ``made_for``: the cloud
+    model object and its ``version``, and the encoder set object and its
+    ``version``. ``pools`` maps an uplink noise std to ``(pooled, k)``: the
+    proposed cloud's rectified first-layer sum over the first k nodes'
+    received rows at that std, (n_samples, M*H), as ``cloud.cloud_infer``
+    leaves it, least recently used first, at most ``_POOL_CAP`` bytes.
+
+    At 12 nodes on 768 samples with S = 16 the draws and rows are 3.11 MB
+    (H s and the unit noise 1.18 MB each, |h| 0.59 MB, the offsets 0.15
+    MB), and 9 noise levels with M*H = 96 pool 5.31 MB. A deep copy is
+    None, so a copied state holds no population; see ``_eval_population``
+    for the one state in the process that holds one.
     """
 
     dataset: data.SyntheticDataset
@@ -240,9 +220,16 @@ class EvalPopulation:
     unit: Array
     offsets: Array
     rows: Array
-    encoders: edge.EncoderSet | None = None
-    version: int | None = None
-    pools: PoolTable | None = None
+    made_for: tuple | None = None
+    pools: dict[float, tuple[Array, int]] = field(default_factory=dict)
+
+    def __deepcopy__(self, memo):
+        return None
+
+    def free_made(self) -> None:
+        """Drop the rows and pools, keeping the draws."""
+        self.rows = np.empty((0, *self.rows.shape[1:]))
+        self.made_for, self.pools = None, {}
 
 
 @dataclass
@@ -255,7 +242,7 @@ class TrainingState:
     edge_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     cloud_optimizer: nn.SgdOptimizer | nn.AdamOptimizer
     round_index: int = 0
-    # the last population ``evaluate`` drew; never more than one
+    # the process's one evaluation population while this state evaluated last
     eval_population: EvalPopulation | None = field(default=None, repr=False, compare=False)
 
 
@@ -464,11 +451,14 @@ def run_training_round(state: TrainingState, round_index: int,
                        phase_hook=None) -> RoundRecord:
     """Execute one five-phase round and commit the staged updates.
 
-    The process's pool table is dropped first, whichever state holds it:
-    the round makes a table on this state stale, and one on another state
-    would stay resident while training runs.
+    The rows and pools of the process's evaluation population are freed
+    first, whichever state holds it, and its draws kept: the round makes
+    them stale on this state, and on another state they would stay
+    resident while training runs. Validation between rounds draws once.
     """
-    _drop_pool_table()
+    holder = _holder()
+    if holder is not None and holder.eval_population is not None:
+        holder.eval_population.free_made()
     cfg = state.config
     if round_index != state.round_index + 1:
         raise ValueError(f"round {round_index} does not follow round {state.round_index}")
@@ -571,31 +561,43 @@ def run_inference(encoders: edge.EncoderSet, model, h: Array, sigma_c2,
     return logits
 
 
+# the one state whose ``eval_population`` is held, as a weak reference
+_holder = lambda: None  # noqa: E731
+
+
 def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopulation:
     """The state's population for ``split``, its first ``n_test`` nodes drawn
     and encoded, drawing and encoding only the nodes it lacks.
+
+    The process holds one population, on the state that evaluated last:
+    evaluating this state frees another state's population first.
 
     Node i draws from its own stream, keyed by (split, i), over the whole
     split: the pathloss distances, the fading, the unit noise and the crop
     offsets, in that order. So the first m nodes of a larger population
     are the population of m, and a sweep over n_test draws each node once.
-    The draws are keyed without the encoders' version: a change of split,
-    dataset object, ``master_seed``, ``message_dim`` or the pathloss fields
-    drops the old population and draws a new one. The rows H s are keyed
-    on the encoder set object and its ``version``, which every parameter
-    change (a step, ``set_params``, a load) bumps: on a miss the first
-    n_test nodes are cropped again from the stored offsets and encoded
-    over the stored |h|, which is all the uplink gain and the
-    channel-quality input read. Nodes beyond the held rows are encoded
-    and appended, each by its own encoder. At most one population is
-    ever held.
+    The draws are keyed on the dataset object, the split, ``master_seed``,
+    ``message_dim`` and the pathloss fields; a change of any draws the
+    population again. The rows H s and the pools are keyed on
+    ``made_for``, the cloud and encoder set objects and their
+    ``version``s, which every parameter change (a step, ``set_params``, a
+    load) bumps: on a miss the pools are dropped and the first n_test
+    nodes are cropped again from the stored offsets and encoded over the
+    stored |h|, which is all the uplink gain and the channel-quality input
+    read. Nodes beyond the held rows are encoded and appended, each by its
+    own encoder.
     """
+    global _holder
+    holder = _holder()
+    if holder is not state:
+        if holder is not None:
+            holder.eval_population = None
+        _holder = weakref.ref(state)
     cfg = state.config
     key = (split, cfg.master_seed, cfg.n_blocks, cfg.pathloss, tuple(cfg.pathloss_d),
            cfg.pathloss_alpha)
     population = state.eval_population
     if population is None or population.dataset is not state.dataset or population.key != key:
-        state.eval_population = None
         labels = state.dataset.split(split)[1]
         shape = (0, len(labels))
         population = state.eval_population = EvalPopulation(
@@ -604,13 +606,13 @@ def _eval_population(state: TrainingState, split: str, n_test: int) -> EvalPopul
             np.empty((*shape, cfg.message_dim)))
     if len(population.magnitude) < n_test:
         _draw_nodes(state, population, split, n_test)
-    encoders = state.encoders
-    held = len(population.rows)
-    if population.encoders is not encoders or population.version != encoders.version:
-        held = 0
-    if held < n_test:
-        _encode_nodes(state, population, split, held, n_test)
-        population.encoders, population.version = encoders, encoders.version
+    made_for = (state.cloud_model, state.cloud_model.version,
+                state.encoders, state.encoders.version)
+    if population.made_for != made_for:
+        population.free_made()
+        population.made_for = made_for
+    if len(population.rows) < n_test:
+        _encode_nodes(state, population, split, len(population.rows), n_test)
     return population
 
 
@@ -661,46 +663,27 @@ def _encode_nodes(state: TrainingState, population: EvalPopulation, split: str,
     population.rows = rows
 
 
-# the one population that holds a pool table, as a weak reference
-_pool_owner = lambda: None  # noqa: E731
-
-
-def _drop_pool_table() -> None:
-    """Free the process's pool table, whichever population holds it."""
-    owner = _pool_owner()
-    if owner is not None:
-        owner.pools = None
-
-
 def _take_pool(model: cloud.CloudModel, population: EvalPopulation, std: float,
                n_test: int) -> tuple[Array, int]:
     """The pooled sums (n_samples, M*H) held for ``std`` and their node count
-    k <= ``n_test``, taken out of the population's table until ``evaluate``
+    k <= ``n_test``, taken out of the population's pools until ``evaluate``
     puts them back as the most recently used entry, so a pass that fails
     leaves no half-pooled entry.
 
-    A table built for another cloud or encoder set, or another version of
-    either, is replaced; building one on this population drops the table
-    of any other. On a miss, or when the entry holds k > n_test nodes,
-    the sums restart from zero (k = 0) in the entry's array, or in the
-    least recently used entry's array when the table has no room for one
-    more, or else in a new one.
+    On a miss, or when the entry holds k > n_test nodes, the sums restart
+    from zero (k = 0) in the entry's array, or in the least recently used
+    entry's array when the pools have no room for one more, or else in a
+    new one.
     """
-    global _pool_owner
-    key = (model, model.version, population.encoders, population.version)
-    table = population.pools
-    if table is None or table.key != key:
-        if _pool_owner() is not population:
-            _drop_pool_table()
-            _pool_owner = weakref.ref(population)
-        table = population.pools = PoolTable(key)
-    pooled, count = table.entries.pop(std, (None, 0))
+    pools = population.pools
+    pooled, count = pools.pop(std, (None, 0))
     if pooled is not None and count <= n_test:
         return pooled, count
     if pooled is None:
         shape = (len(population.labels), model.params["z_in"].shape[0])
-        while table.entries and table.nbytes + math.prod(shape) * 8 > _POOL_CAP:
-            pooled, _ = table.entries.pop(next(iter(table.entries)))
+        while pools and (sum(p.nbytes for p, _ in pools.values())
+                         + math.prod(shape) * 8 > _POOL_CAP):
+            pooled, _ = pools.pop(next(iter(pools)))
         if pooled is None:
             return np.zeros(shape), 0
     pooled.fill(0.0)
@@ -726,26 +709,27 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
     only the nodes it lacks and encodes only the nodes whose rows it
     lacks, then hands the cloud the first n_test. Each SNR scales the unit
     noise by sqrt(sigma^2 / 2) and adds H s, which gives the bits a fresh
-    draw at that SNR would. A parameter change of the encoder set (its
-    ``version``) or another encoder set object re-crops and re-encodes the
-    first n_test held nodes but does not draw again, so validation between
-    training steps reuses one draw. A different split, another dataset
-    object, or a change of ``master_seed``, ``message_dim`` or the pathloss
-    fields draws the population again and replaces the old one.
+    draw at that SNR would. A parameter change of the cloud or the encoder
+    set (its ``version``), or another object for either, re-crops and
+    re-encodes the first n_test held nodes but does not draw again, so
+    validation between training steps reuses one draw. A different split,
+    another dataset object, or a change of ``master_seed``,
+    ``message_dim`` or the pathloss fields draws the population again and
+    replaces the old one. The process holds one population: evaluating
+    this state frees the one another state holds, a training round frees
+    its rows and pools, and a deep copy of a state holds none.
 
     The proposed cloud sums each node's rectified first layer over nodes
-    before any layer that mixes them, so the population also holds a
-    ``PoolTable``: per uplink noise std (equal stds give equal rows), the
-    cloud's first-layer sum over the first k nodes. A call at that std
-    and n_test >= k hands the cloud only nodes k to n_test - 1 to add onto
-    the sum, in node order as a pass over all n_test nodes adds them, so
-    no bit moves; a repeated cell runs only the layers after the pool. A
-    miss, or k > n_test, pools again from the first node. The table is
-    valid for the cloud object and its ``version`` and for the rows'
-    encoder set and its version; it keeps at most ``_POOL_CAP`` bytes,
-    evicting the least recently used std, and the process keeps one
-    table: evaluating another population, or any training round, drops
-    it. The baselines pool no table and get all n_test nodes each call.
+    before any layer that mixes them, so the population also pools: per
+    uplink noise std (equal stds give equal rows), the cloud's first-layer
+    sum over the first k nodes. A call at that std and n_test >= k hands
+    the cloud only nodes k to n_test - 1 to add onto the sum, in node
+    order as a pass over all n_test nodes adds them, so no bit moves; a
+    repeated cell runs only the layers after the pool. A miss, or k >
+    n_test, pools again from the first node. The pools share the rows'
+    key and keep at most ``_POOL_CAP`` bytes, evicting the least recently
+    used std. The baselines pool nothing and get all n_test nodes each
+    call.
     The loss is summed per chunk of ``_EVAL_CHUNK`` samples in every case.
 
     A bad ``split``, ``n_test`` or ``snr_db`` (a bool, a non-finite value,
@@ -791,7 +775,7 @@ def evaluate(state: TrainingState, split: str = "val", n_test: int | None = None
         loss_total += float(np.sum(losses))
         correct += int(np.sum(np.argmax(logits, axis=1) == labels))
     if pooled is not None and pooled.nbytes <= _POOL_CAP:
-        population.pools.entries[std] = pooled, n_test
+        population.pools[std] = pooled, n_test
     return correct / n_samples, loss_total / n_samples
 
 
@@ -808,10 +792,8 @@ def train(config: TrainingConfig, dataset: data.SyntheticDataset,
     for k in range(1, config.rounds + 1):
         record = run_training_round(state, k)
         if config.val_cadence and k % config.val_cadence == 0:
-            acc, loss = evaluate(state, "val", n_test=config.n_train,
-                                 snr_db=config.eval_snr_db)
-            record.val_accuracy = acc
-            record.val_loss = loss
+            record.val_accuracy, _ = evaluate(state, "val", n_test=config.n_train,
+                                              snr_db=config.eval_snr_db)
         records.append(record)
         if round_callback is not None and round_callback(record):
             break

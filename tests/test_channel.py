@@ -325,3 +325,22 @@ class TestIndependence:
         a = h[:, 0, 0].real
         b = h[:, 1, 0].real
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
+
+
+class TestInputChecks:
+    """Each check raises its own message, so no later error stands in for it."""
+
+    def test_noise_variance_must_broadcast_against_the_draw(self):
+        """A variance with one more axis than the fading shape would
+        broadcast against the stacked real and imaginary draw, not the shape."""
+        with pytest.raises(ValueError):
+            channel.noise(np.random.default_rng(0), (3, 2), np.full((2, 1, 1), 0.5))
+
+    def test_downlink_transmit_rows_must_fit_the_channel(self):
+        with pytest.raises(ValueError, match="do not fit channel shape"):
+            channel.downlink_transmit(np.zeros((2, 8)), np.ones((1, 4), complex), 1.0,
+                                      np.zeros((2, 8)))
+
+    def test_downlink_decode_rows_must_fit_the_channel(self):
+        with pytest.raises(ValueError, match="do not fit channel shape"):
+            channel.downlink_decode(np.zeros((2, 8)), np.ones((1, 4), complex), 1.0)

@@ -401,17 +401,17 @@ class TestFusedCloud:
         with pytest.raises(ValueError, match="inconsistent"):
             cloud.CloudModel(params)
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: p.pop("u_in_b"),
-        lambda p: p.update(z_mid=np.zeros((2, 5, 5))),
-        lambda p: p.update(z_out=np.zeros((4, 5))),
-        lambda p: p.update(u_out_b=np.zeros((3, 3))),
-        lambda p: p.update(z_out=np.zeros((0, 4, 5))),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("u_in_b"), "exactly the keys"),
+        (lambda p: p.update(z_mid=np.zeros((2, 5, 5))), "exactly the keys"),
+        (lambda p: p.update(z_out=np.zeros((4, 5))), "at least one branch"),
+        (lambda p: p.update(u_out_b=np.zeros((3, 3))), "inconsistent"),
+        (lambda p: p.update(z_out=np.zeros((0, 4, 5))), "at least one branch"),
     ], ids=["missing-key", "extra-key", "no-branch-axis", "branch-count", "no-branch"])
-    def test_rejects_malformed_parameter_sets(self, edit):
+    def test_rejects_malformed_parameter_sets(self, edit, message):
         params = dict(small_model(m=2).params)
         edit(params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             cloud.CloudModel(params)
 
     def test_branches_keep_their_child_seed_draws(self):
@@ -857,3 +857,57 @@ class TestForwardOnly:
         monkeypatch.setattr(cloud, "_active_mask", no_mask)
         got, none = cloud.cloud_infer(model, received, keep_cache=False)
         assert none is None and got.tobytes() == want.tobytes()
+
+
+class TestInputChecks:
+    """Each check raises its own message, so no later error stands in for it."""
+
+    def test_build_needs_a_branch(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            small_model(m=0)
+
+    def test_active_mask_shape(self):
+        model = small_model()
+        received = np.zeros((2, 3, 6))
+        with pytest.raises(ValueError, match="active mask shape"):
+            cloud.cloud_infer(model, received, np.ones((3, 3)))
+
+    def test_cloud_backward_gradient_shape(self):
+        model = small_model()
+        _, cache = cloud.cloud_infer(model, np.ones((2, 3, 6)))
+        with pytest.raises(ValueError, match="gradient shape"):
+            cloud.cloud_backward(model, cache, np.zeros((3, 1)))
+
+    def test_unknown_baseline_kind(self):
+        with pytest.raises(ValueError, match="unknown baseline kind 'resnet'"):
+            cloud.build_baseline("resnet", 4, 3, 2, seed=0, hidden=5)
+
+    def test_only_catnet_and_mhnet_have_a_layout(self):
+        with pytest.raises(ValueError, match="only catnet and mhnet"):
+            cloud.matched_hidden_width(cloud.SUM_AGG, 4, 4, 2, 100)
+
+    def test_baseline_needs_a_width_or_a_budget(self):
+        with pytest.raises(ValueError, match="hidden width or a parameter budget"):
+            cloud.build_baseline(cloud.CATNET, 4, 3, 2, seed=0)
+
+    def test_catnet_rejects_inactive_nodes(self):
+        model = cloud.build_baseline(cloud.CATNET, 4, 3, 2, seed=0, hidden=5)
+        mask = np.ones((3, 2))
+        mask[1, 0] = 0.0
+        with pytest.raises(ValueError, match="inactive nodes"):
+            cloud.baseline_infer(model, np.zeros((2, 3, 4)), mask)
+
+    def test_sum_agg_backward_checks_its_cache(self):
+        """sum_agg keeps no forward cache of its own, so only the model's
+        ``check_cache`` rejects a cache of another model."""
+        a, b = (cloud.build_baseline(cloud.SUM_AGG, 4, 4, 2, seed=s) for s in (0, 1))
+        _, cache = cloud.baseline_infer(a, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="different parameter set"):
+            cloud.baseline_backward(b, cache, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("kind", [cloud.SUM_AGG, cloud.CATNET, cloud.MHNET])
+    def test_baseline_backward_gradient_shape(self, kind):
+        model = cloud.build_baseline(kind, 4, 4, 2, seed=0, hidden=5)
+        _, cache = cloud.baseline_infer(model, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="gradient shape"):
+            cloud.baseline_backward(model, cache, np.zeros((3, 1)))

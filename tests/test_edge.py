@@ -373,3 +373,16 @@ class TestDecentralizationSurface:
             assert np.array_equal(grads[k][1], want[k])
             assert np.array_equal(again[k][1], want[k])
             assert not np.array_equal(again[k][0], grads[k][0])
+
+
+class TestInputChecks:
+    """Each check raises its own message, so no later error stands in for it."""
+
+    def test_odd_message_length(self):
+        with pytest.raises(ValueError, match="message length must be even"):
+            edge.encoder_layers(6, 5, (8,), 1.0, nn.PER_RB)
+
+    def test_observations_must_be_node_first(self):
+        encoders = make_set(shared=True)
+        with pytest.raises(ValueError, match=r"observations must be \(nodes, batch, length\)"):
+            edge.encode(encoders, np.zeros((3, 6)))

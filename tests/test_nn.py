@@ -929,3 +929,35 @@ class TestKernelsLeaveInputsAlone:
         # holds the same arrays, stepped in place
         assert all(old_params[k] is p for k, p in stack.params.items())
         assert not unchanged(params_before, old_params.values())
+
+
+class TestInputChecks:
+    """Each check raises its own message, so no later error stands in for it."""
+
+    @pytest.mark.parametrize("layers, message", [
+        ([], "at least one layer"),
+        ([nn.Relu(), nn.Dense(4, 4)], "layer 0 must be dense"),
+        ([nn.Dense(3, 4), nn.Projection(-1.0, nn.PER_RB)], "negative power budget"),
+        ([nn.Dense(3, 4), nn.Projection(1.0, "peak")], "unknown projection mode"),
+    ], ids=["empty", "first-not-dense", "negative-power", "unknown-mode"])
+    def test_check_layers(self, layers, message):
+        with pytest.raises(ValueError, match=message):
+            nn.check_layers(layers)
+
+    def test_projection_forward_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown projection mode"):
+            nn.projection_forward(np.ones(4), 1.0, "peak")
+
+    @pytest.mark.parametrize("v, power, mode, upstream, message", [
+        (np.ones(3), 1.0, nn.PER_RB, np.ones(3), "length must be even"),
+        (np.ones(4), -1.0, nn.PER_RB, np.ones(4), "power budget must be nonnegative"),
+        (np.ones(4), 1.0, nn.PER_RB, np.ones(6), "upstream shape must match"),
+        (np.ones(4), 1.0, "peak", np.ones(4), "unknown projection mode"),
+    ], ids=["odd-length", "negative-power", "mismatched-shapes", "unknown-mode"])
+    def test_projection_backward(self, v, power, mode, upstream, message):
+        with pytest.raises(ValueError, match=message):
+            nn.projection_backward(v, power, mode, upstream)
+
+    def test_make_optimizer_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown optimizer 'rmsprop'"):
+            nn.make_optimizer("rmsprop", 0.1)

@@ -108,6 +108,16 @@ class TestActiveSets:
         assert mask.any(axis=1).all()
         assert redraws > 0  # with p=0.45 and N=2, empties do occur and are redrawn
 
+    def test_needs_a_node(self):
+        """No node is a ValueError before any draw: with no node, no
+        redraw could ever give a sample an active one."""
+        class NoDraw:
+            def random(self, shape):
+                raise AssertionError("sample_active_sets drew before checking n_train")
+
+        with pytest.raises(ValueError, match="at least one node"):
+            protocol.sample_active_sets(NoDraw(), 0, 4, 0.5)
+
     def test_redraw_matches_full_row_scan(self):
         """Visiting only the empty rows gives the mask, the redraw count and
         the stream position of a scan over every row."""
@@ -1049,6 +1059,37 @@ class TestStateParameters:
             assert np.array_equal(restored.cloud_model.params[key], p)
         assert protocol.evaluate(restored, "val") == protocol.evaluate(state, "val")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params, name: params.pop(name), "names do not match"),
+        (lambda params, name: params.update({name: np.zeros((*params[name].shape, 1))}),
+         "shape mismatch"),
+    ], ids=["missing-name", "wrong-shape"])
+    def test_load_is_all_or_nothing(self, edit, message):
+        """A dict that does not fit raises before any set is written: the
+        cloud set, installed first, keeps its buffer and its version when
+        an encoder array is missing or of the wrong shape."""
+        ds = toy_dataset()
+        state, other = (protocol.init_state(toy_config(master_seed=s), ds) for s in (1, 2))
+        params = {name: p.copy() for name, p in protocol.state_parameters(other).items()}
+        edit(params, next(name for name in params if name.startswith("encoders.")))
+        sets = (state.cloud_model, state.encoders)
+        before = [(model.buffer.copy(), model.version) for model in sets]
+        with pytest.raises(ValueError, match=message):
+            protocol.load_state_parameters(state, params)
+        for model, (buffer, version) in zip(sets, before):
+            assert model.buffer.tobytes() == buffer.tobytes() and model.version == version
+
+
+class TestInitState:
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(eta=-1.0), "eta must be nonnegative"),
+        (dict(n_classes=4), "n_classes does not match"),
+        (dict(obs_dim=35), "obs_dim does not match"),
+    ], ids=["validates-the-config", "n_classes", "obs_dim"])
+    def test_rejects_a_bad_config_or_dataset(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            protocol.init_state(toy_config(**overrides), toy_dataset())
+
 
 class TestEvaluate:
     def test_shared_encoder_serves_any_population(self):
@@ -1191,6 +1232,16 @@ def count_eval_work(monkeypatch):
     return calls
 
 
+def live_populations():
+    """The number of ``EvalPopulation`` objects alive in the process."""
+    gc.collect()
+    return sum(isinstance(o, protocol.EvalPopulation) for o in gc.get_objects())
+
+
+def pool_bytes(pools):
+    return sum(pooled.nbytes for pooled, _ in pools.values())
+
+
 class TestEvaluatePopulation:
     @pytest.fixture(scope="class")
     def eval_states(self):
@@ -1316,31 +1367,30 @@ class TestEvaluatePopulation:
         """After each change, every cell equals a freshly restored state's
         result bit for bit, and the state holds one population only. A
         parameter or encoder set change re-encodes the held draws; a change
-        the draws read draws again, one stream per node; a deep copy keeps
-        its copied population."""
+        the draws read draws again, one stream per node; a deep copy holds
+        no population, so it draws and encodes its own."""
         ds = toy_dataset()
         n_test = 4
         state = protocol.init_state(toy_config(rounds=3, encoder_sharing=True), ds)
         before = [bits(protocol.evaluate(state, "val", n_test=n_test, snr_db=snr))
                   for snr in EVAL_SNR]
         changed = self._changes(ds)[change](state)
+        # the changed state's own cells, counted before a reference state
+        # evaluates and so takes the process's one population away
         calls = count_eval_work(monkeypatch)
-        for snr in EVAL_SNR:
-            got = protocol.evaluate(changed, "val", n_test=n_test, snr_db=snr)
-            assert bits(got) == bits(protocol.evaluate(restored(changed), "val",
-                                                       n_test=n_test, snr_db=snr))
+        got = [bits(protocol.evaluate(changed, "val", n_test=n_test, snr_db=snr))
+               for snr in EVAL_SNR]
+        own = (calls["eval_stream"], calls["encode"])
         held = [v for v in vars(changed).values() if isinstance(v, protocol.EvalPopulation)]
         assert held == [changed.eval_population]
-        # each restored(...) state is fresh: it draws its n_test node streams
-        # and encodes its one chunk once; what is left is the changed state's
-        # own work
         rebuilt = {"round": "encode", "load": "encode", "set_params": "encode",
-                   "deepcopy": "nothing", "deepcopy_set_params": "encode",
+                   "deepcopy": "draw", "deepcopy_set_params": "draw",
                    "master_seed": "draw", "pathloss": "draw", "pathloss_alpha": "draw",
                    "encoder_set": "encode", "dataset": "draw"}[change]
-        own = (calls["eval_stream"] - n_test * len(EVAL_SNR), calls["encode"] - len(EVAL_SNR))
-        assert own == {"draw": (n_test, 1), "encode": (0, 1), "nothing": (0, 0)}[rebuilt]
-        if changed is not state:  # the original keeps its own, still valid population
+        assert own == {"draw": (n_test, 1), "encode": (0, 1)}[rebuilt]
+        assert got == [bits(protocol.evaluate(restored(changed), "val", n_test=n_test,
+                                              snr_db=snr)) for snr in EVAL_SNR]
+        if changed is not state:  # the original draws again, with the same bits
             assert [bits(protocol.evaluate(state, "val", n_test=n_test, snr_db=snr))
                     for snr in EVAL_SNR] == before
 
@@ -1442,8 +1492,8 @@ class TestEvaluatePopulation:
     @pytest.mark.parametrize("architecture, n_tests", [
         (cloud.SUM_AGG, (1, 2, 3)), (cloud.CATNET, (3,)), (cloud.MHNET, (1, 2, 3))])
     def test_baselines_pool_every_node(self, architecture, n_tests, monkeypatch):
-        """The baselines hold no pool table: every cell hands the cloud all
-        n_test nodes, however often the cell repeats."""
+        """The baselines pool nothing: every cell hands the cloud all n_test
+        nodes, however often the cell repeats."""
         cfg = toy_config(architecture=architecture, n_classes=4,
                          message_dim=4 if architecture == cloud.SUM_AGG else 8)
         state = protocol.init_state(cfg, toy_dataset(classes=4))
@@ -1458,40 +1508,69 @@ class TestEvaluatePopulation:
         for n_test, snr in cells:
             protocol.evaluate(state, "val", n_test=n_test, snr_db=snr)
         assert pooled == [n for n, _ in cells]
-        assert state.eval_population.pools is None
+        assert state.eval_population.pools == {}
 
-    def test_one_pool_table_per_process(self):
-        """The pool table lives on the last population evaluated, and only
-        until the next training round on any state: evaluating state B
-        drops A's table, a round on A drops B's, and a deep copy holds none.
-        No drop changes a result."""
+    def test_one_population_per_process(self):
+        """The process holds one population, on the state that evaluated
+        last: after A and then B evaluate, A holds none, and a deep copy
+        holds none. No free changes a result."""
         ds = toy_dataset()
         a, b = (protocol.init_state(toy_config(rounds=3, encoder_sharing=True, master_seed=s), ds)
                 for s in (1, 2))
-
-        def tables():
-            gc.collect()
-            return sum(isinstance(o, protocol.PoolTable) for o in gc.get_objects())
-
         first = bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0))
-        assert a.eval_population.pools is not None and tables() == 1
+        assert a.eval_population.pools and live_populations() == 1
         protocol.evaluate(b, "val", n_test=4)
-        assert a.eval_population.pools is None and b.eval_population.pools is not None
-        assert tables() == 1
+        assert a.eval_population is None and b.eval_population is not None
+        assert live_populations() == 1
         copied = copy.deepcopy(b)
-        assert copied.eval_population.pools is None and tables() == 1
+        assert copied.eval_population is None and live_populations() == 1
         assert bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0)) == first
-        assert b.eval_population.pools is None
-        protocol.run_training_round(b, 1)
-        assert a.eval_population.pools is None and tables() == 0
-        protocol.evaluate(a, "val", n_test=4)
-        protocol.run_training_round(a, 1)
-        assert a.eval_population.pools is None and tables() == 0
+        assert b.eval_population is None and live_populations() == 1
 
-    def test_pool_table_stays_under_its_cap(self, monkeypatch):
+    def test_evaluating_another_state_frees_the_population(self, monkeypatch):
+        """Evaluating state B frees A's population; A draws and encodes
+        again on its next call, with the same bits."""
+        ds = toy_dataset()
+        a, b = (protocol.init_state(toy_config(rounds=3, encoder_sharing=True, master_seed=s), ds)
+                for s in (1, 2))
+        first = bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0))
+        protocol.evaluate(b, "val", n_test=4)
+        assert a.eval_population is None
+        calls = count_eval_work(monkeypatch)
+        assert bits(protocol.evaluate(a, "val", n_test=4, snr_db=10.0)) == first
+        assert (calls["eval_stream"], calls["encode"]) == (4, 1)
+        assert b.eval_population is None
+
+    def test_a_round_frees_rows_and_pools_but_keeps_the_draws(self):
+        """A training round on any state frees the held population's rows
+        and pools; its draws stay, the same arrays."""
+        ds = toy_dataset()
+        state, other = (protocol.init_state(
+            toy_config(rounds=3, encoder_sharing=True, master_seed=s), ds) for s in (1, 2))
+        draws = ("labels", "magnitude", "unit", "offsets")
+        for trained in (other, state):
+            protocol.evaluate(state, "val", n_test=4, snr_db=10.0)
+            population = state.eval_population
+            held = [getattr(population, name) for name in draws]
+            assert len(population.rows) == 4 and population.pools
+            protocol.run_training_round(trained, trained.round_index + 1)
+            assert state.eval_population is population
+            assert len(population.rows) == 0 and population.pools == {}
+            assert all(getattr(population, name) is a for name, a in zip(draws, held))
+
+    def test_a_dropped_state_leaves_no_population(self):
+        """The population lives on its state: once the state is gone, no
+        population is left in the process."""
+        state = protocol.init_state(toy_config(encoder_sharing=True), toy_dataset())
+        protocol.evaluate(state, "val", n_test=4, snr_db=10.0)
+        assert live_populations() == 1
+        del state
+        assert live_populations() == 0
+
+    def test_pools_stay_under_their_cap(self, monkeypatch):
         """A sweep over 40 noise levels never holds more than ``_POOL_CAP``
         bytes: each new level evicts the least recently used one once the
-        table is full. The most recent level is still held; the first was
+        pools are full. The most recent level is still held; the first was
         evicted and pools again from the first node."""
         ds = toy_dataset(samples=(64, 24, 768))
         state = protocol.init_state(toy_config(message_dim=16, n_branches=3, cloud_hidden=32,
@@ -1500,9 +1579,9 @@ class TestEvaluatePopulation:
         levels = [float(snr) for snr in range(40)]
         for i, snr in enumerate(levels):
             protocol.evaluate(state, "test", n_test=2, snr_db=snr)
-            table = state.eval_population.pools
-            assert table.nbytes <= protocol._POOL_CAP
-            assert len(table.entries) == min(i + 1, protocol._POOL_CAP // entry)
+            pools = state.eval_population.pools
+            assert pool_bytes(pools) <= protocol._POOL_CAP
+            assert len(pools) == min(i + 1, protocol._POOL_CAP // entry)
         want = [bits(reference_evaluate(state, "test", 2, snr)) for snr in (levels[-1], levels[0])]
         held = []
 
@@ -1514,9 +1593,9 @@ class TestEvaluatePopulation:
         assert [bits(protocol.evaluate(state, "test", n_test=2, snr_db=snr))
                 for snr in (levels[-1], levels[0])] == want
         assert held == [2, 2, 0, 0]  # two chunks per cell
-        assert state.eval_population.pools.nbytes <= protocol._POOL_CAP
+        assert pool_bytes(state.eval_population.pools) <= protocol._POOL_CAP
 
-    def test_held_pool_table_size(self):
+    def test_held_pools_size(self):
         """The benchmark grid's 9 noise levels at 12 nodes on 768 test samples,
         with M*H = 96, hold 9 float (768, 96) sums: 5.31 MB."""
         ds = toy_dataset(samples=(64, 24, 768))
@@ -1525,10 +1604,9 @@ class TestEvaluatePopulation:
         for n_test in range(1, 13):
             for snr in range(0, 41, 5):
                 protocol.evaluate(state, "test", n_test=n_test, snr_db=float(snr))
-        table = state.eval_population.pools
-        assert [(pooled.shape, k) for pooled, k in table.entries.values()] \
-            == [((768, 96), 12)] * 9
-        assert table.nbytes <= 5.31e6
+        pools = state.eval_population.pools
+        assert [(pooled.shape, k) for pooled, k in pools.values()] == [((768, 96), 12)] * 9
+        assert pool_bytes(pools) <= 5.31e6
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(snr_db=math.nan), "snr_db"),
@@ -1686,6 +1764,16 @@ class TestConfigValidation:
         for overrides in nonfinite:
             with pytest.raises(ValueError, match=f"{next(iter(overrides))} must be finite"):
                 toy_config(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(n_train=0), "at least one edge node"),
+        (dict(rounds=-1), "rounds must be nonnegative"),
+        (dict(pathloss=True, pathloss_d=(10.0, 1.0)), "positive and ordered"),
+        (dict(pathloss=True, pathloss_d=(0.0, 1.0)), "positive and ordered"),
+    ], ids=["no-node", "negative-rounds", "reversed-distances", "zero-distance"])
+    def test_each_rule_names_itself(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            toy_config(**overrides).validate()
 
     def test_sum_agg_dimension_rule(self):
         with pytest.raises(ValueError, match="sum aggregation"):
