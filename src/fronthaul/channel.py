@@ -95,7 +95,11 @@ def noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
     variance with the same bits as drawing at that variance.
     """
     std = noise_std(variance)
-    np.broadcast_to(std, shape)  # raises unless the variance broadcasts against the draw
+    try:
+        np.broadcast_to(std, shape)
+    except ValueError as err:
+        raise ValueError(f"noise variance of shape {std.shape} does not broadcast "
+                         f"against fading shape {tuple(shape)}") from err
     draw = rng.standard_normal((2, *shape))
     draw *= std
     return np.concatenate([draw[0], draw[1]], axis=-1)

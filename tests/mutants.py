@@ -8,16 +8,16 @@ directory, writes the mutant there, and runs the tier-1 test files,
 without the acceptance suite, with ``-x`` in one child process at
 ``OPENBLAS_NUM_THREADS=1``; the module's own test file runs first. A
 mutant is killed when the run fails, survives when it passes, and times
-out when it runs past ``--timeout``. The counts per module and every
-survivor are printed; survivors on ``EQUIVALENT`` are listed apart, with
-the reason they cannot be told from the original.
+out when it runs past four times the unmutated run (at least 60 s). The
+counts per module and every survivor are printed; survivors on
+``EQUIVALENT`` are listed apart, with the reason they cannot be told from
+the original.
 
     python tests/mutants.py                        # all five modules
-    python tests/mutants.py --modules protocol --workers 2
-    python tests/mutants.py --list --modules nn    # the mutants, not run
+    python tests/mutants.py --modules protocol
 
-The run starts with the unmutated copy, which must pass; its time sets
-the default timeout. It uses the standard library only, and pytest does
+The run starts with the unmutated copy, which must pass. Mutants run on
+one worker per CPU. It uses the standard library only, and pytest does
 not collect this file.
 """
 from __future__ import annotations
@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,37 +44,45 @@ SKIPPED_FILES = {"test_acceptance.py"}
 
 _ANNOTATION = ("the alias is read only in annotations, which "
                "``from __future__ import annotations`` never evaluates")
-# (module, the mutated statement's first line, stripped) -> why deleting it
-# changes no behaviour a caller can observe
+_ARRAY_IN = ("admits a sequence as well as an array; every caller in the "
+             "package passes a float array")
+# (module, enclosing def/class qualified name or "" at module level, the
+# mutated statement's first line, stripped) -> why deleting it changes no
+# behaviour a caller can observe. Each key must name exactly one mutant.
 EQUIVALENT = {
-    **{(module, "Array = np.ndarray"): _ANNOTATION for module in MODULES},
-    ("nn", "LayerSpec = Dense | Relu | Projection"): _ANNOTATION,
-    **{(module, line): "admits a sequence as well as an array; every caller in the "
-       "package passes a float array"
-       for module, line in (("channel", "d = np.asarray(d, dtype=float)"),
-                            ("channel", "s = np.asarray(s, dtype=float)"),
-                            ("channel", "m = np.asarray(m, dtype=float)"),
-                            ("channel", "y = np.asarray(y, dtype=float)"),
-                            ("nn", "arrays = {name: np.asarray(a, dtype=float) "
-                                   "for name, a in arrays.items()}"),
-                            ("nn", "v = np.asarray(v, dtype=float)"))},
-    ("nn", "memo[id(self)] = clone"):
+    **{(module, "", "Array = np.ndarray"): _ANNOTATION for module in MODULES},
+    ("nn", "", "LayerSpec = Dense | Relu | Projection"): _ANNOTATION,
+    ("channel", "sample_channel", "d = np.asarray(d, dtype=float)"): _ARRAY_IN,
+    ("channel", "uplink_transmit", "s = np.asarray(s, dtype=float)"): _ARRAY_IN,
+    ("channel", "downlink_transmit", "m = np.asarray(m, dtype=float)"): _ARRAY_IN,
+    ("channel", "downlink_decode", "y = np.asarray(y, dtype=float)"): _ARRAY_IN,
+    ("nn", "ParamSet._hold",
+     "arrays = {name: np.asarray(a, dtype=float) for name, a in arrays.items()}"): _ARRAY_IN,
+    ("nn", "projection_forward", "v = np.asarray(v, dtype=float)"): _ARRAY_IN,
+    ("nn", "projection_backward", "v = np.asarray(v, dtype=float)"): _ARRAY_IN,
+    ("nn", "ParamSet.__deepcopy__", "memo[id(self)] = clone"):
         "a parameter set is never reached twice in one deep copy",
-    ("protocol", "n_test = int(n_test)"):
+    ("protocol", "evaluate", "n_test = int(n_test)"):
         "evaluate only slices and compares n_test, which a numpy integer does as an int",
-    ("protocol", "pools: dict[float, tuple[Array, int]] = field(default_factory=dict)"):
+    ("protocol", "EvalPopulation",
+     "pools: dict[float, tuple[Array, int]] = field(default_factory=dict)"):
         "a new population's made_for is None, so free_made sets its pools before any read",
-    ("protocol", "return None"):
-        "EvalPopulation.__deepcopy__: a body of pass returns None as well",
+    ("protocol", "EvalPopulation.__deepcopy__", "return None"):
+        "a body of pass returns None as well",
 }
 
 
 @dataclass(frozen=True)
 class Mutant:
     module: str
+    scope: str  # qualified name of the enclosing def or class, "" at module level
     line: int  # first line, 1-based
     end: int  # last line, inclusive
     text: str  # the first line, stripped
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return self.module, self.scope, self.text
 
     def apply(self, source: str) -> str:
         lines = source.splitlines(keepends=True)
@@ -92,16 +101,24 @@ def mutants(module: str) -> list[Mutant]:
     source = (SRC / "fronthaul" / f"{module}.py").read_text()
     lines = source.splitlines()
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.stmt) or _is_docstring(node) or isinstance(node, (
-                ast.Pass, ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)):
-            continue
-        first, last = lines[node.lineno - 1], lines[node.end_lineno - 1]
-        # only a statement with nothing before it on its first line and
-        # nothing after it on its last (no ``a; b``, no one-line ``if``)
-        if first[:node.col_offset].strip() or last[node.end_col_offset:].strip():
-            continue
-        found.append(Mutant(module, node.lineno, node.end_lineno, first.strip()))
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            visit(child, scope)
+            if not isinstance(child, ast.stmt) or _is_docstring(child) or isinstance(
+                    child, (ast.Pass, ast.Import, ast.ImportFrom)):
+                continue
+            first, last = lines[child.lineno - 1], lines[child.end_lineno - 1]
+            # only a statement with nothing before it on its first line and
+            # nothing after it on its last (no ``a; b``, no one-line ``if``)
+            if first[:child.col_offset].strip() or last[child.end_col_offset:].strip():
+                continue
+            found.append(Mutant(module, scope, child.lineno, child.end_lineno, first.strip()))
+
+    visit(ast.parse(source), "")
     return sorted(found, key=lambda m: m.line)
 
 
@@ -140,30 +157,26 @@ def run(mutant: Mutant | None, timeout: float | None) -> tuple[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--modules", nargs="+", choices=MODULES, default=list(MODULES))
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per mutant (default: 4x the unmutated run, at least 60)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     todo = [m for module in args.modules for m in mutants(module)]
-    if args.list:
-        for m in todo:
-            print(f"{m.module}:{m.line}: {m.text}")
-        print(f"{len(todo)} mutants")
-        return 0
+    matches = Counter(m.key for m in todo)
+    stale = [key for key in EQUIVALENT if key[0] in args.modules and matches[key] != 1]
+    if stale:
+        for key in stale:
+            print(f"EQUIVALENT entry names {matches[key]} mutants, not 1: {key}")
+        return 1
 
     verdict, seconds = run(None, None)
     if verdict != "survived":
         print("the unmutated copy fails its tests; nothing to score")
         return 1
-    timeout = args.timeout or max(60.0, 4 * seconds)
+    timeout = max(60.0, 4 * seconds)
+    workers = os.cpu_count() or 1
     print(f"unmutated run {seconds:.1f} s; timeout {timeout:.0f} s; "
-          f"{len(todo)} mutants on {args.workers} worker(s)", flush=True)
+          f"{len(todo)} mutants on {workers} worker(s)", flush=True)
     started = time.perf_counter()
     results = []
-    with ThreadPoolExecutor(args.workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for mutant, (verdict, _) in zip(todo, pool.map(lambda m: run(m, timeout), todo)):
             results.append((mutant, verdict))
             if len(results) % 25 == 0:
@@ -176,19 +189,17 @@ def main(argv=None) -> int:
         mine = [(m, v) for m, v in results if m.module == module]
         count = {v: sum(verdict == v for _, verdict in mine)
                  for v in ("killed", "survived", "timeout")}
-        equivalent = sum(v == "survived" and (m.module, m.text) in EQUIVALENT for m, v in mine)
+        equivalent = sum(v == "survived" and m.key in EQUIVALENT for m, v in mine)
         print(f"{module:10} {len(mine):8} {count['killed']:7} {count['survived']:9} "
               f"{count['timeout']:8} {equivalent:11}")
-    for label, pick in (("survived", lambda m, v: v == "survived"
-                         and (m.module, m.text) not in EQUIVALENT),
-                        ("equivalent", lambda m, v: v == "survived"
-                         and (m.module, m.text) in EQUIVALENT),
+    for label, pick in (("survived", lambda m, v: v == "survived" and m.key not in EQUIVALENT),
+                        ("equivalent", lambda m, v: v == "survived" and m.key in EQUIVALENT),
                         ("timed out", lambda m, v: v == "timeout")):
         chosen = [m for m, v in results if pick(m, v)]
         if chosen:
             print(f"\n{label}:")
         for m in chosen:
-            reason = EQUIVALENT.get((m.module, m.text))
+            reason = EQUIVALENT.get(m.key)
             print(f"  {m.module}:{m.line}: {m.text}" + (f"  # {reason}" if reason else ""))
     return 0
 

@@ -58,7 +58,7 @@ class TestLinkNoise:
         assert np.array_equal(complex_view(got), want)
 
     def test_variance_must_broadcast(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not broadcast"):
             channel.noise(np.random.default_rng(0), (5, 4), np.ones(3))
 
     @pytest.mark.parametrize("variance", [0.0, 1e-4, 0.37, 1.0, 5.0])
@@ -333,7 +333,7 @@ class TestInputChecks:
     def test_noise_variance_must_broadcast_against_the_draw(self):
         """A variance with one more axis than the fading shape would
         broadcast against the stacked real and imaginary draw, not the shape."""
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not broadcast"):
             channel.noise(np.random.default_rng(0), (3, 2), np.full((2, 1, 1), 0.5))
 
     def test_downlink_transmit_rows_must_fit_the_channel(self):
