@@ -100,9 +100,16 @@ def noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
     except ValueError as err:
         raise ValueError(f"noise variance of shape {std.shape} does not broadcast "
                          f"against fading shape {tuple(shape)}") from err
-    draw = rng.standard_normal((2, *shape))
+    out = np.empty((*shape[:-1], 2 * shape[-1]))
+    _noise_into(rng, std, out)
+    return out
+
+
+def _noise_into(rng: np.random.Generator, std: Array, out: Array) -> None:
+    """``noise`` at standard deviation ``std`` into ``out``, its float rows."""
+    draw = rng.standard_normal((2, *out.shape[:-1], out.shape[-1] // 2))
     draw *= std
-    return np.concatenate([draw[0], draw[1]], axis=-1)
+    np.concatenate((draw[0], draw[1]), axis=-1, out=out)
 
 
 def gain(h: Array) -> Array:

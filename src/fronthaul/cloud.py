@@ -265,16 +265,30 @@ def cloud_backward(model: CloudModel, cache: CloudCache, grad_logits: Array
     z_out_w = np.matmul(g_latent.transpose(0, 2, 1), cache.pooled)
     z_out_b = np.matmul(cache.active.sum(axis=1), g_latent)
     g_pooled = np.matmul(g_latent, w["z_out"]).transpose(1, 0, 2).reshape(batch, -1)
-    # inner first layers, per node; a node's message sums over branches
+    # inner first layers, per node, into per-node parts that the node halves
+    # of a large batch write at once (``nn._split``); a node's message sums
+    # over branches
+    n_nodes = len(cache.received)
+    w_parts = np.empty((n_nodes, *w["z_in"].shape))
+    b_parts = np.empty((n_nodes, *w["z_in_b"].shape))
+    messages = np.empty(cache.received.shape)
+    g_acts = np.empty((2, *g_pooled.shape))  # one per half
+
+    def nodes(lo: int, hi: int) -> None:
+        g_act = g_acts[0 if lo == 0 else 1]
+        for i in range(lo, hi):
+            np.multiply(cache.inner_slope[i], g_pooled, out=g_act)
+            np.matmul(g_act.T, cache.received[i], out=w_parts[i])
+            np.matmul(ones, g_act, out=b_parts[i])
+            np.matmul(g_act, w["z_in"], out=messages[i])
+
+    nn._split(n_nodes, cache.inner_slope.size + messages.size, nodes)
+    # the parts add in node order, onto zeros, as one loop over the nodes adds them
     z_in_w = np.zeros_like(w["z_in"])
     z_in_b = np.zeros_like(w["z_in_b"])
-    messages = np.empty(cache.received.shape)
-    g_act = np.empty_like(g_pooled)
-    for i, y in enumerate(cache.received):
-        np.multiply(cache.inner_slope[i], g_pooled, out=g_act)
-        z_in_w += g_act.T @ y
-        z_in_b += ones @ g_act
-        np.matmul(g_act, w["z_in"], out=messages[i])
+    for i in range(n_nodes):
+        z_in_w += w_parts[i]
+        z_in_b += b_parts[i]
     grads = {"z_in": z_in_w, "z_in_b": z_in_b, "z_out": z_out_w, "z_out_b": z_out_b,
              "u_in": u_in_w, "u_in_b": u_in_b, "u_out": u_out_w, "u_out_b": u_out_b}
     return grads, messages
@@ -361,10 +375,16 @@ def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: i
     def count(w):
         return ((n_nodes if kind == MHNET else 1)
                 * nn.param_count(_baseline_layout(kind, message_dim, n_classes, n_nodes, w)))
-    # the count grows with the width: step up to the first width at or past the target
-    w = 1
-    while count(w) < target_params:
-        w += 1
+    # the count grows with the width: bracket the first width at or past the
+    # target by doubling, count(lo) < target <= count(hi) (lo = 0 counts as
+    # below), then bisect
+    lo, hi = 0, 1
+    while count(hi) < target_params:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid) < target_params else (lo, mid)
+    w = hi
     return w - 1 if w > 1 and target_params - count(w - 1) <= count(w) - target_params else w
 
 

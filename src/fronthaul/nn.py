@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import queue
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -257,6 +260,123 @@ class GradientSet:
     input_grad: Array | None
 
 
+class _Worker:
+    """One daemon thread that runs the calls handed to it, in turn. The
+    thread starts with the first call. (``concurrent.futures`` would do
+    the same, but importing it imports ``logging``: 0.6 MB more peak
+    RSS in every process, split or not.)"""
+
+    def __init__(self) -> None:
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def submit(self, fn: Callable[..., None], *args) -> Callable[[], None]:
+        """Start ``fn(*args)`` on the thread. Returns the call that waits
+        for it to end and re-raises its exception."""
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name="fronthaul-split",
+                                            daemon=True)
+            self._thread.start()
+        done = threading.Lock()
+        done.acquire()
+        failed: list[BaseException] = []
+        self._calls.put((fn, args, done, failed))
+
+        def join() -> None:
+            with done:
+                pass
+            if failed:
+                raise failed[0]
+        return join
+
+    def _serve(self) -> None:
+        while True:
+            fn, args, done, failed = self._calls.get()
+            try:
+                fn(*args)
+            except BaseException as err:
+                failed.append(err)
+            # held until the next call, the call's arrays would outlive it
+            del fn, args
+            done.release()
+
+
+def _new_worker() -> None:
+    """Make the process's one worker. A forked child makes its own: the
+    parent's thread does not run there."""
+    global _WORKER
+    _WORKER = _Worker()
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+# float values a half must write to go to the worker: numpy calls on fewer
+# keep the interpreter lock, and the handoff costs more than the half saves
+_SPLIT_VALUES = 120_000
+
+
+def _split_at(n: int, values: int) -> int:
+    """The first node of the worker's half when work over n nodes that
+    writes ``values`` float values splits, at least ``_SPLIT_VALUES`` per
+    half; 0 when it runs whole on the caller."""
+    return n // 2 if values >= 2 * _SPLIT_VALUES else 0
+
+
+def _split(n: int, values: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(lo, hi)`` over the range 0..n-1 in two halves at once,
+    [n // 2, n) on the worker thread and [0, n // 2) here, when
+    ``_split_at`` splits it; otherwise run ``work(0, n)`` here.
+
+    The halves write disjoint parts of arrays the caller allocated: glibc
+    keeps what a thread frees in that thread's own arena, so the worker
+    allocates nothing that outlives its half. The worker's half calls no
+    public function of the package, which the benchmark's tracer wraps
+    with one span stack, and never splits again. An exception of either
+    half re-raises here once both halves have stopped.
+    """
+    mid = _split_at(n, values)
+    if not mid:
+        work(0, n)
+        return
+    join = _WORKER.submit(work, mid, n)
+    try:
+        work(0, mid)
+    finally:
+        join()
+
+
+def _in_background(values: int, task: Callable[[], None]) -> Callable[[], None]:
+    """Start ``task()`` on the worker thread when it writes at least
+    ``_SPLIT_VALUES`` float values, or else run it here at once. Returns
+    the call that waits for the task to end and re-raises its exception.
+    The task keeps the rules of ``_split``'s worker half."""
+    if values < _SPLIT_VALUES:
+        task()
+        return lambda: None
+    return _WORKER.submit(task)
+
+
+def _pass_values(layers: tuple[LayerSpec, ...], rows: Array) -> int:
+    """Float values of every layer output over ``rows``, the size a pass's
+    split reads, forward or backward: a ReLU's counts though it runs in place."""
+    width = total = 0
+    for layer in layers:
+        if isinstance(layer, Dense):
+            width = layer.out_dim
+        total += width
+    return rows.size // rows.shape[-1] * total
+
+
+def _node_rows(arrays: list, lo: int, hi: int) -> list:
+    """Nodes lo..hi-1 of each node-first array of a list, None kept."""
+    return [None if a is None else a[lo:hi] for a in arrays]
+
+
+def _node_params(params: Mapping[str, Array], lo: int, hi: int) -> dict[str, Array]:
+    """Nodes lo..hi-1 of node-stacked parameters; a shared slice whole."""
+    return {name: p if len(p) == 1 else p[lo:hi] for name, p in params.items()}
+
+
 def forward(stack: StackView, x: Array, keep_cache: bool = True
             ) -> tuple[Array, ForwardCache | None]:
     """Run the stack on a batch of rows ``x`` and keep what backward needs.
@@ -265,7 +385,8 @@ def forward(stack: StackView, x: Array, keep_cache: bool = True
     node-stacked with n slices or one shared slice; any other node count
     is a ValueError naming both counts. With ``keep_cache``
     false nothing is kept (no layer input, no ReLU slope) and the cache
-    returned is None.
+    returned is None. A node-first batch large enough for ``_split`` runs
+    its two node halves at once, into arrays this call allocates first.
     """
     h = np.asarray(x, dtype=float)
     if h.ndim not in (2, 3):
@@ -279,22 +400,54 @@ def forward(stack: StackView, x: Array, keep_cache: bool = True
     if h.ndim == 3 and w0.shape[0] not in (len(h), 1):
         raise ValueError(f"input for {len(h)} nodes, parameters for {w0.shape[0]} nodes "
                          "(need the same count, or 1 shared)")
-    saved: list[Array] = []
-    for idx, layer in enumerate(stack.layers):
+    layers = stack.layers
+    saved = [None] * len(layers) if keep_cache else None
+    n, values = len(h), _pass_values(layers, h)
+    if h.ndim == 2 or not _split_at(n, values):
+        out = _forward_rows(layers, stack.params, h, [None] * len(layers), saved)
+    else:
+        # per layer its input and output, a ReLU's output its input, and
+        # each ReLU's slope where the others keep their input
+        ins, outs = [], []
+        for layer in layers:
+            ins.append(outs[-1] if outs else h)
+            width = layer.out_dim if isinstance(layer, Dense) else ins[-1].shape[-1]
+            outs.append(ins[-1] if isinstance(layer, Relu) else np.empty((*h.shape[:-1], width)))
         if keep_cache:
-            # a ReLU's backward reads only its slope
-            saved.append(h > 0.0 if isinstance(layer, Relu) else h)
-        if isinstance(layer, Dense):
-            h = np.matmul(h, stack.params[f"dense{idx}.w"].swapaxes(-1, -2))
-            h += stack.params[f"dense{idx}.b"][..., None, :]
-        elif isinstance(layer, Relu):
-            # h is this call's own temporary, which nothing else keeps
-            h = np.maximum(h, 0.0, out=h)
-        else:
-            h = projection_forward(h, layer.power, layer.mode)
+            saved = [np.empty(a.shape, dtype=bool) if isinstance(layer, Relu) else a
+                     for layer, a in zip(layers, ins)]
+        _split(n, values, lambda lo, hi: _forward_rows(
+            layers, _node_params(stack.params, lo, hi), h[lo:hi], _node_rows(outs, lo, hi),
+            None if saved is None else _node_rows(saved, lo, hi)))
+        out = outs[-1]
     if not keep_cache:
-        return h, None
-    return h, ForwardCache(stack, stack.param_set, stack.param_set.version, saved, h)
+        return out, None
+    return out, ForwardCache(stack, stack.param_set, stack.param_set.version, saved, out)
+
+
+def _forward_rows(layers: tuple[LayerSpec, ...], params: Mapping[str, Array], h: Array,
+                  outs: list, saved: list | None) -> Array:
+    """``forward``'s layer loop over rows ``h``; returns the last output.
+    Layer idx writes into outs[idx], or a new array where that is None,
+    a ReLU in place. Unless ``saved`` is None, saved[idx] gets what
+    backward reads: the layer's input, or a ReLU's slope, written into
+    the array already there, if any."""
+    for idx, layer in enumerate(layers):
+        if isinstance(layer, Relu):
+            if saved is not None:
+                # a ReLU's backward reads only its slope
+                saved[idx] = np.greater(h, 0.0, out=saved[idx])
+            # h is an output of this call, which nothing else keeps
+            h = np.maximum(h, 0.0, out=h)
+            continue
+        if saved is not None:
+            saved[idx] = h
+        if isinstance(layer, Dense):
+            h = np.matmul(h, params[f"dense{idx}.w"].swapaxes(-1, -2), out=outs[idx])
+            h += params[f"dense{idx}.b"][..., None, :]
+        else:
+            h = _project(h, layer.power, layer.mode, outs[idx])
+    return h
 
 
 def backward(stack: StackView, cache: ForwardCache, upstream: Array,
@@ -307,32 +460,70 @@ def backward(stack: StackView, cache: ForwardCache, upstream: Array,
     slice per node, even over a shared slice. With ``input_grad`` false
     the pass ends at layer 0's parameter gradients and returns no input
     gradient. A cache of another set or of an older version is rejected.
+    As in ``forward``, a large node-first batch runs its two node halves
+    at once.
     """
     stack.param_set.check_cache(cache)
     g = np.asarray(upstream, dtype=float)
     if g.shape != cache.output.shape:
         raise ValueError(f"upstream shape {g.shape} != output shape {cache.output.shape}")
+    layers = stack.layers
+    passed = [None] * len(layers)
     grads: dict[str, Array] = {}
+    n, values = len(g), _pass_values(layers, g)
+    if g.ndim == 2 or not _split_at(n, values):
+        g = _backward_rows(layers, stack.params, cache.saved, g, input_grad, grads, passed)
+    else:
+        # per layer, in the order the layer loop forms them, its weight and
+        # bias gradients and the gradient it passes down where the loop
+        # does not apply a ReLU's slope in place
+        last = len(layers) - 1
+        for idx in reversed(range(len(layers))):
+            layer = layers[idx]
+            if isinstance(layer, Dense):
+                grads[f"dense{idx}.w"] = np.empty((n, layer.out_dim, layer.in_dim))
+                grads[f"dense{idx}.b"] = np.empty((n, layer.out_dim))
+                keep = idx > 0 or input_grad
+            else:
+                keep = idx == last or not isinstance(layer, Relu)
+            if keep:
+                passed[idx] = np.empty((*g.shape[:-1], cache.saved[idx].shape[-1]))
+        _split(n, values, lambda lo, hi: _backward_rows(
+            layers, _node_params(stack.params, lo, hi), _node_rows(cache.saved, lo, hi),
+            g[lo:hi], input_grad, {name: a[lo:hi] for name, a in grads.items()},
+            _node_rows(passed, lo, hi)))
+        g = passed[0]
+    return GradientSet(grads, g if input_grad else None)
+
+
+def _backward_rows(layers: tuple[LayerSpec, ...], params: Mapping[str, Array], saved: list,
+                   g: Array, input_grad: bool, grads: dict[str, Array], passed: list
+                   ) -> Array:
+    """``backward``'s layer loop on upstream rows ``g``; returns the gradient
+    layer 0 passes down, or its upstream without ``input_grad``. Dense
+    layer idx writes its gradients into ``grads``, and layer idx the
+    gradient it passes down into passed[idx]: each into the array already
+    there, if any, or a new one."""
     ones = np.ones(g.shape[-2])
-    last = len(stack.layers) - 1
-    for idx in reversed(range(len(stack.layers))):
-        layer = stack.layers[idx]
-        saved = cache.saved[idx]
+    last = len(layers) - 1
+    for idx in reversed(range(len(layers))):
+        layer = layers[idx]
         if isinstance(layer, Dense):
-            grads[f"dense{idx}.w"] = np.matmul(g.swapaxes(-1, -2), saved)
-            grads[f"dense{idx}.b"] = np.matmul(ones, g)
+            w, b = f"dense{idx}.w", f"dense{idx}.b"
+            grads[w] = np.matmul(g.swapaxes(-1, -2), saved[idx], out=grads.get(w))
+            grads[b] = np.matmul(ones, g, out=grads.get(b))
             if idx > 0 or input_grad:
-                g = np.matmul(g, stack.params[f"dense{idx}.w"])
+                g = np.matmul(g, params[w], out=passed[idx])
         elif isinstance(layer, Relu):
             # below the last layer g is a temporary of this call, so the
             # slope can be applied in place; the last layer's g is upstream
             if idx == last:
-                g = g * saved
+                g = np.multiply(g, saved[idx], out=passed[idx])
             else:
-                g *= saved
+                g *= saved[idx]
         else:
-            g = projection_backward(saved, layer.power, layer.mode, g)
-    return GradientSet(grads, g if input_grad else None)
+            g = _project_back(saved[idx], layer.power, layer.mode, g, passed[idx])
+    return g
 
 
 def _budget_scale(sq: Array, power: float) -> tuple[Array, Array]:
@@ -357,6 +548,15 @@ def _halves(v: Array) -> Array:
     return v.reshape(*v.shape[:-1], 2, v.shape[-1] // 2)
 
 
+def _check_projection(v: Array, power: float, mode: str) -> None:
+    if v.shape[-1] % 2 != 0:
+        raise ValueError("projection input length must be even")
+    if power < 0:
+        raise ValueError("power budget must be nonnegative")
+    if mode not in POWER_MODES:
+        raise ValueError(f"unknown projection mode {mode!r}")
+
+
 def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
     """Cap transmit power, preserving direction of every clipped entry.
 
@@ -365,23 +565,26 @@ def projection_forward(v: Array, power: float, mode: str = PER_RB) -> Array:
     view, into one output array.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] % 2 != 0:
-        raise ValueError("projection input length must be even")
-    if power < 0:
-        raise ValueError("power budget must be nonnegative")
+    _check_projection(v, power, mode)
+    return _project(v, power, mode)
+
+
+def _project(v: Array, power: float, mode: str, out: Array | None = None) -> Array:
+    """``projection_forward`` of float rows ``v`` into ``out``, a contiguous
+    array of the same shape, or a new one; returns it."""
+    if out is None:
+        out = np.empty(v.shape)
     if mode == PER_RB:
         pair = _halves(v)
         vr, vi = pair[..., 0, :], pair[..., 1, :]
         sq = vr * vr
         sq += vi * vi
         scale, _ = _budget_scale(sq, power)
-        out = np.empty(pair.shape)
-        np.multiply(pair, scale[..., None, :], out=out)
-        return out.reshape(v.shape)
-    if mode == SUM:
+        np.multiply(pair, scale[..., None, :], out=_halves(out))
+    else:
         scale, _ = _budget_scale(np.sum(v * v, axis=-1, keepdims=True), power)
-        return v * scale
-    raise ValueError(f"unknown projection mode {mode!r}")
+        np.multiply(v, scale, out=out)
+    return out
 
 
 def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> Array:
@@ -394,34 +597,36 @@ def projection_backward(v: Array, power: float, mode: str, upstream: Array) -> A
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(upstream, dtype=float)
-    if v.shape[-1] % 2 != 0:
-        raise ValueError("projection input length must be even")
-    if power < 0:
-        raise ValueError("power budget must be nonnegative")
+    _check_projection(v, power, mode)
     if g.shape != v.shape:
         raise ValueError("upstream shape must match the projection input")
-    shape = v.shape
+    return _project_back(v, power, mode, g)
+
+
+def _project_back(v: Array, power: float, mode: str, g: Array, out: Array | None = None
+                  ) -> Array:
+    """``projection_backward`` of float rows ``v`` and ``g`` into ``out``, a
+    contiguous array of the same shape, or a new one; returns it."""
+    whole = out = np.empty(v.shape) if out is None else out
     if mode == PER_RB:
-        v, g = _halves(v), _halves(g)
+        v, g, out = _halves(v), _halves(g), _halves(out)
         vr, vi = v[..., 0, :], v[..., 1, :]
         sq = vr * vr
         sq += vi * vi
         dot = g[..., 0, :] * vr
         dot += g[..., 1, :] * vi
-    elif mode == SUM:
+    else:
         sq = np.sum(v * v, axis=-1, keepdims=True)
         dot = np.sum(g * v, axis=-1, keepdims=True)
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
     coef, denom = _budget_scale(sq, power)
     dot /= denom
     dot *= sq > power
     if mode == PER_RB:  # one factor per RB, for both its halves
         coef, dot = coef[..., None, :], dot[..., None, :]
-    out = v * dot
+    np.multiply(v, dot, out=out)
     np.subtract(g, out, out=out)
     out *= coef
-    return out.reshape(shape)
+    return whole
 
 
 def softmax_cross_entropy(logits: Array, labels) -> tuple[Array, Array]:

@@ -271,10 +271,14 @@ def sample_active_sets(rng: np.random.Generator, n_train: int, batch_size: int,
 
     Samples that come up with no active node at all are redrawn, since a
     round cannot process a sample nobody delivered: returns the boolean
-    mask of shape (batch, nodes) and how many redraws that took.
+    mask of shape (batch, nodes) and how many redraws that took. No node
+    or a drop probability that is not below 1 is a ValueError before any
+    draw, since no redraw could then give a sample an active node.
     """
     if n_train < 1:
         raise ValueError("need at least one node")
+    if not drop_probability < 1.0:
+        raise ValueError(f"drop probability {drop_probability} leaves no node active")
     mask = rng.random((batch_size, n_train)) >= drop_probability
     redraws = 0
     # only rows with no active node draw again, so visiting just those
@@ -324,41 +328,53 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
     else:
         snr_up = snr_rng.uniform(cfg.snr_up_db[0], cfg.snr_up_db[1], size=b)
         snr_dn = snr_rng.uniform(cfg.snr_dn_db[0], cfg.snr_dn_db[1], size=b)
+    # each link noise draw as (stream, std, rows)
     sigma_c2 = channel.snr_to_noise_var(snr_up)
-
-    if cfg.pathloss:
-        d = stream(seed, _DOM_PATHLOSS, k).uniform(
-            cfg.pathloss_d[0], cfg.pathloss_d[1], size=(b, n))
-        pathloss = (d, cfg.pathloss_alpha)
-    else:
-        pathloss = None
-    h = channel.sample_channel(stream(seed, _DOM_CHANNEL, k), blocks,
-                               pathloss=pathloss, shape=(b, n))
-
-    up_noise = channel.noise(stream(seed, _DOM_UP_NOISE, k), (b, n, blocks),
-                             sigma_c2[:, None, None])
+    up_noise = np.empty((b, n, 2 * blocks))
+    draws = [(stream(seed, _DOM_UP_NOISE, k), channel.noise_std(sigma_c2[:, None, None]),
+              up_noise)]
     dn_noise = None  # exact delivery reads no downlink noise, so none is drawn
     if cfg.downlink != "exact":
         sigma_e2 = np.zeros(b) if cfg.downlink == "noiseless" else channel.snr_to_noise_var(snr_dn)
-        dn_noise = channel.noise(stream(seed, _DOM_DN_NOISE, k), (b, n, blocks),
-                                 sigma_e2[:, None, None]).transpose(1, 0, 2)
+        dn_noise = np.empty_like(up_noise)
+        draws.append((stream(seed, _DOM_DN_NOISE, k), channel.noise_std(sigma_e2[:, None, None]),
+                      dn_noise))
 
-    if cfg.async_coordination:
-        active, redraws = sample_active_sets(
-            stream(seed, _DOM_ACTIVE, k), n, b, cfg.effective_drop_probability)
-    else:
-        active, redraws = np.ones((b, n), dtype=bool), 0
+    def draw_noise() -> None:
+        for rng, std, rows in draws:
+            channel._noise_into(rng, std, rows)
 
-    states = dataset.train_states[batch_indices]
-    offsets = stream(seed, _DOM_CROP, k).integers(
-        0, dataset.grid - dataset.window + 1, size=(b, n, 2))
-    observations = data.crop_batch(states, offsets, dataset.window)
+    # a large round's noise is drawn on the worker thread while this one
+    # draws the rest
+    noise_drawn = nn._in_background(sum(rows.size for _, _, rows in draws), draw_noise)
+    try:
+        if cfg.pathloss:
+            d = stream(seed, _DOM_PATHLOSS, k).uniform(
+                cfg.pathloss_d[0], cfg.pathloss_d[1], size=(b, n))
+            pathloss = (d, cfg.pathloss_alpha)
+        else:
+            pathloss = None
+        h = channel.sample_channel(stream(seed, _DOM_CHANNEL, k), blocks,
+                                   pathloss=pathloss, shape=(b, n))
+
+        if cfg.async_coordination:
+            active, redraws = sample_active_sets(
+                stream(seed, _DOM_ACTIVE, k), n, b, cfg.effective_drop_probability)
+        else:
+            active, redraws = np.ones((b, n), dtype=bool), 0
+
+        states = dataset.train_states[batch_indices]
+        offsets = stream(seed, _DOM_CROP, k).integers(
+            0, dataset.grid - dataset.window + 1, size=(b, n, 2))
+        observations = data.crop_batch(states, offsets, dataset.window)
+    finally:
+        noise_drawn()
 
     return RoundEnv(batch_indices=np.asarray(batch_indices),
                     labels=dataset.train_labels[batch_indices],
                     observations=observations, h=h.transpose(1, 0, 2),
                     up_noise=up_noise.transpose(1, 0, 2),
-                    dn_noise=dn_noise,
+                    dn_noise=None if dn_noise is None else dn_noise.transpose(1, 0, 2),
                     snr_up_db=snr_up, snr_dn_db=snr_dn,
                     active=active, redraws=redraws)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fronthaul import config as config_mod, experiment, protocol
+from fronthaul import config as config_mod, experiment, nn, protocol
 
 DIGESTS = Path(__file__).with_name("digests.json")
 DEFAULT_CONFIG = Path(__file__).parents[1] / "configs" / "default.txt"
@@ -170,6 +170,15 @@ def test_mode_is_bit_identical(mode, stored, tmp_path):
     want = stored["modes"][mode]
     moved = [key for key in want if got.get(key) != want[key]]
     assert not moved, f"{mode}: {', '.join(moved)} moved"
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_mode_is_bit_identical_split(mode, stored, tmp_path, monkeypatch):
+    """The same stored digests with every node range of two or more split
+    across the worker thread and the caller, and every round's noise drawn
+    on the worker, whatever the size."""
+    monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+    test_mode_is_bit_identical(mode, stored, tmp_path)
 
 
 def test_wide_holds_at_one_blas_thread(stored, tmp_path):

@@ -1,12 +1,24 @@
 """Core network engine: forward, backward, projection, loss, updates."""
 
 import copy
+import itertools
+import multiprocessing
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronthaul import nn, oracles
+from fronthaul import (channel, cloud, config as config_mod, data, edge, experiment, nn, oracles,
+                       protocol)
+
+DEFAULT_CONFIG = Path(__file__).parents[1] / "configs" / "default.txt"
+# the benchmark's train-wide workload: configs/default.txt with these keys
+WIDE = {"n_train": 16, "batch_size": 256, "branches": 12, "async": False,
+        "encoder_sharing": False, "val_cadence": 0}
 
 
 def rel_err(a, b):
@@ -829,14 +841,16 @@ class TestStackedCalls:
     @pytest.mark.parametrize("name", sorted(KERNEL_STACKS))
     @pytest.mark.parametrize("seeds", [(5, 6, 7), (5,)], ids=["dedicated", "shared"])
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_equal_per_slice_calls(self, name, seeds, input_grad):
+    def test_equal_per_slice_calls(self, name, seeds, input_grad, monkeypatch):
         """One call on node-first rows gives, byte for byte, the output and
         gradients of one 2-D call per node on its slice (the shared slice
-        for every node when there is one)."""
+        for every node when there is one), whether or not the call splits
+        its nodes across the worker thread and the caller."""
         rng = np.random.default_rng(53)
         stacked, lone = node_stacked(name, seeds)
         n = 3
-        for rows in (1, 7, 256):
+        for rows, split_values in itertools.product((1, 7, 256), (nn._SPLIT_VALUES, 0)):
+            monkeypatch.setattr(nn, "_SPLIT_VALUES", split_values)
             x = rng.normal(size=(n, rows, 6)) * 2.0
             out, cache = nn.forward(stacked, x)
             upstream = rng.normal(size=out.shape)
@@ -961,3 +975,178 @@ class TestInputChecks:
     def test_make_optimizer_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown optimizer 'rmsprop'"):
             nn.make_optimizer("rmsprop", 0.1)
+
+
+class HalfFailed(Exception):
+    pass
+
+
+def default_state(**overrides):
+    """A fresh training state of configs/default.txt with ``overrides``."""
+    cfg = {**config_mod.load_config(DEFAULT_CONFIG), **overrides}
+    dataset = experiment.build_dataset(cfg)
+    return protocol.init_state(
+        config_mod.to_training_config(cfg, dataset.obs_dim, dataset.n_classes), dataset)
+
+
+def split_in_child():
+    """A split in a forked child; exits nonzero unless both halves ran, on two threads."""
+    threads = set()
+    nn._split(2, 1, lambda lo, hi: threads.add(threading.get_ident()))
+    sys.exit(0 if len(threads) == 2 else 1)
+
+
+class SpyWorker:
+    """Stands in for ``nn._WORKER``: records each submitted function, then
+    submits it to the real worker."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(fn)
+        return self.worker.submit(fn, *args)
+
+
+class TestSplit:
+    """``nn._split`` runs two halves of a node range at once, one on the
+    worker thread and one on the caller, and ``nn._in_background`` one task
+    on the worker, once the work is large enough."""
+
+    def test_halves_run_on_the_worker_and_the_caller(self, monkeypatch):
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 10)
+        here = threading.get_ident()
+        seen = []
+
+        def work(lo, hi):
+            seen.append((lo, hi, threading.get_ident() == here))
+
+        nn._split(5, 20, work)
+        assert sorted(seen) == [(0, 2, True), (2, 5, False)]
+        for n, values in ((5, 19), (1, 10 ** 9)):  # too small a half, or one node
+            seen.clear()
+            nn._split(n, values, work)
+            assert seen == [(0, n, True)]
+
+    def test_worker_exception_reraises_here_and_the_worker_goes_on(self, monkeypatch):
+        """An exception of the worker's half or task re-raises on the caller
+        with its type; the next split runs on the same worker as before."""
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+
+        def work(lo, hi):
+            if lo > 0:
+                raise HalfFailed(f"nodes {lo} to {hi}")
+
+        with pytest.raises(HalfFailed, match="nodes 2 to 4"):
+            nn._split(4, 1, work)
+
+        def task():
+            raise HalfFailed("in the background")
+
+        join = nn._in_background(1, task)
+        with pytest.raises(HalfFailed, match="in the background"):
+            join()
+        threads = set()
+        nn._split(4, 1, lambda lo, hi: threads.add(threading.get_ident()))
+        assert len(threads) == 2
+        nn._in_background(1, lambda: threads.add(threading.get_ident()))()
+        assert len(threads) == 2
+
+    def test_caller_exception_waits_for_the_worker_half(self, monkeypatch):
+        """The caller's half raising leaves the worker's half to finish before
+        the exception leaves ``_split``: no half still writes afterwards."""
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+        done = threading.Event()
+
+        def work(lo, hi):
+            if lo == 0:
+                raise HalfFailed("caller")
+            time.sleep(0.05)
+            done.set()
+
+        with pytest.raises(HalfFailed, match="caller"):
+            nn._split(2, 1, work)
+        assert done.is_set()
+
+    def test_a_forked_child_splits_on_a_worker_of_its_own(self, monkeypatch):
+        """After the worker thread has run, a forked child, where that thread
+        does not exist, still runs both halves of a split."""
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+        nn._split(2, 1, lambda lo, hi: None)
+        child = multiprocessing.get_context("fork").Process(target=split_in_child)
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_split_layer_loops_match_under_a_short_switch_interval(self, monkeypatch):
+        """With the interpreter switching threads every 10 us, split forward
+        and backward passes over 16 nodes give the serial call's bytes, call
+        after call: the halves write disjoint parts of the arrays."""
+        stacked, _ = node_stacked("per-rb-projection", list(range(16)))
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(16, 33, 6))
+        out, cache = nn.forward(stacked, x)
+        upstream = rng.normal(size=out.shape)
+        want = nn.backward(stacked, cache, upstream)
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.perf_counter() + 2.0
+            for _ in range(40):
+                got_out, got_cache = nn.forward(stacked, x)
+                got = nn.backward(stacked, got_cache, upstream)
+                assert got_out.tobytes() == out.tobytes()
+                assert got.input_grad.tobytes() == want.input_grad.tobytes()
+                for name, grad in want.param_grads.items():
+                    assert got.param_grads[name].tobytes() == grad.tobytes(), name
+                if time.perf_counter() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_default_shapes_stay_serial_and_wide_shapes_split(self, monkeypatch):
+        """At configs/default.txt's shapes a round, a validation pass and
+        evaluation over n_test 1 to 12 in turn submit nothing to the worker.
+        A round at the benchmark's train-wide shapes submits four pieces of
+        work: the link noise, the encoders' forward and backward passes and
+        the cloud's first-layer backward loop."""
+        spy = SpyWorker(nn._WORKER)
+        monkeypatch.setattr(nn, "_WORKER", spy)
+        state = default_state()
+        protocol.run_training_round(state, 1)
+        protocol.evaluate(state, "val", n_test=state.config.n_train,
+                          snr_db=state.config.eval_snr_db)
+        for n_test in range(1, 13):
+            protocol.evaluate(state, "test", n_test=n_test, snr_db=10.0)
+        assert spy.submitted == []
+        protocol.run_training_round(default_state(**WIDE), 1)
+        assert sorted(fn.__module__ for fn in spy.submitted) == [
+            "fronthaul.cloud", "fronthaul.nn", "fronthaul.nn", "fronthaul.protocol"]
+
+    def test_the_worker_calls_no_public_function(self, monkeypatch):
+        """Every call of a public function of channel, cloud, data, edge and
+        nn in a split round comes from the calling thread: the benchmark's
+        tracer wraps those functions with one span stack."""
+        here = threading.get_ident()
+        threads = []
+
+        def watched(fn):
+            def call(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        state = default_state(**WIDE)
+        monkeypatch.setattr(nn, "_SPLIT_VALUES", 0)
+        for module in (channel, cloud, data, edge, nn):
+            for name, fn in vars(module).items():
+                if (not name.startswith("_") and callable(fn) and not isinstance(fn, type)
+                        and getattr(fn, "__module__", None) == module.__name__):
+                    monkeypatch.setattr(module, name, watched(fn))
+        protocol.run_training_round(state, 1)
+        assert len(threads) > 10 and set(threads) == {here}

@@ -118,6 +118,17 @@ class TestActiveSets:
         with pytest.raises(ValueError, match="at least one node"):
             protocol.sample_active_sets(NoDraw(), 0, 4, 0.5)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, math.nan])
+    def test_needs_a_drop_probability_below_one(self, p):
+        """A drop probability of 1 or more, or NaN, is a ValueError before
+        any draw: no redraw could ever give a sample an active node."""
+        class NoDraw:
+            def random(self, shape):
+                raise AssertionError("sample_active_sets drew before checking drop_probability")
+
+        with pytest.raises(ValueError, match="leaves no node active"):
+            protocol.sample_active_sets(NoDraw(), 3, 4, p)
+
     def test_redraw_matches_full_row_scan(self):
         """Visiting only the empty rows gives the mask, the redraw count and
         the stream position of a scan over every row."""
