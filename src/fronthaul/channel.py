@@ -101,13 +101,14 @@ def noise(rng: np.random.Generator, shape: tuple, variance) -> Array:
         raise ValueError(f"noise variance of shape {std.shape} does not broadcast "
                          f"against fading shape {tuple(shape)}") from err
     out = np.empty((*shape[:-1], 2 * shape[-1]))
-    _noise_into(rng, std, out)
+    _noise_into(rng, std, out, np.empty((2, *shape)))
     return out
 
 
-def _noise_into(rng: np.random.Generator, std: Array, out: Array) -> None:
-    """``noise`` at standard deviation ``std`` into ``out``, its float rows."""
-    draw = rng.standard_normal((2, *out.shape[:-1], out.shape[-1] // 2))
+def _noise_into(rng: np.random.Generator, std: Array, out: Array, draw: Array) -> None:
+    """``noise`` at standard deviation ``std`` into ``out``, its float rows,
+    through ``draw``, a (2, *fading shape) float array to draw into."""
+    rng.standard_normal(out=draw)
     draw *= std
     np.concatenate((draw[0], draw[1]), axis=-1, out=out)
 

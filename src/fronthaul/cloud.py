@@ -375,16 +375,10 @@ def matched_hidden_width(kind: str, message_dim: int, n_classes: int, n_nodes: i
     def count(w):
         return ((n_nodes if kind == MHNET else 1)
                 * nn.param_count(_baseline_layout(kind, message_dim, n_classes, n_nodes, w)))
-    # the count grows with the width: bracket the first width at or past the
-    # target by doubling, count(lo) < target <= count(hi) (lo = 0 counts as
-    # below), then bisect
-    lo, hi = 0, 1
-    while count(hi) < target_params:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if count(mid) < target_params else (lo, mid)
-    w = hi
+    # the count grows with the width: step up to the first width at or past the target
+    w = 1
+    while count(w) < target_params:
+        w += 1
     return w - 1 if w > 1 and target_params - count(w - 1) <= count(w) - target_params else w
 
 

@@ -327,9 +327,11 @@ def _split(n: int, values: int, work: Callable[[int, int], None]) -> None:
     [n // 2, n) on the worker thread and [0, n // 2) here, when
     ``_split_at`` splits it; otherwise run ``work(0, n)`` here.
 
-    The halves write disjoint parts of arrays the caller allocated: glibc
-    keeps what a thread frees in that thread's own arena, so the worker
-    allocates nothing that outlives its half. The worker's half calls no
+    The halves write disjoint parts of arrays the caller allocated. The
+    worker's half allocates no large array, not even a temporary: glibc
+    keeps what a thread frees in that thread's own arena, where the
+    caller cannot reuse it (a projection's temporaries there raised
+    wide-config peak memory by 5 MB). The worker's half calls no
     public function of the package, which the benchmark's tracer wraps
     with one span stack, and never splits again. An exception of either
     half re-raises here once both halves have stopped.
@@ -403,6 +405,11 @@ def forward(stack: StackView, x: Array, keep_cache: bool = True
     layers = stack.layers
     saved = [None] * len(layers) if keep_cache else None
     n, values = len(h), _pass_values(layers, h)
+    # a serial pass allocates layer by layer, so that without a cache each
+    # output is freed once the next layer has read it. Allocating first in
+    # every forward and backward pass, as the split does, cost 2.9% of
+    # default-config training speed and 4 MB of peak memory in wide-config
+    # training (bench pairs)
     if h.ndim == 2 or not _split_at(n, values):
         out = _forward_rows(layers, stack.params, h, [None] * len(layers), saved)
     else:
@@ -416,9 +423,13 @@ def forward(stack: StackView, x: Array, keep_cache: bool = True
         if keep_cache:
             saved = [np.empty(a.shape, dtype=bool) if isinstance(layer, Relu) else a
                      for layer, a in zip(layers, ins)]
+        # a last projection, which makes temporaries, runs here (``_split``)
+        top = len(layers) - isinstance(layers[-1], Projection)
         _split(n, values, lambda lo, hi: _forward_rows(
-            layers, _node_params(stack.params, lo, hi), h[lo:hi], _node_rows(outs, lo, hi),
-            None if saved is None else _node_rows(saved, lo, hi)))
+            layers[:top], _node_params(stack.params, lo, hi), h[lo:hi],
+            _node_rows(outs, lo, hi), None if saved is None else _node_rows(saved, lo, hi)))
+        if top < len(layers):
+            _project(ins[-1], layers[-1].power, layers[-1].mode, outs[-1])
         out = outs[-1]
     if not keep_cache:
         return out, None
@@ -471,6 +482,8 @@ def backward(stack: StackView, cache: ForwardCache, upstream: Array,
     passed = [None] * len(layers)
     grads: dict[str, Array] = {}
     n, values = len(g), _pass_values(layers, g)
+    # serial, each passed-down gradient is freed once the layer below has
+    # read it; allocating first costs speed and memory (see ``forward``)
     if g.ndim == 2 or not _split_at(n, values):
         g = _backward_rows(layers, stack.params, cache.saved, g, input_grad, grads, passed)
     else:
@@ -488,8 +501,11 @@ def backward(stack: StackView, cache: ForwardCache, upstream: Array,
                 keep = idx == last or not isinstance(layer, Relu)
             if keep:
                 passed[idx] = np.empty((*g.shape[:-1], cache.saved[idx].shape[-1]))
+        top = len(layers) - isinstance(layers[-1], Projection)
+        if top < len(layers):  # here, as in ``forward``
+            g = _project_back(cache.saved[-1], layers[-1].power, layers[-1].mode, g, passed[-1])
         _split(n, values, lambda lo, hi: _backward_rows(
-            layers, _node_params(stack.params, lo, hi), _node_rows(cache.saved, lo, hi),
+            layers[:top], _node_params(stack.params, lo, hi), _node_rows(cache.saved, lo, hi),
             g[lo:hi], input_grad, {name: a[lo:hi] for name, a in grads.items()},
             _node_rows(passed, lo, hi)))
         g = passed[0]

@@ -340,9 +340,13 @@ def draw_round_env(config: TrainingConfig, dataset: data.SyntheticDataset,
         draws.append((stream(seed, _DOM_DN_NOISE, k), channel.noise_std(sigma_e2[:, None, None]),
                       dn_noise))
 
+    # the worker allocates no large array (``nn._split``), so both draws
+    # go through one scratch array allocated here
+    scratch = np.empty((2, b, n, blocks))
+
     def draw_noise() -> None:
         for rng, std, rows in draws:
-            channel._noise_into(rng, std, rows)
+            channel._noise_into(rng, std, rows, scratch)
 
     # a large round's noise is drawn on the worker thread while this one
     # draws the rest

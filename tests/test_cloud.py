@@ -652,29 +652,6 @@ class TestBaselines:
                                                   target) == gaps[0][1]
         assert ties > 0
 
-    def test_matched_width_bisection_matches_linear_search(self):
-        """Over a grid of budgets, kinds, message lengths and node counts,
-        the bisection gives the width a step-by-step search from width 1
-        gives: the first width at or past the budget, or the one below it
-        when that is as near or nearer."""
-        def linear(kind, message_dim, n_classes, n_nodes, target):
-            def count(w):
-                return ((n_nodes if kind == cloud.MHNET else 1) * nn.param_count(
-                    cloud._baseline_layout(kind, message_dim, n_classes, n_nodes, w)))
-            w = 1
-            while count(w) < target:
-                w += 1
-            return w - 1 if w > 1 and target - count(w - 1) <= count(w) - target else w
-
-        targets = sorted({*range(0, 300, 7), *np.geomspace(300, 2e6, 60).astype(int).tolist()})
-        for kind in (cloud.CATNET, cloud.MHNET):
-            for message_dim, n_classes, n_nodes in ((2, 2, 1), (8, 4, 3), (16, 4, 12)):
-                for target in targets:
-                    assert (cloud.matched_hidden_width(kind, message_dim, n_classes, n_nodes,
-                                                       target)
-                            == linear(kind, message_dim, n_classes, n_nodes, target)), \
-                        (kind, message_dim, n_classes, n_nodes, target)
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
         for kind in (cloud.CATNET, cloud.MHNET):

@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1127,6 +1128,31 @@ class TestSplit:
         protocol.run_training_round(default_state(**WIDE), 1)
         assert sorted(fn.__module__ for fn in spy.submitted) == [
             "fronthaul.cloud", "fronthaul.nn", "fronthaul.nn", "fronthaul.protocol"]
+
+    def test_the_worker_allocates_no_large_array(self, monkeypatch):
+        """Each piece of work a train-wide round hands the worker allocates
+        under 128 KB at its peak, run here one at a time under tracemalloc:
+        what the worker frees stays in its own malloc arena, out of the
+        caller's reach. A projection there allocated 0.5 MB."""
+        peaks = {}
+
+        class Inline:
+            def submit(self, fn, *args):
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                fn(*args)
+                peaks[fn.__qualname__] = tracemalloc.get_traced_memory()[1] - before
+                return lambda: None
+
+        state = default_state(**WIDE)
+        monkeypatch.setattr(nn, "_WORKER", Inline())
+        tracemalloc.start()
+        try:
+            protocol.run_training_round(state, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks.values()) < 128 * 1024, peaks
 
     def test_the_worker_calls_no_public_function(self, monkeypatch):
         """Every call of a public function of channel, cloud, data, edge and
